@@ -249,7 +249,8 @@ def _run_markov_solve(args) -> AnalysisReport:
         Result(f"pi[{state.label}]", float(pi.pi[state.id]), "analytic")
         for state in chain.space.states
     ]
-    results.append(Result("availability", markov.availability_steady(chain), "analytic"))
+    availability = float(pi.pi[chain.operational_mask()].sum())
+    results.append(Result("availability", availability, "analytic"))
     return AnalysisReport(model_echo=_echo(doc), results=results)
 
 
@@ -320,10 +321,10 @@ def _run_mc_reliability(args) -> AnalysisReport:
     series = []
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-        curve = montecarlo.estimate_reliability_curve(chain, start, cfg, grid, threads=threads)
-        at_horizon = montecarlo.estimate_reliability_curve(chain, start, cfg, [cfg.horizon], threads=threads)[0]
+        *curve, estimate = montecarlo.estimate_reliability_curve(
+            chain, start, cfg, np.append(grid, cfg.horizon), threads=threads
+        )
         series.append(Series("reliability", [float(t) for t in grid], [e.value for e in curve]))
-        estimate = at_horizon
     else:
         estimate = montecarlo.estimate_reliability(chain, start, cfg, threads=threads)
     results = [Result("reliability", estimate.value, "monte_carlo", uncertainty=estimate.std_error)]
@@ -350,9 +351,9 @@ def _run_sec_msdr(args) -> AnalysisReport:
     rates, crew = model_io.build_msdr_inputs(doc)
     chain = securability.build_msdr(rates, single_repair_crew=crew)
     pi = markov.steady_state(chain)
-    results = [
-        Result("service_availability", securability.service_availability(rates, crew), "analytic")
-    ]
+    # 1 - pi(both_down), the only non-operational state: service_availability without a second solve
+    service = 1.0 - float(pi.pi[~chain.operational_mask()].sum())
+    results = [Result("service_availability", service, "analytic")]
     echo = _echo(doc)
     echo["model_notes"] = securability.MSDR_MODEL_NOTES
     for state in chain.space.states:

@@ -16,11 +16,11 @@ still counts as failed once it has left the operational set.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
 
 from .errors import (
     ConvergenceError,
@@ -268,13 +268,60 @@ def _coerce_pvec(pi0, n: int) -> np.ndarray:
     return np.array(vec, dtype=float)
 
 
+def _poisson_weights(mu: float, tail_tol: float) -> tuple[int, np.ndarray]:
+    """Poisson(mu) probabilities for k = left..R, renormalized to sum to 1.
+
+    Fox & Glynn (CACM 1988): the weights are built outward from the mode
+    floor(mu) by the ratio recursions w[k]/w[k-1] = mu/k, summed in log
+    form, so no factorial or lgamma of a large argument is formed.  The
+    window [left, right] comes from the Chernoff and Bernstein tail bounds
+    and leaves out at most tail_tol**2 of mass on each side.  R is the least
+    k with P(X > k) <= tail_tol; that tail is a reversed cumulative sum, so
+    the smallest terms are added first.
+    """
+    if not 0.0 < tail_tol < 1.0:
+        raise DomainError(f"tail tolerance must lie in (0, 1), got {tail_tol}")
+    if not math.isfinite(mu):
+        raise ConvergenceError(f"uniformization cannot bound the tail at rate*t = {mu:.3g}")
+    # P(X <= mu - y) <= exp(-y^2 / (2 mu)) = 1 - tail_tol puts R at or above this floor.
+    floor_r = math.floor(mu - math.sqrt(-2.0 * mu * math.log1p(-tail_tol)))
+    if floor_r > _MAX_UNIFORMIZATION_TERMS:
+        raise ConvergenceError(
+            f"uniformization needs {floor_r} terms (rate*t = {mu:.3g}); split the horizon"
+        )
+    a = -2.0 * math.log(tail_tol)  # each window edge bounds a tail of exp(-a) = tail_tol**2
+    left = max(0, math.floor(mu - math.sqrt(2.0 * mu * a)))
+    right = math.ceil(mu + a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * mu))
+    mode = math.floor(mu)
+    up = np.arange(mode + 1, right + 1, dtype=float)
+    down = np.arange(mode, left, -1, dtype=float)
+    with np.errstate(divide="ignore"):  # mu that underflowed to 0 gives log 0 = -inf: weight 0
+        log_w = np.concatenate((
+            np.cumsum(np.log1p((down - mu) / mu))[::-1],  # log w[k-1]/w[mode], ratio k/mu
+            [0.0],
+            np.cumsum(np.log1p((mu - up) / up)),  # log w[k]/w[mode], ratio mu/k
+        ))
+    w = np.exp(log_w)
+    tail = np.cumsum(w[::-1])[::-1]  # tail[i] = sum of w[i:]
+    cut = int(np.searchsorted(-tail[1:], -tail_tol * tail[0]))
+    if left + cut > _MAX_UNIFORMIZATION_TERMS:
+        raise ConvergenceError(
+            f"uniformization needs {left + cut} terms (rate*t = {mu:.3g}); split the horizon"
+        )
+    weights = w[: cut + 1]
+    return left, weights / weights.sum()
+
+
 def transient(chain: Ctmc, pi0, t: float, tail_tol: float = UNIFORMIZATION_TAIL) -> ProbabilityVector:
     """Distribution pi0 @ expm(Q t) by uniformization.
 
-    The Poisson-weighted sum over powers of P = I + Q/rate is truncated
-    once the neglected tail mass drops below ``tail_tol`` and the retained
-    weights are renormalized, so the result is a valid probability vector
-    with truncation bias below the tolerance.
+    The distribution is the Poisson(rate*t)-weighted sum of pi0 @ P**k with
+    P = I + Q/rate.  The weights are Fox-Glynn weights computed in numpy
+    (:func:`_poisson_weights`): the sum stops at the least R with
+    P(X > R) <= ``tail_tol``, terms below the left window edge (at most
+    ``tail_tol**2`` of mass) are skipped, and the retained weights are
+    renormalized, so the result is a valid probability vector with
+    truncation bias below the tolerance.
     """
     if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t}")
@@ -283,25 +330,15 @@ def transient(chain: Ctmc, pi0, t: float, tail_tol: float = UNIFORMIZATION_TAIL)
     rate = float(np.max(-np.diag(q)))
     if t == 0 or rate == 0:
         return ProbabilityVector(v0)
-    mu = rate * t
-    quantile = poisson.isf(tail_tol, mu)
-    if not np.isfinite(quantile):
-        raise ConvergenceError(f"uniformization cannot bound the tail at rate*t = {mu:.3g}")
-    terms = int(quantile) + 1
-    while poisson.sf(terms, mu) > tail_tol:
-        terms += 10
-    if terms > _MAX_UNIFORMIZATION_TERMS:
-        raise ConvergenceError(
-            f"uniformization needs {terms} terms (rate*t = {mu:.3g}); split the horizon"
-        )
-    weights = poisson.pmf(np.arange(terms + 1), mu)
-    weights /= weights.sum()
+    left, weights = _poisson_weights(rate * t, tail_tol)
     p = np.eye(chain.n) + q / rate
     v = v0
-    out = weights[0] * v
-    for k in range(1, terms + 1):
+    for _ in range(left):
         v = v @ p
-        out = out + weights[k] * v
+    out = weights[0] * v
+    for w in weights[1:]:
+        v = v @ p
+        out = out + w * v
     out /= out.sum()
     return ProbabilityVector(out)
 

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from malformed_corpus import MALFORMED_DOCUMENTS
 
+import securakit
 from securakit.cli import main
 
 TWO_STATE_DOC = {
@@ -235,6 +240,13 @@ class TestDeterminism:
             json.loads(from_doc)["results"] == json.loads(from_flag)["results"]
         )
 
+    def test_grid_headline_equals_plain_reliability(self, capsys, write_doc):
+        path = write_doc(TWO_STATE_DOC)  # horizon 10 lies inside the grid's span
+        base = ["mc", "reliability", "--file", path, "--format", "json"]
+        _, plain, _ = run(capsys, base)
+        _, grid, _ = run(capsys, base + ["--grid", "0:20:5"])
+        assert json.loads(grid)["results"] == json.loads(plain)["results"]
+
     def test_missing_seed_is_validation_error(self, capsys, write_doc):
         payload = {k: v for k, v in TWO_STATE_DOC.items() if k != "seed"}
         path = write_doc(payload)
@@ -263,6 +275,24 @@ class TestValidateIsZeroCost:
         elapsed = time.perf_counter() - started
         assert code == 0
         assert elapsed < 0.5
+
+
+class TestColdStart:
+    def test_validate_in_fresh_interpreter_loads_no_scipy(self, write_doc):
+        path = write_doc(TWO_STATE_DOC)
+        code = (
+            "import sys, securakit\n"
+            f"assert securakit.cli.main(['validate', {path!r}, '--quiet']) == 0\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+        )
+        src = str(Path(securakit.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestMalformedCorpus:

@@ -1,15 +1,19 @@
 """Chain engine tests: construction, steady state, transients, hitting times."""
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.stats import poisson
 
-from securakit.errors import DomainError, StructureError
+from securakit.errors import ConvergenceError, DomainError, StructureError
 from securakit.markov import (
+    UNIFORMIZATION_TAIL,
     Ctmc,
     ProbabilityVector,
     StateSpace,
@@ -27,6 +31,7 @@ from securakit.markov import (
     reliability_at,
     steady_state,
     transient,
+    _poisson_weights,
     vet_absorption,
 )
 from securakit.rng import CounterRng
@@ -213,6 +218,76 @@ class TestTransient:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             transient(build_two_state(0.1, 0.1), [1, 0], -1.0)
+
+
+class TestPoissonWeights:
+    @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 50.0, 400.0, 4e4, 1e6])
+    def test_l1_distance_to_scipy_pmf(self, mu):
+        left, w = _poisson_weights(mu, UNIFORMIZATION_TAIL)
+        right = left + w.size - 1
+        inside = np.abs(w - poisson.pmf(np.arange(left, right + 1), mu)).sum()
+        outside = poisson.cdf(left - 1, mu) + poisson.sf(right, mu)
+        # above mu = 400 scipy's lgamma-based pmf itself drifts by about eps*mu*ln(mu)
+        assert inside + outside <= (1e-12 if mu <= 400 else 1e-8)
+
+    @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 50.0, 400.0, 4e4, 1e6])
+    @pytest.mark.parametrize("tol", [1e-13, 1e-6])
+    def test_cut_meets_tail_with_no_more_terms_than_scipy_quantile(self, mu, tol):
+        left, w = _poisson_weights(mu, tol)
+        right = left + w.size - 1
+        assert poisson.sf(right, mu) <= tol
+        terms = int(poisson.isf(tol, mu)) + 1  # the scipy-quantile cut used before Fox-Glynn
+        while poisson.sf(terms, mu) > tol:
+            terms += 10
+        assert right <= terms
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_huge_rate_t_fails_fast(self):
+        begin = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="split the horizon"):
+            transient(build_two_state(1.0, 1.0), [1.0, 0.0], 1e9)
+        assert time.perf_counter() - begin < 1.0
+
+    def test_non_finite_rate_t_is_convergence_error(self):
+        for mu in (math.inf, math.nan):
+            with pytest.raises(ConvergenceError, match="cannot bound the tail"):
+                _poisson_weights(mu, UNIFORMIZATION_TAIL)
+        with pytest.raises(ConvergenceError, match="cannot bound the tail"):
+            transient(build_two_state(1.0, 1.0), [1.0, 0.0], math.inf)
+
+    def test_rate_t_below_smallest_float_is_identity_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = transient(build_two_state(1.0, 1.0), [1.0, 0.0], 5e-324)
+        np.testing.assert_array_equal(out.pi, [1.0, 0.0])
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3, math.nan])
+    def test_tail_tolerance_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(DomainError):
+            transient(build_two_state(1.0, 1.0), [1.0, 0.0], 1.0, tail_tol=tol)
+
+
+@st.composite
+def stiff_chains(draw):
+    """2-6 states, off-diagonal rates spread over six decades (some zero)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    log_rate = st.one_of(st.none(), st.floats(min_value=-3.0, max_value=3.0))
+    exps = draw(st.lists(log_rate, min_size=n * n, max_size=n * n))
+    rates = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n)
+    space = StateSpace.from_labels([f"s{i}" for i in range(n)], [True] * (n - 1) + [False])
+    start = draw(st.integers(min_value=0, max_value=n - 1))
+    t = draw(st.floats(min_value=0.0, max_value=2.0))
+    return Ctmc.from_transition_rates(space, rates), start, t
+
+
+@given(stiff_chains())
+@settings(max_examples=40, deadline=None)
+def test_transient_matches_expm_on_stiff_chains(case):
+    chain, start, t = case
+    pi0 = np.zeros(chain.n)
+    pi0[start] = 1.0
+    expected = pi0 @ expm(chain.generator * t)
+    np.testing.assert_allclose(transient(chain, pi0, t).pi, expected, rtol=0, atol=1e-10)
 
 
 class TestReliabilityVsAvailability:
