@@ -214,10 +214,11 @@ def _adjacency(q: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
+def _reachable(adj: np.ndarray, start: int | np.ndarray) -> np.ndarray:
+    """States reachable from ``start``: one state id, or a mask of several."""
     seen = np.zeros(adj.shape[0], dtype=bool)
     seen[start] = True
-    frontier = deque([start])
+    frontier = deque(np.flatnonzero(seen))
     while frontier:
         i = frontier.popleft()
         for j in np.flatnonzero(adj[i] & ~seen):
@@ -237,8 +238,9 @@ def steady_state(chain: Ctmc) -> ProbabilityVector:
 
     Solved as the dense linear system Q^T pi = 0 with one equation replaced
     by the normalization constraint; the residual ``max|pi @ Q|`` is
-    verified below 1e-10.  Entry noise in (-1e-13, 0) from the solve is
-    clipped to zero before validation.
+    verified below 1e-10 times the rate scale ``max(1, max|Q|)``, the same
+    relative rule :class:`Ctmc` applies to row sums.  Entry noise in
+    (-1e-13, 0) from the solve is clipped to zero before validation.
     """
     _require_irreducible(chain)
     q = chain.generator
@@ -254,9 +256,11 @@ def steady_state(chain: Ctmc) -> ProbabilityVector:
     tiny = (pi < 0) & (pi > -1e-13)
     pi[tiny] = 0.0
     residual = float(np.abs(pi @ q).max())
-    if residual >= STEADY_RESIDUAL_TOL:
+    bound = STEADY_RESIDUAL_TOL * max(1.0, float(np.abs(q).max()))
+    if residual >= bound:
         raise SingularSystemError(
-            f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}"
+            f"steady-state residual {residual:.3e} exceeds {bound:.3e} "
+            f"({STEADY_RESIDUAL_TOL:.0e} x max(1, max|Q|))"
         )
     return ProbabilityVector(pi)
 
@@ -416,12 +420,14 @@ def _vet_hitting_states(chain: Ctmc, start: int, target_mask: np.ndarray, kind: 
     live = reach & ~target_mask
     if not np.any(reach & target_mask):
         raise StructureError(f"no {kind} state is reachable from state {start}")
-    for i in np.flatnonzero(live):
-        if not np.any(_reachable(adj, i) & target_mask):
-            raise StructureError(
-                f"state {i} ({chain.space.states[i].label}) can be visited but cannot "
-                f"reach any {kind} state; expected hitting time is infinite"
-            )
+    # one backward search from the whole target set finds every state with a path into it
+    stuck = np.flatnonzero(live & ~_reachable(adj.T, target_mask))
+    if stuck.size:
+        i = stuck[0]
+        raise StructureError(
+            f"state {i} ({chain.space.states[i].label}) can be visited but cannot "
+            f"reach any {kind} state; expected hitting time is infinite"
+        )
     return np.flatnonzero(live)
 
 

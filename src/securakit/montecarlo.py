@@ -8,6 +8,11 @@ cell ``(seed, trial=t, substream)`` (see :mod:`securakit.rng`), and
 estimates reduce per-trial outcomes in trial-index order, so results are
 bit-identical no matter how many worker threads execute the trials.
 
+Every estimator walks its trials in vectorized waves through
+:func:`_walk_batch`, which consumes draws exactly as the single-path
+:func:`simulate_trajectory` does; that one is the reference tests compare
+against.
+
 Reliability estimation is horizon-limited on the absorbing variant of the
 chain (Eq.-10 style sample mean of survival indicators); MTTF estimation
 collects uncapped times to absorption (Eq.-11 style sample mean) with an
@@ -208,12 +213,17 @@ def _walk_batch(
     max_events: int,
     occupancy_mask: np.ndarray | None = None,
     burn_in: float = 0.0,
+    flip_log: list | None = None,
 ):
     """Walk trials ``lo..hi-1`` in synchronized waves.
 
     Draw k of trial t is ``uniform(seed, t, substream, k)``; the walk
     consumes draws exactly like :func:`simulate_trajectory`, so outcomes
     depend only on (seed, trial) and never on the batch partition.
+
+    A ``flip_log`` list receives, per wave, ``(trial, time, delta)`` arrays
+    for the lanes whose jump changed operational status (delta +1 on
+    entering the operational set, -1 on leaving it).
 
     Returns (survived, absorb_time, occupancy_time) arrays for the slice.
     """
@@ -272,6 +282,10 @@ def _walk_batch(
             sel = cur == s
             pick = np.searchsorted(kernel.cumprobs[s], u_sel[sel], side="left")
             nxt[sel] = kernel.targets[s][pick]
+        if flip_log is not None:
+            now_op = kernel.operational[nxt]
+            flipped = now_op != kernel.operational[cur]
+            flip_log.append((lo + active[flipped], t_new[flipped], np.where(now_op[flipped], 1, -1)))
         state[active] = nxt
         t[active] = t_new
         jumps[active] += 1
@@ -420,48 +434,46 @@ def estimate_threshold_reliability(
 ) -> Estimate:
     """Survival frequency of a threshold-criterion system of subsystems.
 
-    Subsystem trajectories are simulated independently (subsystem j of
-    trial t uses stream (seed, t, substream=j)); system performance at any
-    instant is the fraction of subsystems currently operational, and a
-    trial fails at the first instant that fraction drops below
-    ``cfg.threshold``.  Bare-probability subsystems are resolved by one
-    Bernoulli draw at t=0 and held constant over the mission.
+    System performance at any instant is the fraction of subsystems
+    currently operational; a trial fails if it is below ``cfg.threshold``
+    at t=0 or at any later instant.  Subsystem j of trial t draws from
+    stream (seed, t, substream=j): a chain subsystem is walked for all
+    trials by :func:`_walk_batch`, which logs its status flips, and a
+    bare probability is one Bernoulli draw at t=0, held over the mission.
+    The flips of all subsystems are sorted by (trial, time, subsystem,
+    delta) and the running count of operational subsystems is checked
+    after each.
     """
+    n = system.n
+    kernels = [_ChainKernel(sub.chain) if isinstance(sub, ChainSubsystem) else None
+               for sub in system.subsystems]
     survived = np.zeros(cfg.n_trials, dtype=bool)
 
     def worker(lo, hi):
-        for trial in range(lo, hi):
-            survived[trial] = _threshold_trial(system, cfg, trial)
+        up = np.zeros(hi - lo, dtype=np.int64)  # operational subsystems at t=0
+        flips = []
+        for j, (sub, kernel) in enumerate(zip(system.subsystems, kernels)):
+            if kernel is None:
+                up += uniform_block(cfg.seed, np.arange(lo, hi), j, 0) <= sub
+                continue
+            up += kernel.operational[sub.start]
+            log = []
+            _walk_batch(kernel, sub.start, lo, hi, cfg.seed, j, cfg.horizon, False, cfg.max_events,
+                        flip_log=log)
+            flips += [(trial, when, np.full(trial.size, j), delta) for trial, when, delta in log]
+        ok = up / n >= cfg.threshold
+        if flips:
+            trial, when, sub_id, delta = (np.concatenate(col) for col in zip(*flips))
+            order = np.lexsort((delta, sub_id, when, trial))
+            trial, delta = trial[order], delta[order]
+            count = np.concatenate(([0], np.cumsum(delta)))
+            # operational count after each flip: the trial's t=0 count plus its flips so far
+            level = up[trial - lo] + count[1:] - count[np.searchsorted(trial, trial)]
+            ok[trial[level / n < cfg.threshold] - lo] = False
+        survived[lo:hi] = ok
 
     _run_partitioned(worker, cfg.n_trials, threads)
     return _binomial_estimate(int(survived.sum()), cfg.n_trials)
-
-
-def _threshold_trial(system: RoutOfNSystem, cfg: MonteCarloConfig, trial: int) -> bool:
-    n = len(system.subsystems)
-    up = 0
-    flips: list[tuple[float, int, int]] = []
-    for j, sub in enumerate(system.subsystems):
-        stream = CounterRng(cfg.seed, trial, substream=j)
-        if isinstance(sub, ChainSubsystem):
-            flags = sub.chain.operational_mask()
-            current = bool(flags[sub.start])
-            up += current
-            path = simulate_trajectory(sub.chain, sub.start, cfg.horizon, stream, cfg.max_events)
-            for when, state in path.events:
-                now = bool(flags[state])
-                if now != current:
-                    flips.append((when, j, 1 if now else -1))
-                    current = now
-        else:
-            up += stream.uniform() <= sub
-    if up / n < cfg.threshold:
-        return False
-    for _, _, delta in sorted(flips):
-        up += delta
-        if up / n < cfg.threshold:
-            return False
-    return True
 
 
 def _check_operational_start(chain: Ctmc, start: int) -> None:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import poisson
 
-from securakit.errors import ConvergenceError, DomainError, StructureError
+from securakit.errors import ConvergenceError, DomainError, SingularSystemError, StructureError
 from securakit.markov import (
     UNIFORMIZATION_TAIL,
     Ctmc,
@@ -32,6 +32,7 @@ from securakit.markov import (
     steady_state,
     transient,
     _poisson_weights,
+    _vet_hitting_states,
     vet_absorption,
 )
 from securakit.rng import CounterRng
@@ -168,6 +169,27 @@ class TestSteadyState:
         chain = Ctmc(space, np.array([[-0.1, 0.1], [0.0, 0.0]]))
         with pytest.raises(StructureError):
             steady_state(chain)
+
+    @pytest.mark.parametrize("lam, mu", [(1e8, 2e8), (3e9, 1e10)])
+    def test_fast_rates_match_closed_form(self, lam, mu):
+        pi = steady_state(build_two_state(lam, mu))
+        assert pi.pi[0] == pytest.approx(mu / (lam + mu), abs=1e-12)
+        assert pi.pi[1] == pytest.approx(lam / (lam + mu), abs=1e-12)
+
+    @pytest.mark.parametrize("lam, mu", [(0.01, 0.1), (1e8, 2e8), (3e9, 1e10)])
+    def test_wrong_pi_still_rejected(self, monkeypatch, lam, mu):
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            pi = solve(a, b)
+            shift = 1e-6 * pi[0]  # relative error 1e-6, total mass unchanged
+            pi[0] += shift
+            pi[1] -= shift
+            return pi
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(SingularSystemError, match="steady-state residual"):
+            steady_state(build_two_state(lam, mu))
 
 
 class TestTransient:
@@ -407,6 +429,20 @@ class TestHittingTimes:
         with pytest.raises(StructureError):
             mttf_absorbing(chain, 0)
 
+    def test_first_stuck_state_is_named(self):
+        # s can fail, but a <-> b is a loop with no way out
+        space = StateSpace.from_labels(["s", "a", "b", "fail"], [True, True, True, False])
+        rates = np.zeros((4, 4))
+        rates[0, 1] = rates[0, 3] = 0.5
+        rates[1, 2] = rates[2, 1] = 1.0
+        chain = Ctmc.from_transition_rates(space, rates)
+        with pytest.raises(StructureError) as exc:
+            mttf_absorbing(chain, 0)
+        assert str(exc.value) == (
+            "state 1 (a) can be visited but cannot reach any failure state; "
+            "expected hitting time is infinite"
+        )
+
     def test_mttf_start_must_be_operational(self):
         with pytest.raises(DomainError):
             mttf_absorbing(build_two_state(0.1, 0.1), 1)
@@ -460,3 +496,56 @@ def test_two_state_steady_state_property(pair):
     lam, mu = pair
     pi = steady_state(build_two_state(lam, mu))
     assert pi.pi[0] == pytest.approx(mu / (lam + mu), rel=1e-9)
+
+
+def vet_oracle(chain, start, target_mask, kind):
+    """Hitting-time vetting with one forward search per visitable state."""
+    n = chain.n
+    q = chain.generator
+    succ = [[] if target_mask[i] else [j for j in range(n) if j != i and q[i, j] > 0] for i in range(n)]
+
+    def reach(i):
+        seen, stack = {i}, [i]
+        while stack:
+            for j in succ[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
+
+    from_start = reach(start)
+    if not any(target_mask[k] for k in from_start):
+        raise StructureError(f"no {kind} state is reachable from state {start}")
+    live = sorted(k for k in from_start if not target_mask[k])
+    for i in live:
+        if not any(target_mask[k] for k in reach(i)):
+            raise StructureError(
+                f"state {i} ({chain.space.states[i].label}) can be visited but cannot "
+                f"reach any {kind} state; expected hitting time is infinite"
+            )
+    return np.array(live, dtype=int)
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    edges = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    target = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    start = draw(st.integers(min_value=0, max_value=n - 1))
+    space = StateSpace.from_labels([f"s{i}" for i in range(n)], [True] * n)
+    chain = Ctmc.from_transition_rates(space, np.array(edges, dtype=float).reshape(n, n))
+    return chain, start, np.array(target, dtype=bool)
+
+
+@given(small_digraphs(), st.sampled_from(["failure", "repair"]))
+@settings(max_examples=300, deadline=None)
+def test_vetting_matches_per_state_search(case, kind):
+    chain, start, target = case
+    try:
+        expected = vet_oracle(chain, start, target, kind)
+    except StructureError as exc:
+        with pytest.raises(StructureError) as got:
+            _vet_hitting_states(chain, start, target, kind)
+        assert str(got.value) == str(exc)
+        return
+    assert np.array_equal(_vet_hitting_states(chain, start, target, kind), expected)

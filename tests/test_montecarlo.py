@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from securakit import montecarlo
 from securakit.errors import ConvergenceError, DomainError
 from securakit.markov import Ctmc, StateSpace, build_two_state
 from securakit.montecarlo import (
     Estimate,
     MonteCarloConfig,
     Trajectory,
+    _binomial_estimate,
     estimate_mttf,
     estimate_occupancy,
     estimate_reliability,
@@ -44,6 +46,49 @@ def series_chain(lam_a=0.1, lam_b=0.2):
     rates[0, 1] = lam_a
     rates[1, 2] = lam_b
     return Ctmc.from_transition_rates(space, rates)
+
+
+def degrading(a, b, c, d):
+    """ok -> degraded -> bad chain with repair from degraded and from bad."""
+    space = StateSpace.from_labels(["ok", "degraded", "bad"], [True, True, False])
+    rates = np.zeros((3, 3))
+    rates[0, 1], rates[1, 0], rates[1, 2], rates[2, 0] = a, b, c, d
+    return Ctmc.from_transition_rates(space, rates)
+
+
+def threshold_oracle(system, cfg):
+    """Threshold reliability trial by trial from single-path simulations.
+
+    Subsystem j of trial t draws from ``CounterRng(seed, t, substream=j)``;
+    the status flips of all subsystems are merged in (time, subsystem,
+    delta) order and the running operational count is checked at t=0 and
+    after every flip.
+    """
+    n = system.n
+    survivors = 0
+    for trial in range(cfg.n_trials):
+        up = 0
+        flips = []
+        for j, sub in enumerate(system.subsystems):
+            stream = CounterRng(cfg.seed, trial, substream=j)
+            if isinstance(sub, ChainSubsystem):
+                flags = sub.chain.operational_mask()
+                current = bool(flags[sub.start])
+                up += current
+                path = simulate_trajectory(sub.chain, sub.start, cfg.horizon, stream, cfg.max_events)
+                for when, state in path.events:
+                    now = bool(flags[state])
+                    if now != current:
+                        flips.append((when, j, 1 if now else -1))
+                        current = now
+            else:
+                up += stream.uniform() <= sub
+        ok = up / n >= cfg.threshold
+        for _, _, delta in sorted(flips):
+            up += delta
+            ok = ok and up / n >= cfg.threshold
+        survivors += ok
+    return _binomial_estimate(survivors, cfg.n_trials)
 
 
 class _FixedRng:
@@ -277,6 +322,57 @@ class TestThresholdReliability:
         est = estimate_threshold_reliability(RoutOfNSystem(r=2, subsystems=(0.7, 0.7)), cfg)
         se = math.sqrt(0.49 * 0.51 / cfg.n_trials)
         assert abs(est.value - 0.49) < 3 * se
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.75, 0.5, 0.25])
+    def test_four_degrading_subsystems_equal_scalar_oracle(self, threshold):
+        system = RoutOfNSystem(r=4, subsystems=tuple(
+            degrading(0.5 + 0.05 * k, 0.3, 0.5, 0.2 - 0.03 * k) for k in range(4)
+        ))
+        for seed in (1, 2, 3):
+            cfg = MonteCarloConfig(n_trials=150, horizon=4.0, seed=seed, threshold=threshold)
+            expected = threshold_oracle(system, cfg)
+            assert 0.0 < expected.value < 1.0
+            assert estimate_threshold_reliability(system, cfg, threads=1) == expected
+            assert estimate_threshold_reliability(system, cfg, threads=3) == expected
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.6, 0.4, 0.2])
+    def test_bare_probabilities_mixed_with_chains_equal_scalar_oracle(self, threshold):
+        system = RoutOfNSystem(r=1, subsystems=(
+            0.9,
+            build_two_state(0.2, 1.0),
+            ChainSubsystem(build_two_state(0.3, 0.6), start=1),
+            0.6,
+            non_repairable(0.1),
+        ))
+        for seed in (4, 5, 6):
+            cfg = MonteCarloConfig(n_trials=200, horizon=5.0, seed=seed, threshold=threshold)
+            expected = threshold_oracle(system, cfg)
+            assert estimate_threshold_reliability(system, cfg, threads=1) == expected
+            assert estimate_threshold_reliability(system, cfg, threads=3) == expected
+
+    def test_single_subsystem_equals_scalar_oracle(self):
+        system = RoutOfNSystem(r=1, subsystems=(degrading(0.4, 0.5, 0.3, 0.2),))
+        for seed in range(7, 12):
+            cfg = MonteCarloConfig(n_trials=300, horizon=6.0, seed=seed)
+            expected = threshold_oracle(system, cfg)
+            assert estimate_threshold_reliability(system, cfg, threads=1) == expected
+            assert estimate_threshold_reliability(system, cfg, threads=3) == expected
+
+    def test_makes_no_single_path_or_scalar_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar path used")
+
+        monkeypatch.setattr(montecarlo, "simulate_trajectory", refuse)
+        monkeypatch.setattr(CounterRng, "uniform", refuse)
+        system = RoutOfNSystem(r=2, subsystems=(build_two_state(0.1, 0.5), 0.8, degrading(0.2, 0.4, 0.1, 0.3)))
+        cfg = MonteCarloConfig(n_trials=500, horizon=10.0, seed=18, threshold=0.5)
+        assert 0.0 < estimate_threshold_reliability(system, cfg, threads=2).value <= 1.0
+
+    def test_event_cap_raises(self):
+        system = RoutOfNSystem(r=1, subsystems=(0.5, build_two_state(1.0, 1.0)))
+        cfg = MonteCarloConfig(n_trials=50, horizon=100.0, seed=19, threshold=0.5, max_events=20)
+        with pytest.raises(ConvergenceError):
+            estimate_threshold_reliability(system, cfg)
 
 
 class TestReproducibility:
