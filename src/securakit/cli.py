@@ -25,6 +25,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical/convergence error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -176,6 +177,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         t0, t1, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"--grid expects numbers T0:T1:STEPS, got {spec!r}") from exc
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise UsageError(f"--grid needs finite T0 and T1, got {spec!r}")
     if t0 < 0 or t1 < t0 or steps < 1:
         raise UsageError("--grid needs 0 <= T0 <= T1 and STEPS >= 1")
     return np.linspace(t0, t1, steps)
@@ -273,15 +276,14 @@ def _run_markov_transient(args) -> AnalysisReport:
         raise ValidationError("markov transient needs --grid or an analyses entry with 't'")
     pi0 = np.zeros(chain.n)
     pi0[start] = 1.0
-    dists = [markov.transient(chain, pi0, float(t)) for t in grid]
+    times = [float(t) for t in grid]
+    dists = markov.transient_grid(chain, pi0, times)
     op_mask = chain.operational_mask()
     availability = [float(d.pi[op_mask].sum()) for d in dists]
     results = [Result("availability", availability[-1], "analytic")]
-    series = [Series("availability", [float(t) for t in grid], availability)]
+    series = [Series("availability", times, availability)]
     for state in chain.space.states:
-        series.append(
-            Series(f"pi[{state.label}]", [float(t) for t in grid], [float(d.pi[state.id]) for d in dists])
-        )
+        series.append(Series(f"pi[{state.label}]", times, [float(d.pi[state.id]) for d in dists]))
     return AnalysisReport(model_echo=_echo(doc), results=results, series=series)
 
 

@@ -317,34 +317,56 @@ def _poisson_weights(mu: float, tail_tol: float) -> tuple[int, np.ndarray]:
 
 
 def transient(chain: Ctmc, pi0, t: float, tail_tol: float = UNIFORMIZATION_TAIL) -> ProbabilityVector:
-    """Distribution pi0 @ expm(Q t) by uniformization.
+    """Distribution pi0 @ expm(Q t) by uniformization; see :func:`transient_grid`."""
+    return transient_grid(chain, pi0, [t], tail_tol)[0]
 
-    The distribution is the Poisson(rate*t)-weighted sum of pi0 @ P**k with
-    P = I + Q/rate.  The weights are Fox-Glynn weights computed in numpy
-    (:func:`_poisson_weights`): the sum stops at the least R with
-    P(X > R) <= ``tail_tol``, terms below the left window edge (at most
-    ``tail_tol**2`` of mass) are skipped, and the retained weights are
-    renormalized, so the result is a valid probability vector with
+
+def transient_grid(chain: Ctmc, pi0, times, tail_tol: float = UNIFORMIZATION_TAIL) -> list[ProbabilityVector]:
+    """Distributions pi0 @ expm(Q t) for every t in ``times``, by one uniformization pass.
+
+    Each distribution is the Poisson(rate*t)-weighted sum of v_k = pi0 @ P**k
+    with P = I + Q/rate.  The weights are Fox-Glynn weights computed in numpy
+    (:func:`_poisson_weights`): a point's sum stops at the least R with
+    P(X > R) <= ``tail_tol``, terms below its left window edge (at most
+    ``tail_tol**2`` of mass) are skipped, and its retained weights are
+    renormalized, so each result is a valid probability vector with
     truncation bias below the tolerance.
+
+    The powers v_k are formed once, up to the largest R of the grid, and
+    each point adds the terms of its own window in the order a single-point
+    run would, so every distribution is the same to the last bit as when it
+    is computed alone.  Every window, and every error, comes before the
+    first product.
     """
-    if not t >= 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    times = list(times)
+    for t in times:
+        if not t >= 0:
+            raise DomainError(f"time must be >= 0, got {t}")
     v0 = _coerce_pvec(pi0, chain.n)
     q = chain.generator
     rate = float(np.max(-np.diag(q)))
-    if t == 0 or rate == 0:
-        return ProbabilityVector(v0)
-    left, weights = _poisson_weights(rate * t, tail_tol)
-    p = np.eye(chain.n) + q / rate
+    windows = {j: _poisson_weights(rate * t, tail_tol) for j, t in enumerate(times) if t != 0 and rate != 0}
+    opening: dict[int, list[int]] = {}
+    for j, (left, _) in windows.items():
+        opening.setdefault(left, []).append(j)
+    last = max((left + w.size - 1 for left, w in windows.values()), default=-1)
+    acc = [v0] * len(times)
+    live: list[int] = []  # points whose window holds the current power
+    p = np.eye(chain.n) + q / rate if windows else None
     v = v0
-    for _ in range(left):
-        v = v @ p
-    out = weights[0] * v
-    for w in weights[1:]:
-        v = v @ p
-        out = out + w * v
-    out /= out.sum()
-    return ProbabilityVector(out)
+    for k in range(last + 1):
+        if k:
+            v = v @ p
+        for j in live:
+            left, w = windows[j]
+            acc[j] = acc[j] + w[k - left] * v
+        for j in opening.get(k, ()):
+            acc[j] = windows[j][1][0] * v
+            live.append(j)
+        live = [j for j in live if k - windows[j][0] < windows[j][1].size - 1]
+    for j in windows:
+        acc[j] /= acc[j].sum()
+    return [ProbabilityVector(out) for out in acc]
 
 
 def availability_at(chain: Ctmc, pi0, t: float) -> float:

@@ -290,9 +290,14 @@ def _walk_batch(
         t[active] = t_new
         jumps[active] += 1
         if np.any(jumps[active] > max_events):
+            if horizon is None:
+                raise ConvergenceError(
+                    f"a trial exceeded {max_events} events; the failure set may be "
+                    "effectively unreachable"
+                )
             raise ConvergenceError(
-                f"a trial exceeded {max_events} events; the failure set may be "
-                "effectively unreachable"
+                f"a trial exceeded {max_events} events before horizon {horizon:g}; "
+                "raise max_events"
             )
         if stop_on_nonop:
             entered = ~kernel.operational[nxt]

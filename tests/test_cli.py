@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from malformed_corpus import MALFORMED_DOCUMENTS
 
 import securakit
+from securakit import markov, model_io
 from securakit.cli import main
 
 TWO_STATE_DOC = {
@@ -263,6 +266,83 @@ class TestDeterminism:
         code, _, err = run(capsys, ["mc", "reliability", "--file", path, "--format", "json"])
         assert code == 3
         assert "SECURAKIT_THREADS" in err
+
+
+def birth_death_doc(n=100):
+    """Degradation ladder of n states, rates varying along it; the top state is failed."""
+    return {
+        "kind": "markov",
+        "parameters": {
+            "states": [{"label": f"s{k}", "operational": k < n - 1} for k in range(n)],
+            "transitions": [
+                tr
+                for k in range(n - 1)
+                for tr in (
+                    {"from": k, "to": k + 1, "rate": 1.0 + 0.01 * (k % 7)},
+                    {"from": k + 1, "to": k, "rate": 0.8 + 0.02 * (k % 5)},
+                )
+            ],
+        },
+        "analyses": [{"op": "transient", "t": 60.0, "dt": 7.5}],
+    }
+
+
+class TestTransientSeries:
+    """Every point of a CLI series equals a separate markov.transient run, bit for bit."""
+
+    def assert_series_match_points(self, out, doc):
+        chain, start = model_io.build_chain(model_io.parse_model(json.dumps(doc)))
+        pi0 = np.zeros(chain.n)
+        pi0[start] = 1.0
+        op_mask = chain.operational_mask()
+        series = {s["name"]: s for s in json.loads(out)["series"]}
+        times = series["availability"]["t"]
+        for i, t in enumerate(times):
+            pi = markov.transient(chain, pi0, t).pi
+            assert series["availability"]["values"][i] == float(pi[op_mask].sum())
+            for state in chain.space.states:
+                assert series[f"pi[{state.label}]"]["values"][i] == float(pi[state.id])
+        return times
+
+    def test_grid_series(self, capsys, write_doc):
+        doc = birth_death_doc()
+        argv = ["markov", "transient", "--file", write_doc(doc), "--grid", "0:60:13", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert self.assert_series_match_points(out, doc) == [5.0 * k for k in range(13)]
+
+    def test_document_t_dt_series(self, capsys, write_doc):
+        doc = birth_death_doc()
+        code, out, _ = run(capsys, ["markov", "transient", "--file", write_doc(doc), "--format", "json"])
+        assert code == 0
+        assert self.assert_series_match_points(out, doc) == [7.5 * k for k in range(9)]
+
+
+class TestNonFiniteGrid:
+    @pytest.mark.parametrize("spec", ["0:nan:5", "0:inf:3", "nan:1:3", "0:1e999:2"])
+    @pytest.mark.parametrize("command", [["markov", "transient"], ["mc", "reliability"]])
+    def test_usage_error_without_warnings(self, capsys, write_doc, command, spec):
+        path = write_doc(TWO_STATE_DOC)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, [*command, "--file", path, "--grid", spec])
+        assert code == 3
+        assert err == f"error: usage: --grid needs finite T0 and T1, got {spec!r}\n"
+        assert not out and not caught
+
+
+class TestEventCapMessage:
+    def test_horizon_capped_walk_names_the_horizon(self, capsys, write_doc):
+        payload = json.loads(json.dumps(ROUTOFN_DOC))
+        payload["parameters"]["subsystems"][0] = {"type": "two_state", "lambda": 1.0, "mu": 1.0}
+        payload["analyses"].append(
+            {"op": "threshold_reliability", "n_trials": 50, "horizon": 100.0, "max_events": 5}
+        )
+        code, _, err = run(capsys, ["sec", "routofn", "--file", write_doc(payload)])
+        assert code == 2
+        assert err == (
+            "error: numerical: a trial exceeded 5 events before horizon 100; raise max_events\n"
+        )
 
 
 class TestValidateIsZeroCost:

@@ -31,6 +31,7 @@ from securakit.markov import (
     reliability_at,
     steady_state,
     transient,
+    transient_grid,
     _poisson_weights,
     _vet_hitting_states,
     vet_absorption,
@@ -310,6 +311,87 @@ def test_transient_matches_expm_on_stiff_chains(case):
     pi0[start] = 1.0
     expected = pi0 @ expm(chain.generator * t)
     np.testing.assert_allclose(transient(chain, pi0, t).pi, expected, rtol=0, atol=1e-10)
+
+
+def transient_oracle(chain, pi0, t, tail_tol=UNIFORMIZATION_TAIL):
+    """One uniformization run from t = 0 for a single point: the per-point reference."""
+    if not t >= 0:
+        raise DomainError(f"time must be >= 0, got {t}")
+    v0 = ProbabilityVector(np.asarray(pi0, dtype=float)).pi
+    q = chain.generator
+    rate = float(np.max(-np.diag(q)))
+    if t == 0 or rate == 0:
+        return v0
+    left, weights = _poisson_weights(rate * t, tail_tol)
+    p = np.eye(chain.n) + q / rate
+    v = v0
+    for _ in range(left):
+        v = v @ p
+    out = weights[0] * v
+    for w in weights[1:]:
+        v = v @ p
+        out = out + w * v
+    out /= out.sum()
+    return out
+
+
+@st.composite
+def transient_grids(draw):
+    """2-8 states, rates over three decades, and a shuffled grid holding t = 0,
+    a repeated time and a point with rate*t = 720, where the window starts above 0."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    log_rate = st.one_of(st.none(), st.floats(min_value=-2.0, max_value=1.0))
+    exps = draw(st.lists(log_rate, min_size=n * n, max_size=n * n))
+    rates = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n)
+    chain = Ctmc.from_transition_rates(
+        StateSpace.from_labels([f"s{i}" for i in range(n)], [True] * (n - 1) + [False]), rates
+    )
+    times = draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6))
+    times += [0.0, times[0]]
+    rate = float(chain.exit_rates().max())
+    if rate > 0:
+        times.append(720.0 / rate)
+    pi0 = np.zeros(n)
+    pi0[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    return chain, pi0, draw(st.permutations(times))
+
+
+@given(transient_grids())
+@settings(max_examples=40, deadline=None)
+def test_transient_grid_equals_per_point_runs(case):
+    chain, pi0, times = case
+    dists = transient_grid(chain, pi0, times)
+    assert len(dists) == len(times)
+    for t, dist in zip(times, dists):
+        assert np.array_equal(dist.pi, transient_oracle(chain, pi0, t))
+
+
+class TestTransientGrid:
+    def test_window_starts_above_zero_at_rate_t_720(self):
+        left, _ = _poisson_weights(720.0, UNIFORMIZATION_TAIL)
+        assert left > 0
+
+    def test_matches_matrix_exponential(self):
+        chain = random_chain(CounterRng(seed=21), n_states=5)
+        pi0 = np.array([0.2, 0.3, 0.0, 0.5, 0.0])
+        times = [3.0, 0.0, 0.5, 12.0, 3.0]
+        for t, dist in zip(times, transient_grid(chain, pi0, times)):
+            expected = pi0 @ expm(chain.generator * t)
+            np.testing.assert_allclose(dist.pi, expected, rtol=0, atol=1e-10)
+
+    def test_empty_grid(self):
+        assert transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], []) == []
+
+    def test_huge_last_point_fails_fast(self):
+        begin = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="split the horizon"):
+            transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], [0.0, 10.0, 1e3, 1e9])
+        assert time.perf_counter() - begin < 1.0
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_time_rejected(self, bad):
+        with pytest.raises(DomainError, match="time must be >= 0"):
+            transient_grid(build_two_state(0.1, 0.1), [1.0, 0.0], [1.0, bad, 2.0])
 
 
 class TestReliabilityVsAvailability:

@@ -375,6 +375,37 @@ class TestThresholdReliability:
             estimate_threshold_reliability(system, cfg)
 
 
+class TestEventCapMessages:
+    """A horizon-capped walk blames the horizon; only the uncapped MTTF walk suspects the failure set."""
+
+    CHAIN = degrading(5.0, 5.0, 0.01, 1.0)  # fast ok <-> degraded churn, failure rare
+    CFG = MonteCarloConfig(n_trials=50, horizon=100.0, seed=23, max_events=5)
+    HORIZON_CAPPED = "a trial exceeded 5 events before horizon 100; raise max_events"
+
+    def test_reliability(self):
+        with pytest.raises(ConvergenceError) as info:
+            estimate_reliability(self.CHAIN, 0, self.CFG)
+        assert str(info.value) == self.HORIZON_CAPPED
+
+    def test_reliability_curve(self):
+        with pytest.raises(ConvergenceError) as info:
+            estimate_reliability_curve(self.CHAIN, 0, self.CFG, [50.0])
+        assert str(info.value) == self.HORIZON_CAPPED
+
+    def test_threshold_reliability(self):
+        system = RoutOfNSystem(r=1, subsystems=(0.5, self.CHAIN))
+        with pytest.raises(ConvergenceError) as info:
+            estimate_threshold_reliability(system, self.CFG)
+        assert str(info.value) == self.HORIZON_CAPPED
+
+    def test_mttf(self):
+        with pytest.raises(ConvergenceError) as info:
+            estimate_mttf(self.CHAIN, 0, self.CFG)
+        assert str(info.value) == (
+            "a trial exceeded 5 events; the failure set may be effectively unreachable"
+        )
+
+
 class TestReproducibility:
     def test_same_seed_same_result(self):
         chain = build_two_state(0.01, 0.1)
