@@ -411,9 +411,20 @@ def _dispatch(args) -> AnalysisReport | None:
     return handlers[command](args)
 
 
+def _attach_grid_values(argv: list[str]) -> list[str]:
+    """Write ``--grid SPEC`` as ``--grid=SPEC``, so argparse keeps a spec like ``-1:5:3``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and ":" in arg:
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
         rep = _dispatch(args)
         if rep is not None:
             text = emit_report(rep, args.format)

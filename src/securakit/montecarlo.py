@@ -35,6 +35,7 @@ from .rng import TRIAL_BOUND, CounterRng, uniform_block
 from .securability import ChainSubsystem, RoutOfNSystem
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_MIN_SLICE = 50_000  # fewest trials per worker thread (see _run_partitioned)
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,9 @@ class MonteCarloConfig:
 
     ``threshold`` is the minimum fraction of subsystems that must be up in
     threshold-criterion systems.  ``max_events`` caps the per-trial event
-    count of uncapped simulations; exceeding it signals an effectively
-    unreachable failure set.  ``horizon`` is permitted to be zero for the
+    count of every walk, with or without a horizon; exceeding it raises
+    ``ConvergenceError`` (without a horizon it signals an effectively
+    unreachable failure set).  ``horizon`` is permitted to be zero for the
     degenerate instant mission (reliability exactly 1).
     """
 
@@ -179,26 +181,50 @@ def simulate_trajectory(
 
 
 class _ChainKernel:
-    """Precomputed per-state data for the vectorized trial walker."""
+    """Per-state data for the vectorized trial walker, in CSR form.
+
+    State s jumps to ``targets[offsets[s]:offsets[s+1]]`` with cumulative
+    probabilities ``cumprobs`` over the same slice (the last one is 1); a
+    state with no exits has an empty slice.
+    """
 
     def __init__(self, chain: Ctmc):
         q = chain.generator
-        self.n = chain.n
         self.exit_rates = chain.exit_rates()
         self.operational = chain.operational_mask()
-        self.targets: list[np.ndarray] = []
-        self.cumprobs: list[np.ndarray] = []
-        for i in range(self.n):
+        targets, cumprobs = [], []
+        for i in range(chain.n):
             row = np.array(q[i])
             row[i] = 0.0
-            tgt = np.flatnonzero(row > 0)
-            if tgt.size and self.exit_rates[i] > 0:
-                cp = np.cumsum(row[tgt]) / self.exit_rates[i]
-                cp[-1] = 1.0
-            else:
-                cp = np.zeros(0)
-            self.targets.append(tgt)
-            self.cumprobs.append(cp)
+            tgt = np.flatnonzero(row > 0) if self.exit_rates[i] > 0 else np.zeros(0, dtype=np.intp)
+            cp = np.cumsum(row[tgt]) / self.exit_rates[i]
+            cp[-1:] = 1.0
+            targets.append(tgt)
+            cumprobs.append(cp)
+        degree = np.array([tgt.size for tgt in targets])
+        self.offsets = np.concatenate(([0], np.cumsum(degree)))
+        self.targets = np.concatenate(targets)
+        self.cumprobs = np.concatenate(cumprobs)
+        self._last = self.offsets[1:] - 1
+        self._rounds = math.ceil(math.log2(degree.max())) if degree.max() > 1 else 0
+
+    def choose(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next state of each lane: the first target whose cumulative probability is >= u.
+
+        A binary search over each lane's CSR slice, run for all lanes at
+        once in ceil(log2(max out-degree)) rounds of halving steps; it
+        counts the ``cumprob < u`` entries of the slice, which is what
+        ``np.searchsorted(side="left")`` returns.  Every ``state`` must
+        have an exit.
+        """
+        pos = self.offsets[state]
+        last = self._last[state] if self._rounds > 1 else None
+        for r in reversed(range(self._rounds)):
+            step = 1 << r
+            # the last entry is 1 >= u, so a probe past it never advances
+            probe = np.minimum(pos + (step - 1), last) if step > 1 else pos
+            np.add(pos, step, out=pos, where=self.cumprobs[probe] < u)
+        return self.targets[pos]
 
 
 def _walk_batch(
@@ -217,9 +243,13 @@ def _walk_batch(
 ):
     """Walk trials ``lo..hi-1`` in synchronized waves.
 
-    Draw k of trial t is ``uniform(seed, t, substream, k)``; the walk
-    consumes draws exactly like :func:`simulate_trajectory`, so outcomes
-    depend only on (seed, trial) and never on the batch partition.
+    Draw k of trial t is ``uniform(seed, t, substream, k)``.  Every lane
+    still walking at wave w has made w jumps and used exactly 2w draws, so
+    its holding-time draw is counter 2w and its state-choice draw 2w + 1:
+    the same draws, in the same order, as :func:`simulate_trajectory`.
+    Outcomes therefore depend only on (seed, trial), never on the batch
+    partition.  The walking lanes are kept as compacted (trial, state,
+    time) arrays that are filtered only when lanes stop.
 
     A ``flip_log`` list receives, per wave, ``(trial, time, delta)`` arrays
     for the lanes whose jump changed operational status (delta +1 on
@@ -228,68 +258,44 @@ def _walk_batch(
     Returns (survived, absorb_time, occupancy_time) arrays for the slice.
     """
     m = hi - lo
-    trials = np.arange(lo, hi, dtype=np.uint64)
+    first = np.uint64(lo)
+    trial = np.arange(lo, hi, dtype=np.uint64)
     state = np.full(m, start, dtype=np.int64)
     t = np.zeros(m)
-    counter = np.zeros(m, dtype=np.uint64)
-    jumps = np.zeros(m, dtype=np.int64)
-    active = np.arange(m)
     survived = np.ones(m, dtype=bool)
     absorb_time = np.full(m, np.nan)
     occupancy = np.zeros(m)
     track = occupancy_mask is not None
 
-    def credit(idx, interval_start, interval_end):
-        # time spent in the current state, clipped to [burn_in, horizon]
-        if not track:
-            return
-        in_target = occupancy_mask[state[idx]]
-        span = np.clip(interval_end, burn_in, horizon) - np.clip(interval_start, burn_in, horizon)
-        occupancy[idx[in_target]] += span[in_target]
+    def credit(lanes, interval_end):
+        # time ``lanes`` spend in their current state, clipped to [burn_in, horizon]
+        in_target = occupancy_mask[state[lanes]]
+        span = np.clip(interval_end, burn_in, horizon) - np.clip(t[lanes], burn_in, horizon)
+        occupancy[trial[lanes][in_target] - first] += span[in_target]
 
-    while active.size:
-        rates = kernel.exit_rates[state[active]]
+    wave = 0
+    while trial.size:
+        rates = kernel.exit_rates[state]
         stuck = rates <= 0
         if np.any(stuck):
-            idx = active[stuck]
             if track:
-                credit(idx, t[idx], np.full(idx.size, horizon))
-            active = active[~stuck]
-            if not active.size:
+                credit(stuck, horizon)
+            keep = ~stuck
+            trial, state, t, rates = trial[keep], state[keep], t[keep], rates[keep]
+            if not trial.size:
                 break
-            rates = rates[~stuck]
-        u_hold = uniform_block(seed, trials[active], substream, counter[active])
-        counter[active] += 1
-        hold = -np.log(u_hold) / rates
-        t_new = t[active] + hold
-        if horizon is not None:
-            over = t_new > horizon
-            if np.any(over):
-                idx = active[over]
-                if track:
-                    credit(idx, t[idx], np.full(idx.size, horizon))
-                active = active[~over]
-                t_new = t_new[~over]
-                if not active.size:
-                    break
+        hold = np.log(uniform_block(seed, trial, substream, 2 * wave))
+        hold /= rates
+        t_new = t - hold  # plus an Exp(rate) holding time, -log(u) / rate
         if track:
-            credit(active, t[active], t_new)
-        u_sel = uniform_block(seed, trials[active], substream, counter[active])
-        counter[active] += 1
-        cur = state[active]
-        nxt = np.empty(active.size, dtype=np.int64)
-        for s in np.unique(cur):
-            sel = cur == s
-            pick = np.searchsorted(kernel.cumprobs[s], u_sel[sel], side="left")
-            nxt[sel] = kernel.targets[s][pick]
-        if flip_log is not None:
-            now_op = kernel.operational[nxt]
-            flipped = now_op != kernel.operational[cur]
-            flip_log.append((lo + active[flipped], t_new[flipped], np.where(now_op[flipped], 1, -1)))
-        state[active] = nxt
-        t[active] = t_new
-        jumps[active] += 1
-        if np.any(jumps[active] > max_events):
+            credit(slice(None), t_new)
+        if horizon is not None:
+            keep = t_new <= horizon
+            if not keep.all():
+                trial, state, t_new = trial[keep], state[keep], t_new[keep]
+                if not trial.size:
+                    break
+        if wave + 1 > max_events:
             if horizon is None:
                 raise ConvergenceError(
                     f"a trial exceeded {max_events} events; the failure set may be "
@@ -299,21 +305,36 @@ def _walk_batch(
                 f"a trial exceeded {max_events} events before horizon {horizon:g}; "
                 "raise max_events"
             )
+        nxt = kernel.choose(state, uniform_block(seed, trial, substream, 2 * wave + 1))
+        if flip_log is not None:
+            now_op = kernel.operational[nxt]
+            flipped = now_op != kernel.operational[state]
+            flip_log.append((trial[flipped].astype(np.int64), t_new[flipped],
+                             np.where(now_op[flipped], 1, -1)))
+        state, t = nxt, t_new
+        wave += 1
         if stop_on_nonop:
-            entered = ~kernel.operational[nxt]
-            if np.any(entered):
-                idx = active[entered]
+            up = kernel.operational[state]
+            if not up.all():
+                down = ~up
+                idx = trial[down] - first
                 survived[idx] = False
-                absorb_time[idx] = t[idx]
-                active = active[~entered]
+                absorb_time[idx] = t[down]
+                trial, state, t = trial[up], state[up], t[up]
     return survived, absorb_time, occupancy
 
 
 def _run_partitioned(worker, n_trials: int, threads: int):
-    """Run ``worker(lo, hi)`` over a partition of [0, n_trials)."""
+    """Run ``worker(lo, hi)`` over a partition of [0, n_trials).
+
+    Each worker thread gets at least ``_MIN_SLICE`` trials: the walker
+    runs a Python-level wave per jump under the interpreter lock, and on
+    smaller slices a second thread costs more than it saves.  Results do
+    not depend on the partition.
+    """
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
-    threads = min(threads, n_trials)
+    threads = min(threads, -(-n_trials // _MIN_SLICE))
     if threads == 1:
         worker(0, n_trials)
         return

@@ -11,12 +11,14 @@ depend on any generator state, trials can be simulated in any order, split
 across any number of workers, or re-derived one draw at a time, and every
 bit of the output stays identical.
 
-The core evaluates in bulk over numpy arrays (about 0.2 s per million
-draws); :class:`CounterRng` wraps a single (seed, trial, substream) cell as
-a sequential stream with an internal prefetch block for scalar callers.
+The core evaluates in bulk over numpy arrays; :class:`CounterRng` wraps a
+single (seed, trial, substream) cell as a sequential stream whose scalar
+draws run the same cipher on Python integers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,10 +26,14 @@ from .errors import DomainError
 
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint32(0x9E3779B9)
-_W1 = np.uint32(0xBB67AE85)
+_W0 = np.uint64(0x9E3779B9)
+_W1 = np.uint64(0xBB67AE85)
 _U32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_S11 = np.uint64(11)
+_ONE = np.uint64(1)
 _TWO_NEG_53 = 2.0 ** -53
+_CHUNK = 1 << 16  # lanes per cipher pass (see uniform_block)
 
 SEED_BOUND = 2 ** 64
 TRIAL_BOUND = 2 ** 32
@@ -35,17 +41,31 @@ SUBSTREAM_BOUND = 2 ** 32
 
 
 def _philox4x32(c0, c1, c2, c3, k0, k1):
-    """One Philox-4x32-10 block per lane; all arguments uint32 arrays."""
+    """One Philox-4x32-10 block per lane; returns the four words as uint64.
+
+    The counter words ``c0..c3`` and key words ``k0, k1`` are unsigned
+    integers below 2**32: scalars, or arrays that all have one shape.  A
+    scalar key makes the key schedule scalar adds.  Lanes are held as
+    uint64 words below 2**32, so each 32x32 -> 64-bit product needs no
+    widening, and every update works in place on a fresh product.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
+    k0 = np.asarray(k0, dtype=np.uint64)
+    k1 = np.asarray(k1, dtype=np.uint64)
     for _ in range(10):
-        p0 = c0.astype(np.uint64) * _M0
-        p1 = c2.astype(np.uint64) * _M1
-        hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-        lo0 = p0.astype(np.uint32)
-        hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-        lo1 = p1.astype(np.uint32)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0 = k0 + _W0
-        k1 = k1 + _W1
+        p0 = c0 * _M0
+        p1 = c2 * _M1
+        c0 = p1 >> _S32
+        c0 ^= c1
+        c0 ^= k0
+        c2 = p0 >> _S32
+        c2 ^= c3
+        c2 ^= k1
+        p1 &= _U32
+        p0 &= _U32
+        c1, c3 = p1, p0
+        k0 = (k0 + _W0) & _U32
+        k1 = (k1 + _W1) & _U32
     return c0, c1, c2, c3
 
 
@@ -64,7 +84,10 @@ def uniform_block(seed: int, trials, substream: int, counters) -> np.ndarray:
     ``trials`` and ``counters`` are broadcast-compatible integer arrays;
     the result has their broadcast shape.  Draw k of a given
     (seed, trial, substream) cell is the same double no matter how the
-    request is batched.
+    request is batched, so the cipher runs over chunks of ``_CHUNK`` lanes:
+    small enough for its temporaries to stay in a core's cache, and large
+    enough that each numpy call outlasts a hand-over of the interpreter
+    lock between worker threads.
     """
     if not 0 <= seed < SEED_BOUND:
         raise DomainError(f"seed must be in [0, 2**64), got {seed}")
@@ -72,20 +95,26 @@ def uniform_block(seed: int, trials, substream: int, counters) -> np.ndarray:
         raise DomainError(f"substream id must be in [0, 2**32), got {substream}")
     trials = np.asarray(trials, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
-    trials, counters = np.broadcast_arrays(trials, counters)
     if trials.size and int(trials.max(initial=0)) >= TRIAL_BOUND:
         raise DomainError("trial index must be in [0, 2**32)")
-    c0 = (counters & _U32).astype(np.uint32)
-    c1 = (counters >> np.uint64(32)).astype(np.uint32)
-    c2 = trials.astype(np.uint32)
-    c3 = np.full_like(c2, np.uint32(substream))
-    k0 = np.full_like(c2, np.uint32(seed & 0xFFFFFFFF))
-    k1 = np.full_like(c2, np.uint32(seed >> 32))
-    x0, x1, _, _ = _philox4x32(c0, c1, c2, c3, k0, k1)
-    bits = (x0.astype(np.uint64) << np.uint64(32)) | x1.astype(np.uint64)
-    # 53-bit mantissa shifted into (0, 1]: u = (bits >> 11 + 1) * 2**-53,
-    # so u = 1 is reachable and u = 0 is not (safe under log transforms).
-    return ((bits >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _TWO_NEG_53
+    shape = np.broadcast_shapes(trials.shape, counters.shape)
+    # lanes laid out flat; a scalar trial or counter stays a scalar
+    trials, counters = (x if x.ndim == 0 else np.broadcast_to(x, shape).reshape(-1)
+                        for x in (trials, counters))
+    cell = (np.uint64(substream), np.uint64(seed & 0xFFFFFFFF), np.uint64(seed >> 32))
+    u = np.empty(math.prod(shape))
+    for start in range(0, u.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        trial, counter = (x if x.ndim == 0 else x[part] for x in (trials, counters))
+        x0, x1, _, _ = _philox4x32(counter & _U32, counter >> _S32, trial, *cell)
+        # 53-bit mantissa shifted into (0, 1]: u = (bits >> 11 + 1) * 2**-53,
+        # so u = 1 is reachable and u = 0 is not (safe under log transforms).
+        x0 <<= _S32
+        x0 |= x1
+        x0 >>= _S11
+        x0 += _ONE
+        np.multiply(x0, _TWO_NEG_53, out=u[part])
+    return u.reshape(shape)
 
 
 _MASK32 = 0xFFFFFFFF

@@ -15,7 +15,7 @@ import pytest
 from malformed_corpus import MALFORMED_DOCUMENTS
 
 import securakit
-from securakit import markov, model_io
+from securakit import markov, model_io, montecarlo
 from securakit.cli import main
 
 TWO_STATE_DOC = {
@@ -231,6 +231,15 @@ class TestDeterminism:
         _, eight, _ = run(capsys, base + ["--threads", "8"])
         assert one == eight
 
+    @pytest.mark.parametrize("sub", ["reliability", "mttf"])
+    def test_partitioned_walks_byte_identical(self, capsys, write_doc, monkeypatch, sub):
+        # small jobs run on one thread; a one-trial minimum slice makes 8 threads split this one
+        monkeypatch.setattr(montecarlo, "_MIN_SLICE", 1)
+        base = ["mc", sub, "--file", write_doc(TWO_STATE_DOC), "--format", "json"]
+        _, one, _ = run(capsys, base + ["--threads", "1"])
+        _, eight, _ = run(capsys, base + ["--threads", "8"])
+        assert one == eight
+
     def test_seed_flag_equals_document_seed(self, capsys, write_doc):
         with_seed = write_doc(TWO_STATE_DOC, "a.json")
         payload = {k: v for k, v in TWO_STATE_DOC.items() if k != "seed"}
@@ -319,7 +328,7 @@ class TestTransientSeries:
 
 
 class TestNonFiniteGrid:
-    @pytest.mark.parametrize("spec", ["0:nan:5", "0:inf:3", "nan:1:3", "0:1e999:2"])
+    @pytest.mark.parametrize("spec", ["0:nan:5", "0:inf:3", "nan:1:3", "0:1e999:2", "-inf:0:2"])
     @pytest.mark.parametrize("command", [["markov", "transient"], ["mc", "reliability"]])
     def test_usage_error_without_warnings(self, capsys, write_doc, command, spec):
         path = write_doc(TWO_STATE_DOC)
@@ -329,6 +338,21 @@ class TestNonFiniteGrid:
         assert code == 3
         assert err == f"error: usage: --grid needs finite T0 and T1, got {spec!r}\n"
         assert not out and not caught
+
+
+class TestGridStartingWithMinus:
+    @pytest.mark.parametrize("command", [["markov", "transient"], ["mc", "reliability"]])
+    def test_negative_start_reaches_the_grid_check(self, capsys, write_doc, command):
+        path = write_doc(TWO_STATE_DOC)
+        code, out, err = run(capsys, [*command, "--file", path, "--grid", "-1:5:3"])
+        assert code == 3
+        assert err == "error: usage: --grid needs 0 <= T0 <= T1 and STEPS >= 1\n"
+        assert not out
+
+    def test_missing_value_is_still_a_usage_error(self, capsys, write_doc):
+        code, _, err = run(capsys, ["mc", "reliability", "--file", write_doc(TWO_STATE_DOC), "--grid"])
+        assert code == 3
+        assert err == "error: usage: argument --grid: expected one argument\n"
 
 
 class TestEventCapMessage:

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from securakit import montecarlo
-from securakit.errors import ConvergenceError, DomainError
-from securakit.markov import Ctmc, StateSpace, build_two_state
+from securakit.errors import ConvergenceError, DomainError, ValidationError
+from securakit.markov import Ctmc, StateSpace, absorbing_variant, build_two_state, vet_absorption
 from securakit.montecarlo import (
     Estimate,
     MonteCarloConfig,
     Trajectory,
     _binomial_estimate,
+    _mean_estimate,
     estimate_mttf,
     estimate_occupancy,
     estimate_reliability,
@@ -398,6 +401,24 @@ class TestEventCapMessages:
             estimate_threshold_reliability(system, self.CFG)
         assert str(info.value) == self.HORIZON_CAPPED
 
+    @pytest.mark.parametrize("horizon", [None, 1e9])
+    def test_cap_counts_jumps_exactly(self, horizon):
+        # every trial of this chain makes exactly 4 jumps: up0 -> up1 -> up2 -> up3 -> down
+        space = StateSpace.from_labels(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False])
+        rates = np.zeros((5, 5))
+        for i in range(4):
+            rates[i, i + 1] = 1.0
+        chain = Ctmc.from_transition_rates(space, rates)
+        for cap, fails in ((4, False), (3, True)):
+            cfg = MonteCarloConfig(n_trials=20, horizon=1.0, seed=3, max_events=cap)
+            run = (lambda: estimate_mttf(chain, 0, cfg)) if horizon is None else (
+                lambda: estimate_reliability_curve(chain, 0, cfg, [horizon]))
+            if fails:
+                with pytest.raises(ConvergenceError):
+                    run()
+            else:
+                run()
+
     def test_mttf(self):
         with pytest.raises(ConvergenceError) as info:
             estimate_mttf(self.CHAIN, 0, self.CFG)
@@ -478,3 +499,215 @@ class TestConfigAndEstimate:
         lo, hi = est.ci95
         assert lo <= est.value <= hi
         assert hi <= 1.0
+
+
+# --- walker oracles: every estimator rebuilt trial by trial from simulate_trajectory
+
+
+def _first_failure(chain, path):
+    """Entry time of the path's first non-operational state, or inf."""
+    flags = chain.operational_mask()
+    return next((when for when, state in path.events if not flags[state]), math.inf)
+
+
+def reliability_curve_oracle(chain, start, cfg, times):
+    horizon = max(max(times), cfg.horizon)
+    fail = [
+        _first_failure(chain, simulate_trajectory(
+            chain, start, horizon, CounterRng(cfg.seed, trial), cfg.max_events))
+        for trial in range(cfg.n_trials)
+    ]
+    return [_binomial_estimate(sum(f > t for f in fail), cfg.n_trials) for t in times]
+
+
+def mttf_oracle(chain, start, cfg):
+    absorbing = absorbing_variant(chain)
+    ttf = [
+        simulate_trajectory(absorbing, start, math.inf, CounterRng(cfg.seed, trial),
+                            cfg.max_events).absorbed_at
+        for trial in range(cfg.n_trials)
+    ]
+    return _mean_estimate(np.array(ttf), clamp_low=0.0)
+
+
+def occupancy_oracle(chain, start, cfg, target_states, burn_in):
+    def clip(x):
+        return min(max(x, burn_in), cfg.horizon)
+
+    fractions = []
+    for trial in range(cfg.n_trials):
+        path = simulate_trajectory(chain, start, cfg.horizon, CounterRng(cfg.seed, trial),
+                                   cfg.max_events)
+        occupied, state, since = 0.0, start, 0.0
+        for when, nxt in (*path.events, (cfg.horizon, None)):
+            if state in target_states:
+                occupied += clip(when) - clip(since)
+            state, since = nxt, when
+        fractions.append(occupied / (cfg.horizon - burn_in))
+    return _mean_estimate(np.array(fractions), clamp_low=0.0)
+
+
+@st.composite
+def walker_chains(draw):
+    """Random chains of 2-12 states whose rows reach out-degree 11.
+
+    An optional hub row exits to every other state, so the walker's search
+    runs up to 4 rounds; the start state may have no exits at all.
+    """
+    n = draw(st.integers(2, 12))
+    rate = st.floats(0.05, 4.0)
+    rates = np.zeros((n, n))
+    hub = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    for i in range(n):
+        for j in range(n):
+            if i != j and (i == hub or draw(st.booleans())):
+                rates[i, j] = draw(rate)
+    flags = [True] + [draw(st.booleans()) for _ in range(n - 1)]
+    if draw(st.booleans()):
+        rates[0] = 0.0  # a stuck start state
+    space = StateSpace.from_labels([f"s{i}" for i in range(n)], flags)
+    return Ctmc.from_transition_rates(space, rates)
+
+
+WALK_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def outcome(compute):
+    """What ``compute()`` returns, or ``ConvergenceError`` if it hits the event cap."""
+    try:
+        return compute()
+    except ConvergenceError:
+        return ConvergenceError
+
+
+class TestWalkerEqualsTrajectoryOracle:
+    """Each estimator equals its trial-by-trial rebuild exactly, at 1 and 3 threads.
+
+    ``_MIN_SLICE`` is 1 so that 3 threads really split these small jobs.
+    The event caps end a walk that never stops (on a broken walker, or a
+    chain whose failure set is nearly unreachable) with a ConvergenceError,
+    which both sides must then raise.
+    """
+
+    HORIZON_CAP = 10_000  # horizons <= 6 at rates <= 44 need a few hundred jumps
+    MTTF_CAP = 20_000
+
+    @staticmethod
+    def at_thread_counts(estimate):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_MIN_SLICE", 1)
+            return [outcome(lambda: estimate(threads)) for threads in (1, 3)]
+
+    @WALK_SETTINGS
+    @given(chain=walker_chains(), seed=st.integers(0, 2 ** 64 - 1),
+           horizon=st.floats(0.0, 6.0))
+    def test_reliability(self, chain, seed, horizon):
+        cfg = MonteCarloConfig(n_trials=37, horizon=horizon, seed=seed, max_events=self.HORIZON_CAP)
+        expected = outcome(lambda: reliability_curve_oracle(chain, 0, cfg, [horizon])[0])
+        got = self.at_thread_counts(lambda th: estimate_reliability(chain, 0, cfg, threads=th))
+        assert got == [expected, expected]
+
+    @WALK_SETTINGS
+    @given(chain=walker_chains(), seed=st.integers(0, 2 ** 64 - 1),
+           times=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=5))
+    def test_reliability_curve(self, chain, seed, times):
+        cfg = MonteCarloConfig(n_trials=37, horizon=2.0, seed=seed, max_events=self.HORIZON_CAP)
+        expected = outcome(lambda: reliability_curve_oracle(chain, 0, cfg, times))
+        got = self.at_thread_counts(
+            lambda th: estimate_reliability_curve(chain, 0, cfg, times, threads=th))
+        assert got == [expected, expected]
+
+    @WALK_SETTINGS
+    @given(chain=walker_chains(), seed=st.integers(0, 2 ** 64 - 1))
+    def test_mttf(self, chain, seed):
+        try:
+            vet_absorption(chain, 0)
+        except ValidationError:
+            assume(False)
+        cfg = MonteCarloConfig(n_trials=23, horizon=1.0, seed=seed, max_events=self.MTTF_CAP)
+        expected = outcome(lambda: mttf_oracle(chain, 0, cfg))
+        got = self.at_thread_counts(lambda th: estimate_mttf(chain, 0, cfg, threads=th))
+        assert got == [expected, expected]
+
+    @WALK_SETTINGS
+    @given(chain=walker_chains(), seed=st.integers(0, 2 ** 64 - 1),
+           data=st.data())
+    def test_occupancy(self, chain, seed, data):
+        start = data.draw(st.integers(0, chain.n - 1))
+        targets = tuple(data.draw(st.sets(st.integers(0, chain.n - 1), min_size=1)))
+        horizon = data.draw(st.floats(0.5, 6.0))
+        burn_in = data.draw(st.floats(0.0, horizon / 2))
+        cfg = MonteCarloConfig(n_trials=29, horizon=horizon, seed=seed, max_events=self.HORIZON_CAP)
+        expected = outcome(lambda: occupancy_oracle(chain, start, cfg, targets, burn_in))
+        got = self.at_thread_counts(
+            lambda th: estimate_occupancy(chain, start, cfg, targets, burn_in, threads=th))
+        assert got == [expected, expected]
+
+    def test_hub_chain_needs_four_search_rounds(self):
+        rates = np.full((10, 10), 0.3)
+        np.fill_diagonal(rates, 0.0)
+        space = StateSpace.from_labels([f"s{i}" for i in range(10)], [True] * 9 + [False])
+        chain = Ctmc.from_transition_rates(space, rates)
+        assert montecarlo._ChainKernel(chain)._rounds == 4
+        cfg = MonteCarloConfig(n_trials=300, horizon=3.0, seed=31, max_events=self.HORIZON_CAP)
+        assert estimate_mttf(chain, 0, cfg) == mttf_oracle(chain, 0, cfg)
+        curve = reliability_curve_oracle(chain, 0, cfg, [0.5, 3.0])
+        assert estimate_reliability_curve(chain, 0, cfg, [0.5, 3.0]) == curve
+        assert estimate_reliability(chain, 0, cfg) == curve[1]
+        assert estimate_occupancy(chain, 0, cfg, (0, 9), 1.0) == occupancy_oracle(chain, 0, cfg, (0, 9), 1.0)
+
+
+class TestChainKernelChoose:
+    @staticmethod
+    def searchsorted_choice(kernel, states, u):
+        out = []
+        for s, x in zip(states, u):
+            lo, hi = kernel.offsets[s], kernel.offsets[s + 1]
+            out.append(kernel.targets[lo + np.searchsorted(kernel.cumprobs[lo:hi], x, side="left")])
+        return np.array(out, dtype=np.int64)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 10, 17, 33])
+    def test_equals_searchsorted_left_including_boundaries(self, n):
+        gen = np.random.default_rng(n)
+        rates = gen.uniform(0.1, 2.0, (n, n)) * (gen.random((n, n)) < 0.6)
+        rates[0] = gen.uniform(0.1, 2.0, n)  # a hub reaching every other state
+        np.fill_diagonal(rates, 0.0)
+        rates[n - 1] = 0.0  # no exits
+        chain = Ctmc.from_transition_rates(StateSpace.from_labels([str(i) for i in range(n)], [True] * n),
+                                           rates)
+        kernel = montecarlo._ChainKernel(chain)
+        live = np.flatnonzero(np.diff(kernel.offsets) > 0)
+        states, u = [], []
+        for s in live:
+            cp = kernel.cumprobs[kernel.offsets[s]:kernel.offsets[s + 1]]
+            # every cumulative boundary, its neighbours, and the ends of (0, 1]
+            for x in (*cp, *np.nextafter(cp, 0.0), *np.nextafter(cp, 2.0), 2.0 ** -53, 1.0):
+                if 0.0 < x <= 1.0:
+                    states.append(s)
+                    u.append(x)
+        states = np.array(states, dtype=np.int64)
+        u = np.array(u)
+        assert np.array_equal(kernel.choose(states, u), self.searchsorted_choice(kernel, states, u))
+
+    def test_round_count(self):
+        for degree, rounds in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4), (16, 4), (17, 5)):
+            rates = np.zeros((degree + 1, degree + 1))
+            rates[0, 1:] = 1.0
+            chain = Ctmc.from_transition_rates(
+                StateSpace.from_labels([str(i) for i in range(degree + 1)], [True] * (degree + 1)), rates)
+            assert montecarlo._ChainKernel(chain)._rounds == rounds
+
+
+class TestPartition:
+    def test_small_jobs_run_on_one_thread(self, monkeypatch):
+        slices = []
+        monkeypatch.setattr(montecarlo, "_MIN_SLICE", 10)
+        for n_trials, threads, expected in ((9, 4, 1), (10, 4, 1), (11, 4, 2), (25, 8, 3), (25, 2, 2)):
+            slices.clear()
+            montecarlo._run_partitioned(lambda lo, hi: slices.append((lo, hi)), n_trials, threads)
+            assert len(slices) == expected
+            assert sorted(slices)[0][0] == 0 and sorted(slices)[-1][1] == n_trials
+
+    def test_cut_keeps_large_walks_threaded(self):
+        assert -(-300_000 // montecarlo._MIN_SLICE) >= 2
+        assert -(-20_000 // montecarlo._MIN_SLICE) == 1

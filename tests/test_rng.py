@@ -2,34 +2,43 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from securakit import rng
 from securakit.errors import DomainError
-from securakit.rng import CounterRng, _philox4x32, uniform_block
+from securakit.rng import CounterRng, _philox4x32, _uniform_scalar, uniform_block
+
+KNOWN_ANSWERS = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    (
+        (0xFFFFFFFF,) * 4,
+        (0xFFFFFFFF,) * 2,
+        (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
+    ),
+    (
+        (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+        (0xA4093822, 0x299F31D0),
+        (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+    ),
+]
 
 
 # Published known-answer vectors for the Philox-4x32-10 block function.
-@pytest.mark.parametrize(
-    "counter,key,expected",
-    [
-        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
-        (
-            (0xFFFFFFFF,) * 4,
-            (0xFFFFFFFF,) * 2,
-            (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
-        ),
-        (
-            (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
-            (0xA4093822, 0x299F31D0),
-            (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
-        ),
-    ],
-)
+@pytest.mark.parametrize("counter,key,expected", KNOWN_ANSWERS)
 def test_philox_known_answer(counter, key, expected):
     args = [np.array([w], dtype=np.uint32) for w in counter + key]
     got = tuple(int(word[0]) for word in _philox4x32(*args))
     assert got == expected
+
+
+@pytest.mark.parametrize("counter,key,expected", KNOWN_ANSWERS)
+def test_philox_known_answer_with_scalar_key(counter, key, expected):
+    lanes = [np.array([w, w], dtype=np.uint32) for w in counter]
+    got = _philox4x32(*lanes, *(np.uint64(k) for k in key))
+    assert [[int(x) for x in word] for word in got] == [[e, e] for e in expected]
+    scalar = _philox4x32(*(np.uint64(w) for w in counter), *key)
+    assert tuple(int(word) for word in scalar) == expected
 
 
 def test_uniform_range_and_determinism():
@@ -98,3 +107,35 @@ def test_uniform_mean_matches_theory():
     u = CounterRng(seed=2024).uniforms(200_000)
     # mean 1/2, sd of mean = 1/sqrt(12 n)
     assert abs(u.mean() - 0.5) < 3.0 / np.sqrt(12 * u.size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    trials=st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1), min_size=1, max_size=9),
+    substream=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    counters=st.lists(st.integers(min_value=2 ** 32, max_value=2 ** 64 - 1), min_size=9, max_size=9),
+)
+def test_uniform_block_equals_scalar_cipher(seed, trials, substream, counters):
+    counters = counters[: len(trials)]
+    expected = [_uniform_scalar(seed, t, substream, c) for t, c in zip(trials, counters)]
+    block = uniform_block(seed, np.array(trials, dtype=np.uint64), substream,
+                          np.array(counters, dtype=np.uint64))
+    assert block.tolist() == expected
+    # one trial against many counters, and many trials against one counter
+    assert uniform_block(seed, trials[0], substream, np.array(counters, dtype=np.uint64)).tolist() == [
+        _uniform_scalar(seed, trials[0], substream, c) for c in counters]
+    assert uniform_block(seed, np.array(trials, dtype=np.uint64), substream, counters[0]).tolist() == [
+        _uniform_scalar(seed, t, substream, counters[0]) for t in trials]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, 1000])
+def test_uniform_block_chunking_is_invisible(monkeypatch, chunk):
+    trials = np.arange(5, 1005, dtype=np.uint64)
+    counters = np.arange(2 ** 40, 2 ** 40 + 1000, dtype=np.uint64)
+    whole = uniform_block(2 ** 63 + 5, trials, 7, counters)
+    per_lane = uniform_block(2 ** 63 + 5, trials, 7, 2 ** 33)
+    monkeypatch.setattr(rng, "_CHUNK", chunk)
+    assert np.array_equal(uniform_block(2 ** 63 + 5, trials, 7, counters), whole)
+    assert np.array_equal(uniform_block(2 ** 63 + 5, trials, 7, 2 ** 33), per_lane)
+    assert uniform_block(2 ** 63 + 5, trials[:0], 7, 2 ** 33).shape == (0,)
