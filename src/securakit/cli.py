@@ -29,18 +29,14 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import markov, model_io, montecarlo, securability
 from . import weibull as wb
-from .errors import (
-    NumericalError,
-    SchemaError,
-    UsageError,
-    ValidationError,
-)
-from .model_io import ModelDocument
+from .errors import NumericalError, SchemaError, UsageError, ValidationError
+from .model_io import AnalysisRequest, ModelDocument
 from .montecarlo import MonteCarloConfig
 from .report import AnalysisReport, Result, Series, emit_report
 
@@ -55,75 +51,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    parser.add_argument("--out", metavar="PATH", default=None)
-    parser.add_argument("--seed", type=int, default=None, help="overrides any in-document seed")
-    parser.add_argument("--quiet", action="store_true")
+class _Context(NamedTuple):
+    """What an op handler gets: the checked document, its built model and its analyses entry."""
 
+    args: argparse.Namespace
+    command: str
+    op: str
+    doc: ModelDocument
+    model: object  # Ctmc, RoutOfNSystem or FailureSample, by document kind
+    start: int | None  # chain documents only: the entry's start, else the document's
+    request: AnalysisRequest | None
 
-def _mc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SECURAKIT_THREADS or machine parallelism)")
-
-
-def build_parser() -> _Parser:
-    root = _Parser(prog="securakit", description="reliability and securability analysis toolkit")
-    sub = root.add_subparsers(dest="command", required=True)
-
-    weibull_cmd = sub.add_parser("weibull", help="Weibull failure-law analyses")
-    weibull_sub = weibull_cmd.add_subparsers(dest="subcommand", required=True)
-    ev = weibull_sub.add_parser("eval", help="evaluate the law at a time point")
-    ev.add_argument("--alpha", type=float, required=True)
-    ev.add_argument("--beta", type=float, required=True)
-    ev.add_argument("--t", type=float, required=True)
-    _common_flags(ev)
-    ft = weibull_sub.add_parser("fit", help="fit parameters to failure data")
-    ft.add_argument("--file", required=True)
-    ft.add_argument("--method", choices=("rank_regression", "mle", "both"), default=None)
-    _common_flags(ft)
-
-    markov_cmd = sub.add_parser("markov", help="Markov-chain analyses")
-    markov_sub = markov_cmd.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("solve", "steady-state distribution and availability"),
-        ("transient", "time-dependent state probabilities"),
-        ("metrics", "MTTF, MTTR, and availability"),
-    ):
-        p = markov_sub.add_parser(name, help=help_text)
-        p.add_argument("--file", required=True)
-        if name == "transient":
-            p.add_argument("--grid", metavar="T0:T1:STEPS", default=None)
-        _common_flags(p)
-
-    mc_cmd = sub.add_parser("mc", help="Monte Carlo estimation")
-    mc_sub = mc_cmd.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("reliability", "survival probability over the mission horizon"),
-        ("mttf", "mean time to failure"),
-    ):
-        p = mc_sub.add_parser(name, help=help_text)
-        p.add_argument("--file", required=True)
-        if name == "reliability":
-            p.add_argument("--grid", metavar="T0:T1:STEPS", default=None)
-        _common_flags(p)
-        _mc_flags(p)
-
-    sec_cmd = sub.add_parser("sec", help="combined safety + security models")
-    sec_sub = sec_cmd.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("msdr", "main-system / disaster-recovery chain"),
-        ("routofn", "r-out-of-n:G composition"),
-    ):
-        p = sec_sub.add_parser(name, help=help_text)
-        p.add_argument("--file", required=True)
-        _common_flags(p)
-        _mc_flags(p)
-
-    val = sub.add_parser("validate", help="validate a model document without running analyses")
-    val.add_argument("file")
-    _common_flags(val)
-    return root
+    @property
+    def settings(self) -> dict:
+        return self.request.settings if self.request else {}
 
 
 def _load_document(path: str) -> ModelDocument:
@@ -134,39 +75,41 @@ def _load_document(path: str) -> ModelDocument:
     return model_io.parse_model(text)
 
 
-def _require_kind(doc: ModelDocument, kinds: tuple[str, ...], command: str) -> None:
-    if doc.kind not in kinds:
-        raise ValidationError(f"{command} needs a document of kind {' or '.join(kinds)}, got {doc.kind}")
+def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
+    """The entry's trial settings with the seed resolved, and the thread count.
 
-
-def _resolve_seed(args, request, doc: ModelDocument) -> int:
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise UsageError(f"--seed must be in [0, 2**64), got {args.seed}")
-        return args.seed
-    if request is not None and request.settings.get("seed") is not None:
-        return request.settings["seed"]
-    if doc.seed is not None:
-        return doc.seed
-    raise ValidationError(
-        "randomized analyses need an explicit seed: set document 'seed', analysis 'seed', or --seed"
-    )
-
-
-def _resolve_threads(args) -> int:
-    value = getattr(args, "threads", None)
-    if value is None:
+    Handlers call it when they reach their Monte Carlo step, so an error
+    from earlier work (``sec routofn``'s decomposition) is reported first.
+    """
+    if ctx.request is None:
+        raise ValidationError(f"{ctx.command} needs an analyses entry with op '{ctx.op}'")
+    s = ctx.request.settings
+    seed = ctx.args.seed
+    if seed is None:
+        seed = s.get("seed", ctx.doc.seed)
+        if seed is None:
+            raise ValidationError(
+                "randomized analyses need an explicit seed: set document 'seed', analysis 'seed', or --seed"
+            )
+    elif not 0 <= seed < 2 ** 64:
+        raise UsageError(f"--seed must be in [0, 2**64), got {seed}")
+    threads = ctx.args.threads
+    if threads is None:
         env = os.environ.get("SECURAKIT_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise UsageError(f"SECURAKIT_THREADS must be an integer, got {env!r}") from exc
-        else:
-            value = os.cpu_count() or 1
-    if value < 1:
-        raise UsageError(f"thread count must be >= 1, got {value}")
-    return value
+        try:
+            threads = int(env) if env is not None else os.cpu_count() or 1
+        except ValueError as exc:
+            raise UsageError(f"SECURAKIT_THREADS must be an integer, got {env!r}") from exc
+    if threads < 1:
+        raise UsageError(f"thread count must be >= 1, got {threads}")
+    cfg = MonteCarloConfig(
+        n_trials=s["n_trials"],
+        horizon=float(s.get("horizon", 0.0)),
+        seed=seed,
+        threshold=float(s.get("threshold", 1.0)),
+        max_events=int(s.get("max_events", 10 ** 9)),
+    )
+    return cfg, threads
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -184,34 +127,11 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(t0, t1, steps)
 
 
-def _echo(doc: ModelDocument) -> dict:
-    return {
-        "kind": doc.kind,
-        "time_unit": doc.time_unit,
-        "parameters": doc.parameters,
-        "analyses": [{"op": r.op, **r.settings} for r in doc.analyses],
-    }
+def _state_rows(chain, pi) -> list[Result]:
+    return [Result(f"pi[{s.label}]", float(pi.pi[s.id]), "analytic") for s in chain.space.states]
 
 
-def _require_analysis(doc: ModelDocument, op: str, command: str):
-    request = doc.find_analysis(op)
-    if request is None:
-        raise ValidationError(f"{command} needs an analyses entry with op '{op}'")
-    return request
-
-
-def _mc_config(request, seed: int) -> MonteCarloConfig:
-    s = request.settings
-    return MonteCarloConfig(
-        n_trials=s["n_trials"],
-        horizon=float(s.get("horizon", 0.0)),
-        seed=seed,
-        threshold=float(s.get("threshold", 1.0)),
-        max_events=int(s.get("max_events", 10 ** 9)),
-    )
-
-
-def _run_weibull_eval(args) -> AnalysisReport:
+def _weibull_eval(args) -> AnalysisReport:
     model = wb.WeibullModel(alpha=args.alpha, beta=args.beta)
     t = args.t
     results = [
@@ -225,49 +145,34 @@ def _run_weibull_eval(args) -> AnalysisReport:
     return AnalysisReport(model_echo=echo, results=results)
 
 
-def _run_weibull_fit(args) -> AnalysisReport:
-    doc = _load_document(args.file)
-    _require_kind(doc, ("weibull",), "weibull fit")
-    if "data" not in doc.parameters:
-        raise ValidationError("weibull fit needs parameters.data in the document")
-    sample = model_io.build_failure_sample(doc)
-    request = doc.find_analysis("fit")
-    method = args.method or (request.settings.get("method") if request else None) or "both"
-    methods = ("rank_regression", "mle") if method == "both" else (method,)
+def _validate(args) -> None:
+    _load_document(args.file)
+    if not args.quiet:
+        print(f"ok: {args.file}")
+
+
+def _weibull_fit(ctx: _Context) -> AnalysisReport:
+    method = ctx.args.method or ctx.settings.get("method") or "both"
     results = []
-    for m in methods:
-        fitted = wb.fit(sample, method=m)
+    for m in ("rank_regression", "mle") if method == "both" else (method,):
+        fitted = wb.fit(ctx.model, method=m)
         results.append(Result("alpha", fitted.alpha, m))
         results.append(Result("beta", fitted.beta, m))
         results.append(Result("mean_life", wb.mean_life(fitted), m))
-    return AnalysisReport(model_echo=_echo(doc), results=results)
+    return AnalysisReport({}, results)
 
 
-def _run_markov_solve(args) -> AnalysisReport:
-    doc = _load_document(args.file)
-    _require_kind(doc, ("markov", "msdr"), "markov solve")
-    chain, _ = model_io.build_chain(doc)
+def _markov_solve(ctx: _Context) -> AnalysisReport:
+    chain = ctx.model
     pi = markov.steady_state(chain)
-    results = [
-        Result(f"pi[{state.label}]", float(pi.pi[state.id]), "analytic")
-        for state in chain.space.states
-    ]
     availability = float(pi.pi[chain.operational_mask()].sum())
-    results.append(Result("availability", availability, "analytic"))
-    return AnalysisReport(model_echo=_echo(doc), results=results)
+    return AnalysisReport({}, _state_rows(chain, pi) + [Result("availability", availability, "analytic")])
 
 
-def _run_markov_transient(args) -> AnalysisReport:
-    doc = _load_document(args.file)
-    _require_kind(doc, ("markov", "msdr"), "markov transient")
-    chain, default_start = model_io.build_chain(doc)
-    request = doc.find_analysis("transient")
-    settings = request.settings if request else {}
-    start = int(settings.get("start", default_start))
-    if not 0 <= start < chain.n:
-        raise ValidationError(f"start state {start} out of range 0..{chain.n - 1}")
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
+def _markov_transient(ctx: _Context) -> AnalysisReport:
+    chain, settings = ctx.model, ctx.settings
+    if ctx.args.grid is not None:
+        grid = _parse_grid(ctx.args.grid)
     elif "t" in settings:
         t_final = settings["t"]
         dt = settings.get("dt")
@@ -275,140 +180,171 @@ def _run_markov_transient(args) -> AnalysisReport:
     else:
         raise ValidationError("markov transient needs --grid or an analyses entry with 't'")
     pi0 = np.zeros(chain.n)
-    pi0[start] = 1.0
+    pi0[ctx.start] = 1.0
     times = [float(t) for t in grid]
     dists = markov.transient_grid(chain, pi0, times)
     op_mask = chain.operational_mask()
     availability = [float(d.pi[op_mask].sum()) for d in dists]
-    results = [Result("availability", availability[-1], "analytic")]
     series = [Series("availability", times, availability)]
     for state in chain.space.states:
         series.append(Series(f"pi[{state.label}]", times, [float(d.pi[state.id]) for d in dists]))
-    return AnalysisReport(model_echo=_echo(doc), results=results, series=series)
+    return AnalysisReport({}, [Result("availability", availability[-1], "analytic")], series)
 
 
-def _run_markov_metrics(args) -> AnalysisReport:
-    doc = _load_document(args.file)
-    _require_kind(doc, ("markov", "msdr"), "markov metrics")
-    chain, default_start = model_io.build_chain(doc)
-    request = doc.find_analysis("metrics")
-    settings = request.settings if request else {}
-    start = int(settings.get("start", default_start))
-    op_mask = chain.operational_mask()
-    failed = settings.get("failed")
+def _markov_metrics(ctx: _Context) -> AnalysisReport:
+    chain = ctx.model
+    failed = ctx.settings.get("failed")
     if failed is None:
-        non_op = np.flatnonzero(~op_mask)
+        non_op = np.flatnonzero(~chain.operational_mask())
         if non_op.size == 0:
             raise ValidationError("markov metrics needs a chain with a non-operational state")
         failed = int(non_op[0])
-    results = [Result("mttf", markov.mttf_absorbing(chain, start), "analytic")]
+    results = [Result("mttf", markov.mttf_absorbing(chain, ctx.start), "analytic")]
     try:
         results.append(Result("mttf", markov.mttf_rate_sum(chain), "paper_rate_sum"))
     except ValidationError:
         pass  # the rate-sum estimate needs every operational state to exit directly
     results.append(Result("mttr", markov.mttr(chain, failed), "analytic"))
     results.append(Result("availability", markov.availability_steady(chain), "analytic"))
-    return AnalysisReport(model_echo=_echo(doc), results=results)
+    return AnalysisReport({}, results)
 
 
-def _run_mc_reliability(args) -> AnalysisReport:
-    doc = _load_document(args.file)
-    _require_kind(doc, ("markov", "msdr"), "mc reliability")
-    chain, start = model_io.build_chain(doc)
-    request = _require_analysis(doc, "reliability", "mc reliability")
-    start = int(request.settings.get("start", start))
-    seed = _resolve_seed(args, request, doc)
-    threads = _resolve_threads(args)
-    cfg = _mc_config(request, seed)
-    series = []
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-        *curve, estimate = montecarlo.estimate_reliability_curve(
-            chain, start, cfg, np.append(grid, cfg.horizon), threads=threads
-        )
-        series.append(Series("reliability", [float(t) for t in grid], [e.value for e in curve]))
-    else:
-        estimate = montecarlo.estimate_reliability(chain, start, cfg, threads=threads)
+def _mc_reliability(ctx: _Context) -> AnalysisReport:
+    cfg, threads = _monte_carlo(ctx)
+    grid = _parse_grid(ctx.args.grid) if ctx.args.grid is not None else np.empty(0)
+    # the headline estimate at the horizon comes from the same trials as the grid
+    *curve, estimate = montecarlo.estimate_reliability_curve(
+        ctx.model, ctx.start, cfg, np.append(grid, cfg.horizon), threads=threads
+    )
+    series = [Series("reliability", [float(t) for t in grid], [e.value for e in curve])] if grid.size else []
     results = [Result("reliability", estimate.value, "monte_carlo", uncertainty=estimate.std_error)]
-    return AnalysisReport(model_echo=_echo(doc), results=results, series=series, seed_used=seed)
+    return AnalysisReport({}, results, series, seed_used=cfg.seed)
 
 
-def _run_mc_mttf(args) -> AnalysisReport:
-    doc = _load_document(args.file)
-    _require_kind(doc, ("markov", "msdr"), "mc mttf")
-    chain, start = model_io.build_chain(doc)
-    request = _require_analysis(doc, "mttf", "mc mttf")
-    start = int(request.settings.get("start", start))
-    seed = _resolve_seed(args, request, doc)
-    threads = _resolve_threads(args)
-    cfg = _mc_config(request, seed)
-    estimate = montecarlo.estimate_mttf(chain, start, cfg, threads=threads)
+def _mc_mttf(ctx: _Context) -> AnalysisReport:
+    cfg, threads = _monte_carlo(ctx)
+    estimate = montecarlo.estimate_mttf(ctx.model, ctx.start, cfg, threads=threads)
     results = [Result("mttf", estimate.value, "monte_carlo", uncertainty=estimate.std_error)]
-    return AnalysisReport(model_echo=_echo(doc), results=results, seed_used=seed)
+    return AnalysisReport({}, results, seed_used=cfg.seed)
 
 
-def _run_sec_msdr(args) -> AnalysisReport:
-    doc = _load_document(args.file)
-    _require_kind(doc, ("msdr",), "sec msdr")
-    rates, crew = model_io.build_msdr_inputs(doc)
-    chain = securability.build_msdr(rates, single_repair_crew=crew)
+def _sec_msdr(ctx: _Context) -> AnalysisReport:
+    chain = ctx.model
     pi = markov.steady_state(chain)
     # 1 - pi(both_down), the only non-operational state: service_availability without a second solve
     service = 1.0 - float(pi.pi[~chain.operational_mask()].sum())
-    results = [Result("service_availability", service, "analytic")]
-    echo = _echo(doc)
-    echo["model_notes"] = securability.MSDR_MODEL_NOTES
-    for state in chain.space.states:
-        results.append(Result(f"pi[{state.label}]", float(pi.pi[state.id]), "analytic"))
-    results.append(Result("mttf", markov.mttf_absorbing(chain, 0), "analytic"))
-    threat = model_io.build_threat(doc)
+    results = [Result("service_availability", service, "analytic"), *_state_rows(chain, pi)]
+    results.append(Result("mttf", markov.mttf_absorbing(chain, ctx.start), "analytic"))
+    threat = model_io.build_threat(ctx.doc)
     if threat is not None and threat.attack_rate > 0:
         results.append(Result("mtta", securability.mtta(threat), "analytic"))
-    return AnalysisReport(model_echo=echo, results=results)
+    return AnalysisReport({"model_notes": securability.MSDR_MODEL_NOTES}, results)
 
 
-def _run_sec_routofn(args) -> AnalysisReport:
+def _sec_routofn(ctx: _Context) -> AnalysisReport:
+    results = securability.decompose(ctx.model).results
+    if ctx.request is None:
+        return AnalysisReport({}, results)
+    cfg, threads = _monte_carlo(ctx)
+    est = montecarlo.estimate_threshold_reliability(ctx.model, cfg, threads=threads)
+    results.append(Result("threshold_reliability", est.value, "monte_carlo", uncertainty=est.std_error))
+    return AnalysisReport({}, results, seed_used=cfg.seed)
+
+
+class _Command(NamedTuple):
+    op: str | None  # the document op it runs; None: the handler takes the parsed arguments
+    help: str
+    handler: Callable
+
+
+_GROUP_HELP = {
+    "weibull": "Weibull failure-law analyses",
+    "markov": "Markov-chain analyses",
+    "mc": "Monte Carlo estimation",
+    "sec": "combined safety + security models",
+}
+# every command, in --help order; the document kinds a command accepts are those whose ops hold its op
+_COMMANDS = {
+    ("weibull", "eval"): _Command(None, "evaluate the law at a time point", _weibull_eval),
+    ("weibull", "fit"): _Command("fit", "fit parameters to failure data", _weibull_fit),
+    ("markov", "solve"): _Command("solve", "steady-state distribution and availability", _markov_solve),
+    ("markov", "transient"): _Command("transient", "time-dependent state probabilities", _markov_transient),
+    ("markov", "metrics"): _Command("metrics", "MTTF, MTTR, and availability", _markov_metrics),
+    ("mc", "reliability"): _Command("reliability", "survival probability over the mission horizon",
+                                    _mc_reliability),
+    ("mc", "mttf"): _Command("mttf", "mean time to failure", _mc_mttf),
+    ("sec", "msdr"): _Command("msdr", "main-system / disaster-recovery chain", _sec_msdr),
+    ("sec", "routofn"): _Command("threshold_reliability", "r-out-of-n:G composition", _sec_routofn),
+    ("validate", None): _Command(None, "validate a model document without running analyses", _validate),
+}
+
+
+def build_parser() -> _Parser:
+    root = _Parser(prog="securakit", description="reliability and securability analysis toolkit")
+    sub = root.add_subparsers(dest="command", required=True)
+    groups = {}
+    for (group, name), command in _COMMANDS.items():
+        if name is None:
+            p = sub.add_parser(group, help=command.help)
+            p.add_argument("file")
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                    dest="subcommand", required=True
+                )
+            p = groups[group].add_parser(name, help=command.help)
+            if command.op is None:
+                for flag in ("--alpha", "--beta", "--t"):
+                    p.add_argument(flag, type=float, required=True)
+            else:
+                p.add_argument("--file", required=True)
+        if command.op == "fit":
+            p.add_argument("--method", choices=("rank_regression", "mle", "both"), default=None)
+        if command.op in ("transient", "reliability"):
+            p.add_argument("--grid", metavar="T0:T1:STEPS", default=None)
+        p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+        p.add_argument("--out", metavar="PATH", default=None)
+        p.add_argument("--seed", type=int, default=None, help="overrides any in-document seed")
+        p.add_argument("--quiet", action="store_true")
+        if group in ("mc", "sec"):
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker threads (default: SECURAKIT_THREADS or machine parallelism)")
+    return root
+
+
+def _run(args) -> AnalysisReport | None:
+    """Run one command: load and check its document, build the model, then call the op handler."""
+    command = _COMMANDS[(args.command, getattr(args, "subcommand", None))]
+    if command.op is None:
+        return command.handler(args)
+    name = f"{args.command} {args.subcommand}"
     doc = _load_document(args.file)
-    _require_kind(doc, ("r_out_of_n",), "sec routofn")
-    system = model_io.build_r_out_of_n(doc)
-    rep = securability.decompose(system)
-    rep.model_echo = _echo(doc)
-    request = doc.find_analysis("threshold_reliability")
-    if request is not None:
-        seed = _resolve_seed(args, request, doc)
-        threads = _resolve_threads(args)
-        cfg = _mc_config(request, seed)
-        est = montecarlo.estimate_threshold_reliability(system, cfg, threads=threads)
-        rep.results.append(
-            Result("threshold_reliability", est.value, "monte_carlo", uncertainty=est.std_error)
-        )
-        rep.seed_used = seed
-    return rep
-
-
-def _run_validate(args) -> None:
-    _load_document(args.file)
-    if not args.quiet:
-        print(f"ok: {args.file}")
-
-
-def _dispatch(args) -> AnalysisReport | None:
-    command = (args.command, getattr(args, "subcommand", None))
-    handlers = {
-        ("weibull", "eval"): _run_weibull_eval,
-        ("weibull", "fit"): _run_weibull_fit,
-        ("markov", "solve"): _run_markov_solve,
-        ("markov", "transient"): _run_markov_transient,
-        ("markov", "metrics"): _run_markov_metrics,
-        ("mc", "reliability"): _run_mc_reliability,
-        ("mc", "mttf"): _run_mc_mttf,
-        ("sec", "msdr"): _run_sec_msdr,
-        ("sec", "routofn"): _run_sec_routofn,
+    kinds = tuple(kind for kind, ops in model_io.OPS.items() if command.op in ops)
+    if doc.kind not in kinds:
+        raise ValidationError(f"{name} needs a document of kind {' or '.join(kinds)}, got {doc.kind}")
+    start = None
+    if doc.kind == "weibull":
+        if "data" not in doc.parameters:
+            raise ValidationError(f"{name} needs parameters.data in the document")
+        model = model_io.build_failure_sample(doc)
+    elif doc.kind == "r_out_of_n":
+        model = model_io.build_r_out_of_n(doc)
+    else:
+        model, start = model_io.build_chain(doc)
+    request = doc.find_analysis(command.op)
+    if start is not None:
+        start = int(request.settings.get("start", start) if request else start)
+        if not 0 <= start < model.n:
+            raise ValidationError(f"start state {start} out of range 0..{model.n - 1}")
+    rep = command.handler(_Context(args, name, command.op, doc, model, start, request))
+    rep.model_echo = {
+        "kind": doc.kind,
+        "time_unit": doc.time_unit,
+        "parameters": doc.parameters,
+        "analyses": [{"op": r.op, **r.settings} for r in doc.analyses],
+        **rep.model_echo,
     }
-    if args.command == "validate":
-        _run_validate(args)
-        return None
-    return handlers[command](args)
+    return rep
 
 
 def _attach_grid_values(argv: list[str]) -> list[str]:
@@ -425,7 +361,7 @@ def _attach_grid_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
-        rep = _dispatch(args)
+        rep = _run(args)
         if rep is not None:
             text = emit_report(rep, args.format)
             if args.out:

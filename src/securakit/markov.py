@@ -2,8 +2,7 @@
 
 The canonical model object is a :class:`Ctmc`: a labeled state space with
 operational flags plus a rate (generator) matrix Q whose rows sum to zero.
-Discrete-step transition matrices are derived views (:func:`discretize`),
-steady states come from a dense linear solve, and transient distributions
+Steady states come from a dense linear solve, and transient distributions
 from uniformization, which keeps probabilities nonnegative and carries a
 certified truncation error.
 
@@ -33,8 +32,6 @@ ROW_SUM_TOL = 1e-12
 STEADY_RESIDUAL_TOL = 1e-10
 UNIFORMIZATION_TAIL = 1e-13
 _MAX_UNIFORMIZATION_TERMS = 5_000_000
-
-METRIC_METHODS = ("analytic", "paper_rate_sum", "monte_carlo")
 
 
 @dataclass(frozen=True)
@@ -121,27 +118,6 @@ class Ctmc:
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """One-step transition probabilities for a step of width ``dt``."""
-
-    probs: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DomainError("transition matrix must be square")
-        if np.any(p < 0) or np.any(p > 1):
-            raise DomainError("transition probabilities must lie in [0, 1]")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-            raise DomainError("transition matrix rows must sum to 1 within 1e-12")
-        if not self.dt > 0:
-            raise DomainError(f"dt must be > 0, got {self.dt}")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-
-@dataclass(frozen=True, eq=False)
 class ProbabilityVector:
     """State probabilities: entries >= 0 summing to 1 within 1e-12."""
 
@@ -162,24 +138,6 @@ class ProbabilityVector:
         return self.pi.size
 
 
-@dataclass(frozen=True)
-class MetricsBundle:
-    """MTTF/MTTR/availability triple labeled with the method that produced it."""
-
-    mttf: float
-    mttr: float
-    availability: float
-    method: str
-
-    def __post_init__(self):
-        if self.method not in METRIC_METHODS:
-            raise DomainError(f"method must be one of {METRIC_METHODS}, got {self.method!r}")
-        if self.mttf < 0 or self.mttr < 0:
-            raise DomainError("times must be >= 0")
-        if not 0.0 <= self.availability <= 1.0:
-            raise DomainError("availability must lie in [0, 1]")
-
-
 def build_two_state(lam: float, mu: float) -> Ctmc:
     """Up/down chain: failure rate ``lam`` out of state 0, repair rate ``mu``."""
     if not lam > 0:
@@ -189,23 +147,6 @@ def build_two_state(lam: float, mu: float) -> Ctmc:
     space = StateSpace.from_labels(["up", "down"], [True, False])
     rates = np.array([[0.0, lam], [mu, 0.0]])
     return Ctmc.from_transition_rates(space, rates)
-
-
-def discretize(chain: Ctmc, dt: float) -> TransitionMatrix:
-    """First-order step matrix P = I + dt*Q; requires dt * max exit rate <= 1."""
-    if not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    off = chain.generator * dt
-    np.fill_diagonal(off, 0.0)
-    exit_mass = off.sum(axis=1)
-    if np.any(exit_mass > 1.0):
-        raise DomainError(
-            f"step too large: dt * max exit rate = {exit_mass.max():.6g} > 1; "
-            f"use dt <= {1.0 / chain.exit_rates().max():.6g}"
-        )
-    p = off
-    np.fill_diagonal(p, 1.0 - exit_mass)
-    return TransitionMatrix(probs=p, dt=float(dt))
 
 
 def _adjacency(q: np.ndarray) -> np.ndarray:
@@ -500,13 +441,3 @@ def mttr(chain: Ctmc, failed: int) -> float:
 def _check_state(chain: Ctmc, state: int) -> None:
     if not 0 <= state < chain.n:
         raise DomainError(f"state id {state} out of range 0..{chain.n - 1}")
-
-
-def analytic_metrics(chain: Ctmc, start: int, failed: int) -> MetricsBundle:
-    """MTTF (absorbing), MTTR, and steady availability in one analytic bundle."""
-    return MetricsBundle(
-        mttf=mttf_absorbing(chain, start),
-        mttr=mttr(chain, failed),
-        availability=availability_steady(chain),
-        method="analytic",
-    )

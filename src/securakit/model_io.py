@@ -42,9 +42,9 @@ KINDS = ("weibull", "markov", "msdr", "r_out_of_n")
 _SEED_BOUND = 2 ** 64
 _TRIALS_BOUND = 2 ** 32
 
-# analyses permitted per document kind
+# analyses permitted per document kind; the CLI takes the kinds a command accepts from here
 _CHAIN_OPS = ("solve", "transient", "metrics", "reliability", "mttf")
-_OPS = {
+OPS = {
     "weibull": ("eval", "fit"),
     "markov": _CHAIN_OPS,
     "msdr": ("msdr",) + _CHAIN_OPS,
@@ -73,9 +73,6 @@ class AnalysisRequest:
 
     op: str
     settings: dict = field(default_factory=dict)
-
-    def seed(self):
-        return self.settings.get("seed")
 
 
 @dataclass
@@ -355,7 +352,7 @@ def _validate_analyses(check: _Check, kind: str, analyses) -> list[AnalysisReque
     entries = check.array(analyses, "analyses")
     if entries is None:
         return requests
-    allowed = _OPS.get(kind, ())
+    allowed = OPS.get(kind, ())
     for i, entry in enumerate(analyses):
         base = f"analyses[{i}]"
         obj = check.obj(entry, base)

@@ -255,14 +255,14 @@ def _walk_batch(
     for the lanes whose jump changed operational status (delta +1 on
     entering the operational set, -1 on leaving it).
 
-    Returns (survived, absorb_time, occupancy_time) arrays for the slice.
+    Returns (absorb_time, occupancy_time) arrays for the slice; the
+    absorption time is nan for a trial that did not stop on failure.
     """
     m = hi - lo
     first = np.uint64(lo)
     trial = np.arange(lo, hi, dtype=np.uint64)
     state = np.full(m, start, dtype=np.int64)
     t = np.zeros(m)
-    survived = np.ones(m, dtype=bool)
     absorb_time = np.full(m, np.nan)
     occupancy = np.zeros(m)
     track = occupancy_mask is not None
@@ -317,11 +317,9 @@ def _walk_batch(
             up = kernel.operational[state]
             if not up.all():
                 down = ~up
-                idx = trial[down] - first
-                survived[idx] = False
-                absorb_time[idx] = t[down]
+                absorb_time[trial[down] - first] = t[down]
                 trial, state, t = trial[up], state[up], t[up]
-    return survived, absorb_time, occupancy
+    return absorb_time, occupancy
 
 
 def _run_partitioned(worker, n_trials: int, threads: int):
@@ -350,20 +348,10 @@ def estimate_reliability(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads
 
     Trials run on the absorbing variant of the chain; the estimate is the
     sample mean of survival indicators with binomial standard error and a
-    normal 95% CI clamped to [0, 1].
+    normal 95% CI clamped to [0, 1].  It is the one-point reliability curve
+    at ``cfg.horizon``.
     """
-    _check_operational_start(chain, start)
-    kernel = _ChainKernel(chain)
-    survived = np.zeros(cfg.n_trials, dtype=bool)
-
-    def worker(lo, hi):
-        s, _, _ = _walk_batch(
-            kernel, start, lo, hi, cfg.seed, 0, cfg.horizon, True, cfg.max_events
-        )
-        survived[lo:hi] = s
-
-    _run_partitioned(worker, cfg.n_trials, threads)
-    return _binomial_estimate(int(survived.sum()), cfg.n_trials)
+    return estimate_reliability_curve(chain, start, cfg, [cfg.horizon], threads)[0]
 
 
 def estimate_reliability_curve(
@@ -374,7 +362,7 @@ def estimate_reliability_curve(
     Trials are simulated once out to the largest requested time; the
     estimate at time t is the fraction of trials not yet absorbed by t.
     Point estimates across the grid are therefore correlated, but each one
-    is the same unbiased estimator :func:`estimate_reliability` computes.
+    is the unbiased survival-fraction estimator at its time.
     """
     _check_operational_start(chain, start)
     grid = np.asarray(times, dtype=float)
@@ -387,7 +375,7 @@ def estimate_reliability_curve(
     absorb = np.full(cfg.n_trials, np.inf)
 
     def worker(lo, hi):
-        _, a, _ = _walk_batch(kernel, start, lo, hi, cfg.seed, 0, horizon, True, cfg.max_events)
+        a, _ = _walk_batch(kernel, start, lo, hi, cfg.seed, 0, horizon, True, cfg.max_events)
         absorb[lo:hi] = np.where(np.isnan(a), np.inf, a)
 
     _run_partitioned(worker, cfg.n_trials, threads)
@@ -407,7 +395,7 @@ def estimate_mttf(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads: int =
     ttf = np.zeros(cfg.n_trials)
 
     def worker(lo, hi):
-        _, absorb, _ = _walk_batch(
+        absorb, _ = _walk_batch(
             kernel, start, lo, hi, cfg.seed, 0, None, True, cfg.max_events
         )
         ttf[lo:hi] = absorb
@@ -445,7 +433,7 @@ def estimate_occupancy(
     frac = np.zeros(cfg.n_trials)
 
     def worker(lo, hi):
-        _, _, occ = _walk_batch(
+        _, occ = _walk_batch(
             kernel, start, lo, hi, cfg.seed, 0, cfg.horizon, False, cfg.max_events,
             occupancy_mask=mask, burn_in=burn_in,
         )

@@ -181,13 +181,17 @@ def r_out_of_n_availability(system: RoutOfNSystem) -> float:
     Computed exactly (up to floating point) by the Poisson-binomial
     dynamic program over (subsystem index, number up).
     """
-    ps = [subsystem_availability(sub) for sub in system.subsystems]
-    dp = np.zeros(system.n + 1)
+    return _at_least(system.r, [subsystem_availability(sub) for sub in system.subsystems])
+
+
+def _at_least(r: int, ps) -> float:
+    """P(at least r successes) among independent events of probabilities ``ps``."""
+    dp = np.zeros(len(ps) + 1)
     dp[0] = 1.0
     for p in ps:
         dp[1:] = dp[1:] * (1.0 - p) + dp[:-1] * p
         dp[0] *= 1.0 - p
-    return float(dp[system.r:].sum())
+    return float(dp[r:].sum())
 
 
 def decompose(system: RoutOfNSystem) -> AnalysisReport:
@@ -195,12 +199,15 @@ def decompose(system: RoutOfNSystem) -> AnalysisReport:
 
     Chain subsystems get analytic availability and MTTF rows; bare
     subsystems echo their given availability.  The composition row equals
-    :func:`r_out_of_n_availability` exactly.
+    :func:`r_out_of_n_availability` exactly, from the same availabilities,
+    so each chain's steady state is solved once.
     """
     results = []
     echo_subs = []
+    availabilities = []
     for i, sub in enumerate(system.subsystems):
         availability = subsystem_availability(sub)
+        availabilities.append(availability)
         results.append(
             Result(metric=f"subsystem[{i}].availability", value=availability, method="analytic")
         )
@@ -222,7 +229,7 @@ def decompose(system: RoutOfNSystem) -> AnalysisReport:
     results.append(
         Result(
             metric="system.availability",
-            value=r_out_of_n_availability(system),
+            value=_at_least(system.r, availabilities),
             method="analytic",
         )
     )

@@ -249,10 +249,12 @@ def test_c11_cli_reproducibility(tmp_path):
         "seed": 42,
         "parameters": {"lambda": 0.01, "mu": 0.1},
         "analyses": [
-            {"op": "reliability", "n_trials": 50_000, "horizon": 10.0},
-            {"op": "mttf", "n_trials": 50_000},
+            {"op": "reliability", "n_trials": 100_000, "horizon": 10.0},
+            {"op": "mttf", "n_trials": 100_000},
         ],
     }
+    # more trials than one thread's minimum slice, so --threads 8 really splits the walk
+    assert all(a["n_trials"] > montecarlo._MIN_SLICE for a in doc["analyses"])
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
 

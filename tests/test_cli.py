@@ -415,6 +415,26 @@ class TestMalformedCorpus:
             assert line.count(":") >= 2  # category and path segments
 
 
+# every document command on a document of another kind: exit 1 and exactly this line
+WRONG_KIND = [
+    ("weibull fit", MSDR_DOC, "weibull fit needs a document of kind weibull, got msdr"),
+    ("markov solve", WEIBULL_FIT_DOC, "markov solve needs a document of kind markov or msdr, got weibull"),
+    ("markov transient", ROUTOFN_DOC,
+     "markov transient needs a document of kind markov or msdr, got r_out_of_n"),
+    ("markov metrics", WEIBULL_FIT_DOC, "markov metrics needs a document of kind markov or msdr, got weibull"),
+    ("mc reliability", ROUTOFN_DOC, "mc reliability needs a document of kind markov or msdr, got r_out_of_n"),
+    ("mc mttf", WEIBULL_FIT_DOC, "mc mttf needs a document of kind markov or msdr, got weibull"),
+    ("sec msdr", TWO_STATE_DOC, "sec msdr needs a document of kind msdr, got markov"),
+    ("sec routofn", MSDR_DOC, "sec routofn needs a document of kind r_out_of_n, got msdr"),
+]
+# a chain document whose analyses hold only 'solve'
+MISSING_ENTRY = [
+    ("mc reliability", "mc reliability needs an analyses entry with op 'reliability'"),
+    ("mc mttf", "mc mttf needs an analyses entry with op 'mttf'"),
+    ("markov transient", "markov transient needs --grid or an analyses entry with 't'"),
+]
+
+
 class TestExitCodes:
     def test_numerical_error_exits_2(self, capsys):
         # hazard/density diverge at t=0 for shape < 1
@@ -441,10 +461,16 @@ class TestExitCodes:
         code, _, err = run(capsys, ["markov", "solve", "--file", "/nonexistent/x.json"])
         assert code == 1
 
-    def test_wrong_kind_is_validation_error(self, capsys, write_doc):
-        path = write_doc(MSDR_DOC)
-        code, _, err = run(capsys, ["weibull", "fit", "--file", path])
-        assert code == 1
+    @pytest.mark.parametrize("command, doc, message", WRONG_KIND, ids=[c for c, _, _ in WRONG_KIND])
+    def test_wrong_kind_is_validation_error(self, capsys, write_doc, command, doc, message):
+        code, out, err = run(capsys, [*command.split(), "--file", write_doc(doc)])
+        assert (code, out, err) == (1, "", f"error: validation: {message}\n")
+
+    @pytest.mark.parametrize("command, message", MISSING_ENTRY, ids=[c for c, _ in MISSING_ENTRY])
+    def test_missing_entry_is_validation_error(self, capsys, write_doc, command, message):
+        doc = {**TWO_STATE_DOC, "analyses": [{"op": "solve"}]}
+        code, out, err = run(capsys, [*command.split(), "--file", write_doc(doc)])
+        assert (code, out, err) == (1, "", f"error: validation: {message}\n")
 
     def test_validation_error_lines_are_single_line_parsable(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -17,14 +17,11 @@ from securakit.markov import (
     Ctmc,
     ProbabilityVector,
     StateSpace,
-    TransitionMatrix,
     absorbing_variant,
-    analytic_metrics,
     availability_at,
     availability_steady,
     availability_two_state,
     build_two_state,
-    discretize,
     mttf_absorbing,
     mttf_rate_sum,
     mttr,
@@ -102,33 +99,14 @@ class TestConstruction:
 
 
 class TestDiscretize:
-    def test_hand_example(self):
-        p = discretize(build_two_state(0.01, 0.1), 1.0)
-        np.testing.assert_allclose(p.probs, [[0.99, 0.01], [0.1, 0.9]], rtol=0, atol=1e-15)
-        assert p.dt == 1.0
-
-    def test_step_too_large(self):
-        with pytest.raises(DomainError):
-            discretize(build_two_state(0.01, 0.1), 11.0)
-
-    def test_nonpositive_step(self):
-        with pytest.raises(DomainError):
-            discretize(build_two_state(0.01, 0.1), 0.0)
-
-    def test_rows_stochastic(self):
-        rng = CounterRng(seed=4)
-        for _ in range(20):
-            chain = random_chain(rng)
-            dt = 0.9 / chain.exit_rates().max()
-            p = discretize(chain, dt).probs
-            np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    """Power iteration of the first-order step matrix P = I + dt*Q."""
 
     def test_power_iteration_matches_steady_state(self):
         rng = CounterRng(seed=5)
         for _ in range(10):
             chain = random_chain(rng)
             for frac in (0.1, 0.9):
-                p = discretize(chain, frac / chain.exit_rates().max()).probs
+                p = np.eye(chain.n) + frac / chain.exit_rates().max() * chain.generator
                 v = np.full(chain.n, 1.0 / chain.n)
                 for _ in range(200_000):
                     nxt = v @ p
@@ -550,13 +528,6 @@ class TestHittingTimes:
         with pytest.raises(DomainError):
             mttr(build_two_state(0.1, 0.1), 0)
 
-    def test_metrics_bundle(self):
-        bundle = analytic_metrics(build_two_state(0.01, 0.1), start=0, failed=1)
-        assert bundle.mttf == pytest.approx(100.0)
-        assert bundle.mttr == pytest.approx(10.0)
-        assert bundle.availability == pytest.approx(10 / 11)
-        assert bundle.method == "analytic"
-
 
 class TestVectors:
     def test_probability_vector_validation(self):
@@ -564,12 +535,6 @@ class TestVectors:
             ProbabilityVector(np.array([0.5, 0.6]))
         with pytest.raises(DomainError):
             ProbabilityVector(np.array([-0.1, 1.1]))
-
-    def test_transition_matrix_validation(self):
-        with pytest.raises(DomainError):
-            TransitionMatrix(np.array([[0.5, 0.4], [0.1, 0.9]]), dt=1.0)
-        with pytest.raises(DomainError):
-            TransitionMatrix(np.array([[1.2, -0.2], [0.0, 1.0]]), dt=1.0)
 
 
 @given(rates_pairs)

@@ -266,6 +266,16 @@ class TestDecompose:
         composed = next(r for r in report.results if r.metric == "system.availability")
         assert composed.value == r_out_of_n_availability(system)
 
+    def test_each_chain_steady_state_is_solved_once(self, monkeypatch):
+        solve, solved = markov.steady_state, []
+        monkeypatch.setattr(markov, "steady_state", lambda chain: solved.append(chain) or solve(chain))
+        chains = (build_two_state(0.01, 0.1), build_two_state(0.02, 0.3))
+        system = RoutOfNSystem(r=2, subsystems=(ChainSubsystem(chains[0]), 0.9, ChainSubsystem(chains[1])))
+        report = decompose(system)
+        assert solved == list(chains)
+        composed = next(r for r in report.results if r.metric == "system.availability")
+        assert composed.value == r_out_of_n_availability(system)
+
     def test_bare_subsystems_have_no_mttf_row(self):
         report = decompose(RoutOfNSystem(r=1, subsystems=(0.9,)))
         metrics = [r.metric for r in report.results]
