@@ -6,16 +6,16 @@ Subcommands::
     securakit weibull fit --file MODEL [--method rank_regression|mle|both]
     securakit markov solve|transient|metrics --file MODEL
     securakit mc reliability|mttf --file MODEL [--seed S] [--threads N]
-    securakit sec msdr|routofn --file MODEL
-    securakit validate MODEL
+    securakit sec msdr --file MODEL
+    securakit sec routofn --file MODEL [--seed S] [--threads N]
+    securakit validate MODEL [--quiet]
 
-Global flags: ``--format {json,csv,table}`` (default table), ``--out PATH``,
-``--seed`` (overrides any in-document seed), ``--quiet``.  ``markov
+Every command takes ``--format {json,csv,table}`` (default table) and ``--out
+PATH``; a flag the command does not read is a usage error.  ``markov
 transient`` and ``mc reliability`` accept ``--grid t0:t1:steps`` and emit a
-series block for plotting.  Monte Carlo subcommands accept ``--threads``
-(default: machine parallelism, or the ``SECURAKIT_THREADS`` environment
-variable); results are independent of the thread count by the stream
-design.
+series block for plotting.  ``--seed`` overrides any in-document seed;
+``--threads`` defaults to ``SECURAKIT_THREADS`` or the machine parallelism,
+and results are independent of the thread count by the stream design.
 
 Exit codes: 0 success, 1 validation error, 2 numerical/convergence error,
 3 usage error.  Errors are reported one per line on stderr as
@@ -174,9 +174,9 @@ def _markov_transient(ctx: _Context) -> AnalysisReport:
     if ctx.args.grid is not None:
         grid = _parse_grid(ctx.args.grid)
     elif "t" in settings:
-        t_final = settings["t"]
-        dt = settings.get("dt")
-        grid = np.arange(0.0, t_final + dt / 2, dt) if dt else np.array([t_final])
+        # 0, dt, 2*dt, ... up to and including t; a step within rounding of t is t itself
+        t_final, dt = settings["t"], settings.get("dt", math.inf)
+        grid = np.append(np.arange(math.ceil(t_final / dt * (1 - 1e-9))) * dt, t_final)
     else:
         raise ValidationError("markov transient needs --grid or an analyses entry with 't'")
     pi0 = np.zeros(chain.n)
@@ -304,11 +304,12 @@ def build_parser() -> _Parser:
             p.add_argument("--grid", metavar="T0:T1:STEPS", default=None)
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
         p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--seed", type=int, default=None, help="overrides any in-document seed")
-        p.add_argument("--quiet", action="store_true")
-        if group in ("mc", "sec"):
+        if command.op in model_io.MC_OPS:
+            p.add_argument("--seed", type=int, default=None, help="overrides any in-document seed")
             p.add_argument("--threads", type=int, default=None,
                            help="worker threads (default: SECURAKIT_THREADS or machine parallelism)")
+        if command.handler is _validate:
+            p.add_argument("--quiet", action="store_true")
     return root
 
 
@@ -331,7 +332,7 @@ def _run(args) -> AnalysisReport | None:
         model = model_io.build_r_out_of_n(doc)
     else:
         model, start = model_io.build_chain(doc)
-    request = doc.find_analysis(command.op)
+    request = next((r for r in doc.analyses if r.op == command.op), None)
     if start is not None:
         start = int(request.settings.get("start", start) if request else start)
         if not 0 <= start < model.n:
@@ -365,7 +366,10 @@ def main(argv=None) -> int:
         if rep is not None:
             text = emit_report(rep, args.format)
             if args.out:
-                Path(args.out).write_text(text, encoding="utf-8")
+                try:
+                    Path(args.out).write_text(text, encoding="utf-8")
+                except OSError as exc:
+                    raise UsageError(f"cannot write {args.out}: {exc}") from exc
             else:
                 sys.stdout.write(text)
         return EXIT_OK

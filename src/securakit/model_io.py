@@ -28,43 +28,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import SchemaError
 from .markov import Ctmc, StateSpace, build_two_state
 from .report import AnalysisReport, emit_report, from_json  # noqa: F401  (public surface)
-from .securability import ChainSubsystem, MsDrRates, RoutOfNSystem, ThreatProfile, build_msdr
+from .securability import (
+    ChainSubsystem, MsDrRates, RoutOfNSystem, ThreatProfile, build_msdr, combine_failure_and_attack,
+)
 from .weibull import FailureSample, WeibullModel
-
-KINDS = ("weibull", "markov", "msdr", "r_out_of_n")
 
 _SEED_BOUND = 2 ** 64
 _TRIALS_BOUND = 2 ** 32
-
-# analyses permitted per document kind; the CLI takes the kinds a command accepts from here
-_CHAIN_OPS = ("solve", "transient", "metrics", "reliability", "mttf")
-OPS = {
-    "weibull": ("eval", "fit"),
-    "markov": _CHAIN_OPS,
-    "msdr": ("msdr",) + _CHAIN_OPS,
-    "r_out_of_n": ("routofn", "threshold_reliability"),
-}
-# settings accepted per op: name -> (required, validator tag)
-_MC_COMMON = {"n_trials": (True, "trials"), "horizon": (True, "nonneg"),
-              "seed": (False, "seed"), "max_events": (False, "trials")}
-_OP_SETTINGS = {
-    "eval": {"t": (True, "nonneg")},
-    "fit": {"method": (False, "fit_method")},
-    "solve": {},
-    "msdr": {},
-    "routofn": {},
-    "transient": {"t": (False, "nonneg"), "start": (False, "index"), "dt": (False, "positive")},
-    "metrics": {"start": (False, "index"), "failed": (False, "index")},
-    "reliability": dict(_MC_COMMON),
-    "mttf": {**_MC_COMMON, "horizon": (False, "nonneg")},
-    "threshold_reliability": {**_MC_COMMON, "threshold": (False, "unit_open")},
-}
 
 
 @dataclass
@@ -85,12 +62,6 @@ class ModelDocument:
     time_unit: str | None = None
     seed: int | None = None
 
-    def find_analysis(self, op: str) -> AnalysisRequest | None:
-        for req in self.analyses:
-            if req.op == op:
-                return req
-        return None
-
 
 class _Check:
     """Diagnostic collector with typed accessors."""
@@ -100,6 +71,22 @@ class _Check:
 
     def error(self, path: str, message: str) -> None:
         self.diags.append((path, message))
+
+    def keys(self, obj: dict, allowed, base: str, message: str, validate=None) -> dict:
+        """Report each key of ``obj`` outside ``allowed`` at ``base.key``, in document order.
+
+        ``validate(key, value, path)`` checks each allowed key as it comes, so
+        its diagnostics keep the document order too; the values it accepts
+        are returned by key.
+        """
+        valid = {}
+        for key, value in obj.items():
+            path = f"{base}.{key}" if base else key
+            if key not in allowed:
+                self.error(path, message)
+            elif validate is not None and (x := validate(key, value, path)) is not None:
+                valid[key] = x
+        return valid
 
     def obj(self, value, path):
         if not isinstance(value, dict):
@@ -165,38 +152,63 @@ class _Check:
             return None
         return value
 
-
-def _validate_setting(check: _Check, tag: str, value, path: str):
-    if tag == "trials":
-        return check.integer(value, path, lo=1, hi=_TRIALS_BOUND)
-    if tag == "seed":
-        return check.integer(value, path, lo=0, hi=_SEED_BOUND)
-    if tag == "index":
-        return check.integer(value, path, lo=0)
-    if tag == "positive":
-        return check.number(value, path, positive=True)
-    if tag == "nonneg":
-        return check.number(value, path, nonneg=True)
-    if tag == "unit_open":
-        return check.number(value, path, unit_open=True)
-    if tag == "fit_method":
-        return check.string(value, path, choices=("rank_regression", "mle", "both"))
-    raise AssertionError(f"unknown setting tag {tag}")
+    def state_id(self, idx, n, path) -> None:
+        """Report a checked state id ``idx`` at or above a known state count ``n``."""
+        if idx is not None and n is not None and idx >= n:
+            self.error(path, f"state id {idx} out of range 0..{n - 1}")
 
 
-def _validate_states_and_transitions(check: _Check, params: dict, base: str):
-    """Shared validation for explicit chain declarations; returns (states, transitions)."""
+# setting validators, called as f(check, value, path)
+_TRIALS = partial(_Check.integer, lo=1, hi=_TRIALS_BOUND)
+_SEED = partial(_Check.integer, lo=0, hi=_SEED_BOUND)
+_INDEX = partial(_Check.integer, lo=0)
+_NONNEG = partial(_Check.number, nonneg=True)
+
+# analyses permitted per document kind; the CLI takes the kinds a command accepts from here
+_CHAIN_OPS = ("solve", "transient", "metrics", "reliability", "mttf")
+OPS = {
+    "weibull": ("eval", "fit"),
+    "markov": _CHAIN_OPS,
+    "msdr": ("msdr",) + _CHAIN_OPS,
+    "r_out_of_n": ("routofn", "threshold_reliability"),
+}
+# the Monte Carlo ops: the only ones that read a seed or a thread count
+MC_OPS = ("reliability", "mttf", "threshold_reliability")
+_MC_COMMON = {"n_trials": (True, _TRIALS), "seed": (False, _SEED), "max_events": (False, _TRIALS)}
+# settings accepted per op: name -> (required, validator)
+_OP_SETTINGS = {
+    "eval": {"t": (True, _NONNEG)},
+    "fit": {"method": (False, partial(_Check.string, choices=("rank_regression", "mle", "both")))},
+    "solve": {},
+    "msdr": {},
+    "routofn": {},
+    "transient": {"t": (False, _NONNEG), "start": (False, _INDEX),
+                  "dt": (False, partial(_Check.number, positive=True))},
+    "metrics": {"start": (False, _INDEX), "failed": (False, _INDEX)},
+    "reliability": {**_MC_COMMON, "horizon": (True, _NONNEG)},
+    "mttf": _MC_COMMON,
+    "threshold_reliability": {**_MC_COMMON, "horizon": (True, _NONNEG),
+                              "threshold": (False, partial(_Check.number, unit_open=True))},
+}
+
+
+def _validate_start(check: _Check, obj: dict, base: str, n: int | None) -> None:
+    """A chain's ``start``: optional, and when present a state id below ``n`` (if known)."""
+    if "start" in obj:
+        check.state_id(_INDEX(check, obj["start"], f"{base}.start"), n, f"{base}.start")
+
+
+def _validate_chain(check: _Check, params: dict, base: str) -> None:
+    """An explicit chain declaration: its states, transitions and start."""
     states = check.array(params.get("states"), f"{base}.states", min_len=1)
-    n = len(states) if states else 0
+    n = len(states) if states is not None else None
     any_op = False
     if states is not None:
         for i, st in enumerate(states):
             obj = check.obj(st, f"{base}.states[{i}]")
             if obj is None:
                 continue
-            for key in obj:
-                if key not in ("label", "operational"):
-                    check.error(f"{base}.states[{i}].{key}", "unknown key")
+            check.keys(obj, ("label", "operational"), f"{base}.states[{i}]", "unknown key")
             check.string(obj.get("label"), f"{base}.states[{i}].label")
             flag = check.boolean(obj.get("operational"), f"{base}.states[{i}].operational")
             any_op = any_op or bool(flag)
@@ -208,45 +220,32 @@ def _validate_states_and_transitions(check: _Check, params: dict, base: str):
             obj = check.obj(tr, f"{base}.transitions[{i}]")
             if obj is None:
                 continue
-            for key in obj:
-                if key not in ("from", "to", "rate"):
-                    check.error(f"{base}.transitions[{i}].{key}", "unknown key")
+            check.keys(obj, ("from", "to", "rate"), f"{base}.transitions[{i}]", "unknown key")
             src = check.integer(obj.get("from"), f"{base}.transitions[{i}].from", lo=0)
             dst = check.integer(obj.get("to"), f"{base}.transitions[{i}].to", lo=0)
             check.number(obj.get("rate"), f"{base}.transitions[{i}].rate", positive=True)
-            if states is not None:
-                if src is not None and src >= n:
-                    check.error(f"{base}.transitions[{i}].from", f"state id {src} out of range 0..{n - 1}")
-                if dst is not None and dst >= n:
-                    check.error(f"{base}.transitions[{i}].to", f"state id {dst} out of range 0..{n - 1}")
+            check.state_id(src, n, f"{base}.transitions[{i}].from")
+            check.state_id(dst, n, f"{base}.transitions[{i}].to")
             if src is not None and dst is not None and src == dst:
                 check.error(f"{base}.transitions[{i}]", "self-transitions are not allowed")
-    return states, transitions
+    _validate_start(check, params, base, n)
 
 
 def _validate_weibull_params(check: _Check, params: dict):
-    known = {"alpha", "beta", "data"}
-    for key in params:
-        if key not in known:
-            check.error(f"parameters.{key}", "unknown key for kind=weibull")
     has_model = "alpha" in params or "beta" in params
     if has_model:
         check.number(params.get("alpha"), "parameters.alpha", positive=True)
         check.number(params.get("beta"), "parameters.beta", positive=True)
-    data = params.get("data")
-    if data is not None:
-        obj = check.obj(data, "parameters.data")
-        if obj is not None:
-            for key in obj:
-                if key not in ("times", "censored"):
-                    check.error(f"parameters.data.{key}", "unknown key")
-            times = check.array(obj.get("times"), "parameters.data.times", min_len=1)
+    if "data" in params:
+        data = check.obj(params["data"], "parameters.data")
+        if data is not None:
+            check.keys(data, ("times", "censored"), "parameters.data", "unknown key")
+            times = check.array(data.get("times"), "parameters.data.times", min_len=1)
             if times is not None:
                 for i, t in enumerate(times):
                     check.number(t, f"parameters.data.times[{i}]", positive=True)
-            censored = obj.get("censored")
-            if censored is not None:
-                flags = check.array(censored, "parameters.data.censored")
+            if "censored" in data:
+                flags = check.array(data["censored"], "parameters.data.censored")
                 if flags is not None:
                     for i, c in enumerate(flags):
                         check.boolean(c, f"parameters.data.censored[{i}]")
@@ -256,39 +255,26 @@ def _validate_weibull_params(check: _Check, params: dict):
                         isinstance(c, bool) and c for c in flags
                     ):
                         check.error("parameters.data.censored", "at least one uncensored entry is required")
-    if not has_model and data is None:
+    elif not has_model:
         check.error("parameters", "kind=weibull needs alpha/beta (for eval) or data (for fit)")
 
 
 def _validate_markov_params(check: _Check, params: dict):
-    known = {"lambda", "mu", "states", "transitions", "start"}
-    for key in params:
-        if key not in known:
-            check.error(f"parameters.{key}", "unknown key for kind=markov")
     shortcut = "lambda" in params or "mu" in params
     explicit = "states" in params or "transitions" in params
     if shortcut and explicit:
         check.error("parameters", "give either lambda/mu or states/transitions, not both")
-        return
-    if shortcut:
+    elif shortcut:
         check.number(params.get("lambda"), "parameters.lambda", positive=True)
         check.number(params.get("mu"), "parameters.mu", positive=True)
+        _validate_start(check, params, "parameters", 2)
     elif explicit:
-        states, _ = _validate_states_and_transitions(check, params, "parameters")
-        start = params.get("start")
-        if start is not None:
-            idx = check.integer(start, "parameters.start", lo=0)
-            if idx is not None and states is not None and idx >= len(states):
-                check.error("parameters.start", f"state id {idx} out of range 0..{len(states) - 1}")
+        _validate_chain(check, params, "parameters")
     else:
         check.error("parameters", "kind=markov needs lambda/mu or states/transitions")
 
 
 def _validate_msdr_params(check: _Check, params: dict):
-    known = {"lambda_ms", "lambda_dr", "mu_ms", "mu_dr", "single_repair_crew", "attack"}
-    for key in params:
-        if key not in known:
-            check.error(f"parameters.{key}", "unknown key for kind=msdr")
     for key in ("lambda_ms", "lambda_dr", "mu_ms", "mu_dr"):
         if key not in params:
             check.error(f"parameters.{key}", "required key missing")
@@ -296,22 +282,23 @@ def _validate_msdr_params(check: _Check, params: dict):
             check.number(params[key], f"parameters.{key}", positive=True)
     if "single_repair_crew" in params:
         check.boolean(params["single_repair_crew"], "parameters.single_repair_crew")
-    attack = params.get("attack")
-    if attack is not None:
-        obj = check.obj(attack, "parameters.attack")
-        if obj is not None:
-            for key in obj:
-                if key not in ("rate", "applies_to"):
-                    check.error(f"parameters.attack.{key}", "unknown key")
-            check.number(obj.get("rate"), "parameters.attack.rate", nonneg=True)
-            check.string(obj.get("applies_to"), "parameters.attack.applies_to", choices=("ms", "dr", "both"))
+    if "attack" in params:
+        attack = check.obj(params["attack"], "parameters.attack")
+        if attack is not None:
+            check.keys(attack, ("rate", "applies_to"), "parameters.attack", "unknown key")
+            check.number(attack.get("rate"), "parameters.attack.rate", nonneg=True)
+            check.string(attack.get("applies_to"), "parameters.attack.applies_to", choices=("ms", "dr", "both"))
+
+
+# keys allowed per r-out-of-n subsystem type
+_SUBSYSTEM_KEYS = {
+    "probability": ("type", "p"),
+    "two_state": ("type", "lambda", "mu"),
+    "chain": ("type", "states", "transitions", "start"),
+}
 
 
 def _validate_r_out_of_n_params(check: _Check, params: dict):
-    known = {"r", "subsystems"}
-    for key in params:
-        if key not in known:
-            check.error(f"parameters.{key}", "unknown key for kind=r_out_of_n")
     subs = check.array(params.get("subsystems"), "parameters.subsystems", min_len=1)
     r = check.integer(params.get("r"), "parameters.r", lo=1)
     if r is not None and subs is not None and r > len(subs):
@@ -323,28 +310,28 @@ def _validate_r_out_of_n_params(check: _Check, params: dict):
         obj = check.obj(sub, base)
         if obj is None:
             continue
-        kind = check.string(obj.get("type"), f"{base}.type", choices=("probability", "two_state", "chain"))
+        kind = check.string(obj.get("type"), f"{base}.type", choices=_SUBSYSTEM_KEYS)
+        if kind is None:
+            continue
+        check.keys(obj, _SUBSYSTEM_KEYS[kind], base, "unknown key")
         if kind == "probability":
-            for key in obj:
-                if key not in ("type", "p"):
-                    check.error(f"{base}.{key}", "unknown key")
             check.number(obj.get("p"), f"{base}.p", unit=True)
         elif kind == "two_state":
-            for key in obj:
-                if key not in ("type", "lambda", "mu"):
-                    check.error(f"{base}.{key}", "unknown key")
             check.number(obj.get("lambda"), f"{base}.lambda", positive=True)
             check.number(obj.get("mu"), f"{base}.mu", positive=True)
-        elif kind == "chain":
-            for key in obj:
-                if key not in ("type", "states", "transitions", "start"):
-                    check.error(f"{base}.{key}", "unknown key")
-            states, _ = _validate_states_and_transitions(check, obj, base)
-            start = obj.get("start")
-            if start is not None:
-                idx = check.integer(start, f"{base}.start", lo=0)
-                if idx is not None and states is not None and idx >= len(states):
-                    check.error(f"{base}.start", f"state id {idx} out of range 0..{len(states) - 1}")
+        else:
+            _validate_chain(check, obj, base)
+
+
+# per kind: the parameter keys it allows and the validator of their values
+_KIND_PARAMS = {
+    "weibull": (("alpha", "beta", "data"), _validate_weibull_params),
+    "markov": (("lambda", "mu", "states", "transitions", "start"), _validate_markov_params),
+    "msdr": (
+        ("lambda_ms", "lambda_dr", "mu_ms", "mu_dr", "single_repair_crew", "attack"), _validate_msdr_params
+    ),
+    "r_out_of_n": (("r", "subsystems"), _validate_r_out_of_n_params),
+}
 
 
 def _validate_analyses(check: _Check, kind: str, analyses) -> list[AnalysisRequest]:
@@ -352,26 +339,19 @@ def _validate_analyses(check: _Check, kind: str, analyses) -> list[AnalysisReque
     entries = check.array(analyses, "analyses")
     if entries is None:
         return requests
-    allowed = OPS.get(kind, ())
-    for i, entry in enumerate(analyses):
+    for i, entry in enumerate(entries):
         base = f"analyses[{i}]"
         obj = check.obj(entry, base)
         if obj is None:
             continue
-        op = check.string(obj.get("op"), f"{base}.op", choices=allowed)
+        op = check.string(obj.get("op"), f"{base}.op", choices=OPS[kind])
         if op is None:
             continue
         spec = _OP_SETTINGS[op]
-        settings = {}
-        for key, value in obj.items():
-            if key == "op":
-                continue
-            if key not in spec:
-                check.error(f"{base}.{key}", f"unknown setting for op {op!r}")
-                continue
-            validated = _validate_setting(check, spec[key][1], value, f"{base}.{key}")
-            if validated is not None:
-                settings[key] = validated
+        settings = check.keys(
+            obj, ("op", *spec), base, f"unknown setting for op {op!r}",
+            lambda key, value, path: None if key == "op" else spec[key][1](check, value, path),
+        )
         for key, (required, _) in spec.items():
             if required and key not in obj:
                 check.error(f"{base}.{key}", f"required setting missing for op {op!r}")
@@ -397,25 +377,16 @@ def parse_model(text: str) -> ModelDocument:
     if root is None:
         raise SchemaError(check.diags)
 
-    for key in root:
-        if key not in ("kind", "time_unit", "seed", "parameters", "analyses"):
-            check.error(key, "unknown top-level key")
-    kind = check.string(root.get("kind"), "kind", choices=KINDS)
-    time_unit = None
-    if "time_unit" in root:
-        time_unit = check.string(root["time_unit"], "time_unit")
-    seed = None
-    if "seed" in root:
-        seed = check.integer(root["seed"], "seed", lo=0, hi=_SEED_BOUND)
+    check.keys(root, ("kind", "time_unit", "seed", "parameters", "analyses"), "", "unknown top-level key")
+    kind = check.string(root.get("kind"), "kind", choices=OPS)
+    time_unit = check.string(root["time_unit"], "time_unit") if "time_unit" in root else None
+    seed = _SEED(check, root["seed"], "seed") if "seed" in root else None
     params = check.obj(root.get("parameters"), "parameters")
 
     if kind is not None and params is not None:
-        {
-            "weibull": _validate_weibull_params,
-            "markov": _validate_markov_params,
-            "msdr": _validate_msdr_params,
-            "r_out_of_n": _validate_r_out_of_n_params,
-        }[kind](check, params)
+        allowed, validate = _KIND_PARAMS[kind]
+        check.keys(params, allowed, "parameters", f"unknown key for kind={kind}")
+        validate(check, params)
 
     analyses: list[AnalysisRequest] = []
     if kind is not None and "analyses" in root:
@@ -434,14 +405,9 @@ def parse_model(text: str) -> ModelDocument:
             n_states = 2
         elif isinstance(params.get("states"), list):
             n_states = len(params["states"])
-        if n_states is not None:
-            for i, req in enumerate(analyses):
-                for key in ("start", "failed"):
-                    idx = req.settings.get(key)
-                    if idx is not None and idx >= n_states:
-                        check.error(
-                            f"analyses[{i}].{key}", f"state id {idx} out of range 0..{n_states - 1}"
-                        )
+        for i, req in enumerate(analyses):
+            for key in ("start", "failed"):
+                check.state_id(req.settings.get(key), n_states, f"analyses[{i}].{key}")
 
     if check.diags:
         raise SchemaError(check.diags)
@@ -470,8 +436,8 @@ def build_chain(doc: ModelDocument) -> tuple[Ctmc, int]:
         return build_msdr_chain(doc), 0
     params = doc.parameters
     if "lambda" in params:
-        return build_two_state(params["lambda"], params["mu"]), int(params.get("start", 0))
-    return _chain_from_declaration(params), int(params.get("start", 0))
+        return build_two_state(params["lambda"], params["mu"]), params.get("start", 0)
+    return _chain_from_declaration(params), params.get("start", 0)
 
 
 def build_msdr_chain(doc: ModelDocument) -> Ctmc:
@@ -486,9 +452,9 @@ def build_msdr_inputs(doc: ModelDocument) -> tuple[MsDrRates, bool]:
     threat = build_threat(doc)
     if threat is not None:
         if threat.applies_to in ("ms", "both"):
-            lam_ms = lam_ms + threat.attack_rate
+            lam_ms = combine_failure_and_attack(lam_ms, threat)
         if threat.applies_to in ("dr", "both"):
-            lam_dr = lam_dr + threat.attack_rate
+            lam_dr = combine_failure_and_attack(lam_dr, threat)
     rates = MsDrRates(lambda_ms=lam_ms, lambda_dr=lam_dr, mu_ms=p["mu_ms"], mu_dr=p["mu_dr"])
     return rates, bool(p.get("single_repair_crew", False))
 
@@ -520,6 +486,6 @@ def build_r_out_of_n(doc: ModelDocument) -> RoutOfNSystem:
             subs.append(ChainSubsystem(chain=build_two_state(obj["lambda"], obj["mu"]), start=0))
         else:
             subs.append(
-                ChainSubsystem(chain=_chain_from_declaration(obj), start=int(obj.get("start", 0)))
+                ChainSubsystem(chain=_chain_from_declaration(obj), start=obj.get("start", 0))
             )
     return RoutOfNSystem(r=doc.parameters["r"], subsystems=tuple(subs))

@@ -78,4 +78,23 @@ MALFORMED_DOCUMENTS = [
         '{"kind": "r_out_of_n", "parameters": {"r": 1, "subsystems": [{"type": "probability", "p": 0.5}]},'
         ' "analyses": [{"op": "threshold_reliability", "n_trials": 100, "horizon": 1, "threshold": 0}]}'
     ),
+    # a present key is validated, null included: each of these once passed and then crashed a command
+    '{"kind": "markov", "parameters": {"lambda": 0.1, "mu": 0.1, "start": "x"}}',
+    '{"kind": "markov", "parameters": {"lambda": 0.1, "mu": 0.1, "start": null}}',
+    (
+        '{"kind": "markov", "parameters": {"states": [{"label": "up", "operational": true},'
+        ' {"label": "down", "operational": false}], "transitions": [{"from": 0, "to": 1, "rate": 1}],'
+        ' "start": null}}'
+    ),
+    (
+        '{"kind": "r_out_of_n", "parameters": {"r": 1, "subsystems": [{"type": "chain",'
+        ' "states": [{"label": "a", "operational": true}, {"label": "b", "operational": false}],'
+        ' "transitions": [{"from": 0, "to": 1, "rate": 1}], "start": null}]}}'
+    ),
+    '{"kind": "weibull", "parameters": {"data": {"times": [1, 2], "censored": null}}}',
+    '{"kind": "weibull", "parameters": {"alpha": 1, "beta": 2, "data": null}, "analyses": [{"op": "fit"}]}',
+    (
+        '{"kind": "markov", "parameters": {"lambda": 0.1, "mu": 0.1},'
+        ' "analyses": [{"op": "mttf", "n_trials": 10, "horizon": 5}]}'
+    ),
 ]

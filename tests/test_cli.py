@@ -202,6 +202,12 @@ class TestHappyPaths:
         assert out == ""
         assert json.loads(target.read_text())["results"]
 
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys, write_doc):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, ["sec", "msdr", "--file", write_doc(MSDR_DOC), "--out", str(target)])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: usage: cannot write {target}: ") and err.count("\n") == 1
+
     def test_csv_format(self, capsys, write_doc):
         path = write_doc(MSDR_DOC)
         code, out, _ = run(capsys, ["sec", "msdr", "--file", path, "--format", "csv"])
@@ -325,6 +331,24 @@ class TestTransientSeries:
         code, out, _ = run(capsys, ["markov", "transient", "--file", write_doc(doc), "--format", "json"])
         assert code == 0
         assert self.assert_series_match_points(out, doc) == [7.5 * k for k in range(9)]
+
+    @pytest.mark.parametrize("t, dt, times", [
+        (5.0, 20.0, [0.0, 5.0]),
+        (1.0, 0.3, [0.0, 0.3, 0.6, 3 * 0.3, 1.0]),
+        (0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),
+        (0.9, 0.3, [0.0, 0.3, 0.6, 0.9]),
+        (2.1, 0.3, [0.3 * k for k in range(8)]),  # 2.1 / 0.3 rounds above 7, and 7 * 0.3 == 2.1
+        (48.0, 2.0, [2.0 * k for k in range(25)]),
+        (4.0, 4.0, [0.0, 4.0]),
+        (0.0, 1.0, [0.0]),
+    ])
+    def test_document_series_ends_at_t(self, capsys, write_doc, t, dt, times):
+        doc = {**birth_death_doc(6), "analyses": [{"op": "transient", "t": t, "dt": dt}]}
+        code, out, _ = run(capsys, ["markov", "transient", "--file", write_doc(doc), "--format", "json"])
+        assert code == 0
+        assert self.assert_series_match_points(out, doc) == times
+        report = json.loads(out)
+        assert report["results"][0]["value"] == report["series"][0]["values"][-1]
 
 
 class TestNonFiniteGrid:
@@ -478,6 +502,44 @@ class TestExitCodes:
         code, _, err = run(capsys, ["sec", "msdr", "--file", str(path)])
         assert code == 1
         assert all(line.startswith("error: schema: ") for line in err.strip().splitlines())
+
+
+# the document each command runs on in the flag tests
+ROUTOFN_MC_DOC = {**ROUTOFN_DOC, "analyses": [{"op": "threshold_reliability", "n_trials": 2000, "horizon": 5.0}]}
+FLAG_TARGETS = {
+    "weibull eval": None, "weibull fit": WEIBULL_FIT_DOC, "markov solve": TWO_STATE_DOC,
+    "markov transient": TWO_STATE_DOC, "markov metrics": TWO_STATE_DOC, "mc reliability": TWO_STATE_DOC,
+    "mc mttf": TWO_STATE_DOC, "sec msdr": MSDR_DOC, "sec routofn": ROUTOFN_MC_DOC, "validate": MSDR_DOC,
+}
+MONTE_CARLO_COMMANDS = ("mc reliability", "mc mttf", "sec routofn")
+# (command, flag, read): every flag that was on a command, and whether the command still takes it
+FLAG_CASES = (
+    [(command, ("--seed", "5"), command in MONTE_CARLO_COMMANDS) for command in FLAG_TARGETS]
+    + [(command, ("--quiet",), command == "validate") for command in FLAG_TARGETS]
+    + [(command, ("--threads", "0"), command != "sec msdr") for command in (*MONTE_CARLO_COMMANDS, "sec msdr")]
+)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag, read", FLAG_CASES,
+                             ids=[f"{c} {f[0]}" for c, f, _ in FLAG_CASES])
+    def test_each_command_takes_only_the_flags_it_reads(self, capsys, write_doc, command, flag, read):
+        if command == "weibull eval":
+            target = ["--alpha", "1", "--beta", "2", "--t", "1"]
+        elif command == "validate":
+            target = [write_doc(FLAG_TARGETS[command])]
+        else:
+            target = ["--file", write_doc(FLAG_TARGETS[command]), "--format", "json"]
+        code, out, err = run(capsys, [*command.split(), *target, *flag])
+        if not read:
+            assert (code, out, err) == (3, "", f"error: usage: unrecognized arguments: {' '.join(flag)}\n")
+        elif flag[0] == "--quiet":
+            assert (code, out, err) == (0, "", "")
+        elif flag[0] == "--threads":  # the handler reads the value, so 0 reaches its own check
+            assert (code, out, err) == (3, "", "error: usage: thread count must be >= 1, got 0\n")
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["seed_used"] == 5
 
 
 class TestRoundTripThroughCli:

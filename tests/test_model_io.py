@@ -1,14 +1,17 @@
 """Model document parsing/validation and report serialization tests."""
 
+import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from securakit import model_io
-from securakit.errors import SchemaError
+from securakit.errors import SchemaError, ValidationError
 from securakit.model_io import (
     ModelDocument,
     build_chain,
@@ -226,6 +229,144 @@ class TestParseModel:
         rates, _ = build_msdr_inputs(parse_model(doc(payload)))
         assert rates.lambda_ms == pytest.approx(0.015)
         assert rates.lambda_dr == 0.01
+
+
+# a present key is validated, null included; the shapes below crashed a command or were misread
+TWO_STATE_START = {"kind": "markov", "parameters": {"lambda": 0.01, "mu": 0.1, "start": 1}}
+EXPLICIT_CHAIN = {
+    "kind": "markov",
+    "parameters": {
+        "states": [{"label": "up", "operational": True}, {"label": "down", "operational": False}],
+        "transitions": [{"from": 0, "to": 1, "rate": 0.1}, {"from": 1, "to": 0, "rate": 0.9}],
+    },
+}
+FIT_DATA = {"kind": "weibull", "parameters": {"alpha": 2.0, "beta": 1.5, "data": {"times": [1.0, 2.0]}},
+            "analyses": [{"op": "fit"}]}
+
+
+def _with(payload, path, value):
+    payload = copy.deepcopy(payload)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+REJECTED_SHAPES = [
+    (_with(TWO_STATE_START, ("parameters", "start"), "x"), "parameters.start", "expected an integer, got str"),
+    (_with(TWO_STATE_START, ("parameters", "start"), None), "parameters.start",
+     "expected an integer, got NoneType"),
+    (_with(TWO_STATE_START, ("parameters", "start"), True), "parameters.start", "expected an integer, got bool"),
+    (_with(TWO_STATE_START, ("parameters", "start"), 1.7), "parameters.start", "expected an integer, got float"),
+    (_with(TWO_STATE_START, ("parameters", "start"), 5), "parameters.start", "state id 5 out of range 0..1"),
+    (_with(TWO_STATE_START, ("parameters", "start"), -1), "parameters.start", "must be >= 0, got -1"),
+    (_with(EXPLICIT_CHAIN, ("parameters", "start"), None), "parameters.start",
+     "expected an integer, got NoneType"),
+    (
+        {"kind": "r_out_of_n", "parameters": {"r": 1, "subsystems": [
+            {"type": "chain", **EXPLICIT_CHAIN["parameters"], "start": None}]}},
+        "parameters.subsystems[0].start", "expected an integer, got NoneType",
+    ),
+    (_with(FIT_DATA, ("parameters", "data", "censored"), None), "parameters.data.censored",
+     "expected an array, got NoneType"),
+    (_with(FIT_DATA, ("parameters", "data"), None), "parameters.data", "expected an object, got NoneType"),
+    (_with({**FIT_DATA, "analyses": []}, ("parameters", "data"), None), "parameters.data",
+     "expected an object, got NoneType"),
+    (_with(MSDR, ("parameters", "attack"), None), "parameters.attack", "expected an object, got NoneType"),
+    (_with(MSDR, ("analyses", 1, "horizon"), 10.0), "analyses[1].horizon", "unknown setting for op 'mttf'"),
+]
+
+
+@pytest.mark.parametrize("payload, path, message", REJECTED_SHAPES, ids=range(len(REJECTED_SHAPES)))
+def test_present_keys_are_validated(payload, path, message):
+    with pytest.raises(SchemaError) as err:
+        parse_model(doc(payload))
+    assert err.value.diagnostics == [(path, message)]
+
+
+def test_diagnostics_keep_document_order():
+    payload = {**MINIMAL_MARKOV, "bogus": 1, "analyses": [
+        {"op": "reliability", "horizon": -1, "extra": 1, "n_trials": 0, "seed": None},
+        {"mode": 1, "op": "mttf", "n_trials": 1},
+    ]}
+    with pytest.raises(SchemaError) as err:
+        parse_model(doc(payload))
+    assert err.value.diagnostics == [
+        ("bogus", "unknown top-level key"),
+        ("analyses[0].horizon", "must be >= 0, got -1"),
+        ("analyses[0].extra", "unknown setting for op 'reliability'"),
+        ("analyses[0].n_trials", "must be >= 1, got 0"),
+        ("analyses[0].seed", "expected an integer, got NoneType"),
+        ("analyses[1].mode", "unknown setting for op 'mttf'"),
+    ]
+
+
+def _schema_examples() -> list[dict]:
+    """The model documents given as examples in docs/model_schema.md."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "model_schema.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", text, re.S)]
+    return [b for b in blocks if "kind" in b]
+
+
+def _slots(node, path=()):
+    """Every (path, value) in a JSON document, the root included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _slots(child, path + (key,))
+
+
+SEED_DOCUMENTS = _schema_examples() + [TWO_STATE_START]
+ODD_VALUES = [None, "x", True, 1.7, 5, 2, 1, 0, -1, [], {}, {"rate": 1}]
+EXTRA_KEYS = ["start", "data", "censored", "attack", "horizon", "seed", "time_unit", "t", "dt", "bogus"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A schema example with one to three keys set to null, a wrong type or an extra key."""
+    payload = copy.deepcopy(draw(st.sampled_from(SEED_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_slots(payload))))
+        value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        if isinstance(node, dict) and draw(st.booleans()):
+            node[draw(st.sampled_from(EXTRA_KEYS))] = value
+        elif path:
+            payload = _with(payload, path, value)
+    return payload
+
+
+def test_schema_examples_are_valid_documents():
+    examples = _schema_examples()
+    assert sorted(d["kind"] for d in examples) == ["markov", "msdr", "r_out_of_n", "weibull"]
+    for example in examples:
+        parse_model(doc(example))
+
+
+@given(mutated_documents())
+@settings(max_examples=400, deadline=None)
+def test_accepted_documents_build(payload):
+    """A document parse_model accepts builds, or fails only with a ValidationError."""
+    try:
+        parsed = parse_model(doc(payload))
+    except SchemaError:
+        return
+    params = parsed.parameters
+    try:
+        if parsed.kind == "weibull":
+            if "alpha" in params:
+                build_weibull_model(parsed)
+            if "data" in params:
+                build_failure_sample(parsed)
+        elif parsed.kind == "r_out_of_n":
+            build_r_out_of_n(parsed)
+        else:
+            chain, start = build_chain(parsed)
+            for req in parsed.analyses:
+                resolved = req.settings.get("start", start)
+                assert type(resolved) is int and 0 <= resolved < chain.n
+    except ValidationError:
+        pass
 
 
 class TestParserNeverCrashes:
