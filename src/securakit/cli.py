@@ -124,6 +124,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"--grid needs finite T0 and T1, got {spec!r}")
     if t0 < 0 or t1 < t0 or steps < 1:
         raise UsageError("--grid needs 0 <= T0 <= T1 and STEPS >= 1")
+    if steps > model_io.MAX_SERIES_POINTS:
+        raise UsageError(f"--grid STEPS must be at most {model_io.MAX_SERIES_POINTS}, got {steps}")
     return np.linspace(t0, t1, steps)
 
 
@@ -242,7 +244,7 @@ def _sec_msdr(ctx: _Context) -> AnalysisReport:
 
 
 def _sec_routofn(ctx: _Context) -> AnalysisReport:
-    results = securability.decompose(ctx.model).results
+    results = securability.decompose(ctx.model)
     if ctx.request is None:
         return AnalysisReport({}, results)
     cfg, threads = _monte_carlo(ctx)

@@ -42,6 +42,7 @@ from .weibull import FailureSample, WeibullModel
 
 _SEED_BOUND = 2 ** 64
 _TRIALS_BOUND = 2 ** 32
+MAX_SERIES_POINTS = 10 ** 6  # in one series: --grid STEPS, or ceil(t/dt) + 1 for a transient entry
 
 
 @dataclass
@@ -355,6 +356,8 @@ def _validate_analyses(check: _Check, kind: str, analyses) -> list[AnalysisReque
         for key, (required, _) in spec.items():
             if required and key not in obj:
                 check.error(f"{base}.{key}", f"required setting missing for op {op!r}")
+        if (ratio := settings.get("t", 0.0) / settings.get("dt", float("inf"))) > MAX_SERIES_POINTS - 1:
+            check.error(f"{base}.dt", f"t/dt must be at most {MAX_SERIES_POINTS - 1}, got {ratio:g}")
         requests.append(AnalysisRequest(op=op, settings=settings))
     return requests
 

@@ -13,11 +13,11 @@ Every estimator walks its trials in vectorized waves through
 :func:`simulate_trajectory` does; that one is the reference tests compare
 against.
 
-Reliability estimation is horizon-limited on the absorbing variant of the
-chain (Eq.-10 style sample mean of survival indicators); MTTF estimation
-collects uncapped times to absorption (Eq.-11 style sample mean) with an
-event-count cap as a runaway guard.  The two are deliberately separate
-operations: collecting TTFs only up to a horizon would bias MTTF downward.
+Reliability and MTTF read per-trial absorption times (inf for a trial that
+never fails) from one walk of the absorbing variant of the chain.
+Reliability is horizon-limited (Eq.-10 style sample mean of survival
+indicators); MTTF takes uncapped times (Eq.-11 style sample mean) with an
+event-count cap as a runaway guard: a horizon would bias MTTF downward.
 """
 
 from __future__ import annotations
@@ -128,14 +128,6 @@ def _mean_estimate(samples: np.ndarray, clamp_low: float | None = None) -> Estim
     return Estimate(value=value, std_error=se, ci95=(lo, hi), n_effective=n)
 
 
-def sample_exponential(rate: float, rng: CounterRng) -> float:
-    """One Exp(rate) holding time: -ln(U)/rate with U uniform in (0, 1]."""
-    if not rate > 0:
-        raise DomainError(f"rate must be > 0, got {rate}")
-    # np.log keeps scalar draws bit-identical to the vectorized engine
-    return float(-np.log(rng.uniform()) / rate)
-
-
 def simulate_trajectory(
     chain: Ctmc, start: int, horizon: float, rng: CounterRng, max_events: int = 10 ** 9
 ) -> Trajectory:
@@ -235,7 +227,6 @@ def _walk_batch(
     seed: int,
     substream: int,
     horizon: float | None,
-    stop_on_nonop: bool,
     max_events: int,
     occupancy_mask: np.ndarray | None = None,
     burn_in: float = 0.0,
@@ -249,21 +240,22 @@ def _walk_batch(
     the same draws, in the same order, as :func:`simulate_trajectory`.
     Outcomes therefore depend only on (seed, trial), never on the batch
     partition.  The walking lanes are kept as compacted (trial, state,
-    time) arrays that are filtered only when lanes stop.
+    time) arrays that are filtered only when lanes stop: past the horizon
+    or in a state with no exits.
 
     A ``flip_log`` list receives, per wave, ``(trial, time, delta)`` arrays
     for the lanes whose jump changed operational status (delta +1 on
     entering the operational set, -1 on leaving it).
 
-    Returns (absorb_time, occupancy_time) arrays for the slice; the
-    absorption time is nan for a trial that did not stop on failure.
+    Returns (absorb_time, occupancy_time) arrays for the slice; absorb_time
+    is the entry time into a non-operational state with no exits, or inf.
     """
     m = hi - lo
     first = np.uint64(lo)
     trial = np.arange(lo, hi, dtype=np.uint64)
     state = np.full(m, start, dtype=np.int64)
     t = np.zeros(m)
-    absorb_time = np.full(m, np.nan)
+    absorb_time = np.full(m, np.inf)
     occupancy = np.zeros(m)
     track = occupancy_mask is not None
 
@@ -278,6 +270,9 @@ def _walk_batch(
         rates = kernel.exit_rates[state]
         stuck = rates <= 0
         if np.any(stuck):
+            lanes = np.flatnonzero(stuck)
+            down = lanes[~kernel.operational[state[lanes]]]
+            absorb_time[trial[down] - first] = t[down]
             if track:
                 credit(stuck, horizon)
             keep = ~stuck
@@ -313,12 +308,6 @@ def _walk_batch(
                              np.where(now_op[flipped], 1, -1)))
         state, t = nxt, t_new
         wave += 1
-        if stop_on_nonop:
-            up = kernel.operational[state]
-            if not up.all():
-                down = ~up
-                absorb_time[trial[down] - first] = t[down]
-                trial, state, t = trial[up], state[up], t[up]
     return absorb_time, occupancy
 
 
@@ -343,6 +332,19 @@ def _run_partitioned(worker, n_trials: int, threads: int):
             f.result()
 
 
+def _absorption_times(chain: Ctmc, start: int, cfg: MonteCarloConfig, horizon: float | None,
+                      threads: int) -> np.ndarray:
+    """Per-trial time of first failure, inf if none by ``horizon``: one walk of the absorbing variant."""
+    kernel = _ChainKernel(markov.absorbing_variant(chain))
+    absorb = np.empty(cfg.n_trials)
+
+    def worker(lo, hi):
+        absorb[lo:hi], _ = _walk_batch(kernel, start, lo, hi, cfg.seed, 0, horizon, cfg.max_events)
+
+    _run_partitioned(worker, cfg.n_trials, threads)
+    return absorb
+
+
 def estimate_reliability(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads: int = 1) -> Estimate:
     """Fraction of trials that never leave the operational set by the horizon.
 
@@ -359,10 +361,10 @@ def estimate_reliability_curve(
 ) -> list[Estimate]:
     """Survival estimates at several horizons from one shared set of trials.
 
-    Trials are simulated once out to the largest requested time; the
-    estimate at time t is the fraction of trials not yet absorbed by t.
-    Point estimates across the grid are therefore correlated, but each one
-    is the unbiased survival-fraction estimator at its time.
+    Trials walk the absorbing variant once, out to the largest requested
+    time; the estimate at time t is the fraction of trials not yet absorbed
+    by t.  Point estimates across the grid are therefore correlated, but
+    each one is the unbiased survival-fraction estimator at its time.
     """
     _check_operational_start(chain, start)
     grid = np.asarray(times, dtype=float)
@@ -371,37 +373,21 @@ def estimate_reliability_curve(
     if np.any(grid < 0) or np.any(np.isnan(grid)):
         raise DomainError("times must be >= 0")
     horizon = float(max(grid.max(), cfg.horizon))
-    kernel = _ChainKernel(chain)
-    absorb = np.full(cfg.n_trials, np.inf)
-
-    def worker(lo, hi):
-        a, _ = _walk_batch(kernel, start, lo, hi, cfg.seed, 0, horizon, True, cfg.max_events)
-        absorb[lo:hi] = np.where(np.isnan(a), np.inf, a)
-
-    _run_partitioned(worker, cfg.n_trials, threads)
+    absorb = _absorption_times(chain, start, cfg, horizon, threads)
     return [_binomial_estimate(int((absorb > t).sum()), cfg.n_trials) for t in grid]
 
 
 def estimate_mttf(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads: int = 1) -> Estimate:
     """Mean sampled time to absorption into the non-operational set.
 
-    Trials run without a horizon cap (capping would bias the mean downward)
-    but with a hard per-trial event cap.  Requires the failure set to be
-    reachable from every operational state the walk can visit.
+    Trials walk the absorbing variant without a horizon cap (capping would
+    bias the mean downward) but with a hard per-trial event cap.  Requires
+    the failure set to be reachable from every operational state the walk
+    can visit.
     """
     _check_operational_start(chain, start)
     markov.vet_absorption(chain, start)
-    kernel = _ChainKernel(chain)
-    ttf = np.zeros(cfg.n_trials)
-
-    def worker(lo, hi):
-        absorb, _ = _walk_batch(
-            kernel, start, lo, hi, cfg.seed, 0, None, True, cfg.max_events
-        )
-        ttf[lo:hi] = absorb
-
-    _run_partitioned(worker, cfg.n_trials, threads)
-    return _mean_estimate(ttf, clamp_low=0.0)
+    return _mean_estimate(_absorption_times(chain, start, cfg, None, threads), clamp_low=0.0)
 
 
 def estimate_occupancy(
@@ -434,7 +420,7 @@ def estimate_occupancy(
 
     def worker(lo, hi):
         _, occ = _walk_batch(
-            kernel, start, lo, hi, cfg.seed, 0, cfg.horizon, False, cfg.max_events,
+            kernel, start, lo, hi, cfg.seed, 0, cfg.horizon, cfg.max_events,
             occupancy_mask=mask, burn_in=burn_in,
         )
         frac[lo:hi] = occ / window
@@ -472,7 +458,7 @@ def estimate_threshold_reliability(
                 continue
             up += kernel.operational[sub.start]
             log = []
-            _walk_batch(kernel, sub.start, lo, hi, cfg.seed, j, cfg.horizon, False, cfg.max_events,
+            _walk_batch(kernel, sub.start, lo, hi, cfg.seed, j, cfg.horizon, cfg.max_events,
                         flip_log=log)
             flips += [(trial, when, np.full(trial.size, j), delta) for trial, when, delta in log]
         ok = up / n >= cfg.threshold

@@ -29,7 +29,7 @@ import numpy as np
 from . import markov
 from .errors import DomainError
 from .markov import Ctmc, StateSpace
-from .report import AnalysisReport, Result
+from .report import Result
 
 MSDR_LABELS = ("both_up", "ms_down", "dr_down", "both_down")
 MSDR_OPERATIONAL = (True, True, True, False)
@@ -194,8 +194,8 @@ def _at_least(r: int, ps) -> float:
     return float(dp[r:].sum())
 
 
-def decompose(system: RoutOfNSystem) -> AnalysisReport:
-    """Top-down report: per-subsystem metrics, then the composed system.
+def decompose(system: RoutOfNSystem) -> list[Result]:
+    """Top-down result rows: per-subsystem metrics, then the composed system.
 
     Chain subsystems get analytic availability and MTTF rows; bare
     subsystems echo their given availability.  The composition row equals
@@ -203,7 +203,6 @@ def decompose(system: RoutOfNSystem) -> AnalysisReport:
     so each chain's steady state is solved once.
     """
     results = []
-    echo_subs = []
     availabilities = []
     for i, sub in enumerate(system.subsystems):
         availability = subsystem_availability(sub)
@@ -219,13 +218,6 @@ def decompose(system: RoutOfNSystem) -> AnalysisReport:
                     method="analytic",
                 )
             )
-            echo_subs.append({
-                "type": "chain",
-                "states": [s.label for s in sub.chain.space.states],
-                "start": sub.start,
-            })
-        else:
-            echo_subs.append({"type": "probability", "p": float(sub)})
     results.append(
         Result(
             metric="system.availability",
@@ -233,7 +225,4 @@ def decompose(system: RoutOfNSystem) -> AnalysisReport:
             method="analytic",
         )
     )
-    return AnalysisReport(
-        model_echo={"kind": "r_out_of_n", "r": system.r, "n": system.n, "subsystems": echo_subs},
-        results=results,
-    )
+    return results

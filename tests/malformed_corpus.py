@@ -97,4 +97,9 @@ MALFORMED_DOCUMENTS = [
         '{"kind": "markov", "parameters": {"lambda": 0.1, "mu": 0.1},'
         ' "analyses": [{"op": "mttf", "n_trials": 10, "horizon": 5}]}'
     ),
+    # a t/dt series past the point limit once passed and then crashed markov transient
+    (
+        '{"kind": "markov", "parameters": {"lambda": 0.1, "mu": 0.1},'
+        ' "analyses": [{"op": "transient", "t": 1e300, "dt": 1e-300}]}'
+    ),
 ]

@@ -364,6 +364,23 @@ class TestNonFiniteGrid:
         assert not out and not caught
 
 
+class TestSeriesLimit:
+    """A series longer than model_io.MAX_SERIES_POINTS is refused before anything is allocated."""
+
+    @pytest.mark.parametrize("command", [["markov", "transient"], ["mc", "reliability"]])
+    @pytest.mark.parametrize("steps", ["1000001", "100000000000000000000"])
+    def test_grid_steps_is_a_usage_error(self, capsys, write_doc, command, steps):
+        code, out, err = run(capsys, [*command, "--file", write_doc(TWO_STATE_DOC), "--grid", f"0:1:{steps}"])
+        assert (code, out, err) == (3, "", f"error: usage: --grid STEPS must be at most 1000000, got {steps}\n")
+
+    @pytest.mark.parametrize("command", [["validate"], ["markov", "transient", "--file"]])
+    def test_document_t_dt_is_a_schema_error(self, capsys, write_doc, command):
+        doc = {**TWO_STATE_DOC, "analyses": [{"op": "transient", "t": 1e300, "dt": 1e-300}]}
+        code, out, err = run(capsys, [*command, write_doc(doc)])
+        assert (code, out) == (1, "")
+        assert err == "error: schema: analyses[0].dt: t/dt must be at most 999999, got inf\n"
+
+
 class TestGridStartingWithMinus:
     @pytest.mark.parametrize("command", [["markov", "transient"], ["mc", "reliability"]])
     def test_negative_start_reaches_the_grid_check(self, capsys, write_doc, command):

@@ -275,6 +275,10 @@ REJECTED_SHAPES = [
      "expected an object, got NoneType"),
     (_with(MSDR, ("parameters", "attack"), None), "parameters.attack", "expected an object, got NoneType"),
     (_with(MSDR, ("analyses", 1, "horizon"), 10.0), "analyses[1].horizon", "unknown setting for op 'mttf'"),
+    ({**MINIMAL_MARKOV, "analyses": [{"op": "transient", "t": 1e300, "dt": 1e-300}]}, "analyses[0].dt",
+     "t/dt must be at most 999999, got inf"),
+    ({**MINIMAL_MARKOV, "analyses": [{"op": "transient", "t": 1e6, "dt": 1.0}]}, "analyses[0].dt",
+     "t/dt must be at most 999999, got 1e+06"),
 ]
 
 
@@ -283,6 +287,15 @@ def test_present_keys_are_validated(payload, path, message):
     with pytest.raises(SchemaError) as err:
         parse_model(doc(payload))
     assert err.value.diagnostics == [(path, message)]
+
+
+@pytest.mark.parametrize("entry", [
+    {"op": "transient", "t": 999_999.0, "dt": 1.0},  # the series 0, 1, ..., 999 999: MAX_SERIES_POINTS points
+    {"op": "transient", "t": 1e12},  # without dt the series is the one point t
+])
+def test_series_within_limit_is_accepted(entry):
+    assert parse_model(doc({**MINIMAL_MARKOV, "analyses": [entry]})).analyses[0].settings == {
+        k: v for k, v in entry.items() if k != "op"}
 
 
 def test_diagnostics_keep_document_order():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from securakit import montecarlo
-from securakit.errors import ConvergenceError, DomainError, ValidationError
+from securakit.errors import ConvergenceError, DomainError, StructureError, ValidationError
 from securakit.markov import Ctmc, StateSpace, absorbing_variant, build_two_state, vet_absorption
 from securakit.montecarlo import (
     Estimate,
@@ -21,7 +21,6 @@ from securakit.montecarlo import (
     estimate_reliability,
     estimate_reliability_curve,
     estimate_threshold_reliability,
-    sample_exponential,
     simulate_trajectory,
 )
 from securakit.rng import CounterRng
@@ -94,29 +93,7 @@ def threshold_oracle(system, cfg):
     return _binomial_estimate(survivors, cfg.n_trials)
 
 
-class _FixedRng:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def uniform(self):
-        return self.values.pop(0)
-
-
 class TestSampleExponential:
-    def test_u_equal_one_maps_to_zero(self):
-        assert sample_exponential(2.0, _FixedRng([1.0])) == 0.0
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(DomainError):
-            sample_exponential(0.0, CounterRng(seed=1))
-
-    def test_scalar_matches_bulk_transform(self):
-        rate = 0.5
-        scalar_stream = CounterRng(seed=11)
-        scalar = [sample_exponential(rate, scalar_stream) for _ in range(1000)]
-        bulk = -np.log(CounterRng(seed=11).uniforms(1000)) / rate
-        assert np.array_equal(np.array(scalar), bulk)
-
     def test_empirical_mean(self):
         rate = 0.5
         draws = -np.log(CounterRng(seed=42).uniforms(1_000_000)) / rate
@@ -275,6 +252,43 @@ class TestEstimateMttf:
 
         with pytest.raises(StructureError):
             estimate_mttf(chain, 0, MonteCarloConfig(n_trials=10, horizon=1.0, seed=0))
+
+
+class TestAbsorptionPreconditions:
+    """The reliability and MTTF estimators check their start state, and MTTF its failure set, before walking."""
+
+    MSDR = build_msdr(MsDrRates(0.01, 0.01, 0.1, 0.1))
+    CFG = MonteCarloConfig(n_trials=10, horizon=1.0, seed=0)
+    ESTIMATORS = {
+        "reliability": estimate_reliability,
+        "reliability_curve": lambda chain, start, cfg: estimate_reliability_curve(chain, start, cfg, [1.0]),
+        "mttf": estimate_mttf,
+    }
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    @pytest.mark.parametrize("start, message", [
+        (9, "start state 9 out of range 0..3"),
+        (3, "start state 3 must be operational"),
+    ], ids=["out_of_range", "failed"])
+    def test_start_state_messages(self, name, start, message):
+        with pytest.raises(DomainError) as info:
+            self.ESTIMATORS[name](self.MSDR, start, self.CFG)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("labels, rates, message", [
+        (["a", "b", "fail"], {(0, 1): 0.5, (1, 0): 0.5, (2, 0): 1.0},
+         "no failure state is reachable from state 0"),
+        (["a", "trap", "fail"], {(0, 1): 0.5, (0, 2): 0.5},
+         "state 1 (trap) can be visited but cannot reach any failure state; expected hitting time is infinite"),
+    ], ids=["none_reachable", "trap"])
+    def test_mttf_unreachable_failure_message(self, labels, rates, message):
+        matrix = np.zeros((3, 3))
+        for (i, j), rate in rates.items():
+            matrix[i, j] = rate
+        chain = Ctmc.from_transition_rates(StateSpace.from_labels(labels, [True, True, False]), matrix)
+        with pytest.raises(StructureError) as info:
+            estimate_mttf(chain, 0, self.CFG)
+        assert str(info.value) == message
 
 
 class TestOccupancy:

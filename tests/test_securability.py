@@ -243,27 +243,27 @@ class TestRoutOfN:
 class TestDecompose:
     def test_single_subsystem_equals_two_state_metrics(self):
         chain = build_two_state(0.01, 0.1)
-        report = decompose(RoutOfNSystem(r=1, subsystems=(ChainSubsystem(chain, 0),)))
-        values = {r.metric: r.value for r in report.results}
+        results = decompose(RoutOfNSystem(r=1, subsystems=(ChainSubsystem(chain, 0),)))
+        values = {r.metric: r.value for r in results}
         assert values["subsystem[0].availability"] == pytest.approx(10 / 11, abs=1e-12)
         assert values["subsystem[0].mttf"] == pytest.approx(100.0, rel=1e-12)
         assert values["system.availability"] == values["subsystem[0].availability"]
-        assert all(r.method == "analytic" for r in report.results)
+        assert all(r.method == "analytic" for r in results)
 
     def test_two_of_three_identical_two_state_subsystems(self):
         # binomial oracle: p = 10/11, P(>=2 of 3) = 3 p^2 (1-p) + p^3 = 1300/1331
         chain = build_two_state(0.01, 0.1)
         system = RoutOfNSystem(r=2, subsystems=tuple(ChainSubsystem(chain, 0) for _ in range(3)))
-        report = decompose(system)
-        composed = next(r for r in report.results if r.metric == "system.availability")
+        results = decompose(system)
+        composed = next(r for r in results if r.metric == "system.availability")
         p = 10 / 11
         assert composed.value == pytest.approx(3 * p * p * (1 - p) + p ** 3, abs=1e-12)
         assert composed.value == pytest.approx(1300 / 1331, abs=1e-12)
 
     def test_composition_row_matches_direct_computation(self):
         system = RoutOfNSystem(r=2, subsystems=(0.9, 0.8, 0.7))
-        report = decompose(system)
-        composed = next(r for r in report.results if r.metric == "system.availability")
+        results = decompose(system)
+        composed = next(r for r in results if r.metric == "system.availability")
         assert composed.value == r_out_of_n_availability(system)
 
     def test_each_chain_steady_state_is_solved_once(self, monkeypatch):
@@ -271,13 +271,13 @@ class TestDecompose:
         monkeypatch.setattr(markov, "steady_state", lambda chain: solved.append(chain) or solve(chain))
         chains = (build_two_state(0.01, 0.1), build_two_state(0.02, 0.3))
         system = RoutOfNSystem(r=2, subsystems=(ChainSubsystem(chains[0]), 0.9, ChainSubsystem(chains[1])))
-        report = decompose(system)
+        results = decompose(system)
         assert solved == list(chains)
-        composed = next(r for r in report.results if r.metric == "system.availability")
+        composed = next(r for r in results if r.metric == "system.availability")
         assert composed.value == r_out_of_n_availability(system)
 
     def test_bare_subsystems_have_no_mttf_row(self):
-        report = decompose(RoutOfNSystem(r=1, subsystems=(0.9,)))
-        metrics = [r.metric for r in report.results]
+        results = decompose(RoutOfNSystem(r=1, subsystems=(0.9,)))
+        metrics = [r.metric for r in results]
         assert "subsystem[0].availability" in metrics
         assert "subsystem[0].mttf" not in metrics
