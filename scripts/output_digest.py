@@ -13,6 +13,13 @@ Usage: python scripts/output_digest.py --seeds 7 11 [--quick]
 
 Run it on a checkout of the parent commit and on the change, then diff
 the two outputs: an empty diff means every output kept its bytes.
+
+It also checks that results do not depend on the thread count: the
+script exits 1, naming the argv, when a command's 2-thread run differs
+from its 1-thread run in stdout or exit code.  The quick documents have
+fewer trials than one thread's minimum slice, so the script sets
+``montecarlo._MIN_SLICE`` to 1 in process: 2 threads then really split
+every Monte Carlo command's trials.
 """
 
 from __future__ import annotations
@@ -30,21 +37,21 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from securakit import cli  # noqa: E402
+from securakit import cli, montecarlo  # noqa: E402
 
 THREADS = 2
 
 
 def _variants(argv: tuple[str, ...]):
-    """The command at every --format, and at THREADS and 1 thread if it takes --threads."""
+    """The command at every --format, as (argv, its --threads 1 argv or None)."""
     for fmt in ("json", "table", "csv"):
         out = list(argv)
         out[out.index("--format") + 1] = fmt
-        yield out
+        serial = None
         if "--threads" in out:
-            out = list(out)
-            out[out.index("--threads") + 1] = "1"
-            yield out
+            serial = list(out)
+            serial[serial.index("--threads") + 1] = "1"
+        yield out, serial
 
 
 def _run(argv: list[str]) -> tuple[str, str, str]:
@@ -69,7 +76,9 @@ def main() -> None:
     if not Path(cli.__file__).resolve().is_relative_to(ROOT / "src"):
         raise SystemExit(f"securakit was imported from {cli.__file__}, not from {ROOT / 'src'}")
     sizes = workloads.QUICK if args.quick else workloads.FULL
+    montecarlo._MIN_SLICE = 1
     here = Path.cwd()
+    mismatched = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in workloads.WORKLOADS:
@@ -79,12 +88,21 @@ def main() -> None:
                 os.chdir(workdir)
                 try:
                     for command in workloads.build(workload, seed, Path("."), sizes, THREADS):
-                        for argv in _variants(command.argv):
-                            code, out, err = _run(argv)
-                            print(workload, seed, " ".join(argv), f"exit={code}",
-                                  f"stdout={_sha(out)}", f"stderr={_sha(err)}", flush=True)
+                        for threaded, serial in _variants(command.argv):
+                            results = []
+                            for argv in filter(None, (threaded, serial)):
+                                code, out, err = _run(argv)
+                                results.append((code, out))
+                                print(workload, seed, " ".join(argv), f"exit={code}",
+                                      f"stdout={_sha(out)}", f"stderr={_sha(err)}", flush=True)
+                            if serial is not None and results[0] != results[1]:
+                                mismatched.append(" ".join(threaded))
                 finally:
                     os.chdir(here)
+    for argv in mismatched:
+        print(f"thread-dependent output: {argv} differs from its --threads 1 run", file=sys.stderr)
+    if mismatched:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ import numpy as np
 from . import markov
 from .errors import ConvergenceError, DomainError
 from .markov import Ctmc
-from .rng import TRIAL_BOUND, CounterRng, uniform_block
+from .rng import TRIAL_BOUND, CounterRng, uniform_block, uniform_pairs
 from .securability import ChainSubsystem, RoutOfNSystem
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -133,10 +133,11 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Sample one chain path from ``start``, truncated at ``horizon``.
 
-    Per jump the stream is consumed in a fixed order: one draw for the
-    holding time, then one draw for the competing-exponentials state
-    choice (only if the jump lands inside the horizon).  A start state
-    with no exits yields an event-free surviving trajectory.
+    One block per jump: each jump reads the next pair of the stream, the
+    holding time from its first double and the competing-exponentials
+    state choice from its second, so the choice draw does not depend on
+    whether the jump lands inside the horizon.  A start state with no
+    exits yields an event-free surviving trajectory.
     """
     if not 0 <= start < chain.n:
         raise DomainError(f"start state {start} out of range 0..{chain.n - 1}")
@@ -151,11 +152,11 @@ def simulate_trajectory(
         rate = exit_rates[state]
         if rate <= 0:
             return Trajectory(events=tuple(events), absorbed_at=(events[-1][0] if events else None))
-        hold = float(-np.log(rng.uniform()) / rate)
+        u_hold, u = rng.uniform_pair()
+        hold = float(-np.log(u_hold) / rate)
         if t + hold > horizon:
             return Trajectory(events=tuple(events), absorbed_at=None)
         t = t + hold
-        u = rng.uniform()
         row = q[state]
         acc = 0.0
         nxt = -1
@@ -234,10 +235,10 @@ def _walk_batch(
 ):
     """Walk trials ``lo..hi-1`` in synchronized waves.
 
-    Draw k of trial t is ``uniform(seed, t, substream, k)``.  Every lane
-    still walking at wave w has made w jumps and used exactly 2w draws, so
-    its holding-time draw is counter 2w and its state-choice draw 2w + 1:
-    the same draws, in the same order, as :func:`simulate_trajectory`.
+    Every lane still walking at wave w has made w jumps, so its jump reads
+    block w of its cell ``(seed, t, substream)``: the holding time from
+    the block's first double and the state choice from its second, the
+    same draws as :func:`simulate_trajectory`.
     Outcomes therefore depend only on (seed, trial), never on the batch
     partition.  The walking lanes are kept as compacted (trial, state,
     time) arrays that are filtered only when lanes stop: past the horizon
@@ -279,7 +280,8 @@ def _walk_batch(
             trial, state, t, rates = trial[keep], state[keep], t[keep], rates[keep]
             if not trial.size:
                 break
-        hold = np.log(uniform_block(seed, trial, substream, 2 * wave))
+        hold, choice = uniform_pairs(seed, trial, substream, wave)
+        np.log(hold, out=hold)
         hold /= rates
         t_new = t - hold  # plus an Exp(rate) holding time, -log(u) / rate
         if track:
@@ -287,7 +289,7 @@ def _walk_batch(
         if horizon is not None:
             keep = t_new <= horizon
             if not keep.all():
-                trial, state, t_new = trial[keep], state[keep], t_new[keep]
+                trial, state, t_new, choice = trial[keep], state[keep], t_new[keep], choice[keep]
                 if not trial.size:
                     break
         if wave + 1 > max_events:
@@ -300,7 +302,7 @@ def _walk_batch(
                 f"a trial exceeded {max_events} events before horizon {horizon:g}; "
                 "raise max_events"
             )
-        nxt = kernel.choose(state, uniform_block(seed, trial, substream, 2 * wave + 1))
+        nxt = kernel.choose(state, choice)
         if flip_log is not None:
             now_op = kernel.operational[nxt]
             flipped = now_op != kernel.operational[state]
@@ -373,8 +375,10 @@ def estimate_reliability_curve(
     if np.any(grid < 0) or np.any(np.isnan(grid)):
         raise DomainError("times must be >= 0")
     horizon = float(max(grid.max(), cfg.horizon))
-    absorb = _absorption_times(chain, start, cfg, horizon, threads)
-    return [_binomial_estimate(int((absorb > t).sum()), cfg.n_trials) for t in grid]
+    absorb = np.sort(_absorption_times(chain, start, cfg, horizon, threads))
+    # trials still unabsorbed at t: those whose absorption time is > t
+    alive = cfg.n_trials - np.searchsorted(absorb, grid, side="right")
+    return [_binomial_estimate(int(k), cfg.n_trials) for k in alive]
 
 
 def estimate_mttf(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads: int = 1) -> Estimate:

@@ -11,6 +11,10 @@ depend on any generator state, trials can be simulated in any order, split
 across any number of workers, or re-derived one draw at a time, and every
 bit of the output stays identical.
 
+Draw ``index`` is made of words (x0, x1) of block ``index``; a pair draw
+adds the double made of (x2, x3) of the same block.  The Monte Carlo walker
+reads stream 2, jump w -> block w: hold (x0, x1), choice (x2, x3).
+
 The core evaluates in bulk over numpy arrays; :class:`CounterRng` wraps a
 single (seed, trial, substream) cell as a sequential stream whose scalar
 draws run the same cipher on Python integers.
@@ -33,7 +37,7 @@ _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _ONE = np.uint64(1)
 _TWO_NEG_53 = 2.0 ** -53
-_CHUNK = 1 << 16  # lanes per cipher pass (see uniform_block)
+_CHUNK = 1 << 16  # lanes per cipher pass (see _blocks)
 
 SEED_BOUND = 2 ** 64
 TRIAL_BOUND = 2 ** 32
@@ -78,16 +82,16 @@ def _check_cell(seed: int, trial: int, substream: int) -> None:
         raise DomainError(f"substream id must be in [0, 2**32), got {substream}")
 
 
-def uniform_block(seed: int, trials, substream: int, counters) -> np.ndarray:
-    """Uniform (0, 1] doubles for draw ``counters[i]`` of ``trials[i]``.
+def _blocks(seed: int, trials, substream: int, counters, words: int) -> tuple[np.ndarray, ...]:
+    """The first ``words`` doubles of block ``counters[i]`` of ``trials[i]``.
 
     ``trials`` and ``counters`` are broadcast-compatible integer arrays;
-    the result has their broadcast shape.  Draw k of a given
-    (seed, trial, substream) cell is the same double no matter how the
-    request is batched, so the cipher runs over chunks of ``_CHUNK`` lanes:
-    small enough for its temporaries to stay in a core's cache, and large
-    enough that each numpy call outlasts a hand-over of the interpreter
-    lock between worker threads.
+    each of the ``words`` arrays returned has their broadcast shape, and
+    array k is made of block words (x2k, x2k+1).  A block is the same no
+    matter how the request is batched, so the cipher runs over chunks of
+    ``_CHUNK`` lanes: small enough for its temporaries to stay in a core's
+    cache, and large enough that each numpy call outlasts a hand-over of
+    the interpreter lock between worker threads.
     """
     if not 0 <= seed < SEED_BOUND:
         raise DomainError(f"seed must be in [0, 2**64), got {seed}")
@@ -102,26 +106,48 @@ def uniform_block(seed: int, trials, substream: int, counters) -> np.ndarray:
     trials, counters = (x if x.ndim == 0 else np.broadcast_to(x, shape).reshape(-1)
                         for x in (trials, counters))
     cell = (np.uint64(substream), np.uint64(seed & 0xFFFFFFFF), np.uint64(seed >> 32))
-    u = np.empty(math.prod(shape))
-    for start in range(0, u.size, _CHUNK):
+    u = np.empty((words, math.prod(shape)))
+    for start in range(0, u.shape[1], _CHUNK):
         part = slice(start, start + _CHUNK)
         trial, counter = (x if x.ndim == 0 else x[part] for x in (trials, counters))
-        x0, x1, _, _ = _philox4x32(counter & _U32, counter >> _S32, trial, *cell)
-        # 53-bit mantissa shifted into (0, 1]: u = (bits >> 11 + 1) * 2**-53,
-        # so u = 1 is reachable and u = 0 is not (safe under log transforms).
-        x0 <<= _S32
-        x0 |= x1
-        x0 >>= _S11
-        x0 += _ONE
-        np.multiply(x0, _TWO_NEG_53, out=u[part])
-    return u.reshape(shape)
+        x = _philox4x32(counter & _U32, counter >> _S32, trial, *cell)
+        for k in range(words):
+            # 53-bit mantissa shifted into (0, 1]: u = (bits >> 11 + 1) * 2**-53,
+            # so u = 1 is reachable and u = 0 is not (safe under log transforms).
+            hi = x[2 * k]
+            hi <<= _S32
+            hi |= x[2 * k + 1]
+            hi >>= _S11
+            hi += _ONE
+            np.multiply(hi, _TWO_NEG_53, out=u[k, part])
+    return tuple(row.reshape(shape) for row in u)
+
+
+def uniform_block(seed: int, trials, substream: int, counters) -> np.ndarray:
+    """Uniform (0, 1] doubles for draw ``counters[i]`` of ``trials[i]``.
+
+    ``trials`` and ``counters`` are broadcast-compatible integer arrays;
+    the result has their broadcast shape.  Draw k of a given
+    (seed, trial, substream) cell is the same double no matter how the
+    request is batched.
+    """
+    return _blocks(seed, trials, substream, counters, 1)[0]
+
+
+def uniform_pairs(seed: int, trials, substream: int, counters) -> tuple[np.ndarray, np.ndarray]:
+    """Both doubles of block ``counters[i]`` of ``trials[i]``: (x0, x1) and (x2, x3).
+
+    The first array equals ``uniform_block`` of the same arguments; the
+    second costs no further cipher rounds.
+    """
+    return _blocks(seed, trials, substream, counters, 2)
 
 
 _MASK32 = 0xFFFFFFFF
 
 
-def _uniform_scalar(seed: int, trial: int, substream: int, counter: int) -> float:
-    """One draw via pure-integer Philox; bit-identical to the array path.
+def _uniform_pair_scalar(seed: int, trial: int, substream: int, counter: int) -> tuple[float, float]:
+    """One block via pure-integer Philox; bit-identical to the array path.
 
     The block cipher is integer-exact, so evaluating it with Python ints
     yields the same 32-bit words as the numpy lanes, and the conversion to
@@ -141,17 +167,19 @@ def _uniform_scalar(seed: int, trial: int, substream: int, counter: int) -> floa
         c3 = p0 & _MASK32
         k0 = (k0 + 0x9E3779B9) & _MASK32
         k1 = (k1 + 0xBB67AE85) & _MASK32
-    bits = (c0 << 32) | c1
-    return ((bits >> 11) + 1) * _TWO_NEG_53
+    return (((((c0 << 32) | c1) >> 11) + 1) * _TWO_NEG_53,
+            ((((c2 << 32) | c3) >> 11) + 1) * _TWO_NEG_53)
 
 
 class CounterRng:
     """Sequential view of one (seed, trial, substream) counter cell.
 
     ``uniform()`` returns draw 0, 1, 2, ... of the cell; ``uniforms(n)``
-    returns the next n draws in one vectorized call.  Both advance the same
-    draw counter and produce identical bits per counter value, so mixed
-    scalar/bulk consumption stays reproducible.
+    returns the next n draws in one vectorized call; ``uniform_pair()``
+    returns both doubles of the next block.  All three advance the same
+    counter by one per block and produce identical bits per counter value
+    (a pair's first double is that block's draw), so mixed consumption
+    stays reproducible.
     """
 
     __slots__ = ("seed", "trial", "substream", "_index")
@@ -165,9 +193,13 @@ class CounterRng:
 
     def uniform(self) -> float:
         """Next uniform double in (0, 1]."""
-        u = _uniform_scalar(self.seed, self.trial, self.substream, self._index)
+        return self.uniform_pair()[0]
+
+    def uniform_pair(self) -> tuple[float, float]:
+        """Both doubles of the next block, (x0, x1) then (x2, x3), each in (0, 1]."""
+        pair = _uniform_pair_scalar(self.seed, self.trial, self.substream, self._index)
         self._index += 1
-        return u
+        return pair
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` uniform doubles in (0, 1] as one array."""
@@ -179,5 +211,5 @@ class CounterRng:
 
     @property
     def draws_used(self) -> int:
-        """Number of draws consumed so far (the next draw's counter value)."""
+        """Number of blocks consumed so far (the next draw's counter value)."""
         return self._index

@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: statistical oracles and reproducibility."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +214,29 @@ class TestEstimateReliability:
         single = estimate_reliability(chain, 0, cfg)
         assert curve[-1].value == pytest.approx(single.value, abs=3 * single.std_error)
 
+    def test_curve_counts_equal_the_per_point_rule(self, monkeypatch):
+        # ties with grid points, repeated times, never-absorbed trials; grid unsorted with repeats
+        absorb = np.array([np.inf, 2.0, 0.5, 2.0, np.inf, 7.25, 0.0, 3.0, 2.0, 9.5])
+        grid = [3.0, 0.0, 2.0, 9.5, 2.0, 0.25, 7.25, 10.0, 1e300, 2.0000001]
+        monkeypatch.setattr(montecarlo, "_absorption_times", lambda *args: absorb.copy())
+        cfg = MonteCarloConfig(n_trials=absorb.size, horizon=1.0, seed=0)
+        curve = estimate_reliability_curve(build_two_state(0.1, 0.1), 0, cfg, grid)
+        assert curve == [_binomial_estimate(int((absorb > t).sum()), absorb.size) for t in grid]
+
+    def test_long_grid_costs_one_sort(self, monkeypatch):
+        # the per-point rule compared every trial with every point: 3 s here;
+        # a stub estimate leaves the walk and the count to be timed
+        monkeypatch.setattr(montecarlo, "_binomial_estimate", lambda k, n: k)
+        chain, grid = non_repairable(0.1), np.linspace(0.0, 50.0, 10 ** 5)
+        cfg = MonteCarloConfig(n_trials=20_000, horizon=1.0, seed=3)
+        elapsed = []
+        for _ in range(2):
+            start = time.perf_counter()
+            curve = estimate_reliability_curve(chain, 0, cfg, grid)
+            elapsed.append(time.perf_counter() - start)
+        assert len(curve) == grid.size
+        assert min(elapsed) < 1.0
+
 
 class TestEstimateMttf:
     def test_two_state_inverse_rate(self):
@@ -381,6 +405,7 @@ class TestThresholdReliability:
 
         monkeypatch.setattr(montecarlo, "simulate_trajectory", refuse)
         monkeypatch.setattr(CounterRng, "uniform", refuse)
+        monkeypatch.setattr(CounterRng, "uniform_pair", refuse)
         system = RoutOfNSystem(r=2, subsystems=(build_two_state(0.1, 0.5), 0.8, degrading(0.2, 0.4, 0.1, 0.3)))
         cfg = MonteCarloConfig(n_trials=500, horizon=10.0, seed=18, threshold=0.5)
         assert 0.0 < estimate_threshold_reliability(system, cfg, threads=2).value <= 1.0

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from securakit import rng
 from securakit.errors import DomainError
-from securakit.rng import CounterRng, _philox4x32, _uniform_scalar, uniform_block
+from securakit.rng import (
+    CounterRng,
+    _philox4x32,
+    _uniform_pair_scalar,
+    uniform_block,
+    uniform_pairs,
+)
 
 KNOWN_ANSWERS = [
     ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
@@ -41,6 +47,17 @@ def test_philox_known_answer_with_scalar_key(counter, key, expected):
     assert tuple(int(word) for word in scalar) == expected
 
 
+def test_pair_known_answer():
+    (c0, c1, c2, c3), (k0, k1), (x0, x1, x2, x3) = KNOWN_ANSWERS[2]
+    seed, trial, substream, counter = (k1 << 32) | k0, c2, c3, (c1 << 32) | c0
+    second = (((x2 << 32 | x3) >> 11) + 1) * 2.0 ** -53
+    first = float(uniform_block(seed, trial, substream, counter))
+    assert first == (((x0 << 32 | x1) >> 11) + 1) * 2.0 ** -53
+    assert _uniform_pair_scalar(seed, trial, substream, counter) == (first, second)
+    bulk = uniform_pairs(seed, np.array([trial]), substream, np.array([counter]))
+    assert [u.tolist() for u in bulk] == [[first], [second]]
+
+
 def test_uniform_range_and_determinism():
     r1 = CounterRng(seed=123, trial=5, substream=2)
     r2 = CounterRng(seed=123, trial=5, substream=2)
@@ -65,6 +82,12 @@ def test_mixed_scalar_bulk_consumption_is_one_stream():
     assert head == list(expected[:3])
     assert np.array_equal(tail, expected[3:])
     assert r.draws_used == 8
+    # a pair is the next block, and its first double is that block's draw
+    pair = r.uniform_pair()
+    assert r.draws_used == 9
+    assert pair == tuple(float(u) for u in uniform_pairs(9, 3, 0, 8))
+    assert pair[0] == CounterRng(seed=9, trial=3).uniforms(9)[8]
+    assert r.uniform() == _uniform_pair_scalar(9, 3, 0, 9)[0]
 
 
 def test_uniform_block_batching_invariance():
@@ -118,24 +141,58 @@ def test_uniform_mean_matches_theory():
 )
 def test_uniform_block_equals_scalar_cipher(seed, trials, substream, counters):
     counters = counters[: len(trials)]
-    expected = [_uniform_scalar(seed, t, substream, c) for t, c in zip(trials, counters)]
+    expected = [_uniform_pair_scalar(seed, t, substream, c)[0] for t, c in zip(trials, counters)]
     block = uniform_block(seed, np.array(trials, dtype=np.uint64), substream,
                           np.array(counters, dtype=np.uint64))
     assert block.tolist() == expected
     # one trial against many counters, and many trials against one counter
     assert uniform_block(seed, trials[0], substream, np.array(counters, dtype=np.uint64)).tolist() == [
-        _uniform_scalar(seed, trials[0], substream, c) for c in counters]
+        _uniform_pair_scalar(seed, trials[0], substream, c)[0] for c in counters]
     assert uniform_block(seed, np.array(trials, dtype=np.uint64), substream, counters[0]).tolist() == [
-        _uniform_scalar(seed, t, substream, counters[0]) for t in trials]
+        _uniform_pair_scalar(seed, t, substream, counters[0])[0] for t in trials]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64, 1000])
 def test_uniform_block_chunking_is_invisible(monkeypatch, chunk):
     trials = np.arange(5, 1005, dtype=np.uint64)
     counters = np.arange(2 ** 40, 2 ** 40 + 1000, dtype=np.uint64)
-    whole = uniform_block(2 ** 63 + 5, trials, 7, counters)
-    per_lane = uniform_block(2 ** 63 + 5, trials, 7, 2 ** 33)
-    monkeypatch.setattr(rng, "_CHUNK", chunk)
-    assert np.array_equal(uniform_block(2 ** 63 + 5, trials, 7, counters), whole)
-    assert np.array_equal(uniform_block(2 ** 63 + 5, trials, 7, 2 ** 33), per_lane)
-    assert uniform_block(2 ** 63 + 5, trials[:0], 7, 2 ** 33).shape == (0,)
+    for draw in (uniform_block, uniform_pairs):
+        whole = draw(2 ** 63 + 5, trials, 7, counters)
+        per_lane = draw(2 ** 63 + 5, trials, 7, 2 ** 33)
+        with monkeypatch.context() as patch:
+            patch.setattr(rng, "_CHUNK", chunk)
+            assert np.array_equal(draw(2 ** 63 + 5, trials, 7, counters), whole)
+            assert np.array_equal(draw(2 ** 63 + 5, trials, 7, 2 ** 33), per_lane)
+            empty = draw(2 ** 63 + 5, trials[:0], 7, 2 ** 33)
+            assert np.shape(empty) == ((0,) if draw is uniform_block else (2, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    trials=st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1), min_size=1, max_size=9),
+    substream=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    counters=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), min_size=9, max_size=9),
+    scalar_trial=st.booleans(),
+    scalar_counter=st.booleans(),
+)
+def test_uniform_pairs_equal_scalar_pairs(seed, trials, substream, counters, scalar_trial,
+                                          scalar_counter):
+    counters = counters[: len(trials)]
+    n = 1 if scalar_trial and scalar_counter else len(trials)
+    expected = [_uniform_pair_scalar(seed, trials[0 if scalar_trial else i], substream,
+                                     counters[0 if scalar_counter else i]) for i in range(n)]
+    first, second = uniform_pairs(
+        seed, trials[0] if scalar_trial else np.array(trials, dtype=np.uint64), substream,
+        counters[0] if scalar_counter else np.array(counters, dtype=np.uint64))
+    assert np.shape(first) == np.shape(second) == (() if scalar_trial and scalar_counter else (n,))
+    assert list(zip(np.ravel(first).tolist(), np.ravel(second).tolist())) == expected
+
+
+def test_hold_and_choice_doubles_are_uncorrelated():
+    hold, choice = uniform_pairs(2024, np.arange(1000, dtype=np.uint64)[:, None], 0,
+                                 np.arange(1000, dtype=np.uint64))
+    n = hold.size
+    assert n == 10 ** 6
+    r = np.corrcoef(hold.ravel(), choice.ravel())[0, 1]
+    assert abs(r) < 5 / np.sqrt(n)
