@@ -9,36 +9,41 @@ Submodules:
 * :mod:`securakit.model_io` - model documents and report serialization
 * :mod:`securakit.rng` - counter-based random streams
 * :mod:`securakit.cli` - the ``securakit`` command
+
+Only the numpy-free modules (``cli``, ``errors``, ``model_io``, ``report``)
+load with the package.  Each engine, and each class re-exported from one,
+loads on first access, so ``import securakit`` and ``securakit validate``
+never import numpy.
 """
 
-from . import cli, errors, markov, model_io, montecarlo, report, rng, securability, weibull
-from .markov import Ctmc, StateSpace
-from .montecarlo import Estimate, MonteCarloConfig, Trajectory
+from importlib import import_module
+
+from . import cli, errors, model_io, report
 from .report import TOOL_VERSION, AnalysisReport
-from .securability import MsDrRates, RoutOfNSystem, ThreatProfile
-from .weibull import FailureSample, WeibullModel
 
 __version__ = TOOL_VERSION
 
-__all__ = [
-    "AnalysisReport",
-    "Ctmc",
-    "Estimate",
-    "FailureSample",
-    "MonteCarloConfig",
-    "MsDrRates",
-    "RoutOfNSystem",
-    "StateSpace",
-    "ThreatProfile",
-    "Trajectory",
-    "WeibullModel",
-    "cli",
-    "errors",
-    "markov",
-    "model_io",
-    "montecarlo",
-    "report",
-    "rng",
-    "securability",
-    "weibull",
-]
+# lazily resolved names -> the submodule that defines them (an engine maps to itself)
+_LAZY = {
+    name: module
+    for module, names in (
+        ("markov", ("Ctmc", "StateSpace")),
+        ("montecarlo", ("Estimate", "MonteCarloConfig", "Trajectory")),
+        ("rng", ()),
+        ("securability", ("MsDrRates", "RoutOfNSystem", "ThreatProfile")),
+        ("weibull", ("FailureSample", "WeibullModel")),
+    )
+    for name in (module, *names)
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+__all__ = sorted(["AnalysisReport", "cli", "errors", "model_io", "report", *_LAZY])

@@ -14,12 +14,15 @@ Every command takes ``--format {json,csv,table}`` (default table) and ``--out
 PATH``; a flag the command does not read is a usage error.  ``markov
 transient`` and ``mc reliability`` accept ``--grid t0:t1:steps`` and emit a
 series block for plotting.  ``--seed`` overrides any in-document seed;
-``--threads`` defaults to ``SECURAKIT_THREADS`` or the machine parallelism,
-and results are independent of the thread count by the stream design.
+``--threads`` defaults to ``SECURAKIT_THREADS`` or the number of usable
+cores, and results are independent of the thread count by the stream design.
 
 Exit codes: 0 success, 1 validation error, 2 numerical/convergence error,
 3 usage error.  Errors are reported one per line on stderr as
 ``error: <category>: <detail>``.
+
+Each handler imports the engines it calls, so ``validate`` runs without
+numpy and a command loads only the engines it uses.
 """
 
 from __future__ import annotations
@@ -29,16 +32,17 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from . import markov, model_io, montecarlo, securability
-from . import weibull as wb
+from . import model_io
 from .errors import NumericalError, SchemaError, UsageError, ValidationError
 from .model_io import AnalysisRequest, ModelDocument
-from .montecarlo import MonteCarloConfig
 from .report import AnalysisReport, Result, Series, emit_report
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .montecarlo import MonteCarloConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,6 +85,8 @@ def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
     Handlers call it when they reach their Monte Carlo step, so an error
     from earlier work (``sec routofn``'s decomposition) is reported first.
     """
+    from .montecarlo import MonteCarloConfig
+
     if ctx.request is None:
         raise ValidationError(f"{ctx.command} needs an analyses entry with op '{ctx.op}'")
     s = ctx.request.settings
@@ -93,13 +99,14 @@ def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
             )
     elif not 0 <= seed < 2 ** 64:
         raise UsageError(f"--seed must be in [0, 2**64), got {seed}")
-    threads = ctx.args.threads
-    if threads is None:
-        env = os.environ.get("SECURAKIT_THREADS")
+    threads, env = ctx.args.threads, os.environ.get("SECURAKIT_THREADS")
+    if threads is None and env is not None:
         try:
-            threads = int(env) if env is not None else os.cpu_count() or 1
+            threads = int(env)
         except ValueError as exc:
             raise UsageError(f"SECURAKIT_THREADS must be an integer, got {env!r}") from exc
+    elif threads is None:  # the cores this process may run on, where the platform tells
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if threads < 1:
         raise UsageError(f"thread count must be >= 1, got {threads}")
     cfg = MonteCarloConfig(
@@ -113,6 +120,8 @@ def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    import numpy as np
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"--grid expects T0:T1:STEPS, got {spec!r}")
@@ -134,6 +143,8 @@ def _state_rows(chain, pi) -> list[Result]:
 
 
 def _weibull_eval(args) -> AnalysisReport:
+    from . import weibull as wb
+
     model = wb.WeibullModel(alpha=args.alpha, beta=args.beta)
     t = args.t
     results = [
@@ -154,6 +165,8 @@ def _validate(args) -> None:
 
 
 def _weibull_fit(ctx: _Context) -> AnalysisReport:
+    from . import weibull as wb
+
     method = ctx.args.method or ctx.settings.get("method") or "both"
     results = []
     for m in ("rank_regression", "mle") if method == "both" else (method,):
@@ -165,6 +178,8 @@ def _weibull_fit(ctx: _Context) -> AnalysisReport:
 
 
 def _markov_solve(ctx: _Context) -> AnalysisReport:
+    from . import markov
+
     chain = ctx.model
     pi = markov.steady_state(chain)
     availability = float(pi.pi[chain.operational_mask()].sum())
@@ -172,6 +187,10 @@ def _markov_solve(ctx: _Context) -> AnalysisReport:
 
 
 def _markov_transient(ctx: _Context) -> AnalysisReport:
+    import numpy as np
+
+    from . import markov
+
     chain, settings = ctx.model, ctx.settings
     if ctx.args.grid is not None:
         grid = _parse_grid(ctx.args.grid)
@@ -194,6 +213,10 @@ def _markov_transient(ctx: _Context) -> AnalysisReport:
 
 
 def _markov_metrics(ctx: _Context) -> AnalysisReport:
+    import numpy as np
+
+    from . import markov
+
     chain = ctx.model
     failed = ctx.settings.get("failed")
     if failed is None:
@@ -212,6 +235,10 @@ def _markov_metrics(ctx: _Context) -> AnalysisReport:
 
 
 def _mc_reliability(ctx: _Context) -> AnalysisReport:
+    import numpy as np
+
+    from . import montecarlo
+
     cfg, threads = _monte_carlo(ctx)
     grid = _parse_grid(ctx.args.grid) if ctx.args.grid is not None else np.empty(0)
     # the headline estimate at the horizon comes from the same trials as the grid
@@ -224,6 +251,8 @@ def _mc_reliability(ctx: _Context) -> AnalysisReport:
 
 
 def _mc_mttf(ctx: _Context) -> AnalysisReport:
+    from . import montecarlo
+
     cfg, threads = _monte_carlo(ctx)
     estimate = montecarlo.estimate_mttf(ctx.model, ctx.start, cfg, threads=threads)
     results = [Result("mttf", estimate.value, "monte_carlo", uncertainty=estimate.std_error)]
@@ -231,6 +260,8 @@ def _mc_mttf(ctx: _Context) -> AnalysisReport:
 
 
 def _sec_msdr(ctx: _Context) -> AnalysisReport:
+    from . import markov, securability
+
     chain = ctx.model
     pi = markov.steady_state(chain)
     # 1 - pi(both_down), the only non-operational state: service_availability without a second solve
@@ -244,6 +275,8 @@ def _sec_msdr(ctx: _Context) -> AnalysisReport:
 
 
 def _sec_routofn(ctx: _Context) -> AnalysisReport:
+    from . import montecarlo, securability
+
     results = securability.decompose(ctx.model)
     if ctx.request is None:
         return AnalysisReport({}, results)
@@ -309,7 +342,7 @@ def build_parser() -> _Parser:
         if command.op in model_io.MC_OPS:
             p.add_argument("--seed", type=int, default=None, help="overrides any in-document seed")
             p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: SECURAKIT_THREADS or machine parallelism)")
+                           help="worker threads (default: SECURAKIT_THREADS or the usable cores)")
         if command.handler is _validate:
             p.add_argument("--quiet", action="store_true")
     return root

@@ -20,6 +20,10 @@ engines unless every downstream type invariant already holds.  Randomized
 analyses require an explicit seed (document- or analysis-level, or the
 CLI flag); none is ever auto-generated.
 
+Parsing and validation are pure Python.  The builders import the engines
+they construct (and numpy) when called, so validating a document loads
+neither.
+
 See ``docs/model_schema.md`` for the full schema with one complete
 example per kind.
 """
@@ -29,16 +33,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError
-from .markov import Ctmc, StateSpace, build_two_state
 from .report import AnalysisReport, emit_report, from_json  # noqa: F401  (public surface)
-from .securability import (
-    ChainSubsystem, MsDrRates, RoutOfNSystem, ThreatProfile, build_msdr, combine_failure_and_attack,
-)
-from .weibull import FailureSample, WeibullModel
+
+if TYPE_CHECKING:
+    from .markov import Ctmc
+    from .securability import MsDrRates, RoutOfNSystem, ThreatProfile
+    from .weibull import FailureSample, WeibullModel
 
 _SEED_BOUND = 2 ** 64
 _TRIALS_BOUND = 2 ** 32
@@ -424,6 +427,10 @@ def parse_model(text: str) -> ModelDocument:
 
 
 def _chain_from_declaration(obj: dict) -> Ctmc:
+    import numpy as np
+
+    from .markov import Ctmc, StateSpace
+
     labels = [s["label"] for s in obj["states"]]
     flags = [s["operational"] for s in obj["states"]]
     space = StateSpace.from_labels(labels, flags)
@@ -435,6 +442,8 @@ def _chain_from_declaration(obj: dict) -> Ctmc:
 
 def build_chain(doc: ModelDocument) -> tuple[Ctmc, int]:
     """Chain plus start state for ``markov`` and ``msdr`` documents."""
+    from .markov import build_two_state
+
     if doc.kind == "msdr":
         return build_msdr_chain(doc), 0
     params = doc.parameters
@@ -444,12 +453,16 @@ def build_chain(doc: ModelDocument) -> tuple[Ctmc, int]:
 
 
 def build_msdr_chain(doc: ModelDocument) -> Ctmc:
+    from .securability import build_msdr
+
     rates, crew = build_msdr_inputs(doc)
     return build_msdr(rates, single_repair_crew=crew)
 
 
 def build_msdr_inputs(doc: ModelDocument) -> tuple[MsDrRates, bool]:
     """MS/DR rates with any declared attack rate folded in, plus crew policy."""
+    from .securability import MsDrRates, combine_failure_and_attack
+
     p = doc.parameters
     lam_ms, lam_dr = p["lambda_ms"], p["lambda_dr"]
     threat = build_threat(doc)
@@ -463,6 +476,8 @@ def build_msdr_inputs(doc: ModelDocument) -> tuple[MsDrRates, bool]:
 
 
 def build_threat(doc: ModelDocument) -> ThreatProfile | None:
+    from .securability import ThreatProfile
+
     attack = doc.parameters.get("attack")
     if attack is None:
         return None
@@ -470,10 +485,14 @@ def build_threat(doc: ModelDocument) -> ThreatProfile | None:
 
 
 def build_weibull_model(doc: ModelDocument) -> WeibullModel:
+    from .weibull import WeibullModel
+
     return WeibullModel(alpha=doc.parameters["alpha"], beta=doc.parameters["beta"])
 
 
 def build_failure_sample(doc: ModelDocument) -> FailureSample:
+    from .weibull import FailureSample
+
     data = doc.parameters["data"]
     times = tuple(float(t) for t in data["times"])
     censored = tuple(bool(c) for c in data.get("censored", ()))
@@ -481,6 +500,9 @@ def build_failure_sample(doc: ModelDocument) -> FailureSample:
 
 
 def build_r_out_of_n(doc: ModelDocument) -> RoutOfNSystem:
+    from .markov import build_two_state
+    from .securability import ChainSubsystem, RoutOfNSystem
+
     subs = []
     for obj in doc.parameters["subsystems"]:
         if obj["type"] == "probability":

@@ -23,7 +23,6 @@ event-count cap as a runaway guard: a horizon would bias MTTF downward.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +326,8 @@ def _run_partitioned(worker, n_trials: int, threads: int):
     if threads == 1:
         worker(0, n_trials)
         return
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by jobs that start threads
+
     bounds = np.linspace(0, n_trials, threads + 1).astype(int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, int(a), int(b)) for a, b in zip(bounds, bounds[1:])]

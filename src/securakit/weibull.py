@@ -168,6 +168,8 @@ def fit(data: FailureSample, method: str = "rank_regression") -> WeibullModel:
     solves the one-dimensional profile likelihood score in beta by Newton
     iteration (score tolerance 1e-10, 100-iteration cap) and recovers
     alpha in closed form; right-censored entries enter the likelihood.
+    The MLE is finite, and fitted, unless every failure time equals the
+    largest observed time; ties below it are fine.
     """
     if method == "rank_regression":
         return _fit_rank_regression(data)
@@ -205,11 +207,10 @@ def _fit_mle(data: FailureSample) -> WeibullModel:
     r = int(uncensored.sum())
     if r < 1:
         raise DomainError("maximum likelihood needs at least one uncensored failure time")
-    fail_times = times[uncensored]
-    if np.all(fail_times == fail_times[0]):
+    scale = times.max()
+    if np.all(times[uncensored] == scale):  # only then has the profile score no root (beta -> inf)
         raise StructureError("degenerate failure data: all failure times are equal")
 
-    scale = times.max()
     w = times / scale  # numerical hygiene: w**beta <= 1, score is scale-invariant
     logw = np.log(w)
     mean_log_fail = float(logw[uncensored].mean())

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, determinism, diagnostics, formats."""
 
+import argparse
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from malformed_corpus import MALFORMED_DOCUMENTS
 
 import securakit
-from securakit import markov, model_io, montecarlo
+from securakit import cli, markov, model_io, montecarlo
 from securakit.cli import main
 
 TWO_STATE_DOC = {
@@ -93,6 +94,18 @@ class TestHappyPaths:
         payload = json.loads(out)
         methods = {r["method"] for r in payload["results"]}
         assert methods == {"rank_regression", "mle"}
+
+    @pytest.mark.parametrize("data, alpha, beta", [
+        ({"times": [5, 10, 10, 10], "censored": [False, True, True, True]}, 21.19583, 1.601200),
+        ({"times": [1, 1, 2], "censored": [False, False, True]}, 1.724674, 2.110743),
+    ])
+    def test_weibull_fit_mle_on_tied_failures(self, capsys, write_doc, data, alpha, beta):
+        path = write_doc({"kind": "weibull", "parameters": {"data": data}})
+        code, out, err = run(capsys, ["weibull", "fit", "--file", path, "--method", "mle", "--format", "json"])
+        assert (code, err) == (0, "")
+        values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
+        assert values["alpha"] == pytest.approx(alpha, rel=1e-6)
+        assert values["beta"] == pytest.approx(beta, rel=1e-6)
 
     def test_markov_solve(self, capsys, write_doc):
         path = write_doc(TWO_STATE_DOC)
@@ -265,6 +278,23 @@ class TestDeterminism:
         _, grid, _ = run(capsys, base + ["--grid", "0:20:5"])
         assert json.loads(grid)["results"] == json.loads(plain)["results"]
 
+    def test_default_threads_are_the_usable_cores(self, monkeypatch):
+        doc = model_io.parse_model(json.dumps(TWO_STATE_DOC))
+        request = next(r for r in doc.analyses if r.op == "reliability")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.delenv("SECURAKIT_THREADS", raising=False)
+
+        def threads(flag=None):
+            args = argparse.Namespace(seed=None, threads=flag)
+            ctx = cli._Context(args, "mc reliability", "reliability", doc, None, 0, request)
+            return cli._monte_carlo(ctx)[1]
+
+        assert threads() == 1
+        monkeypatch.setenv("SECURAKIT_THREADS", "3")
+        assert threads() == 3
+        assert threads(5) == 5
+
     def test_missing_seed_is_validation_error(self, capsys, write_doc):
         payload = {k: v for k, v in TWO_STATE_DOC.items() if k != "seed"}
         path = write_doc(payload)
@@ -422,22 +452,72 @@ class TestValidateIsZeroCost:
         assert elapsed < 0.5
 
 
+# the modules that a command which runs no engine must not load
+ENGINES = ("numpy", "securakit.markov", "securakit.montecarlo", "securakit.weibull", "securakit.securability")
+PRINT_ENGINES = f"print([m for m in {ENGINES!r} if m in sys.modules])\n"
+
+
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports securakit from the tree under test."""
+    src = str(Path(securakit.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestColdStart:
     def test_validate_in_fresh_interpreter_loads_no_scipy(self, write_doc):
         path = write_doc(TWO_STATE_DOC)
-        code = (
+        proc = fresh_python(
             "import sys, securakit\n"
             f"assert securakit.cli.main(['validate', {path!r}, '--quiet']) == 0\n"
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
         )
-        src = str(Path(securakit.__file__).resolve().parents[1])
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("payload, exit_code", [
+        (TWO_STATE_DOC, 0),
+        ({"kind": "markov", "parameters": {"lambda": -1, "mu": "x"}, "extra": 1}, 1),
+    ])
+    def test_validate_command_loads_no_engine(self, capsys, write_doc, payload, exit_code):
+        path = write_doc(payload)
+        # what ``python -m securakit validate PATH --quiet`` runs, then the engines it left loaded
+        proc = fresh_python(
+            "import runpy, sys\n"
+            f"sys.argv = ['securakit', 'validate', {path!r}, '--quiet']\n"
+            "try:\n"
+            "    runpy.run_module('securakit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            f"    {PRINT_ENGINES}"
+        )
+        code, _, err = run(capsys, ["validate", path, "--quiet"])
+        assert proc.returncode == code == exit_code
+        assert proc.stderr == err
+        assert err.count("error: schema: ") == (3 if exit_code else 0)
+        assert proc.stdout == "[]\n"
+
+    def test_import_loads_no_engine(self):
+        proc = fresh_python("import sys, securakit\n" + PRINT_ENGINES)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_engine_names_load_on_first_access(self):
+        proc = fresh_python(
+            "import sys, securakit\n"
+            "assert 'securakit.markov' not in sys.modules\n"
+            "assert securakit.Ctmc is securakit.markov.Ctmc\n"
+            "names = {}\n"
+            "exec('from securakit import *', names)\n"
+            "assert set(securakit.__all__) <= set(names), set(securakit.__all__) - set(names)\n"
+            "assert all(names[n] is getattr(securakit, n) for n in securakit.__all__)\n"
+            "try:\n"
+            "    securakit.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "module 'securakit' has no attribute 'no_such_name'\n"
 
 
 class TestMalformedCorpus:

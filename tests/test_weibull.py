@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize
+from scipy.stats import weibull_min
 
 from securakit.errors import ConvergenceError, DomainError, SingularityError, StructureError
 from securakit.rng import CounterRng
@@ -21,6 +23,21 @@ from securakit.weibull import (
     reliability,
     sample_lifetimes,
 )
+
+def censored_mle_oracle(times, censored) -> WeibullModel:
+    """The maximizer of the ``scipy.stats.weibull_min`` likelihood of a right-censored sample."""
+    t, c = np.asarray(times), np.asarray(censored)
+
+    def nll(p):
+        alpha, beta = np.exp(p)
+        return -(weibull_min.logpdf(t[~c], beta, scale=alpha).sum()
+                 + weibull_min.logsf(t[c], beta, scale=alpha).sum())
+
+    opt = minimize(nll, [math.log(t.mean()), 0.0], method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20_000})
+    assert opt.success
+    return WeibullModel(alpha=float(np.exp(opt.x[0])), beta=float(np.exp(opt.x[1])))
+
 
 models = st.builds(
     WeibullModel,
@@ -193,6 +210,26 @@ class TestFit:
         for method in ("rank_regression", "mle"):
             with pytest.raises(StructureError):
                 fit(data, method=method)
+
+    @pytest.mark.parametrize("times, censored", [
+        ((5.0, 10.0, 10.0, 10.0), (False, True, True, True)),  # one failure before the censored times
+        ((1.0, 1.0, 2.0), (False, False, True)),  # tied failures before a censored time
+        ((2.0, 5.0), (False, True)),
+        ((3.0, 3.0, 7.0, 7.0), (False, False, True, False)),  # a tie at the largest time, one failure below
+    ])
+    def test_mle_accepts_ties_below_the_largest_time(self, times, censored):
+        est = fit(FailureSample(times, censored), method="mle")
+        oracle = censored_mle_oracle(times, censored)
+        assert est.alpha == pytest.approx(oracle.alpha, rel=1e-6)
+        assert est.beta == pytest.approx(oracle.beta, rel=1e-6)
+
+    @pytest.mark.parametrize("times, censored", [
+        ((3.0,), (False,)),
+        ((2.0, 2.0, 1.0), (False, False, True)),  # every failure at the largest time
+    ])
+    def test_mle_rejects_failures_all_at_the_largest_time(self, times, censored):
+        with pytest.raises(StructureError, match="all failure times are equal"):
+            fit(FailureSample(times, censored), method="mle")
 
     def test_rank_regression_exact_on_quantile_grid(self):
         # the ten exact quantiles of (alpha=1, beta=1) at the median-rank
