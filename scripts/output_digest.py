@@ -20,6 +20,13 @@ from its 1-thread run in stdout or exit code.  The quick documents have
 fewer trials than one thread's minimum slice, so the script sets
 ``montecarlo._MIN_SLICE`` to 1 in process: 2 threads then really split
 every Monte Carlo command's trials.
+
+It checks too that threshold reliability does not depend on how its chain
+subsystems are grouped into walks: the script exits 1, naming the argv,
+when a threaded ``sec routofn`` run differs from the same run with
+``montecarlo._MERGED_LANES`` set to 1, which walks one subsystem at a
+time.  That run prints no line of its own, so the digest of a tree
+without the check stays comparable.
 """
 
 from __future__ import annotations
@@ -64,6 +71,14 @@ def _run(argv: list[str]) -> tuple[str, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def _run_one_subsystem_per_walk(argv: list[str]) -> tuple[str, str, str]:
+    merged, montecarlo._MERGED_LANES = montecarlo._MERGED_LANES, 1
+    try:
+        return _run(argv)
+    finally:
+        montecarlo._MERGED_LANES = merged
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -96,11 +111,17 @@ def main() -> None:
                                 print(workload, seed, " ".join(argv), f"exit={code}",
                                       f"stdout={_sha(out)}", f"stderr={_sha(err)}", flush=True)
                             if serial is not None and results[0] != results[1]:
-                                mismatched.append(" ".join(threaded))
+                                mismatched.append(f"thread-dependent output: {' '.join(threaded)} "
+                                                  "differs from its --threads 1 run")
+                            # a threaded routofn run is a threshold reliability run
+                            if serial is not None and "routofn" in threaded and \
+                                    _run_one_subsystem_per_walk(threaded)[:2] != results[0]:
+                                mismatched.append(f"grouping-dependent output: {' '.join(threaded)} "
+                                                  "differs from its run with one subsystem per walk")
                 finally:
                     os.chdir(here)
-    for argv in mismatched:
-        print(f"thread-dependent output: {argv} differs from its --threads 1 run", file=sys.stderr)
+    for line in mismatched:
+        print(line, file=sys.stderr)
     if mismatched:
         raise SystemExit(1)
 

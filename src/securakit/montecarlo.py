@@ -11,7 +11,10 @@ bit-identical no matter how many worker threads execute the trials.
 Every estimator walks its trials in vectorized waves through
 :func:`_walk_batch`, which consumes draws exactly as the single-path
 :func:`simulate_trajectory` does; that one is the reference tests compare
-against.
+against.  One walk's lanes may come from several cells: threshold
+reliability walks all its chain subsystems at once on the disjoint union
+of their kernels, lane (t, j) reading cell (seed, t, j), which changes no
+draw.
 
 Reliability and MTTF read per-trial absorption times (inf for a trial that
 never fails) from one walk of the absorbing variant of the chain.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,10 +35,13 @@ from . import markov
 from .errors import ConvergenceError, DomainError
 from .markov import Ctmc
 from .rng import TRIAL_BOUND, CounterRng, uniform_block, uniform_pairs
-from .securability import ChainSubsystem, RoutOfNSystem
+
+if TYPE_CHECKING:
+    from .securability import RoutOfNSystem
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MIN_SLICE = 50_000  # fewest trials per worker thread (see _run_partitioned)
+_MERGED_LANES = 1 << 16  # most lanes in a walk that merges subsystems (see estimate_threshold_reliability)
 
 
 @dataclass(frozen=True)
@@ -177,13 +184,16 @@ class _ChainKernel:
 
     State s jumps to ``targets[offsets[s]:offsets[s+1]]`` with cumulative
     probabilities ``cumprobs`` over the same slice (the last one is 1); a
-    state with no exits has an empty slice.
+    state with no exits has an empty slice.  ``part[s]`` is the index of
+    the chain that state s comes from: 0 in a kernel of one chain, the
+    chain's position in a :meth:`union`.
     """
 
     def __init__(self, chain: Ctmc):
         q = chain.generator
         self.exit_rates = chain.exit_rates()
         self.operational = chain.operational_mask()
+        self.part = np.zeros(chain.n, dtype=np.intp)
         targets, cumprobs = [], []
         for i in range(chain.n):
             row = np.array(q[i])
@@ -193,10 +203,31 @@ class _ChainKernel:
             cp[-1:] = 1.0
             targets.append(tgt)
             cumprobs.append(cp)
-        degree = np.array([tgt.size for tgt in targets])
-        self.offsets = np.concatenate(([0], np.cumsum(degree)))
         self.targets = np.concatenate(targets)
         self.cumprobs = np.concatenate(cumprobs)
+        self._index(np.array([tgt.size for tgt in targets]))
+
+    @classmethod
+    def union(cls, kernels: list[_ChainKernel], starts) -> tuple[_ChainKernel, np.ndarray]:
+        """The disjoint union of ``kernels``, and ``starts[i]`` of kernel i as a state of it.
+
+        Kernel i's states follow kernel i-1's: its state s is state
+        ``base[i] + s`` of the union, so its targets shift by ``base[i]``
+        and its cumulative probabilities stay as they are.
+        """
+        base = np.cumsum([0] + [k.exit_rates.size for k in kernels])
+        self = cls.__new__(cls)
+        self.exit_rates = np.concatenate([k.exit_rates for k in kernels])
+        self.operational = np.concatenate([k.operational for k in kernels])
+        self.part = np.repeat(np.arange(len(kernels)), np.diff(base))
+        self.targets = np.concatenate([k.targets + b for k, b in zip(kernels, base)])
+        self.cumprobs = np.concatenate([k.cumprobs for k in kernels])
+        self._index(np.concatenate([np.diff(k.offsets) for k in kernels]))
+        return self, base[:-1] + starts
+
+    def _index(self, degree: np.ndarray) -> None:
+        # CSR offsets from each state's out-degree, and the search depth of choose
+        self.offsets = np.concatenate(([0], np.cumsum(degree)))
         self._last = self.offsets[1:] - 1
         self._rounds = math.ceil(math.log2(degree.max())) if degree.max() > 1 else 0
 
@@ -221,11 +252,11 @@ class _ChainKernel:
 
 def _walk_batch(
     kernel: _ChainKernel,
-    start: int,
+    start,
     lo: int,
     hi: int,
     seed: int,
-    substream: int,
+    substream,
     horizon: float | None,
     max_events: int,
     occupancy_mask: np.ndarray | None = None,
@@ -234,36 +265,49 @@ def _walk_batch(
 ):
     """Walk trials ``lo..hi-1`` in synchronized waves.
 
-    Every lane still walking at wave w has made w jumps, so its jump reads
-    block w of its cell ``(seed, t, substream)``: the holding time from
-    the block's first double and the state choice from its second, the
-    same draws as :func:`simulate_trajectory`.
-    Outcomes therefore depend only on (seed, trial), never on the batch
-    partition.  The walking lanes are kept as compacted (trial, state,
-    time) arrays that are filtered only when lanes stop: past the horizon
-    or in a state with no exits.
+    ``start`` and ``substream`` are a state and a substream id, or two
+    arrays of k entries: then each trial t walks k lanes, and lane (t, i)
+    starts at ``start[i]``, a state of the kernel's part i, and draws from
+    cell ``(seed, t, substream[i])``.  One walk's lanes may so come from
+    several cells; a lane never leaves its part, so its state names its
+    cell.  Every lane still walking at wave w has made w jumps, so its
+    jump reads block w of its cell: the holding time from the block's
+    first double and the state choice from its second, the same draws as
+    :func:`simulate_trajectory`.  Outcomes therefore depend only on
+    (seed, trial, substream), never on the batch partition or on which
+    lanes share a walk.  The walking lanes are kept as compacted (trial,
+    state, time) arrays that are filtered only when lanes stop: past the
+    horizon or in a state with no exits.
 
-    A ``flip_log`` list receives, per wave, ``(trial, time, delta)`` arrays
-    for the lanes whose jump changed operational status (delta +1 on
-    entering the operational set, -1 on leaving it).
+    A ``flip_log`` list receives, per wave, ``(trial, substream, time,
+    delta)`` arrays for the lanes whose jump changed operational status
+    (delta +1 on entering the operational set, -1 on leaving it).
 
-    Returns (absorb_time, occupancy_time) arrays for the slice; absorb_time
-    is the entry time into a non-operational state with no exits, or inf.
+    Returns (absorb_time, occupancy_time) arrays with one entry per lane,
+    lane (t, i) at (t - lo) * k + i; absorb_time is the entry time into a
+    non-operational state with no exits, or inf.
     """
-    m = hi - lo
+    k = np.size(start)
+    m = (hi - lo) * k
     first = np.uint64(lo)
-    trial = np.arange(lo, hi, dtype=np.uint64)
-    state = np.full(m, start, dtype=np.int64)
+    trial = np.repeat(np.arange(lo, hi, dtype=np.uint64), k)
+    state = np.tile(np.asarray(start, dtype=np.int64), hi - lo)
+    # each state's substream: its part's
+    substream_of = np.broadcast_to(np.asarray(substream, dtype=np.uint64), (k,))[kernel.part]
     t = np.zeros(m)
     absorb_time = np.full(m, np.inf)
     occupancy = np.zeros(m)
     track = occupancy_mask is not None
 
+    def slot(lanes):
+        # index of each lane (t, i) in the returned arrays
+        return (trial[lanes] - first).astype(np.intp) * k + kernel.part[state[lanes]]
+
     def credit(lanes, interval_end):
         # time ``lanes`` spend in their current state, clipped to [burn_in, horizon]
         in_target = occupancy_mask[state[lanes]]
         span = np.clip(interval_end, burn_in, horizon) - np.clip(t[lanes], burn_in, horizon)
-        occupancy[trial[lanes][in_target] - first] += span[in_target]
+        occupancy[slot(lanes)[in_target]] += span[in_target]
 
     wave = 0
     while trial.size:
@@ -272,14 +316,15 @@ def _walk_batch(
         if np.any(stuck):
             lanes = np.flatnonzero(stuck)
             down = lanes[~kernel.operational[state[lanes]]]
-            absorb_time[trial[down] - first] = t[down]
+            absorb_time[slot(down)] = t[down]
             if track:
                 credit(stuck, horizon)
             keep = ~stuck
             trial, state, t, rates = trial[keep], state[keep], t[keep], rates[keep]
             if not trial.size:
                 break
-        hold, choice = uniform_pairs(seed, trial, substream, wave)
+        # one cell per trial (k == 1): a scalar substream spares a gather per wave
+        hold, choice = uniform_pairs(seed, trial, substream if k == 1 else substream_of[state], wave)
         np.log(hold, out=hold)
         hold /= rates
         t_new = t - hold  # plus an Exp(rate) holding time, -log(u) / rate
@@ -305,8 +350,8 @@ def _walk_batch(
         if flip_log is not None:
             now_op = kernel.operational[nxt]
             flipped = now_op != kernel.operational[state]
-            flip_log.append((trial[flipped].astype(np.int64), t_new[flipped],
-                             np.where(now_op[flipped], 1, -1)))
+            flip_log.append((trial[flipped].astype(np.int64), substream_of[state[flipped]],
+                             t_new[flipped], np.where(now_op[flipped], 1, -1)))
         state, t = nxt, t_new
         wave += 1
     return absorb_time, occupancy
@@ -442,33 +487,42 @@ def estimate_threshold_reliability(
     System performance at any instant is the fraction of subsystems
     currently operational; a trial fails if it is below ``cfg.threshold``
     at t=0 or at any later instant.  Subsystem j of trial t draws from
-    stream (seed, t, substream=j): a chain subsystem is walked for all
-    trials by :func:`_walk_batch`, which logs its status flips, and a
-    bare probability is one Bernoulli draw at t=0, held over the mission.
-    The flips of all subsystems are sorted by (trial, time, subsystem,
-    delta) and the running count of operational subsystems is checked
-    after each.
+    stream (seed, t, substream=j): a bare probability is one Bernoulli
+    draw at t=0, held over the mission, and the chain subsystems are
+    walked together by :func:`_walk_batch` on the union of their kernels,
+    which logs their status flips.  A walk holds at most
+    max(trials in the slice, ``_MERGED_LANES``) lanes; past that the chain
+    subsystems are split over several walks, which changes no draw.  The
+    cap bounds memory: a walk keeps about 75 bytes per lane, so when few
+    flips are logged, merging k subsystems of a large slice would raise
+    the peak nearly k-fold.  The
+    flips of all subsystems are sorted by (trial, time, subsystem, delta)
+    and the running count of operational subsystems is checked after each.
     """
-    n = system.n
-    kernels = [_ChainKernel(sub.chain) if isinstance(sub, ChainSubsystem) else None
-               for sub in system.subsystems]
+    from .securability import ChainSubsystem  # loaded only by threshold jobs
+
+    n, subs = system.n, system.subsystems
+    is_chain = np.array([isinstance(sub, ChainSubsystem) for sub in subs])
+    chains, bare = np.flatnonzero(is_chain), np.flatnonzero(~is_chain)
+    p_up = np.array([subs[j] for j in bare])
+    kernels = [_ChainKernel(subs[j].chain) for j in chains]
+    starts = np.array([subs[j].start for j in chains], dtype=np.int64)
+    chains_up = sum(k.operational[s] for k, s in zip(kernels, starts))  # chain subsystems up at t=0
     survived = np.zeros(cfg.n_trials, dtype=bool)
 
     def worker(lo, hi):
-        up = np.zeros(hi - lo, dtype=np.int64)  # operational subsystems at t=0
+        draws = uniform_block(cfg.seed, np.arange(lo, hi)[:, None], bare, 0)
+        up = chains_up + np.sum(draws <= p_up, axis=1)  # operational subsystems at t=0
         flips = []
-        for j, (sub, kernel) in enumerate(zip(system.subsystems, kernels)):
-            if kernel is None:
-                up += uniform_block(cfg.seed, np.arange(lo, hi), j, 0) <= sub
-                continue
-            up += kernel.operational[sub.start]
-            log = []
-            _walk_batch(kernel, sub.start, lo, hi, cfg.seed, j, cfg.horizon, cfg.max_events,
-                        flip_log=log)
-            flips += [(trial, when, np.full(trial.size, j), delta) for trial, when, delta in log]
+        per_walk = max(hi - lo, _MERGED_LANES) // (hi - lo)
+        for g in range(0, len(chains), per_walk):
+            part = slice(g, g + per_walk)
+            kernel, start = _ChainKernel.union(kernels[part], starts[part])
+            _walk_batch(kernel, start, lo, hi, cfg.seed, chains[part], cfg.horizon, cfg.max_events,
+                        flip_log=flips)
         ok = up / n >= cfg.threshold
         if flips:
-            trial, when, sub_id, delta = (np.concatenate(col) for col in zip(*flips))
+            trial, sub_id, when, delta = (np.concatenate(col) for col in zip(*flips))
             order = np.lexsort((delta, sub_id, when, trial))
             trial, delta = trial[order], delta[order]
             count = np.concatenate(([0], np.cumsum(delta)))

@@ -73,44 +73,54 @@ def _philox4x32(c0, c1, c2, c3, k0, k1):
     return c0, c1, c2, c3
 
 
-def _check_cell(seed: int, trial: int, substream: int) -> None:
-    if not 0 <= seed < SEED_BOUND:
-        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
-    if not 0 <= trial < TRIAL_BOUND:
-        raise DomainError(f"trial index must be in [0, 2**32), got {trial}")
-    if not 0 <= substream < SUBSTREAM_BOUND:
-        raise DomainError(f"substream id must be in [0, 2**32), got {substream}")
+def _lanes(values, bound: int, what: str) -> np.ndarray:
+    """``values`` as uint64, once each one is checked to lie in [0, ``bound``)."""
+    v = np.asarray(values)
+    # an unsigned array holds no negative entry, so only its largest needs a pass
+    low = 0 if v.dtype.kind == "u" else v.min(initial=0)
+    high = v.max(initial=0)
+    if low < 0 or high >= bound:
+        raise DomainError(f"{what} must be in [0, 2**{bound.bit_length() - 1}), "
+                          f"got {low if low < 0 else high}")
+    return v.astype(np.uint64, copy=False)
 
 
-def _blocks(seed: int, trials, substream: int, counters, words: int) -> tuple[np.ndarray, ...]:
-    """The first ``words`` doubles of block ``counters[i]`` of ``trials[i]``.
+def _check_cell(seed: int, trials, substreams) -> tuple[np.ndarray, np.ndarray]:
+    """``trials`` and ``substreams`` as uint64, once the cell bounds are checked.
 
-    ``trials`` and ``counters`` are broadcast-compatible integer arrays;
-    each of the ``words`` arrays returned has their broadcast shape, and
-    array k is made of block words (x2k, x2k+1).  A block is the same no
-    matter how the request is batched, so the cipher runs over chunks of
-    ``_CHUNK`` lanes: small enough for its temporaries to stay in a core's
-    cache, and large enough that each numpy call outlasts a hand-over of
-    the interpreter lock between worker threads.
+    ``trials`` and ``substreams`` are scalars or arrays; any entry outside
+    [0, 2**32), like a seed outside [0, 2**64), raises ``DomainError``.
     """
     if not 0 <= seed < SEED_BOUND:
         raise DomainError(f"seed must be in [0, 2**64), got {seed}")
-    if not 0 <= substream < SUBSTREAM_BOUND:
-        raise DomainError(f"substream id must be in [0, 2**32), got {substream}")
-    trials = np.asarray(trials, dtype=np.uint64)
+    return (_lanes(trials, TRIAL_BOUND, "trial index"),
+            _lanes(substreams, SUBSTREAM_BOUND, "substream id"))
+
+
+def _blocks(seed: int, trials, substreams, counters, words: int) -> tuple[np.ndarray, ...]:
+    """The first ``words`` doubles of block ``counters[i]`` of cell (seed, trials[i], substreams[i]).
+
+    ``trials``, ``substreams`` and ``counters`` are broadcast-compatible
+    integer arrays or scalars; each of the ``words`` arrays returned has
+    their broadcast shape, and array k is made of block words (x2k, x2k+1).
+    A block is the same no matter how the request is batched, so the
+    cipher runs over chunks of ``_CHUNK`` lanes: small enough for its
+    temporaries to stay in a core's cache, and large enough that each
+    numpy call outlasts a hand-over of the interpreter lock between worker
+    threads.
+    """
+    trials, substreams = _check_cell(seed, trials, substreams)
     counters = np.asarray(counters, dtype=np.uint64)
-    if trials.size and int(trials.max(initial=0)) >= TRIAL_BOUND:
-        raise DomainError("trial index must be in [0, 2**32)")
-    shape = np.broadcast_shapes(trials.shape, counters.shape)
-    # lanes laid out flat; a scalar trial or counter stays a scalar
-    trials, counters = (x if x.ndim == 0 else np.broadcast_to(x, shape).reshape(-1)
-                        for x in (trials, counters))
-    cell = (np.uint64(substream), np.uint64(seed & 0xFFFFFFFF), np.uint64(seed >> 32))
+    shape = np.broadcast_shapes(trials.shape, substreams.shape, counters.shape)
+    # lanes laid out flat; a scalar trial, substream or counter stays a scalar
+    lanes = [x if x.ndim == 0 else np.broadcast_to(x, shape).reshape(-1)
+             for x in (trials, substreams, counters)]
+    key = (np.uint64(seed & 0xFFFFFFFF), np.uint64(seed >> 32))
     u = np.empty((words, math.prod(shape)))
     for start in range(0, u.shape[1], _CHUNK):
         part = slice(start, start + _CHUNK)
-        trial, counter = (x if x.ndim == 0 else x[part] for x in (trials, counters))
-        x = _philox4x32(counter & _U32, counter >> _S32, trial, *cell)
+        trial, substream, counter = (x if x.ndim == 0 else x[part] for x in lanes)
+        x = _philox4x32(counter & _U32, counter >> _S32, trial, substream, *key)
         for k in range(words):
             # 53-bit mantissa shifted into (0, 1]: u = (bits >> 11 + 1) * 2**-53,
             # so u = 1 is reachable and u = 0 is not (safe under log transforms).
@@ -123,24 +133,24 @@ def _blocks(seed: int, trials, substream: int, counters, words: int) -> tuple[np
     return tuple(row.reshape(shape) for row in u)
 
 
-def uniform_block(seed: int, trials, substream: int, counters) -> np.ndarray:
-    """Uniform (0, 1] doubles for draw ``counters[i]`` of ``trials[i]``.
+def uniform_block(seed: int, trials, substreams, counters) -> np.ndarray:
+    """Uniform (0, 1] doubles for draw ``counters[i]`` of cell (seed, ``trials[i]``, ``substreams[i]``).
 
-    ``trials`` and ``counters`` are broadcast-compatible integer arrays;
-    the result has their broadcast shape.  Draw k of a given
-    (seed, trial, substream) cell is the same double no matter how the
-    request is batched.
+    ``trials``, ``substreams`` and ``counters`` are broadcast-compatible
+    integer arrays or scalars; the result has their broadcast shape.  Draw
+    k of a given (seed, trial, substream) cell is the same double no
+    matter how the request is batched.
     """
-    return _blocks(seed, trials, substream, counters, 1)[0]
+    return _blocks(seed, trials, substreams, counters, 1)[0]
 
 
-def uniform_pairs(seed: int, trials, substream: int, counters) -> tuple[np.ndarray, np.ndarray]:
-    """Both doubles of block ``counters[i]`` of ``trials[i]``: (x0, x1) and (x2, x3).
+def uniform_pairs(seed: int, trials, substreams, counters) -> tuple[np.ndarray, np.ndarray]:
+    """Both doubles of block ``counters[i]`` of cell i: (x0, x1) and (x2, x3).
 
     The first array equals ``uniform_block`` of the same arguments; the
     second costs no further cipher rounds.
     """
-    return _blocks(seed, trials, substream, counters, 2)
+    return _blocks(seed, trials, substreams, counters, 2)
 
 
 _MASK32 = 0xFFFFFFFF

@@ -497,6 +497,22 @@ class TestColdStart:
         assert err.count("error: schema: ") == (3 if exit_code else 0)
         assert proc.stdout == "[]\n"
 
+    @pytest.mark.parametrize("command", ["mc reliability", "mc mttf"])
+    def test_chain_monte_carlo_loads_no_securability(self, capsys, write_doc, command):
+        path = write_doc(TWO_STATE_DOC)
+        argv = [*command.split(), "--file", path]
+        proc = fresh_python(
+            "import runpy, sys\n"
+            f"sys.argv = ['securakit', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('securakit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print('securakit.montecarlo' in sys.modules, 'securakit.securability' in sys.modules)\n"
+        )
+        code, out, err = run(capsys, argv)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out + "True False\n"
+
     def test_import_loads_no_engine(self):
         proc = fresh_python("import sys, securakit\n" + PRINT_ENGINES)
         assert proc.returncode == 0, proc.stderr

@@ -364,8 +364,16 @@ class TestThresholdReliability:
         se = math.sqrt(0.49 * 0.51 / cfg.n_trials)
         assert abs(est.value - 0.49) < 3 * se
 
+    # lane caps: one subsystem per walk, and the default, which merges every subsystem here
+    MERGED_LANES = pytest.mark.parametrize("merged_lanes", [1, montecarlo._MERGED_LANES],
+                                           ids=["one_per_walk", "merged"])
+
+    @MERGED_LANES
     @pytest.mark.parametrize("threshold", [1.0, 0.75, 0.5, 0.25])
-    def test_four_degrading_subsystems_equal_scalar_oracle(self, threshold):
+    def test_four_degrading_subsystems_equal_scalar_oracle(self, monkeypatch, threshold, merged_lanes):
+        # a minimum slice of 1 trial makes 3 threads really split these small jobs
+        monkeypatch.setattr(montecarlo, "_MIN_SLICE", 1)
+        monkeypatch.setattr(montecarlo, "_MERGED_LANES", merged_lanes)
         system = RoutOfNSystem(r=4, subsystems=tuple(
             degrading(0.5 + 0.05 * k, 0.3, 0.5, 0.2 - 0.03 * k) for k in range(4)
         ))
@@ -376,8 +384,12 @@ class TestThresholdReliability:
             assert estimate_threshold_reliability(system, cfg, threads=1) == expected
             assert estimate_threshold_reliability(system, cfg, threads=3) == expected
 
+    @MERGED_LANES
     @pytest.mark.parametrize("threshold", [1.0, 0.6, 0.4, 0.2])
-    def test_bare_probabilities_mixed_with_chains_equal_scalar_oracle(self, threshold):
+    def test_bare_probabilities_mixed_with_chains_equal_scalar_oracle(self, monkeypatch, threshold,
+                                                                       merged_lanes):
+        monkeypatch.setattr(montecarlo, "_MIN_SLICE", 1)
+        monkeypatch.setattr(montecarlo, "_MERGED_LANES", merged_lanes)
         system = RoutOfNSystem(r=1, subsystems=(
             0.9,
             build_two_state(0.2, 1.0),
@@ -398,6 +410,27 @@ class TestThresholdReliability:
             expected = threshold_oracle(system, cfg)
             assert estimate_threshold_reliability(system, cfg, threads=1) == expected
             assert estimate_threshold_reliability(system, cfg, threads=3) == expected
+
+    def test_no_walk_holds_more_lanes_than_the_cap(self, monkeypatch):
+        assert montecarlo._MERGED_LANES == 1 << 16
+        lanes = []
+        walk = montecarlo._walk_batch
+
+        def counted(kernel, start, lo, hi, *args, **kwargs):
+            lanes.append((hi - lo) * np.size(start))
+            return walk(kernel, start, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_walk_batch", counted)
+        system = RoutOfNSystem(r=1, subsystems=(0.9, *(build_two_state(0.1, 1.0) for _ in range(5))))
+        # (trials, threads): 3 subsystems fit in one walk of 20 000 trials, none beside 70 000,
+        # and 2 threads walk slices of 50 000 trials
+        for n_trials, threads, expected in ((100, 1, [500]), (20_000, 1, [60_000, 40_000]),
+                                            (70_000, 1, [70_000] * 5), (100_000, 2, [50_000] * 10)):
+            lanes.clear()
+            cfg = MonteCarloConfig(n_trials=n_trials, horizon=0.5, seed=3, threshold=0.5)
+            estimate_threshold_reliability(system, cfg, threads=threads)
+            assert lanes == expected
+            assert max(lanes) <= max(n_trials // threads, 1 << 16)
 
     def test_makes_no_single_path_or_scalar_draw(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -735,6 +768,26 @@ class TestChainKernelChoose:
             chain = Ctmc.from_transition_rates(
                 StateSpace.from_labels([str(i) for i in range(degree + 1)], [True] * (degree + 1)), rates)
             assert montecarlo._ChainKernel(chain)._rounds == rounds
+
+
+class TestUnionKernel:
+    def test_union_walk_equals_one_walk_per_part(self):
+        kernels = [montecarlo._ChainKernel(absorbing_variant(chain)) for chain in
+                   (non_repairable(0.3), series_chain(0.5, 0.4), degrading(0.5, 0.3, 0.5, 0.2))]
+        starts, substreams = [0, 1, 0], np.array([4, 0, 9])
+        union, union_starts = montecarlo._ChainKernel.union(kernels, starts)
+        assert union_starts.tolist() == [0, 2 + 1, 2 + 3 + 0]
+        assert union._rounds == max(k._rounds for k in kernels)
+        mask = np.concatenate([k.operational for k in kernels])
+        absorb, occupancy = montecarlo._walk_batch(union, union_starts, 5, 45, 123, substreams, 6.0,
+                                                   10_000, occupancy_mask=mask, burn_in=1.0)
+        for i, kernel in enumerate(kernels):
+            alone = montecarlo._walk_batch(kernel, starts[i], 5, 45, 123, int(substreams[i]), 6.0,
+                                           10_000, occupancy_mask=kernel.operational, burn_in=1.0)
+            # lane (t, i) sits at (t - lo) * 3 + i
+            assert np.array_equal(absorb[i::3], alone[0])
+            assert np.array_equal(occupancy[i::3], alone[1])
+        assert np.isfinite(absorb).any() and np.isinf(absorb).any()
 
 
 class TestPartition:

@@ -114,6 +114,12 @@ def test_cell_bounds_rejected():
         CounterRng(seed=0, trial=2 ** 32)
     with pytest.raises(DomainError):
         CounterRng(seed=0, substream=-3)
+    for draw in (uniform_block, uniform_pairs):
+        for trial, substream in ((-1, 0), (2 ** 32, 0), (np.array([0, 2 ** 32]), 0),
+                                 (0, -1), (0, 2 ** 32), (0, 2 ** 64), (np.arange(3), np.array([0, -1, 2])),
+                                 (np.arange(3), np.array([1, 2 ** 32, 2], dtype=np.uint64))):
+            with pytest.raises(DomainError):
+                draw(0, trial, substream, 0)
 
 
 @given(
@@ -171,21 +177,19 @@ def test_uniform_block_chunking_is_invisible(monkeypatch, chunk):
 @given(
     seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
     trials=st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1), min_size=1, max_size=9),
-    substream=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    substreams=st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1), min_size=9, max_size=9),
     counters=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), min_size=9, max_size=9),
-    scalar_trial=st.booleans(),
-    scalar_counter=st.booleans(),
+    scalar=st.tuples(st.booleans(), st.booleans(), st.booleans()),
 )
-def test_uniform_pairs_equal_scalar_pairs(seed, trials, substream, counters, scalar_trial,
-                                          scalar_counter):
-    counters = counters[: len(trials)]
-    n = 1 if scalar_trial and scalar_counter else len(trials)
-    expected = [_uniform_pair_scalar(seed, trials[0 if scalar_trial else i], substream,
-                                     counters[0 if scalar_counter else i]) for i in range(n)]
+def test_uniform_pairs_equal_scalar_pairs(seed, trials, substreams, counters, scalar):
+    # each of trial, substream and counter is one scalar or one entry per lane
+    columns = [trials, substreams[: len(trials)], counters[: len(trials)]]
+    n = 1 if all(scalar) else len(trials)
+    expected = [_uniform_pair_scalar(seed, *(c[0 if one else i] for c, one in zip(columns, scalar)))
+                for i in range(n)]
     first, second = uniform_pairs(
-        seed, trials[0] if scalar_trial else np.array(trials, dtype=np.uint64), substream,
-        counters[0] if scalar_counter else np.array(counters, dtype=np.uint64))
-    assert np.shape(first) == np.shape(second) == (() if scalar_trial and scalar_counter else (n,))
+        seed, *(c[0] if one else np.array(c, dtype=np.uint64) for c, one in zip(columns, scalar)))
+    assert np.shape(first) == np.shape(second) == (() if all(scalar) else (n,))
     assert list(zip(np.ravel(first).tolist(), np.ravel(second).tolist())) == expected
 
 
