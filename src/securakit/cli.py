@@ -202,13 +202,12 @@ def _markov_transient(ctx: _Context) -> AnalysisReport:
         raise ValidationError("markov transient needs --grid or an analyses entry with 't'")
     pi0 = np.zeros(chain.n)
     pi0[ctx.start] = 1.0
-    times = [float(t) for t in grid]
-    dists = markov.transient_grid(chain, pi0, times)
-    op_mask = chain.operational_mask()
-    availability = [float(d.pi[op_mask].sum()) for d in dists]
+    dists = markov.transient_grid(chain, pi0, grid).pi
+    times = grid.tolist()
+    # compress keeps the rows C-contiguous, so each row sums in the order a 1-d sum does
+    availability = np.compress(chain.operational_mask(), dists, axis=1).sum(axis=1).tolist()
     series = [Series("availability", times, availability)]
-    for state in chain.space.states:
-        series.append(Series(f"pi[{state.label}]", times, [float(d.pi[state.id]) for d in dists]))
+    series += [Series(f"pi[{s.label}]", times, dists[:, s.id].tolist()) for s in chain.space.states]
     return AnalysisReport({}, [Result("availability", availability[-1], "analytic")], series)
 
 
@@ -242,11 +241,12 @@ def _mc_reliability(ctx: _Context) -> AnalysisReport:
     cfg, threads = _monte_carlo(ctx)
     grid = _parse_grid(ctx.args.grid) if ctx.args.grid is not None else np.empty(0)
     # the headline estimate at the horizon comes from the same trials as the grid
-    *curve, estimate = montecarlo.estimate_reliability_curve(
+    curve = montecarlo.estimate_reliability_curve(
         ctx.model, ctx.start, cfg, np.append(grid, cfg.horizon), threads=threads
     )
-    series = [Series("reliability", [float(t) for t in grid], [e.value for e in curve])] if grid.size else []
-    results = [Result("reliability", estimate.value, "monte_carlo", uncertainty=estimate.std_error)]
+    series = [Series("reliability", grid.tolist(), curve.value[:-1].tolist())] if grid.size else []
+    value, std_error = float(curve.value[-1]), float(curve.std_error[-1])
+    results = [Result("reliability", value, "monte_carlo", uncertainty=std_error)]
     return AnalysisReport({}, results, series, seed_used=cfg.seed)
 
 

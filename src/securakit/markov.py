@@ -119,23 +119,23 @@ class Ctmc:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
-    """State probabilities: entries >= 0 summing to 1 within 1e-12."""
+    """State probabilities: one distribution (1-d) or one per row (2-d), each >= 0 summing to 1.
+
+    The sums are checked within 1e-12 in one pass; the array is taken as is and made read-only.
+    """
 
     pi: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.pi, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise DomainError("probability vector must be a nonempty 1-d array")
+        v = np.asarray(self.pi, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[-1] == 0:
+            raise DomainError("probability vector must be a nonempty 1-d array or a 2-d stack of them")
         if np.any(v < 0):
             raise DomainError("probability vector entries must be >= 0")
-        if abs(v.sum() - 1.0) > ROW_SUM_TOL:
+        if np.any(np.abs(v.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
             raise DomainError("probability vector must sum to 1 within 1e-12")
         v.setflags(write=False)
         object.__setattr__(self, "pi", v)
-
-    def __len__(self) -> int:
-        return self.pi.size
 
 
 def build_two_state(lam: float, mu: float) -> Ctmc:
@@ -206,13 +206,6 @@ def steady_state(chain: Ctmc) -> ProbabilityVector:
     return ProbabilityVector(pi)
 
 
-def _coerce_pvec(pi0, n: int) -> np.ndarray:
-    vec = pi0.pi if isinstance(pi0, ProbabilityVector) else ProbabilityVector(np.asarray(pi0, dtype=float)).pi
-    if vec.size != n:
-        raise DomainError(f"probability vector has {vec.size} entries, chain has {n} states")
-    return np.array(vec, dtype=float)
-
-
 def _poisson_weights(mu: float, tail_tol: float) -> tuple[int, np.ndarray]:
     """Poisson(mu) probabilities for k = left..R, renormalized to sum to 1.
 
@@ -259,11 +252,11 @@ def _poisson_weights(mu: float, tail_tol: float) -> tuple[int, np.ndarray]:
 
 def transient(chain: Ctmc, pi0, t: float, tail_tol: float = UNIFORMIZATION_TAIL) -> ProbabilityVector:
     """Distribution pi0 @ expm(Q t) by uniformization; see :func:`transient_grid`."""
-    return transient_grid(chain, pi0, [t], tail_tol)[0]
+    return ProbabilityVector(transient_grid(chain, pi0, [t], tail_tol).pi[0])
 
 
-def transient_grid(chain: Ctmc, pi0, times, tail_tol: float = UNIFORMIZATION_TAIL) -> list[ProbabilityVector]:
-    """Distributions pi0 @ expm(Q t) for every t in ``times``, by one uniformization pass.
+def transient_grid(chain: Ctmc, pi0, times, tail_tol: float = UNIFORMIZATION_TAIL) -> ProbabilityVector:
+    """Distributions pi0 @ expm(Q t), one row per t in ``times``, by one uniformization pass.
 
     Each distribution is the Poisson(rate*t)-weighted sum of v_k = pi0 @ P**k
     with P = I + Q/rate.  The weights are Fox-Glynn weights computed in numpy
@@ -274,40 +267,44 @@ def transient_grid(chain: Ctmc, pi0, times, tail_tol: float = UNIFORMIZATION_TAI
     truncation bias below the tolerance.
 
     The powers v_k are formed once, up to the largest R of the grid, and
-    each point adds the terms of its own window in the order a single-point
-    run would, so every distribution is the same to the last bit as when it
-    is computed alone.  Every window, and every error, comes before the
-    first product.
+    each is added to every point whose window holds it in one broadcast
+    update, in the order a single-point run adds them, so every row is the
+    same to the last bit as when it is computed alone.  Every window, and
+    every error, comes before the first product.
     """
-    times = list(times)
-    for t in times:
-        if not t >= 0:
-            raise DomainError(f"time must be >= 0, got {t}")
-    v0 = _coerce_pvec(pi0, chain.n)
+    grid = np.array(times, dtype=float)
+    if not np.all(grid >= 0):
+        raise DomainError(f"time must be >= 0, got {grid[~(grid >= 0)][0]}")
+    v0 = pi0.pi if isinstance(pi0, ProbabilityVector) else ProbabilityVector(np.array(pi0, dtype=float)).pi
+    if v0.ndim != 1 or v0.size != chain.n:
+        raise DomainError(f"probability vector has {v0.size} entries, chain has {chain.n} states")
     q = chain.generator
     rate = float(np.max(-np.diag(q)))
-    windows = {j: _poisson_weights(rate * t, tail_tol) for j, t in enumerate(times) if t != 0 and rate != 0}
-    opening: dict[int, list[int]] = {}
-    for j, (left, _) in windows.items():
-        opening.setdefault(left, []).append(j)
-    last = max((left + w.size - 1 for left, w in windows.values()), default=-1)
-    acc = [v0] * len(times)
-    live: list[int] = []  # points whose window holds the current power
+    timed = (grid != 0) & (rate != 0)  # the points that need a window; the rest are pi0
+    points = np.flatnonzero(timed)
+    windows = [_poisson_weights(rate * t, tail_tol) for t in grid[points].tolist()]
+    lefts = np.array([left for left, _ in windows], dtype=np.int64)
+    sizes = np.array([w.size for _, w in windows], dtype=np.int64)
+    weights = np.concatenate([w for _, w in windows]) if windows else np.empty(0)
+    ends = lefts + sizes - 1
+    base = np.cumsum(sizes) - sizes - lefts  # weights[base[i] + k] is point i's weight of v_k
+    # the live points change only where a window opens or has just closed
+    changes = {0, *lefts.tolist(), *(ends + 1).tolist()}
+    # -0.0 + x is x to the bit, so a window's first term lands as w * v
+    out = np.where(timed[:, None], -0.0, v0)
     p = np.eye(chain.n) + q / rate if windows else None
-    v = v0
-    for k in range(last + 1):
-        if k:
-            v = v @ p
-        for j in live:
-            left, w = windows[j]
-            acc[j] = acc[j] + w[k - left] * v
-        for j in opening.get(k, ()):
-            acc[j] = windows[j][1][0] * v
-            live.append(j)
-        live = [j for j in live if k - windows[j][0] < windows[j][1].size - 1]
-    for j in windows:
-        acc[j] /= acc[j].sum()
-    return [ProbabilityVector(out) for out in acc]
+    for k in range(int(ends.max(initial=-1)) + 1):
+        v = v @ p if k else v0
+        if k in changes:
+            live = np.flatnonzero((lefts <= k) & (k <= ends))
+            rows, at = points[live], base[live]
+            if rows.size and rows[-1] - rows[0] == rows.size - 1:  # a run of rows updates in place
+                rows = slice(rows[0], rows[-1] + 1)
+        if live.size:
+            out[rows] += weights[at + k][:, None] * v
+    # a C-contiguous row sums in the order a 1-d sum does, and x / 1.0 is x, so pi0 rows keep their bits
+    out /= np.where(timed, out.sum(axis=1), 1.0)[:, None]
+    return ProbabilityVector(out)
 
 
 def availability_at(chain: Ctmc, pi0, t: float) -> float:

@@ -101,26 +101,26 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Point estimate with its standard error and normal-approximation 95% CI."""
+    """Point estimate with its standard error and normal 95% CI: floats, or arrays over a curve."""
 
-    value: float
-    std_error: float
-    ci95: tuple[float, float]
+    value: float | np.ndarray
+    std_error: float | np.ndarray
+    ci95: tuple
     n_effective: int
 
     def __post_init__(self):
-        if self.std_error < 0:
-            raise DomainError("std_error must be >= 0")
         lo, hi = self.ci95
-        if not lo <= self.value <= hi:
+        if np.any(np.less(self.std_error, 0)):
+            raise DomainError("std_error must be >= 0")
+        if not np.all(np.less_equal(lo, self.value) & np.less_equal(self.value, hi)):
             raise DomainError("ci95 must contain the point estimate")
 
 
-def _binomial_estimate(successes: int, n: int) -> Estimate:
-    value = successes / n
-    se = math.sqrt(value * (1.0 - value) / n)
-    lo = max(0.0, value - _Z95 * se)
-    hi = min(1.0, value + _Z95 * se)
+def _binomial_estimate(successes, n: int) -> Estimate:
+    value = np.divide(successes, n)
+    se = np.sqrt(value * (1.0 - value) / n)
+    lo = np.maximum(0.0, value - _Z95 * se)
+    hi = np.minimum(1.0, value + _Z95 * se)
     return Estimate(value=value, std_error=se, ci95=(lo, hi), n_effective=n)
 
 
@@ -398,21 +398,22 @@ def estimate_reliability(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads
 
     Trials run on the absorbing variant of the chain; the estimate is the
     sample mean of survival indicators with binomial standard error and a
-    normal 95% CI clamped to [0, 1].  It is the one-point reliability curve
-    at ``cfg.horizon``.
+    normal 95% CI clamped to [0, 1].  It is the reliability curve at the one
+    time ``cfg.horizon``.
     """
-    return estimate_reliability_curve(chain, start, cfg, [cfg.horizon], threads)[0]
+    return estimate_reliability_curve(chain, start, cfg, cfg.horizon, threads)
 
 
 def estimate_reliability_curve(
     chain: Ctmc, start: int, cfg: MonteCarloConfig, times, threads: int = 1
-) -> list[Estimate]:
+) -> Estimate:
     """Survival estimates at several horizons from one shared set of trials.
 
     Trials walk the absorbing variant once, out to the largest requested
     time; the estimate at time t is the fraction of trials not yet absorbed
-    by t.  Point estimates across the grid are therefore correlated, but
-    each one is the unbiased survival-fraction estimator at its time.
+    by t, in one :class:`Estimate` with an array entry per time (floats if
+    ``times`` is one number).  Point estimates across the grid are
+    therefore correlated, but each is the unbiased estimator at its time.
     """
     _check_operational_start(chain, start)
     grid = np.asarray(times, dtype=float)
@@ -424,7 +425,7 @@ def estimate_reliability_curve(
     absorb = np.sort(_absorption_times(chain, start, cfg, horizon, threads))
     # trials still unabsorbed at t: those whose absorption time is > t
     alive = cfg.n_trials - np.searchsorted(absorb, grid, side="right")
-    return [_binomial_estimate(int(k), cfg.n_trials) for k in alive]
+    return _binomial_estimate(alive, cfg.n_trials)
 
 
 def estimate_mttf(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads: int = 1) -> Estimate:

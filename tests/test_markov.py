@@ -338,10 +338,10 @@ def transient_grids(draw):
 @settings(max_examples=40, deadline=None)
 def test_transient_grid_equals_per_point_runs(case):
     chain, pi0, times = case
-    dists = transient_grid(chain, pi0, times)
-    assert len(dists) == len(times)
-    for t, dist in zip(times, dists):
-        assert np.array_equal(dist.pi, transient_oracle(chain, pi0, t))
+    dists = transient_grid(chain, pi0, times).pi
+    assert dists.shape == (len(times), chain.n)
+    for t, row in zip(times, dists):
+        assert np.array_equal(row, transient_oracle(chain, pi0, t))
 
 
 class TestTransientGrid:
@@ -353,12 +353,23 @@ class TestTransientGrid:
         chain = random_chain(CounterRng(seed=21), n_states=5)
         pi0 = np.array([0.2, 0.3, 0.0, 0.5, 0.0])
         times = [3.0, 0.0, 0.5, 12.0, 3.0]
-        for t, dist in zip(times, transient_grid(chain, pi0, times)):
+        for t, row in zip(times, transient_grid(chain, pi0, times).pi):
             expected = pi0 @ expm(chain.generator * t)
-            np.testing.assert_allclose(dist.pi, expected, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-10)
 
     def test_empty_grid(self):
-        assert transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], []) == []
+        assert transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], []).pi.shape == (0, 2)
+
+    def test_long_grid(self):
+        # 10**4 points once cost a Python loop over every live point at every power: 2 s here
+        chain, grid = build_two_state(0.1, 1.0), np.linspace(0.0, 50.0, 10 ** 4)
+        elapsed = []
+        for _ in range(2):
+            start = time.perf_counter()
+            dists = transient_grid(chain, [1.0, 0.0], grid).pi
+            elapsed.append(time.perf_counter() - start)
+        assert dists.shape == (grid.size, 2)
+        assert min(elapsed) < 1.0
 
     def test_huge_last_point_fails_fast(self):
         begin = time.perf_counter()
@@ -535,6 +546,15 @@ class TestVectors:
             ProbabilityVector(np.array([0.5, 0.6]))
         with pytest.raises(DomainError):
             ProbabilityVector(np.array([-0.1, 1.1]))
+        # a stack holds one distribution per row, and one bad row among good ones is rejected
+        good = [[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]]
+        assert ProbabilityVector(np.array(good)).pi.shape == (3, 2)
+        for bad_row in ([0.5, 0.5 + 1e-9], [-0.1, 1.1]):
+            with pytest.raises(DomainError):
+                ProbabilityVector(np.array([*good[:2], bad_row, good[2]]))
+        for bad in (np.ones((1, 1, 1)), np.empty(0), np.empty((3, 0))):
+            with pytest.raises(DomainError):
+                ProbabilityVector(bad)
 
 
 @given(rates_pairs)

@@ -209,10 +209,9 @@ class TestEstimateReliability:
         cfg = MonteCarloConfig(n_trials=20_000, horizon=30.0, seed=5)
         grid = np.linspace(0.0, 30.0, 7)
         curve = estimate_reliability_curve(chain, 0, cfg, grid)
-        values = [e.value for e in curve]
-        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert np.all(np.diff(curve.value) <= 0)
         single = estimate_reliability(chain, 0, cfg)
-        assert curve[-1].value == pytest.approx(single.value, abs=3 * single.std_error)
+        assert curve.value[-1] == pytest.approx(single.value, abs=3 * single.std_error)
 
     def test_curve_counts_equal_the_per_point_rule(self, monkeypatch):
         # ties with grid points, repeated times, never-absorbed trials; grid unsorted with repeats
@@ -221,12 +220,11 @@ class TestEstimateReliability:
         monkeypatch.setattr(montecarlo, "_absorption_times", lambda *args: absorb.copy())
         cfg = MonteCarloConfig(n_trials=absorb.size, horizon=1.0, seed=0)
         curve = estimate_reliability_curve(build_two_state(0.1, 0.1), 0, cfg, grid)
-        assert curve == [_binomial_estimate(int((absorb > t).sum()), absorb.size) for t in grid]
+        assert curve_points(curve) == [_binomial_estimate(int((absorb > t).sum()), absorb.size) for t in grid]
 
-    def test_long_grid_costs_one_sort(self, monkeypatch):
-        # the per-point rule compared every trial with every point: 3 s here;
-        # a stub estimate leaves the walk and the count to be timed
-        monkeypatch.setattr(montecarlo, "_binomial_estimate", lambda k, n: k)
+    def test_long_grid_costs_one_sort(self):
+        # the per-point rule compared every trial with every point: 3 s here, and
+        # one estimate object per point took most of another 0.5 s
         chain, grid = non_repairable(0.1), np.linspace(0.0, 50.0, 10 ** 5)
         cfg = MonteCarloConfig(n_trials=20_000, horizon=1.0, seed=3)
         elapsed = []
@@ -234,7 +232,7 @@ class TestEstimateReliability:
             start = time.perf_counter()
             curve = estimate_reliability_curve(chain, 0, cfg, grid)
             elapsed.append(time.perf_counter() - start)
-        assert len(curve) == grid.size
+        assert curve.value.shape == curve.std_error.shape == grid.shape
         assert min(elapsed) < 1.0
 
 
@@ -564,6 +562,14 @@ class TestConfigAndEstimate:
             Estimate(value=0.5, std_error=-0.1, ci95=(0.4, 0.6), n_effective=10)
         with pytest.raises(DomainError):
             Estimate(value=0.9, std_error=0.1, ci95=(0.4, 0.6), n_effective=10)
+        # a curve is checked entry by entry: one bad point among good ones is rejected
+        lo, hi = np.array([0.4, 0.5, 0.6]), np.array([0.6, 0.7, 0.8])
+        Estimate(value=np.array([0.5, 0.6, 0.7]), std_error=np.full(3, 0.05), ci95=(lo, hi), n_effective=10)
+        with pytest.raises(DomainError):
+            Estimate(value=np.array([0.5, 0.9, 0.7]), std_error=np.full(3, 0.05), ci95=(lo, hi), n_effective=10)
+        with pytest.raises(DomainError):
+            Estimate(value=np.array([0.5, 0.6, 0.7]), std_error=np.array([0.05, -0.1, 0.05]), ci95=(lo, hi),
+                     n_effective=10)
 
     def test_ci_contains_value_and_is_clamped(self):
         chain = build_two_state(0.001, 0.1)
@@ -590,6 +596,12 @@ def reliability_curve_oracle(chain, start, cfg, times):
         for trial in range(cfg.n_trials)
     ]
     return [_binomial_estimate(sum(f > t for f in fail), cfg.n_trials) for t in times]
+
+
+def curve_points(curve):
+    """A curve's array estimate as one float Estimate per point, for comparison with the oracle."""
+    columns = (curve.value.tolist(), curve.std_error.tolist(), *(bound.tolist() for bound in curve.ci95))
+    return [Estimate(v, se, (lo, hi), curve.n_effective) for v, se, lo, hi in zip(*columns)]
 
 
 def mttf_oracle(chain, start, cfg):
@@ -686,7 +698,7 @@ class TestWalkerEqualsTrajectoryOracle:
         cfg = MonteCarloConfig(n_trials=37, horizon=2.0, seed=seed, max_events=self.HORIZON_CAP)
         expected = outcome(lambda: reliability_curve_oracle(chain, 0, cfg, times))
         got = self.at_thread_counts(
-            lambda th: estimate_reliability_curve(chain, 0, cfg, times, threads=th))
+            lambda th: curve_points(estimate_reliability_curve(chain, 0, cfg, times, threads=th)))
         assert got == [expected, expected]
 
     @WALK_SETTINGS
@@ -724,7 +736,7 @@ class TestWalkerEqualsTrajectoryOracle:
         cfg = MonteCarloConfig(n_trials=300, horizon=3.0, seed=31, max_events=self.HORIZON_CAP)
         assert estimate_mttf(chain, 0, cfg) == mttf_oracle(chain, 0, cfg)
         curve = reliability_curve_oracle(chain, 0, cfg, [0.5, 3.0])
-        assert estimate_reliability_curve(chain, 0, cfg, [0.5, 3.0]) == curve
+        assert curve_points(estimate_reliability_curve(chain, 0, cfg, [0.5, 3.0])) == curve
         assert estimate_reliability(chain, 0, cfg) == curve[1]
         assert estimate_occupancy(chain, 0, cfg, (0, 9), 1.0) == occupancy_oracle(chain, 0, cfg, (0, 9), 1.0)
 
