@@ -370,8 +370,6 @@ def _run(args) -> AnalysisReport | None:
     request = next((r for r in doc.analyses if r.op == command.op), None)
     if start is not None:
         start = int(request.settings.get("start", start) if request else start)
-        if not 0 <= start < model.n:
-            raise ValidationError(f"start state {start} out of range 0..{model.n - 1}")
     rep = command.handler(_Context(args, name, command.op, doc, model, start, request))
     rep.model_echo = {
         "kind": doc.kind,

@@ -250,21 +250,21 @@ def _poisson_weights(mu: float, tail_tol: float) -> tuple[int, np.ndarray]:
     return left, weights / weights.sum()
 
 
-def transient(chain: Ctmc, pi0, t: float, tail_tol: float = UNIFORMIZATION_TAIL) -> ProbabilityVector:
+def transient(chain: Ctmc, pi0, t: float) -> ProbabilityVector:
     """Distribution pi0 @ expm(Q t) by uniformization; see :func:`transient_grid`."""
-    return ProbabilityVector(transient_grid(chain, pi0, [t], tail_tol).pi[0])
+    return ProbabilityVector(transient_grid(chain, pi0, [t]).pi[0])
 
 
-def transient_grid(chain: Ctmc, pi0, times, tail_tol: float = UNIFORMIZATION_TAIL) -> ProbabilityVector:
+def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
     """Distributions pi0 @ expm(Q t), one row per t in ``times``, by one uniformization pass.
 
     Each distribution is the Poisson(rate*t)-weighted sum of v_k = pi0 @ P**k
     with P = I + Q/rate.  The weights are Fox-Glynn weights computed in numpy
     (:func:`_poisson_weights`): a point's sum stops at the least R with
-    P(X > R) <= ``tail_tol``, terms below its left window edge (at most
-    ``tail_tol**2`` of mass) are skipped, and its retained weights are
-    renormalized, so each result is a valid probability vector with
-    truncation bias below the tolerance.
+    P(X > R) <= ``UNIFORMIZATION_TAIL``, terms below its left window edge
+    (at most ``UNIFORMIZATION_TAIL**2`` of mass) are skipped, and its
+    retained weights are renormalized, so each result is a valid
+    probability vector with truncation bias below the tolerance.
 
     The powers v_k are formed once, up to the largest R of the grid, and
     each is added to every point whose window holds it in one broadcast
@@ -282,7 +282,7 @@ def transient_grid(chain: Ctmc, pi0, times, tail_tol: float = UNIFORMIZATION_TAI
     rate = float(np.max(-np.diag(q)))
     timed = (grid != 0) & (rate != 0)  # the points that need a window; the rest are pi0
     points = np.flatnonzero(timed)
-    windows = [_poisson_weights(rate * t, tail_tol) for t in grid[points].tolist()]
+    windows = [_poisson_weights(rate * t, UNIFORMIZATION_TAIL) for t in grid[points].tolist()]
     lefts = np.array([left for left, _ in windows], dtype=np.int64)
     sizes = np.array([w.size for _, w in windows], dtype=np.int64)
     weights = np.concatenate([w for _, w in windows]) if windows else np.empty(0)

@@ -12,9 +12,9 @@ Every estimator walks its trials in vectorized waves through
 :func:`_walk_batch`, which consumes draws exactly as the single-path
 :func:`simulate_trajectory` does; that one is the reference tests compare
 against.  One walk's lanes may come from several cells: threshold
-reliability walks all its chain subsystems at once on the disjoint union
-of their kernels, lane (t, j) reading cell (seed, t, j), which changes no
-draw.
+reliability walks all its chain subsystems at once on the kernel of
+their disjoint union, lane (t, j) reading cell (seed, t, j), which changes
+no draw.
 
 Reliability and MTTF read per-trial absorption times (inf for a trial that
 never fails) from one walk of the absorbing variant of the chain.
@@ -115,6 +115,12 @@ class Estimate:
         if not np.all(np.less_equal(lo, self.value) & np.less_equal(self.value, hi)):
             raise DomainError("ci95 must contain the point estimate")
 
+    def __eq__(self, other):
+        if not isinstance(other, Estimate):
+            return NotImplemented
+        fields = (self.value, self.std_error, *self.ci95, self.n_effective)
+        return all(map(np.array_equal, fields, (other.value, other.std_error, *other.ci95, other.n_effective)))
+
 
 def _binomial_estimate(successes, n: int) -> Estimate:
     value = np.divide(successes, n)
@@ -124,14 +130,13 @@ def _binomial_estimate(successes, n: int) -> Estimate:
     return Estimate(value=value, std_error=se, ci95=(lo, hi), n_effective=n)
 
 
-def _mean_estimate(samples: np.ndarray, clamp_low: float | None = None) -> Estimate:
+def _mean_estimate(samples: np.ndarray) -> Estimate:
+    # every sample is >= 0, and so is the CI's lower bound
     n = samples.size
     value = float(samples.sum() / n)
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    lo, hi = value - _Z95 * se, value + _Z95 * se
-    if clamp_low is not None:
-        lo = max(clamp_low, lo)
-    return Estimate(value=value, std_error=se, ci95=(lo, hi), n_effective=n)
+    return Estimate(value=value, std_error=se, ci95=(max(0.0, value - _Z95 * se), value + _Z95 * se),
+                    n_effective=n)
 
 
 def simulate_trajectory(
@@ -182,54 +187,35 @@ def simulate_trajectory(
 class _ChainKernel:
     """Per-state data for the vectorized trial walker, in CSR form.
 
-    State s jumps to ``targets[offsets[s]:offsets[s+1]]`` with cumulative
-    probabilities ``cumprobs`` over the same slice (the last one is 1); a
-    state with no exits has an empty slice.  ``part[s]`` is the index of
-    the chain that state s comes from: 0 in a kernel of one chain, the
-    chain's position in a :meth:`union`.
+    The kernel of a list of chains is that of their disjoint union: chain
+    i's state s is state ``base[i] + s``, and ``part`` holds each state's
+    chain index.  State s jumps to ``targets[offsets[s]:offsets[s+1]]``
+    with cumulative probabilities ``cumprobs`` over the same slice (the
+    last one is 1); a state with no exits has an empty slice.
     """
 
-    def __init__(self, chain: Ctmc):
-        q = chain.generator
-        self.exit_rates = chain.exit_rates()
-        self.operational = chain.operational_mask()
-        self.part = np.zeros(chain.n, dtype=np.intp)
+    def __init__(self, chains: list[Ctmc]):
+        sizes = [chain.n for chain in chains]
+        self.base = np.cumsum([0] + sizes[:-1])
+        self.part = np.repeat(np.arange(len(chains)), sizes)
+        self.exit_rates = np.concatenate([chain.exit_rates() for chain in chains])
+        self.operational = np.concatenate([chain.operational_mask() for chain in chains])
         targets, cumprobs = [], []
-        for i in range(chain.n):
-            row = np.array(q[i])
-            row[i] = 0.0
-            tgt = np.flatnonzero(row > 0) if self.exit_rates[i] > 0 else np.zeros(0, dtype=np.intp)
-            cp = np.cumsum(row[tgt]) / self.exit_rates[i]
-            cp[-1:] = 1.0
-            targets.append(tgt)
-            cumprobs.append(cp)
+        for chain, first in zip(chains, self.base):
+            for i, row in enumerate(np.array(chain.generator)):
+                rate = self.exit_rates[first + i]
+                row[i] = 0.0
+                tgt = np.flatnonzero(row > 0) if rate > 0 else np.zeros(0, dtype=np.intp)
+                cp = np.cumsum(row[tgt]) / rate
+                cp[-1:] = 1.0
+                targets.append(tgt + first)
+                cumprobs.append(cp)
+        degree = [tgt.size for tgt in targets]
         self.targets = np.concatenate(targets)
         self.cumprobs = np.concatenate(cumprobs)
-        self._index(np.array([tgt.size for tgt in targets]))
-
-    @classmethod
-    def union(cls, kernels: list[_ChainKernel], starts) -> tuple[_ChainKernel, np.ndarray]:
-        """The disjoint union of ``kernels``, and ``starts[i]`` of kernel i as a state of it.
-
-        Kernel i's states follow kernel i-1's: its state s is state
-        ``base[i] + s`` of the union, so its targets shift by ``base[i]``
-        and its cumulative probabilities stay as they are.
-        """
-        base = np.cumsum([0] + [k.exit_rates.size for k in kernels])
-        self = cls.__new__(cls)
-        self.exit_rates = np.concatenate([k.exit_rates for k in kernels])
-        self.operational = np.concatenate([k.operational for k in kernels])
-        self.part = np.repeat(np.arange(len(kernels)), np.diff(base))
-        self.targets = np.concatenate([k.targets + b for k, b in zip(kernels, base)])
-        self.cumprobs = np.concatenate([k.cumprobs for k in kernels])
-        self._index(np.concatenate([np.diff(k.offsets) for k in kernels]))
-        return self, base[:-1] + starts
-
-    def _index(self, degree: np.ndarray) -> None:
-        # CSR offsets from each state's out-degree, and the search depth of choose
-        self.offsets = np.concatenate(([0], np.cumsum(degree)))
+        self.offsets = np.cumsum([0] + degree)
         self._last = self.offsets[1:] - 1
-        self._rounds = math.ceil(math.log2(degree.max())) if degree.max() > 1 else 0
+        self._rounds = math.ceil(math.log2(max(degree))) if max(degree) > 1 else 0  # search depth of choose
 
     def choose(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next state of each lane: the first target whose cumulative probability is >= u.
@@ -357,8 +343,8 @@ def _walk_batch(
     return absorb_time, occupancy
 
 
-def _run_partitioned(worker, n_trials: int, threads: int):
-    """Run ``worker(lo, hi)`` over a partition of [0, n_trials).
+def _run_partitioned(worker, n_trials: int, threads: int) -> list:
+    """``worker(lo, hi)`` of each slice of a partition of [0, n_trials), in slice order.
 
     Each worker thread gets at least ``_MIN_SLICE`` trials: the walker
     runs a Python-level wave per jump under the interpreter lock, and on
@@ -369,28 +355,21 @@ def _run_partitioned(worker, n_trials: int, threads: int):
         raise DomainError(f"threads must be >= 1, got {threads}")
     threads = min(threads, -(-n_trials // _MIN_SLICE))
     if threads == 1:
-        worker(0, n_trials)
-        return
+        return [worker(0, n_trials)]
     from concurrent.futures import ThreadPoolExecutor  # loaded only by jobs that start threads
 
-    bounds = np.linspace(0, n_trials, threads + 1).astype(int)
+    bounds = np.linspace(0, n_trials, threads + 1).astype(int).tolist()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
-        for f in futures:
-            f.result()
+        return list(pool.map(worker, bounds[:-1], bounds[1:]))
 
 
 def _absorption_times(chain: Ctmc, start: int, cfg: MonteCarloConfig, horizon: float | None,
                       threads: int) -> np.ndarray:
     """Per-trial time of first failure, inf if none by ``horizon``: one walk of the absorbing variant."""
-    kernel = _ChainKernel(markov.absorbing_variant(chain))
-    absorb = np.empty(cfg.n_trials)
-
-    def worker(lo, hi):
-        absorb[lo:hi], _ = _walk_batch(kernel, start, lo, hi, cfg.seed, 0, horizon, cfg.max_events)
-
-    _run_partitioned(worker, cfg.n_trials, threads)
-    return absorb
+    kernel = _ChainKernel([markov.absorbing_variant(chain)])
+    return np.concatenate(_run_partitioned(
+        lambda lo, hi: _walk_batch(kernel, start, lo, hi, cfg.seed, 0, horizon, cfg.max_events)[0],
+        cfg.n_trials, threads))
 
 
 def estimate_reliability(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads: int = 1) -> Estimate:
@@ -438,7 +417,7 @@ def estimate_mttf(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads: int =
     """
     _check_operational_start(chain, start)
     markov.vet_absorption(chain, start)
-    return _mean_estimate(_absorption_times(chain, start, cfg, None, threads), clamp_low=0.0)
+    return _mean_estimate(_absorption_times(chain, start, cfg, None, threads))
 
 
 def estimate_occupancy(
@@ -465,19 +444,17 @@ def estimate_occupancy(
         if not 0 <= s < chain.n:
             raise DomainError(f"target state {s} out of range 0..{chain.n - 1}")
         mask[s] = True
-    kernel = _ChainKernel(chain)
+    kernel = _ChainKernel([chain])
     window = cfg.horizon - burn_in
-    frac = np.zeros(cfg.n_trials)
 
     def worker(lo, hi):
         _, occ = _walk_batch(
             kernel, start, lo, hi, cfg.seed, 0, cfg.horizon, cfg.max_events,
             occupancy_mask=mask, burn_in=burn_in,
         )
-        frac[lo:hi] = occ / window
+        return occ / window
 
-    _run_partitioned(worker, cfg.n_trials, threads)
-    return _mean_estimate(frac, clamp_low=0.0)
+    return _mean_estimate(np.concatenate(_run_partitioned(worker, cfg.n_trials, threads)))
 
 
 def estimate_threshold_reliability(
@@ -490,8 +467,8 @@ def estimate_threshold_reliability(
     at t=0 or at any later instant.  Subsystem j of trial t draws from
     stream (seed, t, substream=j): a bare probability is one Bernoulli
     draw at t=0, held over the mission, and the chain subsystems are
-    walked together by :func:`_walk_batch` on the union of their kernels,
-    which logs their status flips.  A walk holds at most
+    walked together by :func:`_walk_batch` on the kernel of their disjoint
+    union, which logs their status flips.  A walk holds at most
     max(trials in the slice, ``_MERGED_LANES``) lanes; past that the chain
     subsystems are split over several walks, which changes no draw.  The
     cap bounds memory: a walk keeps about 75 bytes per lane, so when few
@@ -506,10 +483,8 @@ def estimate_threshold_reliability(
     is_chain = np.array([isinstance(sub, ChainSubsystem) for sub in subs])
     chains, bare = np.flatnonzero(is_chain), np.flatnonzero(~is_chain)
     p_up = np.array([subs[j] for j in bare])
-    kernels = [_ChainKernel(subs[j].chain) for j in chains]
     starts = np.array([subs[j].start for j in chains], dtype=np.int64)
-    chains_up = sum(k.operational[s] for k, s in zip(kernels, starts))  # chain subsystems up at t=0
-    survived = np.zeros(cfg.n_trials, dtype=bool)
+    chains_up = sum(subs[j].chain.operational_mask()[s] for j, s in zip(chains, starts))  # up at t=0
 
     def worker(lo, hi):
         draws = uniform_block(cfg.seed, np.arange(lo, hi)[:, None], bare, 0)
@@ -518,9 +493,9 @@ def estimate_threshold_reliability(
         per_walk = max(hi - lo, _MERGED_LANES) // (hi - lo)
         for g in range(0, len(chains), per_walk):
             part = slice(g, g + per_walk)
-            kernel, start = _ChainKernel.union(kernels[part], starts[part])
-            _walk_batch(kernel, start, lo, hi, cfg.seed, chains[part], cfg.horizon, cfg.max_events,
-                        flip_log=flips)
+            kernel = _ChainKernel([subs[j].chain for j in chains[part]])
+            _walk_batch(kernel, kernel.base + starts[part], lo, hi, cfg.seed, chains[part], cfg.horizon,
+                        cfg.max_events, flip_log=flips)
         ok = up / n >= cfg.threshold
         if flips:
             trial, sub_id, when, delta = (np.concatenate(col) for col in zip(*flips))
@@ -530,9 +505,9 @@ def estimate_threshold_reliability(
             # operational count after each flip: the trial's t=0 count plus its flips so far
             level = up[trial - lo] + count[1:] - count[np.searchsorted(trial, trial)]
             ok[trial[level / n < cfg.threshold] - lo] = False
-        survived[lo:hi] = ok
+        return ok
 
-    _run_partitioned(worker, cfg.n_trials, threads)
+    survived = np.concatenate(_run_partitioned(worker, cfg.n_trials, threads))
     return _binomial_estimate(int(survived.sum()), cfg.n_trials)
 
 

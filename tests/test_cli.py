@@ -609,6 +609,12 @@ class TestExitCodes:
         code, out, err = run(capsys, [*command.split(), "--file", write_doc(doc)])
         assert (code, out, err) == (1, "", f"error: validation: {message}\n")
 
+    def test_analysis_start_out_of_range_is_schema_error(self, capsys, write_doc):
+        doc = {**TWO_STATE_DOC, "analyses": [{"op": "transient", "t": 1.0, "start": 2}]}
+        code, out, err = run(capsys, ["markov", "transient", "--file", write_doc(doc)])
+        assert (code, out) == (1, "")
+        assert err == "error: schema: analyses[0].start: state id 2 out of range 0..1\n"
+
     def test_validation_error_lines_are_single_line_parsable(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "msdr", "parameters": {"lambda_ms": -1}}')

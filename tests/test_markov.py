@@ -265,7 +265,7 @@ class TestPoissonWeights:
     @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3, math.nan])
     def test_tail_tolerance_outside_unit_interval_rejected(self, tol):
         with pytest.raises(DomainError):
-            transient(build_two_state(1.0, 1.0), [1.0, 0.0], 1.0, tail_tol=tol)
+            _poisson_weights(1.0, tol)
 
 
 @st.composite

@@ -220,7 +220,7 @@ class TestEstimateReliability:
         monkeypatch.setattr(montecarlo, "_absorption_times", lambda *args: absorb.copy())
         cfg = MonteCarloConfig(n_trials=absorb.size, horizon=1.0, seed=0)
         curve = estimate_reliability_curve(build_two_state(0.1, 0.1), 0, cfg, grid)
-        assert curve_points(curve) == [_binomial_estimate(int((absorb > t).sum()), absorb.size) for t in grid]
+        assert curve == _binomial_estimate(np.array([(absorb > t).sum() for t in grid]), absorb.size)
 
     def test_long_grid_costs_one_sort(self):
         # the per-point rule compared every trial with every point: 3 s here, and
@@ -571,6 +571,18 @@ class TestConfigAndEstimate:
             Estimate(value=np.array([0.5, 0.6, 0.7]), std_error=np.array([0.05, -0.1, 0.05]), ci95=(lo, hi),
                      n_effective=10)
 
+    def test_curve_estimates_compare_by_value(self):
+        # array fields: a tuple comparison of them raised ValueError
+        chain = build_two_state(0.3, 0.1)
+
+        def curve(seed):
+            return estimate_reliability_curve(chain, 0, MonteCarloConfig(200, 1.0, seed), [1.0, 2.0])
+
+        assert curve(7) == curve(7)
+        assert curve(7) != curve(8)
+        assert curve(7) != estimate_reliability(chain, 0, MonteCarloConfig(200, 2.0, 7))
+        assert curve(7) != "curve"
+
     def test_ci_contains_value_and_is_clamped(self):
         chain = build_two_state(0.001, 0.1)
         est = estimate_reliability(chain, 0, MonteCarloConfig(n_trials=500, horizon=1.0, seed=18))
@@ -589,19 +601,14 @@ def _first_failure(chain, path):
 
 
 def reliability_curve_oracle(chain, start, cfg, times):
-    horizon = max(max(times), cfg.horizon)
-    fail = [
+    """One Estimate over ``times`` (floats if ``times`` is one number), from per-trial failure times."""
+    horizon = max(np.max(times), cfg.horizon)
+    fail = np.array([
         _first_failure(chain, simulate_trajectory(
             chain, start, horizon, CounterRng(cfg.seed, trial), cfg.max_events))
         for trial in range(cfg.n_trials)
-    ]
-    return [_binomial_estimate(sum(f > t for f in fail), cfg.n_trials) for t in times]
-
-
-def curve_points(curve):
-    """A curve's array estimate as one float Estimate per point, for comparison with the oracle."""
-    columns = (curve.value.tolist(), curve.std_error.tolist(), *(bound.tolist() for bound in curve.ci95))
-    return [Estimate(v, se, (lo, hi), curve.n_effective) for v, se, lo, hi in zip(*columns)]
+    ])
+    return _binomial_estimate(np.greater.outer(fail, times).sum(axis=0), cfg.n_trials)
 
 
 def mttf_oracle(chain, start, cfg):
@@ -611,7 +618,7 @@ def mttf_oracle(chain, start, cfg):
                             cfg.max_events).absorbed_at
         for trial in range(cfg.n_trials)
     ]
-    return _mean_estimate(np.array(ttf), clamp_low=0.0)
+    return _mean_estimate(np.array(ttf))
 
 
 def occupancy_oracle(chain, start, cfg, target_states, burn_in):
@@ -628,7 +635,7 @@ def occupancy_oracle(chain, start, cfg, target_states, burn_in):
                 occupied += clip(when) - clip(since)
             state, since = nxt, when
         fractions.append(occupied / (cfg.horizon - burn_in))
-    return _mean_estimate(np.array(fractions), clamp_low=0.0)
+    return _mean_estimate(np.array(fractions))
 
 
 @st.composite
@@ -687,7 +694,7 @@ class TestWalkerEqualsTrajectoryOracle:
            horizon=st.floats(0.0, 6.0))
     def test_reliability(self, chain, seed, horizon):
         cfg = MonteCarloConfig(n_trials=37, horizon=horizon, seed=seed, max_events=self.HORIZON_CAP)
-        expected = outcome(lambda: reliability_curve_oracle(chain, 0, cfg, [horizon])[0])
+        expected = outcome(lambda: reliability_curve_oracle(chain, 0, cfg, horizon))
         got = self.at_thread_counts(lambda th: estimate_reliability(chain, 0, cfg, threads=th))
         assert got == [expected, expected]
 
@@ -697,8 +704,7 @@ class TestWalkerEqualsTrajectoryOracle:
     def test_reliability_curve(self, chain, seed, times):
         cfg = MonteCarloConfig(n_trials=37, horizon=2.0, seed=seed, max_events=self.HORIZON_CAP)
         expected = outcome(lambda: reliability_curve_oracle(chain, 0, cfg, times))
-        got = self.at_thread_counts(
-            lambda th: curve_points(estimate_reliability_curve(chain, 0, cfg, times, threads=th)))
+        got = self.at_thread_counts(lambda th: estimate_reliability_curve(chain, 0, cfg, times, threads=th))
         assert got == [expected, expected]
 
     @WALK_SETTINGS
@@ -732,12 +738,12 @@ class TestWalkerEqualsTrajectoryOracle:
         np.fill_diagonal(rates, 0.0)
         space = StateSpace.from_labels([f"s{i}" for i in range(10)], [True] * 9 + [False])
         chain = Ctmc.from_transition_rates(space, rates)
-        assert montecarlo._ChainKernel(chain)._rounds == 4
+        assert montecarlo._ChainKernel([chain])._rounds == 4
         cfg = MonteCarloConfig(n_trials=300, horizon=3.0, seed=31, max_events=self.HORIZON_CAP)
         assert estimate_mttf(chain, 0, cfg) == mttf_oracle(chain, 0, cfg)
-        curve = reliability_curve_oracle(chain, 0, cfg, [0.5, 3.0])
-        assert curve_points(estimate_reliability_curve(chain, 0, cfg, [0.5, 3.0])) == curve
-        assert estimate_reliability(chain, 0, cfg) == curve[1]
+        assert estimate_reliability_curve(chain, 0, cfg, [0.5, 3.0]) == reliability_curve_oracle(
+            chain, 0, cfg, [0.5, 3.0])
+        assert estimate_reliability(chain, 0, cfg) == reliability_curve_oracle(chain, 0, cfg, 3.0)
         assert estimate_occupancy(chain, 0, cfg, (0, 9), 1.0) == occupancy_oracle(chain, 0, cfg, (0, 9), 1.0)
 
 
@@ -759,7 +765,7 @@ class TestChainKernelChoose:
         rates[n - 1] = 0.0  # no exits
         chain = Ctmc.from_transition_rates(StateSpace.from_labels([str(i) for i in range(n)], [True] * n),
                                            rates)
-        kernel = montecarlo._ChainKernel(chain)
+        kernel = montecarlo._ChainKernel([chain])
         live = np.flatnonzero(np.diff(kernel.offsets) > 0)
         states, u = [], []
         for s in live:
@@ -779,15 +785,30 @@ class TestChainKernelChoose:
             rates[0, 1:] = 1.0
             chain = Ctmc.from_transition_rates(
                 StateSpace.from_labels([str(i) for i in range(degree + 1)], [True] * (degree + 1)), rates)
-            assert montecarlo._ChainKernel(chain)._rounds == rounds
+            assert montecarlo._ChainKernel([chain])._rounds == rounds
 
 
 class TestUnionKernel:
+    CHAINS = (non_repairable(0.3), series_chain(0.5, 0.4), degrading(0.5, 0.3, 0.5, 0.2))
+
+    def test_kernel_of_chains_joins_the_one_chain_kernels(self):
+        union = montecarlo._ChainKernel(list(self.CHAINS))
+        alone = [montecarlo._ChainKernel([chain]) for chain in self.CHAINS]
+        assert union.base.tolist() == [0, 2, 2 + 3]
+        assert union.part.tolist() == [0, 0, 1, 1, 1, 2, 2, 2]
+        assert union.targets.tolist() == [t + b for k, b in zip(alone, union.base) for t in k.targets]
+        for name in ("exit_rates", "operational", "cumprobs"):
+            assert np.array_equal(getattr(union, name), np.concatenate([getattr(k, name) for k in alone]))
+        degree = np.concatenate([np.diff(k.offsets) for k in alone])
+        assert union.offsets.tolist() == [0, *np.cumsum(degree)]
+        assert union._last.tolist() == (union.offsets[1:] - 1).tolist()
+        assert union._rounds == max(k._rounds for k in alone) == 1
+
     def test_union_walk_equals_one_walk_per_part(self):
-        kernels = [montecarlo._ChainKernel(absorbing_variant(chain)) for chain in
-                   (non_repairable(0.3), series_chain(0.5, 0.4), degrading(0.5, 0.3, 0.5, 0.2))]
+        kernels = [montecarlo._ChainKernel([absorbing_variant(chain)]) for chain in self.CHAINS]
         starts, substreams = [0, 1, 0], np.array([4, 0, 9])
-        union, union_starts = montecarlo._ChainKernel.union(kernels, starts)
+        union = montecarlo._ChainKernel([absorbing_variant(chain) for chain in self.CHAINS])
+        union_starts = union.base + starts
         assert union_starts.tolist() == [0, 2 + 1, 2 + 3 + 0]
         assert union._rounds == max(k._rounds for k in kernels)
         mask = np.concatenate([k.operational for k in kernels])
@@ -811,6 +832,19 @@ class TestPartition:
             montecarlo._run_partitioned(lambda lo, hi: slices.append((lo, hi)), n_trials, threads)
             assert len(slices) == expected
             assert sorted(slices)[0][0] == 0 and sorted(slices)[-1][1] == n_trials
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_results_come_back_in_slice_order(self, monkeypatch, threads):
+        monkeypatch.setattr(montecarlo, "_MIN_SLICE", 1)
+
+        def worker(lo, hi):
+            time.sleep(0.01 * (10 - lo))  # later slices finish first
+            return lo, hi
+
+        out = montecarlo._run_partitioned(worker, 10, threads)
+        assert len(out) == threads
+        assert out[0][0] == 0 and out[-1][1] == 10
+        assert all(a[1] == b[0] for a, b in zip(out, out[1:]))
 
     def test_cut_keeps_large_walks_threaded(self):
         assert -(-300_000 // montecarlo._MIN_SLICE) >= 2
