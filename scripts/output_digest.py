@@ -7,7 +7,10 @@ and runs every command of its list in process through
 in.  Each command runs with ``--format`` json, table and csv, and a
 command that takes ``--threads`` runs at 2 threads and at 1.  One line is
 printed per run: workload, seed, argv (document paths are bare file
-names), exit code, and the sha256 of stdout and of stderr.
+names), exit code, and the sha256 of stdout and of stderr.  After them,
+every document of ``tests/malformed_corpus.py`` runs through ``securakit
+validate`` and prints one line the same way, so the diff covers the
+diagnostics too.
 
 Usage: python scripts/output_digest.py --seeds 7 11 [--quick]
 
@@ -41,9 +44,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
+from malformed_corpus import MALFORMED_DOCUMENTS  # noqa: E402
 from securakit import cli, montecarlo  # noqa: E402
 
 THREADS = 2
@@ -120,6 +124,16 @@ def main() -> None:
                                                   "differs from its run with one subsystem per walk")
                 finally:
                     os.chdir(here)
+        os.chdir(tmp)
+        try:
+            for i, text in enumerate(MALFORMED_DOCUMENTS):
+                name = f"malformed_{i}.json"
+                Path(name).write_text(text, encoding="utf-8")
+                code, out, err = _run(["validate", name])
+                print("malformed_corpus", i, "validate", name, f"exit={code}",
+                      f"stdout={_sha(out)}", f"stderr={_sha(err)}", flush=True)
+        finally:
+            os.chdir(here)
     for line in mismatched:
         print(line, file=sys.stderr)
     if mismatched:

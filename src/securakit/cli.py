@@ -109,13 +109,9 @@ def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if threads < 1:
         raise UsageError(f"thread count must be >= 1, got {threads}")
-    cfg = MonteCarloConfig(
-        n_trials=s["n_trials"],
-        horizon=float(s.get("horizon", 0.0)),
-        seed=seed,
-        threshold=float(s.get("threshold", 1.0)),
-        max_events=int(s.get("max_events", 10 ** 9)),
-    )
+    # mttf reads no horizon; an absent threshold or max_events keeps the config's default
+    optional = {key: s[key] for key in ("threshold", "max_events") if key in s}
+    cfg = MonteCarloConfig(n_trials=s["n_trials"], horizon=s.get("horizon", 0.0), seed=seed, **optional)
     return cfg, threads
 
 
@@ -358,18 +354,10 @@ def _run(args) -> AnalysisReport | None:
     kinds = tuple(kind for kind, ops in model_io.OPS.items() if command.op in ops)
     if doc.kind not in kinds:
         raise ValidationError(f"{name} needs a document of kind {' or '.join(kinds)}, got {doc.kind}")
-    start = None
-    if doc.kind == "weibull":
-        if "data" not in doc.parameters:
-            raise ValidationError(f"{name} needs parameters.data in the document")
-        model = model_io.build_failure_sample(doc)
-    elif doc.kind == "r_out_of_n":
-        model = model_io.build_r_out_of_n(doc)
-    else:
-        model, start = model_io.build_chain(doc)
+    model, start = model_io.build_model(doc)
     request = next((r for r in doc.analyses if r.op == command.op), None)
-    if start is not None:
-        start = int(request.settings.get("start", start) if request else start)
+    if start is not None and request is not None:
+        start = request.settings.get("start", start)
     rep = command.handler(_Context(args, name, command.op, doc, model, start, request))
     rep.model_echo = {
         "kind": doc.kind,

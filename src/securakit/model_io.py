@@ -20,6 +20,8 @@ engines unless every downstream type invariant already holds.  Randomized
 analyses require an explicit seed (document- or analysis-level, or the
 CLI flag); none is ever auto-generated.
 
+Each kind is one row of ``_KINDS``: the parameter keys it allows, their
+validator and its builder, which :func:`build_model` calls for any kind.
 Parsing and validation are pure Python.  The builders import the engines
 they construct (and numpy) when called, so validating a document loads
 neither.
@@ -33,9 +35,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 from .report import AnalysisReport, emit_report, from_json  # noqa: F401  (public surface)
 
 if TYPE_CHECKING:
@@ -202,8 +204,18 @@ def _validate_start(check: _Check, obj: dict, base: str, n: int | None) -> None:
         check.state_id(_INDEX(check, obj["start"], f"{base}.start"), n, f"{base}.start")
 
 
-def _validate_chain(check: _Check, params: dict, base: str) -> None:
-    """An explicit chain declaration: its states, transitions and start."""
+def _validate_two_state(check: _Check, obj: dict, base: str) -> int:
+    """The ``lambda``/``mu`` shortcut of an up/down chain; returns its state count, 2."""
+    check.number(obj.get("lambda"), f"{base}.lambda", positive=True)
+    check.number(obj.get("mu"), f"{base}.mu", positive=True)
+    return 2
+
+
+def _validate_chain(check: _Check, params: dict, base: str) -> int | None:
+    """An explicit chain declaration: its states, transitions and start.
+
+    Returns the state count once ``states`` is a valid array, else None.
+    """
     states = check.array(params.get("states"), f"{base}.states", min_len=1)
     n = len(states) if states is not None else None
     any_op = False
@@ -233,6 +245,7 @@ def _validate_chain(check: _Check, params: dict, base: str) -> None:
             if src is not None and dst is not None and src == dst:
                 check.error(f"{base}.transitions[{i}]", "self-transitions are not allowed")
     _validate_start(check, params, base, n)
+    return n
 
 
 def _validate_weibull_params(check: _Check, params: dict):
@@ -263,23 +276,24 @@ def _validate_weibull_params(check: _Check, params: dict):
         check.error("parameters", "kind=weibull needs alpha/beta (for eval) or data (for fit)")
 
 
-def _validate_markov_params(check: _Check, params: dict):
+def _validate_markov_params(check: _Check, params: dict) -> int | None:
     shortcut = "lambda" in params or "mu" in params
     explicit = "states" in params or "transitions" in params
     if shortcut and explicit:
         check.error("parameters", "give either lambda/mu or states/transitions, not both")
     elif shortcut:
-        check.number(params.get("lambda"), "parameters.lambda", positive=True)
-        check.number(params.get("mu"), "parameters.mu", positive=True)
-        _validate_start(check, params, "parameters", 2)
+        n = _validate_two_state(check, params, "parameters")
+        _validate_start(check, params, "parameters", n)
+        return n
     elif explicit:
-        _validate_chain(check, params, "parameters")
+        return _validate_chain(check, params, "parameters")
     else:
         check.error("parameters", "kind=markov needs lambda/mu or states/transitions")
+    return None
 
 
-def _validate_msdr_params(check: _Check, params: dict):
-    for key in ("lambda_ms", "lambda_dr", "mu_ms", "mu_dr"):
+def _validate_msdr_params(check: _Check, params: dict) -> int:
+    for key in _KINDS["msdr"].params[:4]:  # the four rates, which lead the msdr row
         if key not in params:
             check.error(f"parameters.{key}", "required key missing")
         else:
@@ -292,13 +306,14 @@ def _validate_msdr_params(check: _Check, params: dict):
             check.keys(attack, ("rate", "applies_to"), "parameters.attack", "unknown key")
             check.number(attack.get("rate"), "parameters.attack.rate", nonneg=True)
             check.string(attack.get("applies_to"), "parameters.attack.applies_to", choices=("ms", "dr", "both"))
+    return 4
 
 
-# keys allowed per r-out-of-n subsystem type
-_SUBSYSTEM_KEYS = {
-    "probability": ("type", "p"),
-    "two_state": ("type", "lambda", "mu"),
-    "chain": ("type", "states", "transitions", "start"),
+# per r-out-of-n subsystem type: the keys it allows and the validator of their values
+_SUBSYSTEMS = {
+    "probability": (("type", "p"), lambda check, obj, base: check.number(obj.get("p"), f"{base}.p", unit=True)),
+    "two_state": (("type", "lambda", "mu"), _validate_two_state),
+    "chain": (("type", "states", "transitions", "start"), _validate_chain),
 }
 
 
@@ -314,27 +329,37 @@ def _validate_r_out_of_n_params(check: _Check, params: dict):
         obj = check.obj(sub, base)
         if obj is None:
             continue
-        kind = check.string(obj.get("type"), f"{base}.type", choices=_SUBSYSTEM_KEYS)
+        kind = check.string(obj.get("type"), f"{base}.type", choices=_SUBSYSTEMS)
         if kind is None:
             continue
-        check.keys(obj, _SUBSYSTEM_KEYS[kind], base, "unknown key")
-        if kind == "probability":
-            check.number(obj.get("p"), f"{base}.p", unit=True)
-        elif kind == "two_state":
-            check.number(obj.get("lambda"), f"{base}.lambda", positive=True)
-            check.number(obj.get("mu"), f"{base}.mu", positive=True)
-        else:
-            _validate_chain(check, obj, base)
+        allowed, validate = _SUBSYSTEMS[kind]
+        check.keys(obj, allowed, base, "unknown key")
+        validate(check, obj, base)
 
 
-# per kind: the parameter keys it allows and the validator of their values
-_KIND_PARAMS = {
-    "weibull": (("alpha", "beta", "data"), _validate_weibull_params),
-    "markov": (("lambda", "mu", "states", "transitions", "start"), _validate_markov_params),
-    "msdr": (
-        ("lambda_ms", "lambda_dr", "mu_ms", "mu_dr", "single_repair_crew", "attack"), _validate_msdr_params
-    ),
-    "r_out_of_n": (("r", "subsystems"), _validate_r_out_of_n_params),
+class _Kind(NamedTuple):
+    """A document kind: the parameter keys it allows, their validator and its model builder.
+
+    ``validate(check, params)`` returns the chain's state count where it is
+    known, else None.  ``build(doc)`` returns ``(model, start)``, ``start``
+    None for a kind without a chain; it calls the public builder by its
+    module name, so a patched builder is the one called.
+    """
+
+    params: tuple[str, ...]
+    validate: Callable[[_Check, dict], int | None]
+    build: Callable[[ModelDocument], tuple]
+
+
+_KINDS = {
+    "weibull": _Kind(("alpha", "beta", "data"), _validate_weibull_params,
+                     lambda doc: (build_failure_sample(doc), None)),
+    "markov": _Kind(("lambda", "mu", "states", "transitions", "start"), _validate_markov_params,
+                    lambda doc: build_chain(doc)),
+    "msdr": _Kind(("lambda_ms", "lambda_dr", "mu_ms", "mu_dr", "single_repair_crew", "attack"),
+                  _validate_msdr_params, lambda doc: build_chain(doc)),
+    "r_out_of_n": _Kind(("r", "subsystems"), _validate_r_out_of_n_params,
+                        lambda doc: (build_r_out_of_n(doc), None)),
 }
 
 
@@ -389,10 +414,11 @@ def parse_model(text: str) -> ModelDocument:
     seed = _SEED(check, root["seed"], "seed") if "seed" in root else None
     params = check.obj(root.get("parameters"), "parameters")
 
+    n_states = None
     if kind is not None and params is not None:
-        allowed, validate = _KIND_PARAMS[kind]
-        check.keys(params, allowed, "parameters", f"unknown key for kind={kind}")
-        validate(check, params)
+        row = _KINDS[kind]
+        check.keys(params, row.params, "parameters", f"unknown key for kind={kind}")
+        n_states = row.validate(check, params)
 
     analyses: list[AnalysisRequest] = []
     if kind is not None and "analyses" in root:
@@ -403,17 +429,9 @@ def parse_model(text: str) -> ModelDocument:
             check.error("parameters", "op 'eval' needs parameters.alpha and parameters.beta")
         if any(r.op == "fit" for r in analyses) and "data" not in params:
             check.error("parameters.data", "op 'fit' needs failure data")
-    if kind in ("markov", "msdr") and params is not None:
-        n_states = None
-        if kind == "msdr":
-            n_states = 4
-        elif "lambda" in params:
-            n_states = 2
-        elif isinstance(params.get("states"), list):
-            n_states = len(params["states"])
-        for i, req in enumerate(analyses):
-            for key in ("start", "failed"):
-                check.state_id(req.settings.get(key), n_states, f"analyses[{i}].{key}")
+    for i, req in enumerate(analyses):
+        for key in ("start", "failed"):
+            check.state_id(req.settings.get(key), n_states, f"analyses[{i}].{key}")
 
     if check.diags:
         raise SchemaError(check.diags)
@@ -426,30 +444,33 @@ def parse_model(text: str) -> ModelDocument:
     )
 
 
-def _chain_from_declaration(obj: dict) -> Ctmc:
+def build_model(doc: ModelDocument) -> tuple[Ctmc | RoutOfNSystem | FailureSample, int | None]:
+    """The model a command runs on, and its chain's start state (None for a kind without one)."""
+    return _KINDS[doc.kind].build(doc)
+
+
+def _chain_of(obj: dict) -> tuple[Ctmc, int]:
+    """Chain plus start state from a ``lambda``/``mu`` shortcut or a ``states``/``transitions`` declaration."""
     import numpy as np
 
-    from .markov import Ctmc, StateSpace
+    from .markov import Ctmc, StateSpace, build_two_state
 
+    if "lambda" in obj:
+        return build_two_state(obj["lambda"], obj["mu"]), obj.get("start", 0)
     labels = [s["label"] for s in obj["states"]]
     flags = [s["operational"] for s in obj["states"]]
     space = StateSpace.from_labels(labels, flags)
     rates = np.zeros((space.n, space.n))
     for tr in obj["transitions"]:
         rates[tr["from"], tr["to"]] += tr["rate"]
-    return Ctmc.from_transition_rates(space, rates)
+    return Ctmc.from_transition_rates(space, rates), obj.get("start", 0)
 
 
 def build_chain(doc: ModelDocument) -> tuple[Ctmc, int]:
     """Chain plus start state for ``markov`` and ``msdr`` documents."""
-    from .markov import build_two_state
-
     if doc.kind == "msdr":
         return build_msdr_chain(doc), 0
-    params = doc.parameters
-    if "lambda" in params:
-        return build_two_state(params["lambda"], params["mu"]), params.get("start", 0)
-    return _chain_from_declaration(params), params.get("start", 0)
+    return _chain_of(doc.parameters)
 
 
 def build_msdr_chain(doc: ModelDocument) -> Ctmc:
@@ -493,6 +514,8 @@ def build_weibull_model(doc: ModelDocument) -> WeibullModel:
 def build_failure_sample(doc: ModelDocument) -> FailureSample:
     from .weibull import FailureSample
 
+    if "data" not in doc.parameters:
+        raise ValidationError("weibull fit needs parameters.data in the document")
     data = doc.parameters["data"]
     times = tuple(float(t) for t in data["times"])
     censored = tuple(bool(c) for c in data.get("censored", ()))
@@ -500,17 +523,8 @@ def build_failure_sample(doc: ModelDocument) -> FailureSample:
 
 
 def build_r_out_of_n(doc: ModelDocument) -> RoutOfNSystem:
-    from .markov import build_two_state
     from .securability import ChainSubsystem, RoutOfNSystem
 
-    subs = []
-    for obj in doc.parameters["subsystems"]:
-        if obj["type"] == "probability":
-            subs.append(obj["p"])
-        elif obj["type"] == "two_state":
-            subs.append(ChainSubsystem(chain=build_two_state(obj["lambda"], obj["mu"]), start=0))
-        else:
-            subs.append(
-                ChainSubsystem(chain=_chain_from_declaration(obj), start=obj.get("start", 0))
-            )
-    return RoutOfNSystem(r=doc.parameters["r"], subsystems=tuple(subs))
+    subs = tuple(obj["p"] if obj["type"] == "probability" else ChainSubsystem(*_chain_of(obj))
+                 for obj in doc.parameters["subsystems"])
+    return RoutOfNSystem(r=doc.parameters["r"], subsystems=subs)

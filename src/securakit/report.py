@@ -10,6 +10,7 @@ carries the round-trip guarantee.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -102,17 +103,19 @@ def _fmt(value: float) -> str:
 
 
 def to_csv(report: AnalysisReport) -> str:
-    lines = ["metric,value,method,uncertainty"]
+    """CSV rows; a field holding a comma, quote or line break is quoted, as ``csv.reader`` expects."""
+    import csv  # only this view needs it, so other commands do not load it
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("metric", "value", "method", "uncertainty"))
     for r in report.results:
         unc = _fmt(r.uncertainty) if r.uncertainty is not None else ""
-        lines.append(f"{r.metric},{_fmt(r.value)},{r.method},{unc}")
+        writer.writerow((r.metric, _fmt(r.value), r.method, unc))
     for s in report.series:
-        lines.append("")
-        lines.append(f"# series: {s.name}")
-        lines.append("t,value")
-        for t, v in zip(s.t, s.values):
-            lines.append(f"{t!r},{v!r}")
-    return "\n".join(lines) + "\n"
+        writer.writerows(((), (f"# series: {s.name}",), ("t", "value")))
+        out.writelines(f"{t!r},{v!r}\n" for t, v in zip(s.t, s.values))  # numbers: nothing to quote
+    return out.getvalue()
 
 
 def to_table(report: AnalysisReport) -> str:

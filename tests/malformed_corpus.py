@@ -102,4 +102,9 @@ MALFORMED_DOCUMENTS = [
         '{"kind": "markov", "parameters": {"lambda": 0.1, "mu": 0.1},'
         ' "analyses": [{"op": "transient", "t": 1e300, "dt": 1e-300}]}'
     ),
+    # a rejected states array once still gave a state count of 0, and a bogus range diagnostic
+    (
+        '{"kind": "markov", "parameters": {"states": [], "transitions": [{"from": 0, "to": 1, "rate": 0.1}]},'
+        ' "analyses": [{"op": "metrics", "failed": 2}]}'
+    ),
 ]

@@ -1,6 +1,8 @@
 """CLI contract tests: exit codes, determinism, diagnostics, formats."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -609,6 +611,12 @@ class TestExitCodes:
         code, out, err = run(capsys, [*command.split(), "--file", write_doc(doc)])
         assert (code, out, err) == (1, "", f"error: validation: {message}\n")
 
+    def test_weibull_fit_without_data_is_validation_error(self, capsys, write_doc):
+        path = write_doc({"kind": "weibull", "parameters": {"alpha": 2.0, "beta": 1.5}})
+        code, out, err = run(capsys, ["weibull", "fit", "--file", path])
+        assert (code, out) == (1, "")
+        assert err == "error: validation: weibull fit needs parameters.data in the document\n"
+
     def test_analysis_start_out_of_range_is_schema_error(self, capsys, write_doc):
         doc = {**TWO_STATE_DOC, "analyses": [{"op": "transient", "t": 1.0, "start": 2}]}
         code, out, err = run(capsys, ["markov", "transient", "--file", write_doc(doc)])
@@ -662,6 +670,18 @@ class TestFlags:
 
 
 class TestRoundTripThroughCli:
+    def test_csv_quotes_labels_with_commas_and_quotes(self, capsys, write_doc):
+        labels = ["up, primary", 'say "down"']
+        path = write_doc({"kind": "markov", "parameters": {
+            "states": [{"label": labels[0], "operational": True}, {"label": labels[1], "operational": False}],
+            "transitions": [{"from": 0, "to": 1, "rate": 0.1}, {"from": 1, "to": 0, "rate": 1.0}]}})
+        code, out, _ = run(capsys, ["markov", "solve", "--file", path, "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == 4 for row in rows)
+        assert [row[0] for row in rows[1:3]] == [f"pi[{label}]" for label in labels]
+        assert rows[1][1:] == ["0.909091", "analytic", ""]
+
     def test_json_report_parses_back(self, capsys, write_doc):
         from securakit.report import from_json
 

@@ -6,16 +6,19 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from securakit import model_io
 from securakit.errors import SchemaError, ValidationError
+from securakit.markov import build_two_state
 from securakit.model_io import (
     ModelDocument,
     build_chain,
     build_failure_sample,
+    build_model,
     build_msdr_inputs,
     build_r_out_of_n,
     build_weibull_model,
@@ -223,6 +226,33 @@ class TestParseModel:
         model = build_weibull_model(parse_model(doc(payload)))
         assert model.alpha == 2.0 and model.beta == 1.5
 
+    def test_build_model_needs_failure_data_for_weibull(self):
+        parsed = parse_model(doc({"kind": "weibull", "parameters": {"alpha": 2.0, "beta": 1.5}}))
+        with pytest.raises(ValidationError, match=r"^weibull fit needs parameters\.data in the document$"):
+            build_model(parsed)
+
+    def test_build_model_gives_each_kind_its_model(self):
+        sample, start = build_model(parse_model(doc(FIT_DATA)))
+        assert (sample.times, sample.censored, start) == ((1.0, 2.0), (False, False), None)
+        chain, start = build_model(parse_model(doc(MSDR)))
+        assert (chain.n, start) == (4, 0)
+
+    def test_build_model_takes_the_shortcut_start(self):
+        chain, start = build_model(parse_model(doc(TWO_STATE_START)))
+        assert start == 1
+        np.testing.assert_array_equal(chain.generator, build_two_state(0.01, 0.1).generator)
+
+    def test_r_out_of_n_subsystem_chains(self):
+        chain_sub = {"type": "chain", **EXPLICIT_CHAIN["parameters"], "start": 1}
+        payload = {"kind": "r_out_of_n", "parameters": {"r": 1, "subsystems": [
+            {"type": "two_state", "lambda": 0.02, "mu": 0.3}, chain_sub, {"type": "probability", "p": 0.5}]}}
+        system, start = build_model(parse_model(doc(payload)))
+        two_state, chain, p = system.subsystems
+        assert (start, two_state.start, chain.start, p) == (None, 0, 1, 0.5)
+        np.testing.assert_array_equal(two_state.chain.generator, build_two_state(0.02, 0.3).generator)
+        np.testing.assert_array_equal(chain.chain.generator, [[-0.1, 0.1], [0.9, -0.9]])
+        assert [(s.label, s.operational) for s in chain.chain.space.states] == [("up", True), ("down", False)]
+
     def test_attack_block(self):
         payload = json.loads(doc(MSDR))
         payload["parameters"]["attack"] = {"rate": 0.005, "applies_to": "ms"}
@@ -279,6 +309,9 @@ REJECTED_SHAPES = [
      "t/dt must be at most 999999, got inf"),
     ({**MINIMAL_MARKOV, "analyses": [{"op": "transient", "t": 1e6, "dt": 1.0}]}, "analyses[0].dt",
      "t/dt must be at most 999999, got 1e+06"),
+    # a rejected states array gives no state count, so no state id is range-checked against one
+    ({"kind": "markov", "parameters": {"states": [], "transitions": [{"from": 0, "to": 1, "rate": 0.1}]},
+      "analyses": [{"op": "metrics", "failed": 2}]}, "parameters.states", "expected at least 1 element(s), got 0"),
 ]
 
 
@@ -287,6 +320,27 @@ def test_present_keys_are_validated(payload, path, message):
     with pytest.raises(SchemaError) as err:
         parse_model(doc(payload))
     assert err.value.diagnostics == [(path, message)]
+
+
+THREE_STATES = [{"label": "a", "operational": True}, {"label": "b", "operational": False},
+                {"label": "c", "operational": False}]
+
+
+@pytest.mark.parametrize("params, expected", [
+    # either key of the shortcut declares the two-state chain
+    ({"lambda": 0.1}, [("parameters.mu", "expected a number, got NoneType"),
+                       ("analyses[0].failed", "state id 2 out of range 0..1")]),
+    ({"mu": 0.1}, [("parameters.lambda", "expected a number, got NoneType"),
+                   ("analyses[0].failed", "state id 2 out of range 0..1")]),
+    # both forms at once declare no one chain, so its state count is unknown
+    ({"lambda": 0.1, "mu": 0.1, "states": THREE_STATES, "transitions": [{"from": 0, "to": 1, "rate": 1}]},
+     [("parameters", "give either lambda/mu or states/transitions, not both")]),
+])
+def test_analysis_state_ids_use_the_declared_state_count(params, expected):
+    payload = {"kind": "markov", "parameters": params, "analyses": [{"op": "metrics", "failed": 2}]}
+    with pytest.raises(SchemaError) as err:
+        parse_model(doc(payload))
+    assert err.value.diagnostics == expected
 
 
 @pytest.mark.parametrize("entry", [
