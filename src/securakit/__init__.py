@@ -28,7 +28,7 @@ _LAZY = {
     name: module
     for module, names in (
         ("markov", ("Ctmc", "StateSpace")),
-        ("montecarlo", ("Estimate", "MonteCarloConfig", "Trajectory")),
+        ("montecarlo", ("Estimate", "MonteCarloConfig")),
         ("rng", ()),
         ("securability", ("MsDrRates", "RoutOfNSystem", "ThreatProfile")),
         ("weibull", ("FailureSample", "WeibullModel")),

@@ -140,13 +140,17 @@ class ProbabilityVector:
 
 def build_two_state(lam: float, mu: float) -> Ctmc:
     """Up/down chain: failure rate ``lam`` out of state 0, repair rate ``mu``."""
+    _check_two_state_rates(lam, mu)
+    space = StateSpace.from_labels(["up", "down"], [True, False])
+    rates = np.array([[0.0, lam], [mu, 0.0]])
+    return Ctmc.from_transition_rates(space, rates)
+
+
+def _check_two_state_rates(lam: float, mu: float) -> None:
     if not lam > 0:
         raise DomainError(f"failure rate must be > 0, got {lam}")
     if not mu > 0:
         raise DomainError(f"repair rate must be > 0, got {mu}")
-    space = StateSpace.from_labels(["up", "down"], [True, False])
-    rates = np.array([[0.0, lam], [mu, 0.0]])
-    return Ctmc.from_transition_rates(space, rates)
 
 
 def _adjacency(q: np.ndarray) -> np.ndarray:
@@ -334,10 +338,7 @@ def reliability_at(chain: Ctmc, pi0, t: float) -> float:
 
 def availability_two_state(lam: float, mu: float) -> float:
     """Steady availability mu/(lam + mu) of the two-state model."""
-    if not lam > 0:
-        raise DomainError(f"failure rate must be > 0, got {lam}")
-    if not mu > 0:
-        raise DomainError(f"repair rate must be > 0, got {mu}")
+    _check_two_state_rates(lam, mu)
     return mu / (lam + mu)
 
 
@@ -402,12 +403,18 @@ def _expected_hitting_time(chain: Ctmc, start: int, target_mask: np.ndarray, kin
     return float(tau[np.searchsorted(idx, start)])
 
 
+def check_start(chain: Ctmc, start: int, operational: bool = False) -> None:
+    """Raise unless ``start`` is a state of ``chain`` and, if ``operational`` is set, an operational one."""
+    if not 0 <= start < chain.n:
+        raise DomainError(f"start state {start} out of range 0..{chain.n - 1}")
+    if operational and not chain.operational_mask()[start]:
+        raise DomainError(f"start state {start} must be operational")
+
+
 def vet_absorption(chain: Ctmc, start: int) -> None:
     """Raise unless a walk from operational ``start`` surely hits a failure state."""
-    _check_state(chain, start)
+    check_start(chain, start, operational=True)
     op = chain.operational_mask()
-    if not op[start]:
-        raise DomainError(f"start state {start} must be operational")
     if op.all():
         raise StructureError("chain has no non-operational state")
     _vet_hitting_states(chain, start, ~op, kind="failure")
@@ -419,22 +426,14 @@ def mttf_absorbing(chain: Ctmc, start: int) -> float:
     Failure states are absorbing for this computation; repairs between
     operational states are retained.  Report with the ``analytic`` label.
     """
-    _check_state(chain, start)
-    op = chain.operational_mask()
-    if not op[start]:
-        raise DomainError(f"start state {start} must be operational")
-    return _expected_hitting_time(chain, start, ~op, kind="failure")
+    check_start(chain, start, operational=True)
+    return _expected_hitting_time(chain, start, ~chain.operational_mask(), kind="failure")
 
 
 def mttr(chain: Ctmc, failed: int) -> float:
     """Expected time from a failed state until the operational set is reached."""
-    _check_state(chain, failed)
+    check_start(chain, failed)
     op = chain.operational_mask()
     if op[failed]:
         raise DomainError(f"state {failed} is operational; mttr needs a failed state")
     return _expected_hitting_time(chain, failed, op, kind="repair")
-
-
-def _check_state(chain: Ctmc, state: int) -> None:
-    if not 0 <= state < chain.n:
-        raise DomainError(f"state id {state} out of range 0..{chain.n - 1}")

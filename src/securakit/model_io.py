@@ -43,7 +43,7 @@ from .report import AnalysisReport, emit_report, from_json  # noqa: F401  (publi
 if TYPE_CHECKING:
     from .markov import Ctmc
     from .securability import MsDrRates, RoutOfNSystem, ThreatProfile
-    from .weibull import FailureSample, WeibullModel
+    from .weibull import FailureSample
 
 _SEED_BOUND = 2 ** 64
 _TRIALS_BOUND = 2 ** 32
@@ -503,12 +503,6 @@ def build_threat(doc: ModelDocument) -> ThreatProfile | None:
     if attack is None:
         return None
     return ThreatProfile(attack_rate=attack["rate"], applies_to=attack["applies_to"])
-
-
-def build_weibull_model(doc: ModelDocument) -> WeibullModel:
-    from .weibull import WeibullModel
-
-    return WeibullModel(alpha=doc.parameters["alpha"], beta=doc.parameters["beta"])
 
 
 def build_failure_sample(doc: ModelDocument) -> FailureSample:

@@ -150,8 +150,7 @@ def simulate_trajectory(
     whether the jump lands inside the horizon.  A start state with no
     exits yields an event-free surviving trajectory.
     """
-    if not 0 <= start < chain.n:
-        raise DomainError(f"start state {start} out of range 0..{chain.n - 1}")
+    markov.check_start(chain, start)
     if not horizon >= 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     q = chain.generator
@@ -394,7 +393,7 @@ def estimate_reliability_curve(
     ``times`` is one number).  Point estimates across the grid are
     therefore correlated, but each is the unbiased estimator at its time.
     """
-    _check_operational_start(chain, start)
+    markov.check_start(chain, start, operational=True)
     grid = np.asarray(times, dtype=float)
     if grid.size == 0:
         raise DomainError("times must be nonempty")
@@ -415,7 +414,6 @@ def estimate_mttf(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads: int =
     the failure set to be reachable from every operational state the walk
     can visit.
     """
-    _check_operational_start(chain, start)
     markov.vet_absorption(chain, start)
     return _mean_estimate(_absorption_times(chain, start, cfg, None, threads))
 
@@ -435,8 +433,7 @@ def estimate_occupancy(
     a burn-in long enough to forget the start state makes the mean an
     unbiased steady-state occupancy estimate.
     """
-    if not 0 <= start < chain.n:
-        raise DomainError(f"start state {start} out of range 0..{chain.n - 1}")
+    markov.check_start(chain, start)
     if not 0 <= burn_in < cfg.horizon:
         raise DomainError("burn_in must satisfy 0 <= burn_in < horizon")
     mask = np.zeros(chain.n, dtype=bool)
@@ -509,10 +506,3 @@ def estimate_threshold_reliability(
 
     survived = np.concatenate(_run_partitioned(worker, cfg.n_trials, threads))
     return _binomial_estimate(int(survived.sum()), cfg.n_trials)
-
-
-def _check_operational_start(chain: Ctmc, start: int) -> None:
-    if not 0 <= start < chain.n:
-        raise DomainError(f"start state {start} out of range 0..{chain.n - 1}")
-    if not chain.operational_mask()[start]:
-        raise DomainError(f"start state {start} must be operational")

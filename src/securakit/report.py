@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 TOOL_VERSION = "0.1.0"
 
@@ -28,7 +29,8 @@ class Result:
     """One named metric with the method that produced it.
 
     ``uncertainty`` is the standard error for sampled metrics and ``None``
-    for exact ones.
+    for exact ones.  A value that is not finite (JSON has no NaN or
+    Infinity) raises :class:`NumericalError`.
     """
 
     metric: str
@@ -39,6 +41,8 @@ class Result:
     def __post_init__(self):
         if self.method not in METHOD_LABELS:
             raise DomainError(f"method must be one of {sorted(METHOD_LABELS)}, got {self.method!r}")
+        if not math.isfinite(self.value):
+            raise NumericalError(f"{self.metric} is not finite: {self.value}")
 
 
 @dataclass

@@ -77,8 +77,7 @@ class ChainSubsystem:
     start: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.start < self.chain.n:
-            raise DomainError(f"start state {self.start} out of range 0..{self.chain.n - 1}")
+        markov.check_start(self.chain, self.start)
 
 
 @dataclass(frozen=True, eq=False)

@@ -71,37 +71,40 @@ class FailureSample:
         return sum(not c for c in self.censored)
 
 
-def _as_times(t):
+def _evaluate(t, m: WeibullModel, law, at_zero: float | str):
+    """One law at the times ``t``: a float for a scalar or 0-d ``t``, an array otherwise.
+
+    ``law`` maps log(t/alpha) of the positive times to values, so each law
+    forms (t/alpha)**k as exp(k*log(t/alpha)), which does not overflow in
+    the power.  Times at 0 take ``at_zero``: a number, or for the hazard
+    and the density the name of the quantity, whose t = 0 value is 1/alpha
+    at beta = 1, zero at beta > 1, and divergent at beta < 1 (raises
+    :class:`SingularityError`).  exp saturates to inf or 0 for huge t by
+    design, so overflow is not warned about; invalid values still are.
+    """
     arr = np.asarray(t, dtype=float)
-    if arr.size and (np.any(np.isnan(arr)) or np.any(arr < 0)):
+    if np.any(np.isnan(arr)) or np.any(arr < 0):
         raise DomainError("time must be >= 0")
-    return arr
-
-
-def _finish(arr: np.ndarray, scalar: bool):
-    return float(arr[0]) if scalar else arr
-
-
-def _stretched_exponent(arr: np.ndarray, m: WeibullModel) -> np.ndarray:
-    """(t/alpha)**beta computed as exp(beta*log(t/alpha)) to avoid overflow."""
-    z = np.zeros_like(arr)
-    pos = arr > 0
-    z[pos] = np.exp(m.beta * np.log(arr[pos] / m.alpha))
-    return z
+    times = np.atleast_1d(arr)
+    zero = times == 0
+    if isinstance(at_zero, str):
+        if m.beta < 1 and np.any(zero):
+            raise SingularityError(f"{at_zero} diverges at t=0 for beta < 1")
+        at_zero = 1.0 / m.alpha if m.beta == 1 else 0.0
+    out = np.full_like(times, at_zero)
+    with np.errstate(over="ignore"):
+        out[~zero] = law(np.log(times[~zero] / m.alpha))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def reliability(t, m: WeibullModel):
     """Survival probability exp(-(t/alpha)**beta) at time t >= 0."""
-    arr = _as_times(t)
-    scalar = np.isscalar(t) or arr.ndim == 0
-    return _finish(np.exp(-_stretched_exponent(np.atleast_1d(arr), m)), scalar)
+    return _evaluate(t, m, lambda logr: np.exp(-np.exp(m.beta * logr)), 1.0)
 
 
 def cdf(t, m: WeibullModel):
     """Failure probability by time t; exact complement of :func:`reliability`."""
-    arr = _as_times(t)
-    scalar = np.isscalar(t) or arr.ndim == 0
-    return _finish(1.0 - np.exp(-_stretched_exponent(np.atleast_1d(arr), m)), scalar)
+    return _evaluate(t, m, lambda logr: 1.0 - np.exp(-np.exp(m.beta * logr)), 0.0)
 
 
 def hazard(t, m: WeibullModel):
@@ -110,40 +113,20 @@ def hazard(t, m: WeibullModel):
     Diverges at t = 0 when beta < 1; that boundary raises
     :class:`SingularityError` instead of returning infinity.
     """
-    arr = _as_times(t)
-    scalar = np.isscalar(t) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    zero = arr == 0
-    if np.any(zero):
-        if m.beta < 1:
-            raise SingularityError("hazard diverges at t=0 for beta < 1")
-        out[zero] = 1.0 / m.alpha if m.beta == 1 else 0.0
-    pos = ~zero
-    out[pos] = (m.beta / m.alpha) * np.exp((m.beta - 1.0) * np.log(arr[pos] / m.alpha))
-    return _finish(out, scalar)
+    return _evaluate(t, m, lambda logr: (m.beta / m.alpha) * np.exp((m.beta - 1.0) * logr), "hazard")
 
 
 def pdf(t, m: WeibullModel):
     """Failure time density (beta/alpha)*(t/alpha)**(beta-1)*exp(-(t/alpha)**beta).
 
     At t = 0 the density is 1/alpha for beta = 1, zero for beta > 1, and
-    divergent for beta < 1 (raises :class:`SingularityError`).
+    divergent for beta < 1 (raises :class:`SingularityError`).  A single
+    exponential keeps huge-t evaluations finite (inf*0 never forms).
     """
-    arr = _as_times(t)
-    scalar = np.isscalar(t) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    zero = arr == 0
-    if np.any(zero):
-        if m.beta < 1:
-            raise SingularityError("density diverges at t=0 for beta < 1")
-        out[zero] = 1.0 / m.alpha if m.beta == 1 else 0.0
-    pos = ~zero
-    logr = np.log(arr[pos] / m.alpha)
-    # single exponential keeps huge-t evaluations finite (inf*0 never forms)
-    out[pos] = (m.beta / m.alpha) * np.exp((m.beta - 1.0) * logr - np.exp(m.beta * logr))
-    return _finish(out, scalar)
+    def law(logr):
+        return (m.beta / m.alpha) * np.exp((m.beta - 1.0) * logr - np.exp(m.beta * logr))
+
+    return _evaluate(t, m, law, "density")
 
 
 def mean_life(m: WeibullModel) -> float:

@@ -583,6 +583,34 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: numerical:")
 
+    def test_nan_result_exits_2(self, capsys):
+        # JSON has no NaN or Infinity, so no report is printed; numpy's own warning stays on
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            code, out, err = run(capsys, ["weibull", "eval", "--alpha", "1", "--beta", "2", "--t", "inf",
+                                          "--format", "json"])
+        assert (code, out, err) == (2, "", "error: numerical: pdf is not finite: nan\n")
+
+    def test_infinite_result_exits_2(self, capsys):
+        code, out, err = run(capsys, ["weibull", "eval", "--alpha", "1", "--beta", "3", "--t", "1e200",
+                                      "--format", "json"])
+        assert (code, out, err) == (2, "", "error: numerical: hazard is not finite: inf\n")
+
+    def test_non_finite_mtta_exits_2(self, capsys, write_doc):
+        attack = {"rate": 1e-320, "applies_to": "ms"}  # 1/rate overflows
+        payload = {**MSDR_DOC, "parameters": {**MSDR_DOC["parameters"], "attack": attack}}
+        code, out, err = run(capsys, ["sec", "msdr", "--file", write_doc(payload), "--format", "json"])
+        assert (code, out, err) == (2, "", "error: numerical: mtta is not finite: inf\n")
+
+    def test_overflow_to_a_finite_value_warns_nothing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["weibull", "eval", "--alpha", "1", "--beta", "2", "--t", "1e300",
+                                          "--format", "json"])
+        assert (code, err) == (0, "")
+        values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
+        assert (values["pdf"], values["cdf"], values["reliability"]) == (0.0, 1.0, 0.0)
+        assert values["hazard"] == pytest.approx(2e300, rel=1e-12)
+
     def test_usage_error_unknown_flag(self, capsys):
         code, _, err = run(capsys, ["markov", "solve", "--bogus", "x"])
         assert code == 3

@@ -21,10 +21,10 @@ from securakit.model_io import (
     build_model,
     build_msdr_inputs,
     build_r_out_of_n,
-    build_weibull_model,
     parse_model,
 )
 from securakit.report import AnalysisReport, Result, Series, emit_report, from_json, to_csv
+from securakit.weibull import WeibullModel
 
 
 def doc(payload) -> str:
@@ -220,11 +220,6 @@ class TestParseModel:
         with pytest.raises(SchemaError) as err:
             parse_model(doc(payload))
         assert any(p == "parameters.r" for p, _ in err.value.diagnostics)
-
-    def test_weibull_model_builder(self):
-        payload = {"kind": "weibull", "parameters": {"alpha": 2.0, "beta": 1.5}}
-        model = build_weibull_model(parse_model(doc(payload)))
-        assert model.alpha == 2.0 and model.beta == 1.5
 
     def test_build_model_needs_failure_data_for_weibull(self):
         parsed = parse_model(doc({"kind": "weibull", "parameters": {"alpha": 2.0, "beta": 1.5}}))
@@ -422,7 +417,7 @@ def test_accepted_documents_build(payload):
     try:
         if parsed.kind == "weibull":
             if "alpha" in params:
-                build_weibull_model(parsed)
+                WeibullModel(params["alpha"], params["beta"])
             if "data" in params:
                 build_failure_sample(parsed)
         elif parsed.kind == "r_out_of_n":

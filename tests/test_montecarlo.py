@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from securakit import montecarlo
 from securakit.errors import ConvergenceError, DomainError, StructureError, ValidationError
-from securakit.markov import Ctmc, StateSpace, absorbing_variant, build_two_state, vet_absorption
+from securakit.markov import (
+    Ctmc,
+    StateSpace,
+    absorbing_variant,
+    build_two_state,
+    mttf_absorbing,
+    mttr,
+    vet_absorption,
+)
 from securakit.montecarlo import (
     Estimate,
     MonteCarloConfig,
@@ -250,8 +258,6 @@ class TestEstimateMttf:
         assert abs(est.value - 15.0) < 3 * est.std_error
 
     def test_msdr_matches_analytic(self):
-        from securakit.markov import mttf_absorbing
-
         chain = build_msdr(MsDrRates(0.01, 0.01, 0.1, 0.1))
         cfg = MonteCarloConfig(n_trials=50_000, horizon=1.0, seed=8)
         est = estimate_mttf(chain, 0, cfg)
@@ -277,24 +283,31 @@ class TestEstimateMttf:
 
 
 class TestAbsorptionPreconditions:
-    """The reliability and MTTF estimators check their start state, and MTTF its failure set, before walking."""
+    """The estimators check their start state, and MTTF its failure set, before walking."""
 
     MSDR = build_msdr(MsDrRates(0.01, 0.01, 0.1, 0.1))
     CFG = MonteCarloConfig(n_trials=10, horizon=1.0, seed=0)
-    ESTIMATORS = {
-        "reliability": estimate_reliability,
-        "reliability_curve": lambda chain, start, cfg: estimate_reliability_curve(chain, start, cfg, [1.0]),
-        "mttf": estimate_mttf,
+    # every entry point of the one start rule: name -> (call on (chain, start, cfg), start must be operational)
+    START_CHECKS = {
+        "simulate_trajectory": (
+            lambda chain, start, cfg: simulate_trajectory(chain, start, cfg.horizon, CounterRng(cfg.seed)), False),
+        "reliability": (estimate_reliability, True),
+        "reliability_curve": (lambda chain, start, cfg: estimate_reliability_curve(chain, start, cfg, [1.0]), True),
+        "mttf": (estimate_mttf, True),
+        "occupancy": (lambda chain, start, cfg: estimate_occupancy(chain, start, cfg, (0,)), False),
+        "vet_absorption": (lambda chain, start, cfg: vet_absorption(chain, start), True),
+        "mttf_absorbing": (lambda chain, start, cfg: mttf_absorbing(chain, start), True),
+        "mttr": (lambda chain, start, cfg: mttr(chain, start), False),
+        "chain_subsystem": (lambda chain, start, cfg: ChainSubsystem(chain, start), False),
     }
 
-    @pytest.mark.parametrize("name", ESTIMATORS)
-    @pytest.mark.parametrize("start, message", [
-        (9, "start state 9 out of range 0..3"),
-        (3, "start state 3 must be operational"),
-    ], ids=["out_of_range", "failed"])
+    @pytest.mark.parametrize("name, start, message", [
+        *((name, 9, "start state 9 out of range 0..3") for name in START_CHECKS),
+        *((name, 3, "start state 3 must be operational") for name, (_, op) in START_CHECKS.items() if op),
+    ])
     def test_start_state_messages(self, name, start, message):
         with pytest.raises(DomainError) as info:
-            self.ESTIMATORS[name](self.MSDR, start, self.CFG)
+            self.START_CHECKS[name][0](self.MSDR, start, self.CFG)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("labels, rates, message", [

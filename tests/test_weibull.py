@@ -131,6 +131,28 @@ class TestEvaluation:
         np.testing.assert_allclose(cdf(t, m) + reliability(t, m), np.ones(3))
         assert pdf(t, m).shape == (3,)
 
+    @pytest.mark.parametrize("fn", [pdf, cdf, hazard, reliability], ids=lambda fn: fn.__name__)
+    def test_one_evaluator_rule(self, fn):
+        """Every law: a float for scalar and 0-d input, an array for a list, and NaN rejected."""
+        m = WeibullModel(2, 2)
+        for t in (1.5, np.float64(1.5), np.array(1.5)):
+            assert type(fn(t, m)) is float
+        values = fn([0.0, 1.5], m)
+        assert isinstance(values, np.ndarray) and values.shape == (2,)
+        assert values[1] == fn(1.5, m)
+        for t in (math.nan, [1.0, math.nan]):
+            with pytest.raises(DomainError, match="^time must be >= 0$"):
+                fn(t, m)
+
+    @pytest.mark.parametrize("fn", [pdf, hazard], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("beta, at_zero", [(1.0, 0.5), (2.0, 0.0)])
+    def test_origin_entries_of_an_array(self, fn, beta, at_zero):
+        """The t = 0 rule holds inside an array: 1/alpha at beta = 1, zero at beta > 1."""
+        m = WeibullModel(2, beta)
+        values = fn(np.array([0.0, 1.0, 0.0]), m)
+        assert values[0] == values[2] == at_zero
+        assert values[1] == fn(1.0, m)
+
     def test_invalid_model_rejected(self):
         for alpha, beta in [(0, 1), (-1, 1), (1, 0), (1, -2), (math.inf, 1), (1, math.nan)]:
             with pytest.raises(DomainError):
