@@ -27,7 +27,7 @@ __version__ = TOOL_VERSION
 _LAZY = {
     name: module
     for module, names in (
-        ("markov", ("Ctmc", "StateSpace")),
+        ("markov", ("Ctmc",)),
         ("montecarlo", ("Estimate", "MonteCarloConfig")),
         ("rng", ()),
         ("securability", ("MsDrRates", "RoutOfNSystem", "ThreatProfile")),

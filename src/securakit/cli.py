@@ -135,7 +135,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _state_rows(chain, pi) -> list[Result]:
-    return [Result(f"pi[{s.label}]", float(pi.pi[s.id]), "analytic") for s in chain.space.states]
+    return [Result(f"pi[{label}]", float(pi.pi[i]), "analytic") for i, label in enumerate(chain.labels)]
 
 
 def _weibull_eval(args) -> AnalysisReport:
@@ -178,7 +178,7 @@ def _markov_solve(ctx: _Context) -> AnalysisReport:
 
     chain = ctx.model
     pi = markov.steady_state(chain)
-    availability = float(pi.pi[chain.operational_mask()].sum())
+    availability = float(pi.pi[chain.operational].sum())
     return AnalysisReport({}, _state_rows(chain, pi) + [Result("availability", availability, "analytic")])
 
 
@@ -201,9 +201,9 @@ def _markov_transient(ctx: _Context) -> AnalysisReport:
     dists = markov.transient_grid(chain, pi0, grid).pi
     times = grid.tolist()
     # compress keeps the rows C-contiguous, so each row sums in the order a 1-d sum does
-    availability = np.compress(chain.operational_mask(), dists, axis=1).sum(axis=1).tolist()
+    availability = np.compress(chain.operational, dists, axis=1).sum(axis=1).tolist()
     series = [Series("availability", times, availability)]
-    series += [Series(f"pi[{s.label}]", times, dists[:, s.id].tolist()) for s in chain.space.states]
+    series += [Series(f"pi[{label}]", times, dists[:, i].tolist()) for i, label in enumerate(chain.labels)]
     return AnalysisReport({}, [Result("availability", availability[-1], "analytic")], series)
 
 
@@ -215,7 +215,7 @@ def _markov_metrics(ctx: _Context) -> AnalysisReport:
     chain = ctx.model
     failed = ctx.settings.get("failed")
     if failed is None:
-        non_op = np.flatnonzero(~chain.operational_mask())
+        non_op = np.flatnonzero(~chain.operational)
         if non_op.size == 0:
             raise ValidationError("markov metrics needs a chain with a non-operational state")
         failed = int(non_op[0])
@@ -261,7 +261,7 @@ def _sec_msdr(ctx: _Context) -> AnalysisReport:
     chain = ctx.model
     pi = markov.steady_state(chain)
     # 1 - pi(both_down), the only non-operational state: service_availability without a second solve
-    service = 1.0 - float(pi.pi[~chain.operational_mask()].sum())
+    service = 1.0 - float(pi.pi[~chain.operational].sum())
     results = [Result("service_availability", service, "analytic"), *_state_rows(chain, pi)]
     results.append(Result("mttf", markov.mttf_absorbing(chain, ctx.start), "analytic"))
     threat = model_io.build_threat(ctx.doc)

@@ -1,7 +1,7 @@
 """Continuous-time Markov chain reliability engine.
 
-The canonical model object is a :class:`Ctmc`: a labeled state space with
-operational flags plus a rate (generator) matrix Q whose rows sum to zero.
+The canonical model object is a :class:`Ctmc`: labeled states, a mask of
+the operational ones and a rate (generator) matrix Q whose rows sum to zero.
 Steady states come from a dense linear solve, and transient distributions
 from uniformization, which keeps probabilities nonnegative and carries a
 certified truncation error.
@@ -34,57 +34,35 @@ UNIFORMIZATION_TAIL = 1e-13
 _MAX_UNIFORMIZATION_TERMS = 5_000_000
 
 
-@dataclass(frozen=True)
-class State:
-    id: int
-    label: str
-    operational: bool
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Ordered states with dense ids 0..n-1 and at least one operational."""
-
-    states: tuple[State, ...]
-
-    def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
-            raise DomainError("state space must contain at least one state")
-        if [s.id for s in states] != list(range(len(states))):
-            raise DomainError("state ids must be dense and unique: 0..n-1 in order")
-        if not any(s.operational for s in states):
-            raise DomainError("state space needs at least one operational state")
-        object.__setattr__(self, "states", states)
-
-    @classmethod
-    def from_labels(cls, labels, operational) -> "StateSpace":
-        if len(labels) != len(operational):
-            raise DomainError("labels and operational flags must have equal length")
-        return cls(tuple(State(i, str(l), bool(o)) for i, (l, o) in enumerate(zip(labels, operational))))
-
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
-    def operational_mask(self) -> np.ndarray:
-        return np.array([s.operational for s in self.states], dtype=bool)
-
-
 @dataclass(frozen=True, eq=False)
 class Ctmc:
-    """State space plus generator matrix Q (row sums zero, off-diagonals >= 0).
+    """Labeled states, their operational mask and the generator matrix Q.
 
-    Row sums are checked relative to the magnitude of the row, so chains
-    mixing rate scales (say 1e-2 and 1e6) validate sensibly.
+    ``labels`` are distinct strings, one per state; ``operational`` is a
+    read-only bool mask over the states with at least one True; Q has
+    off-diagonals >= 0 and rows summing to zero.  Row sums are checked
+    relative to the magnitude of the row, so chains mixing rate scales
+    (say 1e-2 and 1e6) validate sensibly.
     """
 
-    space: StateSpace
+    labels: tuple[str, ...]
+    operational: np.ndarray
     generator: np.ndarray
 
     def __post_init__(self):
+        labels = tuple(str(label) for label in self.labels)
+        op = np.array(self.operational, dtype=bool)
+        n = len(labels)
+        if op.shape != (n,):
+            raise DomainError("labels and operational flags must have equal length")
+        if not n:
+            raise DomainError("state space must contain at least one state")
+        if not op.any():
+            raise DomainError("state space needs at least one operational state")
+        if len(set(labels)) < n:
+            repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
+            raise DomainError(f"duplicate state label {repeated!r}")
         q = np.array(self.generator, dtype=float)
-        n = self.space.n
         if q.shape != (n, n):
             raise DomainError(f"generator must be {n}x{n}, got {q.shape}")
         if not np.all(np.isfinite(q)):
@@ -95,26 +73,26 @@ class Ctmc:
         row_scale = np.maximum(1.0, np.abs(q).max(axis=1))
         if np.any(np.abs(q.sum(axis=1)) > ROW_SUM_TOL * row_scale):
             raise DomainError("generator rows must sum to 0 (within 1e-12 of row scale)")
+        op.setflags(write=False)
         q.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "operational", op)
         object.__setattr__(self, "generator", q)
 
     @classmethod
-    def from_transition_rates(cls, space: StateSpace, rates: np.ndarray) -> "Ctmc":
+    def from_transition_rates(cls, labels, operational, rates: np.ndarray) -> "Ctmc":
         """Build a chain from off-diagonal rates; diagonals are set to -row sums."""
         q = np.array(rates, dtype=float)
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
-        return cls(space, q)
+        return cls(labels, operational, q)
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return len(self.labels)
 
     def exit_rates(self) -> np.ndarray:
         return -np.diag(self.generator)
-
-    def operational_mask(self) -> np.ndarray:
-        return self.space.operational_mask()
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +119,8 @@ class ProbabilityVector:
 def build_two_state(lam: float, mu: float) -> Ctmc:
     """Up/down chain: failure rate ``lam`` out of state 0, repair rate ``mu``."""
     _check_two_state_rates(lam, mu)
-    space = StateSpace.from_labels(["up", "down"], [True, False])
     rates = np.array([[0.0, lam], [mu, 0.0]])
-    return Ctmc.from_transition_rates(space, rates)
+    return Ctmc.from_transition_rates(("up", "down"), (True, False), rates)
 
 
 def _check_two_state_rates(lam: float, mu: float) -> None:
@@ -314,14 +291,14 @@ def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
 def availability_at(chain: Ctmc, pi0, t: float) -> float:
     """Point availability: operational mass of the transient distribution."""
     dist = transient(chain, pi0, t)
-    return float(dist.pi[chain.operational_mask()].sum())
+    return float(dist.pi[chain.operational].sum())
 
 
 def absorbing_variant(chain: Ctmc) -> Ctmc:
     """Copy of the chain with every non-operational state made absorbing."""
     q = np.array(chain.generator)
-    q[~chain.operational_mask(), :] = 0.0
-    return Ctmc(chain.space, q)
+    q[~chain.operational, :] = 0.0
+    return Ctmc(chain.labels, chain.operational, q)
 
 
 def reliability_at(chain: Ctmc, pi0, t: float) -> float:
@@ -330,10 +307,10 @@ def reliability_at(chain: Ctmc, pi0, t: float) -> float:
     Computed as the operational mass of the transient distribution on the
     absorbing variant, so repairs cannot rescue a failed trajectory.
     """
-    if chain.operational_mask().all():
+    if chain.operational.all():
         raise StructureError("reliability analysis needs at least one non-operational state")
     dist = transient(absorbing_variant(chain), pi0, t)
-    return float(dist.pi[chain.operational_mask()].sum())
+    return float(dist.pi[chain.operational].sum())
 
 
 def availability_two_state(lam: float, mu: float) -> float:
@@ -345,7 +322,7 @@ def availability_two_state(lam: float, mu: float) -> float:
 def availability_steady(chain: Ctmc) -> float:
     """Long-run availability: operational mass of the steady state."""
     pi = steady_state(chain)
-    return float(pi.pi[chain.operational_mask()].sum())
+    return float(pi.pi[chain.operational].sum())
 
 
 def mttf_rate_sum(chain: Ctmc) -> float:
@@ -357,11 +334,11 @@ def mttf_rate_sum(chain: Ctmc) -> float:
     single operational state; report it with the ``paper_rate_sum`` label.
     """
     q = chain.generator
-    op = chain.operational_mask()
+    op = chain.operational
     fail_rates = q[np.ix_(op, ~op)].sum(axis=1) if (~op).any() else np.zeros(int(op.sum()))
     if np.any(fail_rates <= 0):
         bad = np.flatnonzero(op)[np.flatnonzero(fail_rates <= 0)]
-        labels = ", ".join(chain.space.states[i].label for i in bad)
+        labels = ", ".join(chain.labels[i] for i in bad)
         raise StructureError(f"operational state(s) with zero failure exit rate: {labels}")
     return float((1.0 / fail_rates).sum())
 
@@ -386,7 +363,7 @@ def _vet_hitting_states(chain: Ctmc, start: int, target_mask: np.ndarray, kind: 
     if stuck.size:
         i = stuck[0]
         raise StructureError(
-            f"state {i} ({chain.space.states[i].label}) can be visited but cannot "
+            f"state {i} ({chain.labels[i]}) can be visited but cannot "
             f"reach any {kind} state; expected hitting time is infinite"
         )
     return np.flatnonzero(live)
@@ -407,14 +384,14 @@ def check_start(chain: Ctmc, start: int, operational: bool = False) -> None:
     """Raise unless ``start`` is a state of ``chain`` and, if ``operational`` is set, an operational one."""
     if not 0 <= start < chain.n:
         raise DomainError(f"start state {start} out of range 0..{chain.n - 1}")
-    if operational and not chain.operational_mask()[start]:
+    if operational and not chain.operational[start]:
         raise DomainError(f"start state {start} must be operational")
 
 
 def vet_absorption(chain: Ctmc, start: int) -> None:
     """Raise unless a walk from operational ``start`` surely hits a failure state."""
     check_start(chain, start, operational=True)
-    op = chain.operational_mask()
+    op = chain.operational
     if op.all():
         raise StructureError("chain has no non-operational state")
     _vet_hitting_states(chain, start, ~op, kind="failure")
@@ -427,13 +404,13 @@ def mttf_absorbing(chain: Ctmc, start: int) -> float:
     operational states are retained.  Report with the ``analytic`` label.
     """
     check_start(chain, start, operational=True)
-    return _expected_hitting_time(chain, start, ~chain.operational_mask(), kind="failure")
+    return _expected_hitting_time(chain, start, ~chain.operational, kind="failure")
 
 
 def mttr(chain: Ctmc, failed: int) -> float:
     """Expected time from a failed state until the operational set is reached."""
     check_start(chain, failed)
-    op = chain.operational_mask()
+    op = chain.operational
     if op[failed]:
         raise DomainError(f"state {failed} is operational; mttr needs a failed state")
     return _expected_hitting_time(chain, failed, op, kind="repair")

@@ -219,13 +219,17 @@ def _validate_chain(check: _Check, params: dict, base: str) -> int | None:
     states = check.array(params.get("states"), f"{base}.states", min_len=1)
     n = len(states) if states is not None else None
     any_op = False
+    labels = set()
     if states is not None:
         for i, st in enumerate(states):
             obj = check.obj(st, f"{base}.states[{i}]")
             if obj is None:
                 continue
             check.keys(obj, ("label", "operational"), f"{base}.states[{i}]", "unknown key")
-            check.string(obj.get("label"), f"{base}.states[{i}].label")
+            label = check.string(obj.get("label"), f"{base}.states[{i}].label")
+            if label is not None and label in labels:
+                check.error(f"{base}.states[{i}].label", f"duplicate label {label!r}")
+            labels.add(label)
             flag = check.boolean(obj.get("operational"), f"{base}.states[{i}].operational")
             any_op = any_op or bool(flag)
         if not any_op:
@@ -453,17 +457,16 @@ def _chain_of(obj: dict) -> tuple[Ctmc, int]:
     """Chain plus start state from a ``lambda``/``mu`` shortcut or a ``states``/``transitions`` declaration."""
     import numpy as np
 
-    from .markov import Ctmc, StateSpace, build_two_state
+    from .markov import Ctmc, build_two_state
 
     if "lambda" in obj:
         return build_two_state(obj["lambda"], obj["mu"]), obj.get("start", 0)
     labels = [s["label"] for s in obj["states"]]
     flags = [s["operational"] for s in obj["states"]]
-    space = StateSpace.from_labels(labels, flags)
-    rates = np.zeros((space.n, space.n))
+    rates = np.zeros((len(labels), len(labels)))
     for tr in obj["transitions"]:
         rates[tr["from"], tr["to"]] += tr["rate"]
-    return Ctmc.from_transition_rates(space, rates), obj.get("start", 0)
+    return Ctmc.from_transition_rates(labels, flags, rates), obj.get("start", 0)
 
 
 def build_chain(doc: ModelDocument) -> tuple[Ctmc, int]:

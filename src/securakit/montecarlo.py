@@ -198,7 +198,7 @@ class _ChainKernel:
         self.base = np.cumsum([0] + sizes[:-1])
         self.part = np.repeat(np.arange(len(chains)), sizes)
         self.exit_rates = np.concatenate([chain.exit_rates() for chain in chains])
-        self.operational = np.concatenate([chain.operational_mask() for chain in chains])
+        self.operational = np.concatenate([chain.operational for chain in chains])
         targets, cumprobs = [], []
         for chain, first in zip(chains, self.base):
             for i, row in enumerate(np.array(chain.generator)):
@@ -481,7 +481,7 @@ def estimate_threshold_reliability(
     chains, bare = np.flatnonzero(is_chain), np.flatnonzero(~is_chain)
     p_up = np.array([subs[j] for j in bare])
     starts = np.array([subs[j].start for j in chains], dtype=np.int64)
-    chains_up = sum(subs[j].chain.operational_mask()[s] for j, s in zip(chains, starts))  # up at t=0
+    chains_up = sum(subs[j].chain.operational[s] for j, s in zip(chains, starts))  # up at t=0
 
     def worker(lo, hi):
         draws = uniform_block(cfg.seed, np.arange(lo, hi)[:, None], bare, 0)

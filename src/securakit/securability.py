@@ -28,7 +28,7 @@ import numpy as np
 
 from . import markov
 from .errors import DomainError
-from .markov import Ctmc, StateSpace
+from .markov import Ctmc
 from .report import Result
 
 MSDR_LABELS = ("both_up", "ms_down", "dr_down", "both_down")
@@ -122,7 +122,6 @@ class RoutOfNSystem:
 
 def build_msdr(rates: MsDrRates, single_repair_crew: bool = False) -> Ctmc:
     """Four-state MS/DR chain with independent failures and repairs."""
-    space = StateSpace.from_labels(MSDR_LABELS, MSDR_OPERATIONAL)
     t = np.zeros((4, 4))
     t[0, 1] = rates.lambda_ms
     t[0, 2] = rates.lambda_dr
@@ -135,7 +134,7 @@ def build_msdr(rates: MsDrRates, single_repair_crew: bool = False) -> Ctmc:
     else:
         t[3, 1] = rates.mu_dr
         t[3, 2] = rates.mu_ms
-    return Ctmc.from_transition_rates(space, t)
+    return Ctmc.from_transition_rates(MSDR_LABELS, MSDR_OPERATIONAL, t)
 
 
 def service_availability(rates: MsDrRates, single_repair_crew: bool = False) -> float:

@@ -71,7 +71,7 @@ class FailureSample:
         return sum(not c for c in self.censored)
 
 
-def _evaluate(t, m: WeibullModel, law, at_zero: float | str):
+def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
     """One law at the times ``t``: a float for a scalar or 0-d ``t``, an array otherwise.
 
     ``law`` maps log(t/alpha) of the positive times to values, so each law
@@ -79,8 +79,10 @@ def _evaluate(t, m: WeibullModel, law, at_zero: float | str):
     the power.  Times at 0 take ``at_zero``: a number, or for the hazard
     and the density the name of the quantity, whose t = 0 value is 1/alpha
     at beta = 1, zero at beta > 1, and divergent at beta < 1 (raises
-    :class:`SingularityError`).  exp saturates to inf or 0 for huge t by
-    design, so overflow is not warned about; invalid values still are.
+    :class:`SingularityError`).  Times whose t/alpha is infinite take the
+    limit ``at_inf``, where a law would form inf - inf or 0 * inf.  exp
+    saturates to inf or 0 for huge t by design, so overflow is not warned
+    about; invalid values still are.
     """
     arr = np.asarray(t, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < 0):
@@ -91,42 +93,47 @@ def _evaluate(t, m: WeibullModel, law, at_zero: float | str):
         if m.beta < 1 and np.any(zero):
             raise SingularityError(f"{at_zero} diverges at t=0 for beta < 1")
         at_zero = 1.0 / m.alpha if m.beta == 1 else 0.0
-    out = np.full_like(times, at_zero)
+    out = np.where(zero, at_zero, at_inf)
     with np.errstate(over="ignore"):
-        out[~zero] = law(np.log(times[~zero] / m.alpha))
+        ratio = times / m.alpha
+        inner = ~zero & (ratio < np.inf)
+        out[inner] = law(np.log(ratio[inner]))
     return float(out[0]) if arr.ndim == 0 else out
 
 
 def reliability(t, m: WeibullModel):
     """Survival probability exp(-(t/alpha)**beta) at time t >= 0."""
-    return _evaluate(t, m, lambda logr: np.exp(-np.exp(m.beta * logr)), 1.0)
+    return _evaluate(t, m, lambda logr: np.exp(-np.exp(m.beta * logr)), 1.0, 0.0)
 
 
 def cdf(t, m: WeibullModel):
     """Failure probability by time t; exact complement of :func:`reliability`."""
-    return _evaluate(t, m, lambda logr: 1.0 - np.exp(-np.exp(m.beta * logr)), 0.0)
+    return _evaluate(t, m, lambda logr: 1.0 - np.exp(-np.exp(m.beta * logr)), 0.0, 1.0)
 
 
 def hazard(t, m: WeibullModel):
     """Instantaneous failure rate (beta/alpha)*(t/alpha)**(beta-1).
 
     Diverges at t = 0 when beta < 1; that boundary raises
-    :class:`SingularityError` instead of returning infinity.
+    :class:`SingularityError` instead of returning infinity.  At t = inf
+    the hazard is 0 for beta < 1, 1/alpha for beta = 1 and inf for beta > 1.
     """
-    return _evaluate(t, m, lambda logr: (m.beta / m.alpha) * np.exp((m.beta - 1.0) * logr), "hazard")
+    at_inf = 1.0 / m.alpha if m.beta == 1 else (math.inf if m.beta > 1 else 0.0)
+    return _evaluate(t, m, lambda logr: (m.beta / m.alpha) * np.exp((m.beta - 1.0) * logr), "hazard", at_inf)
 
 
 def pdf(t, m: WeibullModel):
     """Failure time density (beta/alpha)*(t/alpha)**(beta-1)*exp(-(t/alpha)**beta).
 
     At t = 0 the density is 1/alpha for beta = 1, zero for beta > 1, and
-    divergent for beta < 1 (raises :class:`SingularityError`).  A single
-    exponential keeps huge-t evaluations finite (inf*0 never forms).
+    divergent for beta < 1 (raises :class:`SingularityError`), and it is
+    zero at t = inf.  A single exponential keeps huge-t evaluations finite
+    (inf*0 never forms).
     """
     def law(logr):
         return (m.beta / m.alpha) * np.exp((m.beta - 1.0) * logr - np.exp(m.beta * logr))
 
-    return _evaluate(t, m, law, "density")
+    return _evaluate(t, m, law, "density", 0.0)
 
 
 def mean_life(m: WeibullModel) -> float:

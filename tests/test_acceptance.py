@@ -25,7 +25,6 @@ from securakit import markov, montecarlo, securability, weibull
 from securakit.cli import main as cli_main
 from securakit.markov import (
     Ctmc,
-    StateSpace,
     availability_at,
     availability_two_state,
     build_two_state,
@@ -158,20 +157,18 @@ def test_c06_transient_closed_form():
 
 def test_c07_mttf_cross_oracle():
     single_op_chains = [build_two_state(0.01, 0.1), build_two_state(0.37, 2.2)]
-    space = StateSpace.from_labels(["up", "f1", "f2"], [True, False, False])
     rates = np.zeros((3, 3))
     rates[0, 1] = 0.03
     rates[0, 2] = 0.07
     rates[1, 0] = 1.0
     rates[2, 0] = 1.0
-    single_op_chains.append(Ctmc.from_transition_rates(space, rates))
+    single_op_chains.append(Ctmc.from_transition_rates(["up", "f1", "f2"], [True, False, False], rates))
     exact = all(mttf_absorbing(c, 0) == mttf_rate_sum(c) for c in single_op_chains)
 
-    space = StateSpace.from_labels(["up", "degraded", "failed"], [True, True, False])
     rates = np.zeros((3, 3))
     rates[0, 1] = 0.1
     rates[1, 2] = 0.2
-    series = Ctmc.from_transition_rates(space, rates)
+    series = Ctmc.from_transition_rates(["up", "degraded", "failed"], [True, True, False], rates)
     series_err = abs(mttf_absorbing(series, 0) - (1 / 0.1 + 1 / 0.2))
     ok = exact and series_err <= 1e-12
     _report("C07", ok, f"single-op exact={exact}, series error={series_err:.2e}")

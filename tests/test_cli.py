@@ -341,14 +341,14 @@ class TestTransientSeries:
         chain, start = model_io.build_chain(model_io.parse_model(json.dumps(doc)))
         pi0 = np.zeros(chain.n)
         pi0[start] = 1.0
-        op_mask = chain.operational_mask()
+        op_mask = chain.operational
         series = {s["name"]: s for s in json.loads(out)["series"]}
         times = series["availability"]["t"]
         for i, t in enumerate(times):
             pi = markov.transient(chain, pi0, t).pi
             assert series["availability"]["values"][i] == float(pi[op_mask].sum())
-            for state in chain.space.states:
-                assert series[f"pi[{state.label}]"]["values"][i] == float(pi[state.id])
+            for j, label in enumerate(chain.labels):
+                assert series[f"pi[{label}]"]["values"][i] == float(pi[j])
         return times
 
     def test_grid_series(self, capsys, write_doc):
@@ -584,11 +584,19 @@ class TestExitCodes:
         assert err.startswith("error: numerical:")
 
     def test_nan_result_exits_2(self, capsys):
-        # JSON has no NaN or Infinity, so no report is printed; numpy's own warning stays on
-        with pytest.warns(RuntimeWarning, match="invalid value"):
+        # the limits at t = inf are exact, with no NaN or warning; JSON has no Infinity, so the hazard fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, err = run(capsys, ["weibull", "eval", "--alpha", "1", "--beta", "2", "--t", "inf",
                                           "--format", "json"])
-        assert (code, out, err) == (2, "", "error: numerical: pdf is not finite: nan\n")
+        assert (code, out, err) == (2, "", "error: numerical: hazard is not finite: inf\n")
+
+    def test_exponential_limits_at_infinity_exit_0(self, capsys):
+        code, out, err = run(capsys, ["weibull", "eval", "--alpha", "1", "--beta", "1", "--t", "inf",
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
+        assert (values["pdf"], values["cdf"], values["hazard"], values["reliability"]) == (0.0, 1.0, 1.0, 0.0)
 
     def test_infinite_result_exits_2(self, capsys):
         code, out, err = run(capsys, ["weibull", "eval", "--alpha", "1", "--beta", "3", "--t", "1e200",

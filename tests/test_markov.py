@@ -16,7 +16,6 @@ from securakit.markov import (
     UNIFORMIZATION_TAIL,
     Ctmc,
     ProbabilityVector,
-    StateSpace,
     absorbing_variant,
     availability_at,
     availability_steady,
@@ -42,11 +41,10 @@ rates_pairs = st.tuples(
 
 def series_chain(lam_a=0.1, lam_b=0.2):
     """up -> degraded -> failed, no repair."""
-    space = StateSpace.from_labels(["up", "degraded", "failed"], [True, True, False])
     rates = np.zeros((3, 3))
     rates[0, 1] = lam_a
     rates[1, 2] = lam_b
-    return Ctmc.from_transition_rates(space, rates)
+    return Ctmc.from_transition_rates(["up", "degraded", "failed"], [True, True, False], rates)
 
 
 def random_chain(rng, n_states=4):
@@ -55,16 +53,15 @@ def random_chain(rng, n_states=4):
     ops = [rng.uniform() < 0.5 for _ in range(n_states)]
     ops[0] = True
     ops[-1] = False
-    space = StateSpace.from_labels([f"s{i}" for i in range(n_states)], ops)
-    return Ctmc.from_transition_rates(space, rates)
+    return Ctmc.from_transition_rates([f"s{i}" for i in range(n_states)], ops, rates)
 
 
 class TestConstruction:
     def test_two_state_generator(self):
         chain = build_two_state(0.01, 0.1)
         np.testing.assert_array_equal(chain.generator, [[-0.01, 0.01], [0.1, -0.1]])
-        assert chain.space.states[0].operational
-        assert not chain.space.states[1].operational
+        assert chain.operational[0]
+        assert not chain.operational[1]
 
     def test_nonpositive_rates_rejected(self):
         for lam, mu in [(0, 0.1), (0.1, 0), (-1, 1), (1, -1)]:
@@ -72,24 +69,43 @@ class TestConstruction:
                 build_two_state(lam, mu)
 
     def test_generator_row_sums_validated(self):
-        space = StateSpace.from_labels(["a", "b"], [True, False])
         with pytest.raises(DomainError):
-            Ctmc(space, np.array([[-0.5, 0.4], [0.1, -0.1]]))
+            Ctmc(["a", "b"], [True, False], np.array([[-0.5, 0.4], [0.1, -0.1]]))
 
     def test_negative_off_diagonal_rejected(self):
-        space = StateSpace.from_labels(["a", "b"], [True, False])
         with pytest.raises(DomainError):
-            Ctmc(space, np.array([[0.1, -0.1], [-0.1, 0.1]]))
+            Ctmc(["a", "b"], [True, False], np.array([[0.1, -0.1], [-0.1, 0.1]]))
 
     def test_state_space_needs_operational_state(self):
         with pytest.raises(DomainError):
-            StateSpace.from_labels(["a", "b"], [False, False])
+            Ctmc(["a", "b"], [False, False], np.zeros((2, 2)))
 
-    def test_state_ids_dense(self):
-        from securakit.markov import State
+    @pytest.mark.parametrize("labels, flags, message", [
+        (["a", "b"], [True], "labels and operational flags must have equal length"),
+        ([], [], "state space must contain at least one state"),
+        (["a", "b"], [False, False], "state space needs at least one operational state"),
+        (["a", "b", "a"], [True, False, True], "duplicate state label 'a'"),
+    ])
+    def test_constructor_messages(self, labels, flags, message):
+        with pytest.raises(DomainError) as err:
+            Ctmc(labels, flags, np.zeros((len(labels), len(labels))))
+        assert str(err.value) == message
 
-        with pytest.raises(DomainError):
-            StateSpace((State(0, "a", True), State(2, "b", False)))
+    def test_operational_is_one_read_only_mask(self):
+        flags = np.array([True, True, False])
+        chain = Ctmc(("up", "degraded", "failed"), flags, np.zeros((3, 3)))
+        flags[:] = False  # the chain keeps its own copy
+        assert chain.operational is chain.operational
+        assert chain.operational.dtype == bool and chain.operational.tolist() == [True, True, False]
+        with pytest.raises(ValueError):
+            chain.operational[0] = False
+        assert chain.labels == ("up", "degraded", "failed")
+
+    def test_absorbing_variant_keeps_labels_and_operational(self):
+        chain = build_two_state(0.01, 0.1)
+        absorbing = absorbing_variant(chain)
+        assert absorbing.labels == chain.labels == ("up", "down")
+        np.testing.assert_array_equal(absorbing.operational, chain.operational)
 
     def test_generator_rows_sum_zero_invariant(self):
         rng = CounterRng(seed=3)
@@ -144,8 +160,7 @@ class TestSteadyState:
             assert abs(pi.pi.sum() - 1.0) <= 1e-12
 
     def test_reducible_chain_rejected(self):
-        space = StateSpace.from_labels(["up", "dead"], [True, False])
-        chain = Ctmc(space, np.array([[-0.1, 0.1], [0.0, 0.0]]))
+        chain = Ctmc(["up", "dead"], [True, False], np.array([[-0.1, 0.1], [0.0, 0.0]]))
         with pytest.raises(StructureError):
             steady_state(chain)
 
@@ -212,8 +227,7 @@ class TestTransient:
             assert abs(transient(chain, [1, 0, 0, 0], t).pi.sum() - 1.0) < 1e-10
 
     def test_zero_generator_is_static(self):
-        space = StateSpace.from_labels(["a", "b"], [True, True])
-        chain = Ctmc(space, np.zeros((2, 2)))
+        chain = Ctmc(["a", "b"], [True, True], np.zeros((2, 2)))
         np.testing.assert_array_equal(transient(chain, [0.3, 0.7], 50.0).pi, [0.3, 0.7])
 
     def test_negative_time_rejected(self):
@@ -275,10 +289,10 @@ def stiff_chains(draw):
     log_rate = st.one_of(st.none(), st.floats(min_value=-3.0, max_value=3.0))
     exps = draw(st.lists(log_rate, min_size=n * n, max_size=n * n))
     rates = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n)
-    space = StateSpace.from_labels([f"s{i}" for i in range(n)], [True] * (n - 1) + [False])
     start = draw(st.integers(min_value=0, max_value=n - 1))
     t = draw(st.floats(min_value=0.0, max_value=2.0))
-    return Ctmc.from_transition_rates(space, rates), start, t
+    chain = Ctmc.from_transition_rates([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], rates)
+    return chain, start, t
 
 
 @given(stiff_chains())
@@ -321,9 +335,7 @@ def transient_grids(draw):
     log_rate = st.one_of(st.none(), st.floats(min_value=-2.0, max_value=1.0))
     exps = draw(st.lists(log_rate, min_size=n * n, max_size=n * n))
     rates = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n)
-    chain = Ctmc.from_transition_rates(
-        StateSpace.from_labels([f"s{i}" for i in range(n)], [True] * (n - 1) + [False]), rates
-    )
+    chain = Ctmc.from_transition_rates([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], rates)
     times = draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6))
     times += [0.0, times[0]]
     rate = float(chain.exit_rates().max())
@@ -410,8 +422,7 @@ class TestReliabilityVsAvailability:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_all_operational_chain_has_no_reliability_analysis(self):
-        space = StateSpace.from_labels(["a", "b"], [True, True])
-        chain = Ctmc.from_transition_rates(space, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        chain = Ctmc.from_transition_rates(["a", "b"], [True, True], np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(StructureError):
             reliability_at(chain, [1, 0], 1.0)
         assert availability_steady(chain) == 1.0
@@ -450,23 +461,21 @@ class TestHittingTimes:
         assert mttf_absorbing(chain, 0) == mttf_rate_sum(chain)
 
     def test_rate_sum_two_feeding_states(self):
-        space = StateSpace.from_labels(["a", "b", "fail"], [True, True, False])
         rates = np.zeros((3, 3))
         rates[0, 2] = 0.1
         rates[1, 2] = 0.2
-        chain = Ctmc.from_transition_rates(space, rates)
+        chain = Ctmc.from_transition_rates(["a", "b", "fail"], [True, True, False], rates)
         assert mttf_rate_sum(chain) == pytest.approx(15.0, rel=1e-12)
 
     def test_rate_sum_exact_match_single_operational_state(self):
         # one operational state feeding two failure modes: both estimators
         # reduce to the same float division
-        space = StateSpace.from_labels(["up", "f1", "f2"], [True, False, False])
         rates = np.zeros((3, 3))
         rates[0, 1] = 0.03
         rates[0, 2] = 0.07
         rates[1, 0] = 1.0
         rates[2, 0] = 1.0
-        chain = Ctmc.from_transition_rates(space, rates)
+        chain = Ctmc.from_transition_rates(["up", "f1", "f2"], [True, False, False], rates)
         assert mttf_absorbing(chain, 0) == mttf_rate_sum(chain)
 
     def test_rate_sum_needs_direct_failure_exit(self):
@@ -479,12 +488,11 @@ class TestHittingTimes:
         assert mttf_absorbing(chain, 1) == pytest.approx(5.0, abs=1e-12)
 
     def test_unreachable_failure_rejected(self):
-        space = StateSpace.from_labels(["a", "b", "fail"], [True, True, False])
         rates = np.zeros((3, 3))
         rates[0, 1] = 0.5
         rates[1, 0] = 0.5
         rates[2, 0] = 1.0
-        chain = Ctmc.from_transition_rates(space, rates)
+        chain = Ctmc.from_transition_rates(["a", "b", "fail"], [True, True, False], rates)
         with pytest.raises(StructureError):
             mttf_absorbing(chain, 0)
         with pytest.raises(StructureError):
@@ -492,21 +500,19 @@ class TestHittingTimes:
 
     def test_operational_trap_rejected(self):
         # failure reachable from start, but a side branch can trap the walk
-        space = StateSpace.from_labels(["s", "trap", "fail"], [True, True, False])
         rates = np.zeros((3, 3))
         rates[0, 1] = 0.5
         rates[0, 2] = 0.5
-        chain = Ctmc.from_transition_rates(space, rates)  # trap has no exits
+        chain = Ctmc.from_transition_rates(["s", "trap", "fail"], [True, True, False], rates)  # trap: no exits
         with pytest.raises(StructureError):
             mttf_absorbing(chain, 0)
 
     def test_first_stuck_state_is_named(self):
         # s can fail, but a <-> b is a loop with no way out
-        space = StateSpace.from_labels(["s", "a", "b", "fail"], [True, True, True, False])
         rates = np.zeros((4, 4))
         rates[0, 1] = rates[0, 3] = 0.5
         rates[1, 2] = rates[2, 1] = 1.0
-        chain = Ctmc.from_transition_rates(space, rates)
+        chain = Ctmc.from_transition_rates(["s", "a", "b", "fail"], [True, True, True, False], rates)
         with pytest.raises(StructureError) as exc:
             mttf_absorbing(chain, 0)
         assert str(exc.value) == (
@@ -522,13 +528,12 @@ class TestHittingTimes:
         assert mttr(build_two_state(0.01, 0.1), 1) == pytest.approx(10.0, rel=1e-12)
 
     def test_mttr_competing_repair_channels(self):
-        space = StateSpace.from_labels(["up1", "up2", "down"], [True, True, False])
         rates = np.zeros((3, 3))
         rates[0, 2] = 0.1
         rates[1, 2] = 0.1
         rates[2, 0] = 0.3
         rates[2, 1] = 0.2
-        chain = Ctmc.from_transition_rates(space, rates)
+        chain = Ctmc.from_transition_rates(["up1", "up2", "down"], [True, True, False], rates)
         assert mttr(chain, 2) == pytest.approx(1.0 / 0.5, rel=1e-12)
 
     def test_mttr_without_repair_rejected(self):
@@ -587,7 +592,7 @@ def vet_oracle(chain, start, target_mask, kind):
     for i in live:
         if not any(target_mask[k] for k in reach(i)):
             raise StructureError(
-                f"state {i} ({chain.space.states[i].label}) can be visited but cannot "
+                f"state {i} ({chain.labels[i]}) can be visited but cannot "
                 f"reach any {kind} state; expected hitting time is infinite"
             )
     return np.array(live, dtype=int)
@@ -599,8 +604,8 @@ def small_digraphs(draw):
     edges = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     target = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     start = draw(st.integers(min_value=0, max_value=n - 1))
-    space = StateSpace.from_labels([f"s{i}" for i in range(n)], [True] * n)
-    chain = Ctmc.from_transition_rates(space, np.array(edges, dtype=float).reshape(n, n))
+    rates = np.array(edges, dtype=float).reshape(n, n)
+    chain = Ctmc.from_transition_rates([f"s{i}" for i in range(n)], [True] * n, rates)
     return chain, start, np.array(target, dtype=bool)
 
 

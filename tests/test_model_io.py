@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from securakit import model_io
-from securakit.errors import SchemaError, ValidationError
+from securakit.errors import NumericalError, SchemaError, ValidationError
 from securakit.markov import build_two_state
 from securakit.model_io import (
     ModelDocument,
@@ -246,7 +246,7 @@ class TestParseModel:
         assert (start, two_state.start, chain.start, p) == (None, 0, 1, 0.5)
         np.testing.assert_array_equal(two_state.chain.generator, build_two_state(0.02, 0.3).generator)
         np.testing.assert_array_equal(chain.chain.generator, [[-0.1, 0.1], [0.9, -0.9]])
-        assert [(s.label, s.operational) for s in chain.chain.space.states] == [("up", True), ("down", False)]
+        assert list(zip(chain.chain.labels, chain.chain.operational)) == [("up", True), ("down", False)]
 
     def test_attack_block(self):
         payload = json.loads(doc(MSDR))
@@ -304,6 +304,13 @@ REJECTED_SHAPES = [
      "t/dt must be at most 999999, got inf"),
     ({**MINIMAL_MARKOV, "analyses": [{"op": "transient", "t": 1e6, "dt": 1.0}]}, "analyses[0].dt",
      "t/dt must be at most 999999, got 1e+06"),
+    (_with(EXPLICIT_CHAIN, ("parameters", "states", 1, "label"), "up"), "parameters.states[1].label",
+     "duplicate label 'up'"),
+    (
+        {"kind": "r_out_of_n", "parameters": {"r": 1, "subsystems": [
+            {"type": "chain", **_with(EXPLICIT_CHAIN, ("parameters", "states", 1, "label"), "up")["parameters"]}]}},
+        "parameters.subsystems[0].states[1].label", "duplicate label 'up'",
+    ),
     # a rejected states array gives no state count, so no state id is range-checked against one
     ({"kind": "markov", "parameters": {"states": [], "transitions": [{"from": 0, "to": 1, "rate": 0.1}]},
       "analyses": [{"op": "metrics", "failed": 2}]}, "parameters.states", "expected at least 1 element(s), got 0"),
@@ -522,6 +529,12 @@ class TestReports:
 
         with pytest.raises(DomainError):
             Result("x", 1.0, "guesswork")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(NumericalError) as err:
+            Result("hazard", value, "analytic")
+        assert str(err.value) == f"hazard is not finite: {value}"
 
     def test_series_length_mismatch_rejected(self):
         from securakit.errors import DomainError

@@ -12,7 +12,6 @@ from securakit import montecarlo
 from securakit.errors import ConvergenceError, DomainError, StructureError, ValidationError
 from securakit.markov import (
     Ctmc,
-    StateSpace,
     absorbing_variant,
     build_two_state,
     mttf_absorbing,
@@ -37,10 +36,9 @@ from securakit.securability import ChainSubsystem, MsDrRates, RoutOfNSystem, bui
 
 
 def non_repairable(lam):
-    space = StateSpace.from_labels(["up", "down"], [True, False])
     rates = np.zeros((2, 2))
     rates[0, 1] = lam
-    return Ctmc.from_transition_rates(space, rates)
+    return Ctmc.from_transition_rates(["up", "down"], [True, False], rates)
 
 
 def markov_reliability(chain, t):
@@ -52,19 +50,17 @@ def markov_reliability(chain, t):
 
 
 def series_chain(lam_a=0.1, lam_b=0.2):
-    space = StateSpace.from_labels(["up", "degraded", "failed"], [True, True, False])
     rates = np.zeros((3, 3))
     rates[0, 1] = lam_a
     rates[1, 2] = lam_b
-    return Ctmc.from_transition_rates(space, rates)
+    return Ctmc.from_transition_rates(["up", "degraded", "failed"], [True, True, False], rates)
 
 
 def degrading(a, b, c, d):
     """ok -> degraded -> bad chain with repair from degraded and from bad."""
-    space = StateSpace.from_labels(["ok", "degraded", "bad"], [True, True, False])
     rates = np.zeros((3, 3))
     rates[0, 1], rates[1, 0], rates[1, 2], rates[2, 0] = a, b, c, d
-    return Ctmc.from_transition_rates(space, rates)
+    return Ctmc.from_transition_rates(["ok", "degraded", "bad"], [True, True, False], rates)
 
 
 def threshold_oracle(system, cfg):
@@ -83,7 +79,7 @@ def threshold_oracle(system, cfg):
         for j, sub in enumerate(system.subsystems):
             stream = CounterRng(cfg.seed, trial, substream=j)
             if isinstance(sub, ChainSubsystem):
-                flags = sub.chain.operational_mask()
+                flags = sub.chain.operational
                 current = bool(flags[sub.start])
                 up += current
                 path = simulate_trajectory(sub.chain, sub.start, cfg.horizon, stream, cfg.max_events)
@@ -129,18 +125,16 @@ class TestSimulateTrajectory:
         assert abs(empty / n - p) < 3 * se
 
     def test_all_absorbing_chain_survives_without_events(self):
-        space = StateSpace.from_labels(["a", "b"], [True, False])
-        chain = Ctmc(space, np.zeros((2, 2)))
+        chain = Ctmc(["a", "b"], [True, False], np.zeros((2, 2)))
         path = simulate_trajectory(chain, 0, 100.0, CounterRng(seed=1))
         assert path.events == ()
         assert path.survived_horizon
 
     def test_competing_risks_proportions(self):
-        space = StateSpace.from_labels(["s", "a", "b"], [True, False, False])
         rates = np.zeros((3, 3))
         rates[0, 1] = 0.3
         rates[0, 2] = 0.7
-        chain = Ctmc.from_transition_rates(space, rates)
+        chain = Ctmc.from_transition_rates(["s", "a", "b"], [True, False, False], rates)
         n = 100_000
         hits_a = 0
         for i in range(n):
@@ -270,12 +264,11 @@ class TestEstimateMttf:
             estimate_mttf(chain, 0, cfg)
 
     def test_unreachable_failure_rejected(self):
-        space = StateSpace.from_labels(["a", "b", "fail"], [True, True, False])
         rates = np.zeros((3, 3))
         rates[0, 1] = 0.5
         rates[1, 0] = 0.5
         rates[2, 0] = 1.0
-        chain = Ctmc.from_transition_rates(space, rates)
+        chain = Ctmc.from_transition_rates(["a", "b", "fail"], [True, True, False], rates)
         from securakit.errors import StructureError
 
         with pytest.raises(StructureError):
@@ -320,7 +313,7 @@ class TestAbsorptionPreconditions:
         matrix = np.zeros((3, 3))
         for (i, j), rate in rates.items():
             matrix[i, j] = rate
-        chain = Ctmc.from_transition_rates(StateSpace.from_labels(labels, [True, True, False]), matrix)
+        chain = Ctmc.from_transition_rates(labels, [True, True, False], matrix)
         with pytest.raises(StructureError) as info:
             estimate_mttf(chain, 0, self.CFG)
         assert str(info.value) == message
@@ -487,11 +480,10 @@ class TestEventCapMessages:
     @pytest.mark.parametrize("horizon", [None, 1e9])
     def test_cap_counts_jumps_exactly(self, horizon):
         # every trial of this chain makes exactly 4 jumps: up0 -> up1 -> up2 -> up3 -> down
-        space = StateSpace.from_labels(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False])
         rates = np.zeros((5, 5))
         for i in range(4):
             rates[i, i + 1] = 1.0
-        chain = Ctmc.from_transition_rates(space, rates)
+        chain = Ctmc.from_transition_rates(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False], rates)
         for cap, fails in ((4, False), (3, True)):
             cfg = MonteCarloConfig(n_trials=20, horizon=1.0, seed=3, max_events=cap)
             run = (lambda: estimate_mttf(chain, 0, cfg)) if horizon is None else (
@@ -609,7 +601,7 @@ class TestConfigAndEstimate:
 
 def _first_failure(chain, path):
     """Entry time of the path's first non-operational state, or inf."""
-    flags = chain.operational_mask()
+    flags = chain.operational
     return next((when for when, state in path.events if not flags[state]), math.inf)
 
 
@@ -669,8 +661,7 @@ def walker_chains(draw):
     flags = [True] + [draw(st.booleans()) for _ in range(n - 1)]
     if draw(st.booleans()):
         rates[0] = 0.0  # a stuck start state
-    space = StateSpace.from_labels([f"s{i}" for i in range(n)], flags)
-    return Ctmc.from_transition_rates(space, rates)
+    return Ctmc.from_transition_rates([f"s{i}" for i in range(n)], flags, rates)
 
 
 WALK_SETTINGS = settings(max_examples=40, deadline=None)
@@ -749,8 +740,7 @@ class TestWalkerEqualsTrajectoryOracle:
     def test_hub_chain_needs_four_search_rounds(self):
         rates = np.full((10, 10), 0.3)
         np.fill_diagonal(rates, 0.0)
-        space = StateSpace.from_labels([f"s{i}" for i in range(10)], [True] * 9 + [False])
-        chain = Ctmc.from_transition_rates(space, rates)
+        chain = Ctmc.from_transition_rates([f"s{i}" for i in range(10)], [True] * 9 + [False], rates)
         assert montecarlo._ChainKernel([chain])._rounds == 4
         cfg = MonteCarloConfig(n_trials=300, horizon=3.0, seed=31, max_events=self.HORIZON_CAP)
         assert estimate_mttf(chain, 0, cfg) == mttf_oracle(chain, 0, cfg)
@@ -776,8 +766,7 @@ class TestChainKernelChoose:
         rates[0] = gen.uniform(0.1, 2.0, n)  # a hub reaching every other state
         np.fill_diagonal(rates, 0.0)
         rates[n - 1] = 0.0  # no exits
-        chain = Ctmc.from_transition_rates(StateSpace.from_labels([str(i) for i in range(n)], [True] * n),
-                                           rates)
+        chain = Ctmc.from_transition_rates([str(i) for i in range(n)], [True] * n, rates)
         kernel = montecarlo._ChainKernel([chain])
         live = np.flatnonzero(np.diff(kernel.offsets) > 0)
         states, u = [], []
@@ -797,7 +786,7 @@ class TestChainKernelChoose:
             rates = np.zeros((degree + 1, degree + 1))
             rates[0, 1:] = 1.0
             chain = Ctmc.from_transition_rates(
-                StateSpace.from_labels([str(i) for i in range(degree + 1)], [True] * (degree + 1)), rates)
+                [str(i) for i in range(degree + 1)], [True] * (degree + 1), rates)
             assert montecarlo._ChainKernel([chain])._rounds == rounds
 
 

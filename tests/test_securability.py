@@ -66,7 +66,7 @@ class TestBuildMsdr:
 
     def test_operational_flags(self):
         chain = build_msdr(SYMMETRIC)
-        assert [s.operational for s in chain.space.states] == [True, True, True, False]
+        assert chain.operational.tolist() == [True, True, True, False]
 
     def test_symmetric_steady_state_product_form(self):
         pi = steady_state(build_msdr(SYMMETRIC)).pi

@@ -1,6 +1,7 @@
 """Weibull law tests: frozen hand-computed values, identities, fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ class TestEvaluation:
         values = fn(np.array([0.0, 1.0, 0.0]), m)
         assert values[0] == values[2] == at_zero
         assert values[1] == fn(1.0, m)
+
+    @pytest.mark.parametrize("beta, hazard_at_inf", [(0.5, 0.0), (1.0, 0.5), (2.0, math.inf)])
+    def test_limits_at_infinity(self, beta, hazard_at_inf):
+        """At t = inf: reliability 0, cdf 1, pdf 0, and the hazard's t = 0 rule mirrored, with no warning."""
+        m = WeibullModel(2, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, limit in ((reliability, 0.0), (cdf, 1.0), (pdf, 0.0), (hazard, hazard_at_inf)):
+                assert fn(math.inf, m) == limit
+                values = fn(np.array([1.0, math.inf, math.inf]), m)
+                assert values[0] == fn(1.0, m) and values[1] == values[2] == limit
 
     def test_invalid_model_rejected(self):
         for alpha, beta in [(0, 1), (-1, 1), (1, 0), (1, -2), (math.inf, 1), (1, math.nan)]:
