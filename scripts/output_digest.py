@@ -30,6 +30,14 @@ when a threaded ``sec routofn`` run differs from the same run with
 ``montecarlo._MERGED_LANES`` set to 1, which walks one subsystem at a
 time.  That run prints no line of its own, so the digest of a tree
 without the check stays comparable.
+
+One line per seed is newer than the rest and covers the estimator that no
+command runs: after the mc_walk commands, ``estimate_occupancy`` runs on
+that workload's MS/DR chain with its mttf entry's trial count and the
+document's seed, target state 3, burn-in 100 and horizon 1100 (the gate
+C09 setting), and the line holds the sha256 of the estimate's value and
+standard error.  It runs at 2 threads and at 1, and the script exits 1
+when the two differ.  A digest of a tree older than that line lacks it.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
 from malformed_corpus import MALFORMED_DOCUMENTS  # noqa: E402
-from securakit import cli, montecarlo  # noqa: E402
+from securakit import cli, model_io, montecarlo  # noqa: E402
 
 THREADS = 2
 
@@ -87,6 +95,17 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _occupancy(path: str) -> tuple[str, list[str]]:
+    """The C09-style occupancy of the MS/DR document at ``path``: its digest text at 2 and at 1 thread."""
+    doc = model_io.parse_model(Path(path).read_text(encoding="utf-8"))
+    chain, start, entry = model_io.build_model(doc, "mttf")
+    cfg = montecarlo.MonteCarloConfig(n_trials=entry["n_trials"], horizon=1100.0, seed=doc.seed)
+    argv = f"estimate_occupancy {path} target=(3,) burn_in=100 horizon=1100"
+    runs = [montecarlo.estimate_occupancy(chain, start, cfg, (3,), burn_in=100.0, threads=threads)
+            for threads in (THREADS, 1)]
+    return argv, [f"{est.value!r} {est.std_error!r}" for est in runs]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -122,6 +141,11 @@ def main() -> None:
                                     _run_one_subsystem_per_walk(threaded)[:2] != results[0]:
                                 mismatched.append(f"grouping-dependent output: {' '.join(threaded)} "
                                                   "differs from its run with one subsystem per walk")
+                    if workload == "mc_walk":
+                        argv, (threaded, serial) = _occupancy(command.argv[command.argv.index("--file") + 1])
+                        print(workload, seed, argv, f"value_se={_sha(threaded)}", flush=True)
+                        if threaded != serial:
+                            mismatched.append(f"thread-dependent output: {argv} differs from its 1-thread run")
                 finally:
                     os.chdir(here)
         os.chdir(tmp)

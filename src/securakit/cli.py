@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import model_io
 from .errors import NumericalError, SchemaError, UsageError, ValidationError
-from .model_io import AnalysisRequest, ModelDocument
+from .model_io import ModelDocument
 from .report import AnalysisReport, Result, Series, emit_report
 
 if TYPE_CHECKING:
@@ -64,11 +64,11 @@ class _Context(NamedTuple):
     doc: ModelDocument
     model: object  # Ctmc, RoutOfNSystem or FailureSample, by document kind
     start: int | None  # chain documents only: the entry's start, else the document's
-    request: AnalysisRequest | None
+    entry: dict | None  # the document's first analyses entry of the op
 
     @property
     def settings(self) -> dict:
-        return self.request.settings if self.request else {}
+        return self.entry or {}
 
 
 def _load_document(path: str) -> ModelDocument:
@@ -87,9 +87,9 @@ def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
     """
     from .montecarlo import MonteCarloConfig
 
-    if ctx.request is None:
+    if ctx.entry is None:
         raise ValidationError(f"{ctx.command} needs an analyses entry with op '{ctx.op}'")
-    s = ctx.request.settings
+    s = ctx.entry
     seed = ctx.args.seed
     if seed is None:
         seed = s.get("seed", ctx.doc.seed)
@@ -274,7 +274,7 @@ def _sec_routofn(ctx: _Context) -> AnalysisReport:
     from . import montecarlo, securability
 
     results = securability.decompose(ctx.model)
-    if ctx.request is None:
+    if ctx.entry is None:
         return AnalysisReport({}, results)
     cfg, threads = _monte_carlo(ctx)
     est = montecarlo.estimate_threshold_reliability(ctx.model, cfg, threads=threads)
@@ -354,16 +354,13 @@ def _run(args) -> AnalysisReport | None:
     kinds = tuple(kind for kind, ops in model_io.OPS.items() if command.op in ops)
     if doc.kind not in kinds:
         raise ValidationError(f"{name} needs a document of kind {' or '.join(kinds)}, got {doc.kind}")
-    model, start = model_io.build_model(doc)
-    request = next((r for r in doc.analyses if r.op == command.op), None)
-    if start is not None and request is not None:
-        start = request.settings.get("start", start)
-    rep = command.handler(_Context(args, name, command.op, doc, model, start, request))
+    model, start, entry = model_io.build_model(doc, command.op)
+    rep = command.handler(_Context(args, name, command.op, doc, model, start, entry))
     rep.model_echo = {
         "kind": doc.kind,
         "time_unit": doc.time_unit,
         "parameters": doc.parameters,
-        "analyses": [{"op": r.op, **r.settings} for r in doc.analyses],
+        "analyses": doc.analyses,
         **rep.model_echo,
     }
     return rep

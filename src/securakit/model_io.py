@@ -51,20 +51,16 @@ MAX_SERIES_POINTS = 10 ** 6  # in one series: --grid STEPS, or ceil(t/dt) + 1 fo
 
 
 @dataclass
-class AnalysisRequest:
-    """One requested operation and its validated settings."""
-
-    op: str
-    settings: dict = field(default_factory=dict)
-
-
-@dataclass
 class ModelDocument:
-    """Validated model description: kind, parameters, requested analyses."""
+    """Validated model description: kind, parameters, requested analyses.
+
+    Each ``analyses`` entry is its checked dict: ``op`` first, then the
+    settings the document gave, in document order.
+    """
 
     kind: str
     parameters: dict
-    analyses: list[AnalysisRequest] = field(default_factory=list)
+    analyses: list[dict] = field(default_factory=list)
     time_unit: str | None = None
     seed: int | None = None
 
@@ -361,14 +357,14 @@ _KINDS = {
     "markov": _Kind(("lambda", "mu", "states", "transitions", "start"), _validate_markov_params,
                     lambda doc: build_chain(doc)),
     "msdr": _Kind(("lambda_ms", "lambda_dr", "mu_ms", "mu_dr", "single_repair_crew", "attack"),
-                  _validate_msdr_params, lambda doc: build_chain(doc)),
+                  _validate_msdr_params, lambda doc: (build_msdr_chain(doc), 0)),
     "r_out_of_n": _Kind(("r", "subsystems"), _validate_r_out_of_n_params,
                         lambda doc: (build_r_out_of_n(doc), None)),
 }
 
 
-def _validate_analyses(check: _Check, kind: str, analyses) -> list[AnalysisRequest]:
-    requests: list[AnalysisRequest] = []
+def _validate_analyses(check: _Check, kind: str, analyses) -> list[dict]:
+    requests: list[dict] = []
     entries = check.array(analyses, "analyses")
     if entries is None:
         return requests
@@ -390,7 +386,7 @@ def _validate_analyses(check: _Check, kind: str, analyses) -> list[AnalysisReque
                 check.error(f"{base}.{key}", f"required setting missing for op {op!r}")
         if (ratio := settings.get("t", 0.0) / settings.get("dt", float("inf"))) > MAX_SERIES_POINTS - 1:
             check.error(f"{base}.dt", f"t/dt must be at most {MAX_SERIES_POINTS - 1}, got {ratio:g}")
-        requests.append(AnalysisRequest(op=op, settings=settings))
+        requests.append({"op": op, **settings})
     return requests
 
 
@@ -424,18 +420,18 @@ def parse_model(text: str) -> ModelDocument:
         check.keys(params, row.params, "parameters", f"unknown key for kind={kind}")
         n_states = row.validate(check, params)
 
-    analyses: list[AnalysisRequest] = []
+    analyses: list[dict] = []
     if kind is not None and "analyses" in root:
         analyses = _validate_analyses(check, kind, root["analyses"])
 
     if kind == "weibull" and params is not None:
-        if any(r.op == "eval" for r in analyses) and not ("alpha" in params and "beta" in params):
+        if any(r["op"] == "eval" for r in analyses) and not ("alpha" in params and "beta" in params):
             check.error("parameters", "op 'eval' needs parameters.alpha and parameters.beta")
-        if any(r.op == "fit" for r in analyses) and "data" not in params:
+        if any(r["op"] == "fit" for r in analyses) and "data" not in params:
             check.error("parameters.data", "op 'fit' needs failure data")
     for i, req in enumerate(analyses):
         for key in ("start", "failed"):
-            check.state_id(req.settings.get(key), n_states, f"analyses[{i}].{key}")
+            check.state_id(req.get(key), n_states, f"analyses[{i}].{key}")
 
     if check.diags:
         raise SchemaError(check.diags)
@@ -448,9 +444,19 @@ def parse_model(text: str) -> ModelDocument:
     )
 
 
-def build_model(doc: ModelDocument) -> tuple[Ctmc | RoutOfNSystem | FailureSample, int | None]:
-    """The model a command runs on, and its chain's start state (None for a kind without one)."""
-    return _KINDS[doc.kind].build(doc)
+def build_model(
+    doc: ModelDocument, op: str | None
+) -> tuple[Ctmc | RoutOfNSystem | FailureSample, int | None, dict | None]:
+    """The model ``op`` runs on, its chain's start state and the document's first ``op`` entry.
+
+    The start is the entry's ``start``, else the document's; it is None for
+    a kind without a chain.  The entry is None when the document has none.
+    """
+    model, start = _KINDS[doc.kind].build(doc)
+    entry = next((e for e in doc.analyses if e["op"] == op), None)
+    if start is not None and entry is not None:
+        start = entry.get("start", start)
+    return model, start, entry
 
 
 def _chain_of(obj: dict) -> tuple[Ctmc, int]:
@@ -470,9 +476,7 @@ def _chain_of(obj: dict) -> tuple[Ctmc, int]:
 
 
 def build_chain(doc: ModelDocument) -> tuple[Ctmc, int]:
-    """Chain plus start state for ``markov`` and ``msdr`` documents."""
-    if doc.kind == "msdr":
-        return build_msdr_chain(doc), 0
+    """Chain plus start state for ``markov`` documents."""
     return _chain_of(doc.parameters)
 
 

@@ -16,11 +16,17 @@ reliability walks all its chain subsystems at once on the kernel of
 their disjoint union, lane (t, j) reading cell (seed, t, j), which changes
 no draw.
 
-Reliability and MTTF read per-trial absorption times (inf for a trial that
-never fails) from one walk of the absorbing variant of the chain.
-Reliability is horizon-limited (Eq.-10 style sample mean of survival
-indicators); MTTF takes uncapped times (Eq.-11 style sample mean) with an
-event-count cap as a runaway guard: a horizon would bias MTTF downward.
+A walk returns one thing: the status flips of its lanes, one (trial,
+substream, time, delta) entry per jump that enters (+1) or leaves (-1) a
+given set of states.  Each estimator reduces that log.  Reliability and
+MTTF read per-trial absorption times (inf for a trial that never fails)
+from one walk of the absorbing variant of the chain, where a trial flips
+at most once, at its failure; occupancy integrates each trial's flips
+over the window; threshold reliability merges the flips of its chain
+subsystems.  Reliability is horizon-limited (Eq.-10 style sample mean of
+survival indicators); MTTF takes uncapped times (Eq.-11 style sample
+mean) with an event-count cap as a runaway guard: a horizon would bias
+MTTF downward.
 """
 
 from __future__ import annotations
@@ -235,20 +241,9 @@ class _ChainKernel:
         return self.targets[pos]
 
 
-def _walk_batch(
-    kernel: _ChainKernel,
-    start,
-    lo: int,
-    hi: int,
-    seed: int,
-    substream,
-    horizon: float | None,
-    max_events: int,
-    occupancy_mask: np.ndarray | None = None,
-    burn_in: float = 0.0,
-    flip_log: list | None = None,
-):
-    """Walk trials ``lo..hi-1`` in synchronized waves.
+def _walk_batch(kernel: _ChainKernel, watched: np.ndarray, start, lo: int, hi: int, seed: int, substream,
+                horizon: float | None, max_events: int):
+    """Walk trials ``lo..hi-1`` in synchronized waves and return their status flips.
 
     ``start`` and ``substream`` are a state and a substream id, or two
     arrays of k entries: then each trial t walks k lanes, and lane (t, i)
@@ -264,47 +259,23 @@ def _walk_batch(
     state, time) arrays that are filtered only when lanes stop: past the
     horizon or in a state with no exits.
 
-    A ``flip_log`` list receives, per wave, ``(trial, substream, time,
-    delta)`` arrays for the lanes whose jump changed operational status
-    (delta +1 on entering the operational set, -1 on leaving it).
-
-    Returns (absorb_time, occupancy_time) arrays with one entry per lane,
-    lane (t, i) at (t - lo) * k + i; absorb_time is the entry time into a
-    non-operational state with no exits, or inf.
+    Returns the flip log: four arrays ``(trial, substream, time, delta)``
+    with one entry per jump that enters (delta +1) or leaves (delta -1)
+    the states of the bool mask ``watched``, in wave order, so each lane's
+    flips come in time order.
     """
     k = np.size(start)
-    m = (hi - lo) * k
-    first = np.uint64(lo)
     trial = np.repeat(np.arange(lo, hi, dtype=np.uint64), k)
     state = np.tile(np.asarray(start, dtype=np.int64), hi - lo)
     # each state's substream: its part's
     substream_of = np.broadcast_to(np.asarray(substream, dtype=np.uint64), (k,))[kernel.part]
-    t = np.zeros(m)
-    absorb_time = np.full(m, np.inf)
-    occupancy = np.zeros(m)
-    track = occupancy_mask is not None
-
-    def slot(lanes):
-        # index of each lane (t, i) in the returned arrays
-        return (trial[lanes] - first).astype(np.intp) * k + kernel.part[state[lanes]]
-
-    def credit(lanes, interval_end):
-        # time ``lanes`` spend in their current state, clipped to [burn_in, horizon]
-        in_target = occupancy_mask[state[lanes]]
-        span = np.clip(interval_end, burn_in, horizon) - np.clip(t[lanes], burn_in, horizon)
-        occupancy[slot(lanes)[in_target]] += span[in_target]
-
+    t = np.zeros(trial.size)
+    log = [(np.zeros(0, dtype=np.int64), substream_of[:0], t[:0], np.zeros(0, dtype=np.int64))]
     wave = 0
     while trial.size:
         rates = kernel.exit_rates[state]
-        stuck = rates <= 0
-        if np.any(stuck):
-            lanes = np.flatnonzero(stuck)
-            down = lanes[~kernel.operational[state[lanes]]]
-            absorb_time[slot(down)] = t[down]
-            if track:
-                credit(stuck, horizon)
-            keep = ~stuck
+        keep = rates > 0
+        if not keep.all():
             trial, state, t, rates = trial[keep], state[keep], t[keep], rates[keep]
             if not trial.size:
                 break
@@ -312,13 +283,11 @@ def _walk_batch(
         hold, choice = uniform_pairs(seed, trial, substream if k == 1 else substream_of[state], wave)
         np.log(hold, out=hold)
         hold /= rates
-        t_new = t - hold  # plus an Exp(rate) holding time, -log(u) / rate
-        if track:
-            credit(slice(None), t_new)
+        t -= hold  # plus an Exp(rate) holding time, -log(u) / rate
         if horizon is not None:
-            keep = t_new <= horizon
+            keep = t <= horizon
             if not keep.all():
-                trial, state, t_new, choice = trial[keep], state[keep], t_new[keep], choice[keep]
+                trial, state, t, choice = trial[keep], state[keep], t[keep], choice[keep]
                 if not trial.size:
                     break
         if wave + 1 > max_events:
@@ -332,14 +301,13 @@ def _walk_batch(
                 "raise max_events"
             )
         nxt = kernel.choose(state, choice)
-        if flip_log is not None:
-            now_op = kernel.operational[nxt]
-            flipped = now_op != kernel.operational[state]
-            flip_log.append((trial[flipped].astype(np.int64), substream_of[state[flipped]],
-                             t_new[flipped], np.where(now_op[flipped], 1, -1)))
-        state, t = nxt, t_new
+        now_in = watched[nxt]
+        flipped = np.flatnonzero(now_in != watched[state])
+        log.append((trial[flipped].astype(np.int64), substream_of[state[flipped]], t[flipped],
+                    np.where(now_in[flipped], 1, -1)))
+        state = nxt
         wave += 1
-    return absorb_time, occupancy
+    return tuple(np.concatenate(col) for col in zip(*log))
 
 
 def _run_partitioned(worker, n_trials: int, threads: int) -> list:
@@ -364,11 +332,20 @@ def _run_partitioned(worker, n_trials: int, threads: int) -> list:
 
 def _absorption_times(chain: Ctmc, start: int, cfg: MonteCarloConfig, horizon: float | None,
                       threads: int) -> np.ndarray:
-    """Per-trial time of first failure, inf if none by ``horizon``: one walk of the absorbing variant."""
+    """Per-trial time of first failure, inf if none by ``horizon``: one walk of the absorbing variant.
+
+    A trial there leaves the operational set at most once, at its failure.
+    """
     kernel = _ChainKernel([markov.absorbing_variant(chain)])
-    return np.concatenate(_run_partitioned(
-        lambda lo, hi: _walk_batch(kernel, start, lo, hi, cfg.seed, 0, horizon, cfg.max_events)[0],
-        cfg.n_trials, threads))
+
+    def worker(lo, hi):
+        trial, _, when, _ = _walk_batch(kernel, kernel.operational, start, lo, hi, cfg.seed, 0, horizon,
+                                        cfg.max_events)
+        absorb = np.full(hi - lo, np.inf)
+        absorb[trial - lo] = when
+        return absorb
+
+    return np.concatenate(_run_partitioned(worker, cfg.n_trials, threads))
 
 
 def estimate_reliability(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads: int = 1) -> Estimate:
@@ -431,7 +408,10 @@ def estimate_occupancy(
     Each trial simulates the unmodified chain over [0, horizon] and reports
     the fraction of the window [burn_in, horizon] spent in the target set;
     a burn-in long enough to forget the start state makes the mean an
-    unbiased steady-state occupancy estimate.
+    unbiased steady-state occupancy estimate.  The time in the set is the
+    start's membership times the window plus, for each flip in the walk's
+    log, delta * (horizon - clip(time, burn_in, horizon)), summed in flip
+    order; a trial that never changes membership thus gives exactly 0 or 1.
     """
     markov.check_start(chain, start)
     if not 0 <= burn_in < cfg.horizon:
@@ -445,11 +425,11 @@ def estimate_occupancy(
     window = cfg.horizon - burn_in
 
     def worker(lo, hi):
-        _, occ = _walk_batch(
-            kernel, start, lo, hi, cfg.seed, 0, cfg.horizon, cfg.max_events,
-            occupancy_mask=mask, burn_in=burn_in,
-        )
-        return occ / window
+        # the start's membership over the window, plus each flip's signed share of it
+        trial, _, when, delta = _walk_batch(kernel, mask, start, lo, hi, cfg.seed, 0, cfg.horizon,
+                                            cfg.max_events)
+        share = delta * (cfg.horizon - np.clip(when, burn_in, cfg.horizon))
+        return (mask[start] * window + np.bincount(trial - lo, share, hi - lo)) / window
 
     return _mean_estimate(np.concatenate(_run_partitioned(worker, cfg.n_trials, threads)))
 
@@ -468,7 +448,7 @@ def estimate_threshold_reliability(
     union, which logs their status flips.  A walk holds at most
     max(trials in the slice, ``_MERGED_LANES``) lanes; past that the chain
     subsystems are split over several walks, which changes no draw.  The
-    cap bounds memory: a walk keeps about 75 bytes per lane, so when few
+    cap bounds memory: a walk keeps about 80 bytes per lane, so when few
     flips are logged, merging k subsystems of a large slice would raise
     the peak nearly k-fold.  The
     flips of all subsystems are sorted by (trial, time, subsystem, delta)
@@ -491,8 +471,8 @@ def estimate_threshold_reliability(
         for g in range(0, len(chains), per_walk):
             part = slice(g, g + per_walk)
             kernel = _ChainKernel([subs[j].chain for j in chains[part]])
-            _walk_batch(kernel, kernel.base + starts[part], lo, hi, cfg.seed, chains[part], cfg.horizon,
-                        cfg.max_events, flip_log=flips)
+            flips.append(_walk_batch(kernel, kernel.operational, kernel.base + starts[part], lo, hi, cfg.seed,
+                                     chains[part], cfg.horizon, cfg.max_events))
         ok = up / n >= cfg.threshold
         if flips:
             trial, sub_id, when, delta = (np.concatenate(col) for col in zip(*flips))

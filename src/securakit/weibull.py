@@ -79,10 +79,12 @@ def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
     the power.  Times at 0 take ``at_zero``: a number, or for the hazard
     and the density the name of the quantity, whose t = 0 value is 1/alpha
     at beta = 1, zero at beta > 1, and divergent at beta < 1 (raises
-    :class:`SingularityError`).  Times whose t/alpha is infinite take the
-    limit ``at_inf``, where a law would form inf - inf or 0 * inf.  exp
-    saturates to inf or 0 for huge t by design, so overflow is not warned
-    about; invalid values still are.
+    :class:`SingularityError`).  Where t/alpha is not a normal double (it
+    underflows to zero or a subnormal, or overflows), log(t/alpha) is formed
+    as log t - log alpha.  Times at inf take the limit ``at_inf``, where a
+    law would form inf - inf or 0 * inf.  exp saturates to inf or 0 for
+    huge t by design, so overflow is not warned about; invalid values
+    still are.
     """
     arr = np.asarray(t, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < 0):
@@ -94,10 +96,13 @@ def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
             raise SingularityError(f"{at_zero} diverges at t=0 for beta < 1")
         at_zero = 1.0 / m.alpha if m.beta == 1 else 0.0
     out = np.where(zero, at_zero, at_inf)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         ratio = times / m.alpha
-        inner = ~zero & (ratio < np.inf)
-        out[inner] = law(np.log(ratio[inner]))
+        inner = ~zero & (times < np.inf)
+        logr = np.log(ratio)
+        lost = (ratio < np.finfo(float).tiny) | (ratio == np.inf)  # t/alpha kept few bits, or none
+        logr[lost] = np.log(times[lost]) - math.log(m.alpha)
+        out[inner] = law(logr[inner])
     return float(out[0]) if arr.ndim == 0 else out
 
 

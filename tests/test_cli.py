@@ -282,14 +282,14 @@ class TestDeterminism:
 
     def test_default_threads_are_the_usable_cores(self, monkeypatch):
         doc = model_io.parse_model(json.dumps(TWO_STATE_DOC))
-        request = next(r for r in doc.analyses if r.op == "reliability")
+        entry = next(e for e in doc.analyses if e["op"] == "reliability")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.delenv("SECURAKIT_THREADS", raising=False)
 
         def threads(flag=None):
             args = argparse.Namespace(seed=None, threads=flag)
-            ctx = cli._Context(args, "mc reliability", "reliability", doc, None, 0, request)
+            ctx = cli._Context(args, "mc reliability", "reliability", doc, None, 0, entry)
             return cli._monte_carlo(ctx)[1]
 
         assert threads() == 1
@@ -618,6 +618,15 @@ class TestExitCodes:
         values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
         assert (values["pdf"], values["cdf"], values["reliability"]) == (0.0, 1.0, 0.0)
         assert values["hazard"] == pytest.approx(2e300, rel=1e-12)
+
+    def test_time_over_scale_that_underflows_exits_0_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["weibull", "eval", "--alpha", "1e10", "--beta", "1", "--t", "1e-320",
+                                          "--format", "json"])
+        assert (code, err) == (0, "")
+        values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
+        assert (values["pdf"], values["hazard"], values["cdf"], values["reliability"]) == (1e-10, 1e-10, 0.0, 1.0)
 
     def test_usage_error_unknown_flag(self, capsys):
         code, _, err = run(capsys, ["markov", "solve", "--bogus", "x"])

@@ -224,16 +224,16 @@ class TestParseModel:
     def test_build_model_needs_failure_data_for_weibull(self):
         parsed = parse_model(doc({"kind": "weibull", "parameters": {"alpha": 2.0, "beta": 1.5}}))
         with pytest.raises(ValidationError, match=r"^weibull fit needs parameters\.data in the document$"):
-            build_model(parsed)
+            build_model(parsed, "fit")
 
     def test_build_model_gives_each_kind_its_model(self):
-        sample, start = build_model(parse_model(doc(FIT_DATA)))
+        sample, start, _ = build_model(parse_model(doc(FIT_DATA)), "fit")
         assert (sample.times, sample.censored, start) == ((1.0, 2.0), (False, False), None)
-        chain, start = build_model(parse_model(doc(MSDR)))
+        chain, start, _ = build_model(parse_model(doc(MSDR)), "msdr")
         assert (chain.n, start) == (4, 0)
 
     def test_build_model_takes_the_shortcut_start(self):
-        chain, start = build_model(parse_model(doc(TWO_STATE_START)))
+        chain, start, _ = build_model(parse_model(doc(TWO_STATE_START)), "solve")
         assert start == 1
         np.testing.assert_array_equal(chain.generator, build_two_state(0.01, 0.1).generator)
 
@@ -241,7 +241,7 @@ class TestParseModel:
         chain_sub = {"type": "chain", **EXPLICIT_CHAIN["parameters"], "start": 1}
         payload = {"kind": "r_out_of_n", "parameters": {"r": 1, "subsystems": [
             {"type": "two_state", "lambda": 0.02, "mu": 0.3}, chain_sub, {"type": "probability", "p": 0.5}]}}
-        system, start = build_model(parse_model(doc(payload)))
+        system, start, _ = build_model(parse_model(doc(payload)), "routofn")
         two_state, chain, p = system.subsystems
         assert (start, two_state.start, chain.start, p) == (None, 0, 1, 0.5)
         np.testing.assert_array_equal(two_state.chain.generator, build_two_state(0.02, 0.3).generator)
@@ -350,8 +350,7 @@ def test_analysis_state_ids_use_the_declared_state_count(params, expected):
     {"op": "transient", "t": 1e12},  # without dt the series is the one point t
 ])
 def test_series_within_limit_is_accepted(entry):
-    assert parse_model(doc({**MINIMAL_MARKOV, "analyses": [entry]})).analyses[0].settings == {
-        k: v for k, v in entry.items() if k != "op"}
+    assert parse_model(doc({**MINIMAL_MARKOV, "analyses": [entry]})).analyses[0] == entry
 
 
 def test_diagnostics_keep_document_order():
@@ -430,10 +429,9 @@ def test_accepted_documents_build(payload):
         elif parsed.kind == "r_out_of_n":
             build_r_out_of_n(parsed)
         else:
-            chain, start = build_chain(parsed)
-            for req in parsed.analyses:
-                resolved = req.settings.get("start", start)
-                assert type(resolved) is int and 0 <= resolved < chain.n
+            for op in (None, *(entry["op"] for entry in parsed.analyses)):
+                chain, start, _ = build_model(parsed, op)
+                assert type(start) is int and 0 <= start < chain.n
     except ValidationError:
         pass
 

@@ -333,6 +333,13 @@ class TestOccupancy:
         with pytest.raises(DomainError):
             estimate_occupancy(chain, 0, cfg, target_states=(1,), burn_in=10.0)
 
+    def test_exact_when_no_trial_changes_membership(self):
+        # a -> b moves every trial between two targets, so each fraction is the whole window
+        chain = Ctmc.from_transition_rates(["a", "b"], [True, False], [[0.0, 1.0], [0.0, 0.0]])
+        cfg = MonteCarloConfig(n_trials=200, horizon=3.0, seed=1)
+        est = estimate_occupancy(chain, 0, cfg, target_states=(0, 1), burn_in=0.3)
+        assert (est.value, est.std_error, est.ci95) == (1.0, 0.0, (1.0, 1.0))
+
 
 class TestThresholdReliability:
     def test_single_subsystem_reduces_to_reliability(self):
@@ -420,9 +427,9 @@ class TestThresholdReliability:
         lanes = []
         walk = montecarlo._walk_batch
 
-        def counted(kernel, start, lo, hi, *args, **kwargs):
+        def counted(kernel, watched, start, lo, hi, *args, **kwargs):
             lanes.append((hi - lo) * np.size(start))
-            return walk(kernel, start, lo, hi, *args, **kwargs)
+            return walk(kernel, watched, start, lo, hi, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "_walk_batch", counted)
         system = RoutOfNSystem(r=1, subsystems=(0.9, *(build_two_state(0.1, 1.0) for _ in range(5))))
@@ -627,19 +634,31 @@ def mttf_oracle(chain, start, cfg):
 
 
 def occupancy_oracle(chain, start, cfg, target_states, burn_in):
+    """Each trial's fraction from its membership flips, summed as the walker sums them.
+
+    The start's membership counts over the whole window W = horizon - burn_in;
+    each change of membership then adds its signed share of the window,
+    horizon - clip(when), in path order.  The per-span sum of the time spent
+    in the target set agrees within rounding, which checks the integral.
+    """
     def clip(x):
         return min(max(x, burn_in), cfg.horizon)
 
+    window = cfg.horizon - burn_in
     fractions = []
     for trial in range(cfg.n_trials):
         path = simulate_trajectory(chain, start, cfg.horizon, CounterRng(cfg.seed, trial),
                                    cfg.max_events)
-        occupied, state, since = 0.0, start, 0.0
+        flips, spans, state, since = 0.0, 0.0, start, 0.0
         for when, nxt in (*path.events, (cfg.horizon, None)):
             if state in target_states:
-                occupied += clip(when) - clip(since)
+                spans += clip(when) - clip(since)
+            if nxt is not None and (nxt in target_states) != (state in target_states):
+                flips += (1 if nxt in target_states else -1) * (cfg.horizon - clip(when))
             state, since = nxt, when
-        fractions.append(occupied / (cfg.horizon - burn_in))
+        occupied = (start in target_states) * window + flips
+        assert occupied == pytest.approx(spans, rel=1e-12, abs=1e-15)
+        fractions.append(occupied / window)
     return _mean_estimate(np.array(fractions))
 
 
@@ -813,16 +832,19 @@ class TestUnionKernel:
         union_starts = union.base + starts
         assert union_starts.tolist() == [0, 2 + 1, 2 + 3 + 0]
         assert union._rounds == max(k._rounds for k in kernels)
-        mask = np.concatenate([k.operational for k in kernels])
-        absorb, occupancy = montecarlo._walk_batch(union, union_starts, 5, 45, 123, substreams, 6.0,
-                                                   10_000, occupancy_mask=mask, burn_in=1.0)
+        log = montecarlo._walk_batch(union, union.operational, union_starts, 5, 45, 123, substreams, 6.0,
+                                     10_000)
         for i, kernel in enumerate(kernels):
-            alone = montecarlo._walk_batch(kernel, starts[i], 5, 45, 123, int(substreams[i]), 6.0,
-                                           10_000, occupancy_mask=kernel.operational, burn_in=1.0)
-            # lane (t, i) sits at (t - lo) * 3 + i
-            assert np.array_equal(absorb[i::3], alone[0])
-            assert np.array_equal(occupancy[i::3], alone[1])
-        assert np.isfinite(absorb).any() and np.isinf(absorb).any()
+            alone = montecarlo._walk_batch(kernel, kernel.operational, starts[i], 5, 45, 123,
+                                           int(substreams[i]), 6.0, 10_000)
+            # the part's rows of the union log, in the union log's order
+            rows = log[1] == substreams[i]
+            for union_col, alone_col in zip(log, alone):
+                assert np.array_equal(union_col[rows], alone_col)
+            assert alone[1].dtype == np.uint64 and np.all(alone[1] == substreams[i])
+        # each of the 40 * 3 lanes fails at most once, and some do not fail by the horizon
+        assert 0 < log[0].size < 40 * 3 and set(log[0].tolist()) <= set(range(5, 45))
+        assert np.all(log[3] == -1)
 
 
 class TestPartition:

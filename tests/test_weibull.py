@@ -165,6 +165,25 @@ class TestEvaluation:
                 values = fn(np.array([1.0, math.inf, math.inf]), m)
                 assert values[0] == fn(1.0, m) and values[1] == values[2] == limit
 
+    @pytest.mark.parametrize("alpha, beta, t", [
+        (1e10, 1.0, 1e-320),  # t/alpha underflows to zero
+        (1e-300, 0.5, 1e10),  # t/alpha overflows
+        (1e23, 0.5, 1e-300),  # t/alpha is subnormal and keeps few bits
+    ])
+    def test_quotient_outside_the_normal_doubles(self, alpha, beta, t):
+        """Each law equals its closed form computed in logs, as log t - log alpha, with no warning."""
+        m = WeibullModel(alpha, beta)
+        logr = math.log(t) - math.log(alpha)
+        power = math.exp(beta * logr)  # (t/alpha)**beta
+        log_hazard = math.log(beta) - math.log(alpha) + (beta - 1.0) * logr
+        expected = {reliability: math.exp(-power), cdf: 1.0 - math.exp(-power),
+                    hazard: math.exp(log_hazard), pdf: math.exp(log_hazard - power)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, value in expected.items():
+                assert fn(t, m) == pytest.approx(value, rel=1e-12, abs=0.0)
+                assert fn(np.array([t, 1.0]), m)[0] == fn(t, m)
+
     def test_invalid_model_rejected(self):
         for alpha, beta in [(0, 1), (-1, 1), (1, 0), (1, -2), (math.inf, 1), (1, math.nan)]:
             with pytest.raises(DomainError):
