@@ -11,7 +11,8 @@ Subcommands::
     securakit validate MODEL [--quiet]
 
 Every command takes ``--format {json,csv,table}`` (default table) and ``--out
-PATH``; a flag the command does not read is a usage error.  ``markov
+PATH``; a flag the command does not read is a usage error, except that
+``validate`` accepts ``--format`` and ``--out`` and ignores them.  ``markov
 transient`` and ``mc reliability`` accept ``--grid t0:t1:steps`` and emit a
 series block for plotting.  ``--seed`` overrides any in-document seed;
 ``--threads`` defaults to ``SECURAKIT_THREADS`` or the number of usable
@@ -19,7 +20,7 @@ cores, and results are independent of the thread count by the stream design.
 
 Exit codes: 0 success, 1 validation error, 2 numerical/convergence error,
 3 usage error.  Errors are reported one per line on stderr as
-``error: <category>: <detail>``.
+``error: <category>: <detail>``, and warnings as ``warning: <detail>``.
 
 Each handler imports the engines it calls, so ``validate`` runs without
 numpy and a command loads only the engines it uses.
@@ -31,13 +32,14 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import model_io
 from .errors import NumericalError, SchemaError, UsageError, ValidationError
 from .model_io import ModelDocument
-from .report import AnalysisReport, Result, Series, emit_report
+from .report import FORMATS, AnalysisReport, Result, Series, emit_report
 
 if TYPE_CHECKING:
     import numpy as np
@@ -166,7 +168,12 @@ def _weibull_fit(ctx: _Context) -> AnalysisReport:
     method = ctx.args.method or ctx.settings.get("method") or "both"
     results = []
     for m in ("rank_regression", "mle") if method == "both" else (method,):
-        fitted = wb.fit(ctx.model, method=m)
+        # every run prints the fit's warnings as lines of its own, not once per process with a source line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            fitted = wb.fit(ctx.model, method=m)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         results.append(Result("alpha", fitted.alpha, m))
         results.append(Result("beta", fitted.beta, m))
         results.append(Result("mean_life", wb.mean_life(fitted), m))
@@ -330,12 +337,12 @@ def build_parser() -> _Parser:
             else:
                 p.add_argument("--file", required=True)
         if command.op == "fit":
-            p.add_argument("--method", choices=("rank_regression", "mle", "both"), default=None)
+            p.add_argument("--method", choices=model_io.FIT_METHODS, default=None)
         if command.op in ("transient", "reliability"):
             p.add_argument("--grid", metavar="T0:T1:STEPS", default=None)
-        p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+        p.add_argument("--format", choices=FORMATS, default="table")
         p.add_argument("--out", metavar="PATH", default=None)
-        if command.op in model_io.MC_OPS:
+        if "seed" in model_io._OP_SETTINGS.get(command.op, {}):
             p.add_argument("--seed", type=int, default=None, help="overrides any in-document seed")
             p.add_argument("--threads", type=int, default=None,
                            help="worker threads (default: SECURAKIT_THREADS or the usable cores)")

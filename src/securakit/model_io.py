@@ -33,6 +33,7 @@ example per kind.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -65,14 +66,40 @@ class ModelDocument:
     seed: int | None = None
 
 
+# the bounds a number may be held to, by the text that follows "must" in the diagnostic
+_RULES = {
+    "be > 0": lambda x: x > 0,
+    "be >= 0": lambda x: x >= 0,
+    "lie in [0, 1]": lambda x: 0 <= x <= 1,
+    "lie in (0, 1]": lambda x: 0 < x <= 1,
+}
+
+
 class _Check:
-    """Diagnostic collector with typed accessors."""
+    """Diagnostic collector with typed accessors.
+
+    Each accessor returns the value it checked, or None once it has
+    reported why the value fails.
+    """
 
     def __init__(self):
         self.diags: list[tuple[str, str]] = []
 
     def error(self, path: str, message: str) -> None:
         self.diags.append((path, message))
+
+    def _typed(self, value, path, types, what):
+        """``value`` if it is one of ``types``, where a bool passes only as a bool."""
+        if isinstance(value, types) and isinstance(value, bool) == (types is bool):
+            return value
+        self.error(path, f"expected {what}, got {type(value).__name__}")
+        return None
+
+    def _within(self, ok: bool, path, rule: str, value) -> bool:
+        """Report ``must <rule>, got <value>`` unless ``ok``; returns ``ok``."""
+        if not ok:
+            self.error(path, f"must {rule}, got {value}")
+        return ok
 
     def keys(self, obj: dict, allowed, base: str, message: str, validate=None) -> dict:
         """Report each key of ``obj`` outside ``allowed`` at ``base.key``, in document order.
@@ -90,15 +117,28 @@ class _Check:
                 valid[key] = x
         return valid
 
-    def obj(self, value, path):
-        if not isinstance(value, dict):
-            self.error(path, f"expected an object, got {type(value).__name__}")
+    def fields(self, value, path, spec: dict):
+        """The object at ``path``: its unknown keys first, then each key of ``spec`` in spec order.
+
+        ``spec`` maps a key to its check ``f(check, value, path)``, which
+        sees a missing key as None.  Returns each key's checked value.
+        """
+        if self.obj(value, path) is None:
             return None
-        return value
+        self.keys(value, spec, path, "unknown key")
+        return {key: check(self, value.get(key), f"{path}.{key}") for key, check in spec.items()}
+
+    def each(self, value, path, check, min_len=0):
+        """The array at ``path``: ``check(self, item, path[i])`` of each item, in order."""
+        if self.array(value, path, min_len) is None:
+            return None
+        return [check(self, item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+    def obj(self, value, path):
+        return self._typed(value, path, dict, "an object")
 
     def array(self, value, path, min_len=0):
-        if not isinstance(value, list):
-            self.error(path, f"expected an array, got {type(value).__name__}")
+        if self._typed(value, path, list, "an array") is None:
             return None
         if len(value) < min_len:
             self.error(path, f"expected at least {min_len} element(s), got {len(value)}")
@@ -106,8 +146,7 @@ class _Check:
         return value
 
     def string(self, value, path, choices=None):
-        if not isinstance(value, str):
-            self.error(path, f"expected a string, got {type(value).__name__}")
+        if self._typed(value, path, str, "a string") is None:
             return None
         if choices and value not in choices:
             self.error(path, f"expected one of {list(choices)}, got {value!r}")
@@ -115,44 +154,24 @@ class _Check:
         return value
 
     def boolean(self, value, path):
-        if not isinstance(value, bool):
-            self.error(path, f"expected true/false, got {type(value).__name__}")
-            return None
-        return value
+        return self._typed(value, path, bool, "true/false")
 
-    def number(self, value, path, *, positive=False, nonneg=False, unit=False, unit_open=False):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.error(path, f"expected a number, got {type(value).__name__}")
+    def number(self, value, path, rule: str | None = None):
+        """A finite number as a float; ``rule`` names its bound in ``_RULES``."""
+        if self._typed(value, path, (int, float), "a number") is None:
             return None
         x = float(value)
-        if x != x or x in (float("inf"), float("-inf")):
+        if not math.isfinite(x):
             self.error(path, "expected a finite number")
             return None
-        if positive and not x > 0:
-            self.error(path, f"must be > 0, got {value}")
-            return None
-        if nonneg and not x >= 0:
-            self.error(path, f"must be >= 0, got {value}")
-            return None
-        if unit and not 0.0 <= x <= 1.0:
-            self.error(path, f"must lie in [0, 1], got {value}")
-            return None
-        if unit_open and not 0.0 < x <= 1.0:
-            self.error(path, f"must lie in (0, 1], got {value}")
-            return None
-        return x
+        return x if rule is None or self._within(_RULES[rule](x), path, rule, value) else None
 
     def integer(self, value, path, *, lo=None, hi=None):
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.error(path, f"expected an integer, got {type(value).__name__}")
+        if self._typed(value, path, int, "an integer") is None:
             return None
-        if lo is not None and value < lo:
-            self.error(path, f"must be >= {lo}, got {value}")
-            return None
-        if hi is not None and value >= hi:
-            self.error(path, f"must be < {hi}, got {value}")
-            return None
-        return value
+        ok = (lo is None or self._within(value >= lo, path, f"be >= {lo}", value)) and (
+            hi is None or self._within(value < hi, path, f"be < {hi}", value))
+        return value if ok else None
 
     def state_id(self, idx, n, path) -> None:
         """Report a checked state id ``idx`` at or above a known state count ``n``."""
@@ -164,7 +183,8 @@ class _Check:
 _TRIALS = partial(_Check.integer, lo=1, hi=_TRIALS_BOUND)
 _SEED = partial(_Check.integer, lo=0, hi=_SEED_BOUND)
 _INDEX = partial(_Check.integer, lo=0)
-_NONNEG = partial(_Check.number, nonneg=True)
+_POSITIVE = partial(_Check.number, rule="be > 0")
+_NONNEG = partial(_Check.number, rule="be >= 0")
 
 # analyses permitted per document kind; the CLI takes the kinds a command accepts from here
 _CHAIN_OPS = ("solve", "transient", "metrics", "reliability", "mttf")
@@ -174,24 +194,24 @@ OPS = {
     "msdr": ("msdr",) + _CHAIN_OPS,
     "r_out_of_n": ("routofn", "threshold_reliability"),
 }
-# the Monte Carlo ops: the only ones that read a seed or a thread count
-MC_OPS = ("reliability", "mttf", "threshold_reliability")
+FIT_METHODS = ("rank_regression", "mle", "both")
 _MC_COMMON = {"n_trials": (True, _TRIALS), "seed": (False, _SEED), "max_events": (False, _TRIALS)}
-# settings accepted per op: name -> (required, validator)
+# settings accepted per op: name -> (required, validator); the ops with a seed are the Monte Carlo ones
 _OP_SETTINGS = {
     "eval": {"t": (True, _NONNEG)},
-    "fit": {"method": (False, partial(_Check.string, choices=("rank_regression", "mle", "both")))},
+    "fit": {"method": (False, partial(_Check.string, choices=FIT_METHODS))},
     "solve": {},
     "msdr": {},
     "routofn": {},
-    "transient": {"t": (False, _NONNEG), "start": (False, _INDEX),
-                  "dt": (False, partial(_Check.number, positive=True))},
+    "transient": {"t": (False, _NONNEG), "start": (False, _INDEX), "dt": (False, _POSITIVE)},
     "metrics": {"start": (False, _INDEX), "failed": (False, _INDEX)},
     "reliability": {**_MC_COMMON, "horizon": (True, _NONNEG)},
     "mttf": _MC_COMMON,
     "threshold_reliability": {**_MC_COMMON, "horizon": (True, _NONNEG),
-                              "threshold": (False, partial(_Check.number, unit_open=True))},
+                              "threshold": (False, partial(_Check.number, rule="lie in (0, 1]"))},
 }
+_EDGE = {"from": _INDEX, "to": _INDEX, "rate": _POSITIVE}
+_ATTACK = {"rate": _NONNEG, "applies_to": partial(_Check.string, choices=("ms", "dr", "both"))}
 
 
 def _validate_start(check: _Check, obj: dict, base: str, n: int | None) -> None:
@@ -202,8 +222,8 @@ def _validate_start(check: _Check, obj: dict, base: str, n: int | None) -> None:
 
 def _validate_two_state(check: _Check, obj: dict, base: str) -> int:
     """The ``lambda``/``mu`` shortcut of an up/down chain; returns its state count, 2."""
-    check.number(obj.get("lambda"), f"{base}.lambda", positive=True)
-    check.number(obj.get("mu"), f"{base}.mu", positive=True)
+    for key in ("lambda", "mu"):
+        _POSITIVE(check, obj.get(key), f"{base}.{key}")
     return 2
 
 
@@ -212,38 +232,30 @@ def _validate_chain(check: _Check, params: dict, base: str) -> int | None:
 
     Returns the state count once ``states`` is a valid array, else None.
     """
-    states = check.array(params.get("states"), f"{base}.states", min_len=1)
-    n = len(states) if states is not None else None
-    any_op = False
     labels = set()
-    if states is not None:
-        for i, st in enumerate(states):
-            obj = check.obj(st, f"{base}.states[{i}]")
-            if obj is None:
-                continue
-            check.keys(obj, ("label", "operational"), f"{base}.states[{i}]", "unknown key")
-            label = check.string(obj.get("label"), f"{base}.states[{i}].label")
-            if label is not None and label in labels:
-                check.error(f"{base}.states[{i}].label", f"duplicate label {label!r}")
-            labels.add(label)
-            flag = check.boolean(obj.get("operational"), f"{base}.states[{i}].operational")
-            any_op = any_op or bool(flag)
-        if not any_op:
-            check.error(f"{base}.states", "at least one state must be operational")
-    transitions = check.array(params.get("transitions"), f"{base}.transitions", min_len=1)
-    if transitions is not None:
-        for i, tr in enumerate(transitions):
-            obj = check.obj(tr, f"{base}.transitions[{i}]")
-            if obj is None:
-                continue
-            check.keys(obj, ("from", "to", "rate"), f"{base}.transitions[{i}]", "unknown key")
-            src = check.integer(obj.get("from"), f"{base}.transitions[{i}].from", lo=0)
-            dst = check.integer(obj.get("to"), f"{base}.transitions[{i}].to", lo=0)
-            check.number(obj.get("rate"), f"{base}.transitions[{i}].rate", positive=True)
-            check.state_id(src, n, f"{base}.transitions[{i}].from")
-            check.state_id(dst, n, f"{base}.transitions[{i}].to")
-            if src is not None and dst is not None and src == dst:
-                check.error(f"{base}.transitions[{i}]", "self-transitions are not allowed")
+
+    def label(check, value, path):
+        name = check.string(value, path)
+        if name is not None and name in labels:
+            check.error(path, f"duplicate label {name!r}")
+        labels.add(name)
+        return name
+
+    state = {"label": label, "operational": _Check.boolean}
+    states = check.each(params.get("states"), f"{base}.states", partial(_Check.fields, spec=state), 1)
+    n = len(states) if states is not None else None
+    if states is not None and not any(st and st["operational"] for st in states):
+        check.error(f"{base}.states", "at least one state must be operational")
+
+    def transition(check, value, path):
+        tr = check.fields(value, path, _EDGE)
+        if tr is not None:
+            check.state_id(tr["from"], n, f"{path}.from")
+            check.state_id(tr["to"], n, f"{path}.to")
+            if tr["from"] is not None and tr["from"] == tr["to"]:
+                check.error(path, "self-transitions are not allowed")
+
+    check.each(params.get("transitions"), f"{base}.transitions", transition, 1)
     _validate_start(check, params, base, n)
     return n
 
@@ -251,27 +263,20 @@ def _validate_chain(check: _Check, params: dict, base: str) -> int | None:
 def _validate_weibull_params(check: _Check, params: dict):
     has_model = "alpha" in params or "beta" in params
     if has_model:
-        check.number(params.get("alpha"), "parameters.alpha", positive=True)
-        check.number(params.get("beta"), "parameters.beta", positive=True)
+        for key in ("alpha", "beta"):
+            _POSITIVE(check, params.get(key), f"parameters.{key}")
     if "data" in params:
         data = check.obj(params["data"], "parameters.data")
         if data is not None:
             check.keys(data, ("times", "censored"), "parameters.data", "unknown key")
-            times = check.array(data.get("times"), "parameters.data.times", min_len=1)
-            if times is not None:
-                for i, t in enumerate(times):
-                    check.number(t, f"parameters.data.times[{i}]", positive=True)
-            if "censored" in data:
-                flags = check.array(data["censored"], "parameters.data.censored")
-                if flags is not None:
-                    for i, c in enumerate(flags):
-                        check.boolean(c, f"parameters.data.censored[{i}]")
-                    if times is not None and len(flags) != len(times):
-                        check.error("parameters.data.censored", "length must match times")
-                    elif times is not None and all(
-                        isinstance(c, bool) and c for c in flags
-                    ):
-                        check.error("parameters.data.censored", "at least one uncensored entry is required")
+            times = check.each(data.get("times"), "parameters.data.times", _POSITIVE, 1)
+            flags = check.each(data["censored"], "parameters.data.censored", _Check.boolean) \
+                if "censored" in data else None
+            if times is not None and flags is not None:
+                if len(flags) != len(times):
+                    check.error("parameters.data.censored", "length must match times")
+                elif all(flags):
+                    check.error("parameters.data.censored", "at least one uncensored entry is required")
     elif not has_model:
         check.error("parameters", "kind=weibull needs alpha/beta (for eval) or data (for fit)")
 
@@ -297,21 +302,18 @@ def _validate_msdr_params(check: _Check, params: dict) -> int:
         if key not in params:
             check.error(f"parameters.{key}", "required key missing")
         else:
-            check.number(params[key], f"parameters.{key}", positive=True)
+            _POSITIVE(check, params[key], f"parameters.{key}")
     if "single_repair_crew" in params:
         check.boolean(params["single_repair_crew"], "parameters.single_repair_crew")
     if "attack" in params:
-        attack = check.obj(params["attack"], "parameters.attack")
-        if attack is not None:
-            check.keys(attack, ("rate", "applies_to"), "parameters.attack", "unknown key")
-            check.number(attack.get("rate"), "parameters.attack.rate", nonneg=True)
-            check.string(attack.get("applies_to"), "parameters.attack.applies_to", choices=("ms", "dr", "both"))
+        check.fields(params["attack"], "parameters.attack", _ATTACK)
     return 4
 
 
 # per r-out-of-n subsystem type: the keys it allows and the validator of their values
 _SUBSYSTEMS = {
-    "probability": (("type", "p"), lambda check, obj, base: check.number(obj.get("p"), f"{base}.p", unit=True)),
+    "probability": (("type", "p"),
+                    lambda check, obj, base: check.number(obj.get("p"), f"{base}.p", "lie in [0, 1]")),
     "two_state": (("type", "lambda", "mu"), _validate_two_state),
     "chain": (("type", "states", "transitions", "start"), _validate_chain),
 }
@@ -320,21 +322,16 @@ _SUBSYSTEMS = {
 def _validate_r_out_of_n_params(check: _Check, params: dict):
     subs = check.array(params.get("subsystems"), "parameters.subsystems", min_len=1)
     r = check.integer(params.get("r"), "parameters.r", lo=1)
-    if r is not None and subs is not None and r > len(subs):
-        check.error("parameters.r", f"must be <= number of subsystems ({len(subs)}), got {r}")
-    if subs is None:
-        return
-    for i, sub in enumerate(subs):
+    if r is not None and subs is not None:
+        check._within(r <= len(subs), "parameters.r", f"be <= number of subsystems ({len(subs)})", r)
+    for i, sub in enumerate(subs or ()):
         base = f"parameters.subsystems[{i}]"
         obj = check.obj(sub, base)
-        if obj is None:
-            continue
-        kind = check.string(obj.get("type"), f"{base}.type", choices=_SUBSYSTEMS)
-        if kind is None:
-            continue
-        allowed, validate = _SUBSYSTEMS[kind]
-        check.keys(obj, allowed, base, "unknown key")
-        validate(check, obj, base)
+        kind = check.string(obj.get("type"), f"{base}.type", choices=_SUBSYSTEMS) if obj is not None else None
+        if kind is not None:
+            allowed, validate = _SUBSYSTEMS[kind]
+            check.keys(obj, allowed, base, "unknown key")
+            validate(check, obj, base)
 
 
 class _Kind(NamedTuple):

@@ -315,6 +315,43 @@ class TestDeterminism:
         assert "SECURAKIT_THREADS" in err
 
 
+CENSORED_FIT_DOC = {
+    "kind": "weibull",
+    "parameters": {"data": {"times": [55.0, 187.0, 216.0, 240.0, 244.0, 335.0, 361.0, 373.0],
+                            "censored": [False, True, False, False, False, True, False, False]}},
+    "analyses": [{"op": "fit"}],
+}
+
+
+class TestRepeatedInProcessRuns:
+    def test_second_run_repeats_the_first(self, write_doc):
+        commands = [
+            ["validate", write_doc({"kind": "markov", "parameters": {"lambda": -1}}, "bad.json")],
+            ["markov", "solve", "--file", write_doc(TWO_STATE_DOC, "chain.json")],
+            ["sec", "msdr", "--file", write_doc(MSDR_DOC, "msdr.json")],
+            ["weibull", "fit", "--file", write_doc(CENSORED_FIT_DOC, "fit.json")],
+        ]
+        # a fresh interpreter keeps the default warning filters, which pytest replaces in process
+        proc = fresh_python(
+            "import contextlib, io, json\n"
+            "from securakit import cli\n"
+            "runs = []\n"
+            f"for argv in {commands!r}:\n"
+            "    for _ in range(2):\n"
+            "        out, err = io.StringIO(), io.StringIO()\n"
+            "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "            code = cli.main(argv)\n"
+            "        runs.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(runs))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        for argv, first, second in zip(commands, runs[::2], runs[1::2]):
+            assert first == second, argv
+        assert [code for code, _, _ in runs[::2]] == [1, 0, 0, 0]
+        assert runs[-1][2] == "warning: rank regression ignores censored observations; consider method='mle'\n"
+
+
 def birth_death_doc(n=100):
     """Degradation ladder of n states, rates varying along it; the top state is failed."""
     return {

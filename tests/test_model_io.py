@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malformed_corpus import MALFORMED_DOCUMENTS
+
 from securakit import model_io
 from securakit.errors import NumericalError, SchemaError, ValidationError
 from securakit.markov import build_two_state
@@ -368,6 +370,65 @@ def test_diagnostics_keep_document_order():
         ("analyses[0].seed", "expected an integer, got NoneType"),
         ("analyses[1].mode", "unknown setting for op 'mttf'"),
     ]
+
+
+# the full diagnostic list of each multi-fault document that closes the malformed corpus, in corpus order
+MULTI_FAULT_DIAGNOSTICS = [
+    [
+        ("parameters.states[0].color", "unknown key"),
+        ("parameters.states[0].label", "expected a string, got int"),
+        ("parameters.states[0].operational", "expected true/false, got str"),
+        ("parameters.states", "at least one state must be operational"),
+    ],
+    [
+        ("parameters.transitions[0].weight", "unknown key"),
+        ("parameters.transitions[0].from", "expected an integer, got str"),
+        ("parameters.transitions[0].rate", "must be > 0, got -1"),
+        ("parameters.transitions[0].to", "state id 7 out of range 0..1"),
+    ],
+    [
+        ("extra", "unknown top-level key"),
+        ("kind", "expected a string, got int"),
+        ("time_unit", "expected a string, got int"),
+        ("seed", "expected an integer, got float"),
+        ("parameters", "expected an object, got list"),
+    ],
+    [
+        ("parameters.lambda_ms", "expected a number, got str"),
+        ("parameters.lambda_dr", "required key missing"),
+        ("parameters.mu_dr", "required key missing"),
+        ("parameters.attack.vector", "unknown key"),
+    ],
+    [
+        ("parameters.r", "must be <= number of subsystems (5), got 6"),
+        ("parameters.subsystems[0].q", "unknown key"),
+        ("parameters.subsystems[0].p", "must lie in [0, 1], got 2"),
+        ("parameters.subsystems[1].lambda", "must be > 0, got 0"),
+        ("parameters.subsystems[1].mu", "expected a number, got str"),
+        ("parameters.subsystems[2].states", "at least one state must be operational"),
+        ("parameters.subsystems[2].transitions[0]", "self-transitions are not allowed"),
+        ("parameters.subsystems[2].start", "state id 3 out of range 0..0"),
+        ("parameters.subsystems[3].type", "expected one of ['probability', 'two_state', 'chain'], got 'gizmo'"),
+        ("parameters.subsystems[4]", "expected an object, got str"),
+    ],
+    [
+        ("parameters.alpha", "must be > 0, got -1"),
+        ("parameters.data.times[1]", "expected a number, got str"),
+        ("parameters.data.times[2]", "must be > 0, got 0"),
+        ("parameters.data.times[3]", "expected a number, got NoneType"),
+        ("parameters.data.censored[1]", "expected true/false, got int"),
+        ("parameters.data.censored", "length must match times"),
+    ],
+]
+
+
+@pytest.mark.parametrize("text, expected", zip(MALFORMED_DOCUMENTS[-len(MULTI_FAULT_DIAGNOSTICS):],
+                                                MULTI_FAULT_DIAGNOSTICS),
+                         ids=range(len(MULTI_FAULT_DIAGNOSTICS)))
+def test_multi_fault_documents_report_every_fault_in_order(text, expected):
+    with pytest.raises(SchemaError) as err:
+        parse_model(text)
+    assert err.value.diagnostics == expected
 
 
 def _schema_examples() -> list[dict]:
