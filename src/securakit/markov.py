@@ -1,10 +1,14 @@
 """Continuous-time Markov chain reliability engine.
 
 The canonical model object is a :class:`Ctmc`: labeled states, a mask of
-the operational ones and a rate (generator) matrix Q whose rows sum to zero.
-Steady states come from a dense linear solve, and transient distributions
-from uniformization, which keeps probabilities nonnegative and carries a
-certified truncation error.
+the operational ones and the transition rates.  It has one constructor,
+which takes the off-diagonal rates as an n x n matrix and stores them once,
+in CSR form, with each state's exit rate.  The reachability searches and
+the Monte Carlo kernel read the CSR arrays; the generator Q, whose rows
+sum to zero, is formed from them as a dense matrix where a solver needs
+one.  Steady states come from a dense linear solve, and transient
+distributions from uniformization, which keeps probabilities nonnegative
+and carries a certified truncation error.
 
 Availability and reliability are deliberately distinct: availability sums
 operational-state mass on the unmodified chain (repairs allowed), while
@@ -15,8 +19,8 @@ still counts as failed once it has left the operational set.
 
 from __future__ import annotations
 
+import copy
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +40,21 @@ _MAX_UNIFORMIZATION_TERMS = 5_000_000
 
 @dataclass(frozen=True, eq=False)
 class Ctmc:
-    """Labeled states, their operational mask and the generator matrix Q.
+    """Labeled states, their operational mask and their transition rates, stored once in CSR form.
 
     ``labels`` are distinct strings, one per state; ``operational`` is a
-    read-only bool mask over the states with at least one True; Q has
-    off-diagonals >= 0 and rows summing to zero.  Row sums are checked
-    relative to the magnitude of the row, so chains mixing rate scales
-    (say 1e-2 and 1e6) validate sensibly.
+    read-only bool mask over the states with at least one True.  ``rates``
+    is given as the n x n matrix of off-diagonal rates, finite and >= 0;
+    its diagonal is ignored.  It is kept as CSR: state i jumps to
+    ``targets[offsets[i]:offsets[i + 1]]``, in ascending order, at the
+    ``rates`` over the same slice.  ``exit_rates[i]`` is the sum of row i,
+    taken over the whole dense row.  The generator Q, whose rows sum to
+    zero, is derived: see :attr:`generator`.  Every array is read-only.
     """
 
     labels: tuple[str, ...]
     operational: np.ndarray
-    generator: np.ndarray
+    rates: np.ndarray
 
     def __post_init__(self):
         labels = tuple(str(label) for label in self.labels)
@@ -62,37 +69,51 @@ class Ctmc:
         if len(set(labels)) < n:
             repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise DomainError(f"duplicate state label {repeated!r}")
-        q = np.array(self.generator, dtype=float)
+        q = np.array(self.rates, dtype=float)
         if q.shape != (n, n):
             raise DomainError(f"generator must be {n}x{n}, got {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise DomainError("generator entries must be finite")
-        off = q[~np.eye(n, dtype=bool)]
-        if np.any(off < 0):
-            raise DomainError("off-diagonal generator entries must be >= 0")
-        row_scale = np.maximum(1.0, np.abs(q).max(axis=1))
-        if np.any(np.abs(q.sum(axis=1)) > ROW_SUM_TOL * row_scale):
-            raise DomainError("generator rows must sum to 0 (within 1e-12 of row scale)")
-        op.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "operational", op)
-        object.__setattr__(self, "generator", q)
-
-    @classmethod
-    def from_transition_rates(cls, labels, operational, rates: np.ndarray) -> "Ctmc":
-        """Build a chain from off-diagonal rates; diagonals are set to -row sums."""
-        q = np.array(rates, dtype=float)
         np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        return cls(labels, operational, q)
+        with np.errstate(over="ignore", invalid="ignore"):  # finite rates may sum past the largest double
+            exit_rates = q.sum(axis=1)
+        i = np.argmin(np.isfinite(exit_rates))  # the first state whose exit rate is not finite, if any
+        if not np.isfinite(exit_rates[i]):
+            raise DomainError(
+                f"generator entries must be finite; state {i} ({labels[i]}) has exit rate {exit_rates[i]}")
+        if np.any(q < 0):
+            raise DomainError("off-diagonal generator entries must be >= 0")
+        object.__setattr__(self, "labels", labels)
+        self._store(operational=op, targets=np.nonzero(edges := q > 0)[1], rates=q[edges],
+                    offsets=np.concatenate(([0], np.cumsum(edges.sum(axis=1)))), exit_rates=exit_rates)
+
+    def _store(self, **arrays) -> Ctmc:
+        """Set each of ``arrays`` as a read-only attribute; returns this chain."""
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return self
+
+    def _without_exits(self, rows: np.ndarray) -> Ctmc:
+        """A copy of this chain with every rate out of the states of bool mask ``rows`` removed."""
+        kept = ~np.repeat(rows, np.diff(self.offsets))
+        return copy.copy(self)._store(offsets=np.concatenate(([0], np.cumsum(kept)))[self.offsets],
+                                      targets=self.targets[kept], rates=self.rates[kept],
+                                      exit_rates=np.where(rows, 0.0, self.exit_rates))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def exit_rates(self) -> np.ndarray:
-        return -np.diag(self.generator)
+    @property
+    def generator(self) -> np.ndarray:
+        """The dense n x n generator Q, formed from the CSR arrays: a fresh read-only array.
+
+        Off the diagonal it holds the rates; on it, minus the exit rates, so each row sums to zero
+        up to rounding.
+        """
+        q = np.diag(-self.exit_rates)
+        q[_edges(self)] = self.rates
+        q.setflags(write=False)
+        return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +140,7 @@ class ProbabilityVector:
 def build_two_state(lam: float, mu: float) -> Ctmc:
     """Up/down chain: failure rate ``lam`` out of state 0, repair rate ``mu``."""
     _check_two_state_rates(lam, mu)
-    rates = np.array([[0.0, lam], [mu, 0.0]])
-    return Ctmc.from_transition_rates(("up", "down"), (True, False), rates)
+    return Ctmc(("up", "down"), (True, False), [[0.0, lam], [mu, 0.0]])
 
 
 def _check_two_state_rates(lam: float, mu: float) -> None:
@@ -130,28 +150,28 @@ def _check_two_state_rates(lam: float, mu: float) -> None:
         raise DomainError(f"repair rate must be > 0, got {mu}")
 
 
-def _adjacency(q: np.ndarray) -> np.ndarray:
-    adj = q > 0
-    np.fill_diagonal(adj, False)
-    return adj
+def _edges(chain: Ctmc) -> tuple[np.ndarray, np.ndarray]:
+    """Each rate's source and target state, in CSR order."""
+    return np.repeat(np.arange(chain.n), np.diff(chain.offsets)), chain.targets
 
 
-def _reachable(adj: np.ndarray, start: int | np.ndarray) -> np.ndarray:
-    """States reachable from ``start``: one state id, or a mask of several."""
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = deque(np.flatnonzero(seen))
-    while frontier:
-        i = frontier.popleft()
-        for j in np.flatnonzero(adj[i] & ~seen):
-            seen[j] = True
-            frontier.append(j)
-    return seen
+def _reachable(sources: np.ndarray, targets: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """States reachable from the states of bool mask ``start`` along the edges sources[e] -> targets[e]."""
+    after = [[] for _ in range(start.size)]  # after[i]: the targets of the edges out of state i
+    for i, j in zip(sources.tolist(), targets.tolist()):
+        after[i].append(j)
+    seen, stack = start.tolist(), np.flatnonzero(start).tolist()
+    while stack:
+        for j in after[stack.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    return np.array(seen)
 
 
 def _require_irreducible(chain: Ctmc) -> None:
-    adj = _adjacency(chain.generator)
-    if not (_reachable(adj, 0).all() and _reachable(adj.T, 0).all()):
+    (sources, targets), first = _edges(chain), np.arange(chain.n) == 0
+    if not (_reachable(sources, targets, first).all() and _reachable(targets, sources, first).all()):
         raise StructureError("chain is reducible: not every state reaches every other")
 
 
@@ -160,16 +180,15 @@ def steady_state(chain: Ctmc) -> ProbabilityVector:
 
     Solved as the dense linear system Q^T pi = 0 with one equation replaced
     by the normalization constraint; the residual ``max|pi @ Q|`` is
-    verified below 1e-10 times the rate scale ``max(1, max|Q|)``, the same
-    relative rule :class:`Ctmc` applies to row sums.  Entry noise in
-    (-1e-13, 0) from the solve is clipped to zero before validation.
+    verified below 1e-10 times the rate scale ``max(1, max|Q|)``, so chains
+    of any rate scale are judged alike.  Entry noise in (-1e-13, 0) from
+    the solve is clipped to zero before validation.
     """
     _require_irreducible(chain)
     q = chain.generator
-    n = chain.n
     a = q.T.copy()
     a[-1, :] = 1.0
-    b = np.zeros(n)
+    b = np.zeros(chain.n)
     b[-1] = 1.0
     try:
         pi = np.linalg.solve(a, b)
@@ -259,8 +278,7 @@ def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
     v0 = pi0.pi if isinstance(pi0, ProbabilityVector) else ProbabilityVector(np.array(pi0, dtype=float)).pi
     if v0.ndim != 1 or v0.size != chain.n:
         raise DomainError(f"probability vector has {v0.size} entries, chain has {chain.n} states")
-    q = chain.generator
-    rate = float(np.max(-np.diag(q)))
+    rate = float(np.max(chain.exit_rates))
     timed = (grid != 0) & (rate != 0)  # the points that need a window; the rest are pi0
     points = np.flatnonzero(timed)
     windows = [_poisson_weights(rate * t, UNIFORMIZATION_TAIL) for t in grid[points].tolist()]
@@ -273,7 +291,7 @@ def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
     changes = {0, *lefts.tolist(), *(ends + 1).tolist()}
     # -0.0 + x is x to the bit, so a window's first term lands as w * v
     out = np.where(timed[:, None], -0.0, v0)
-    p = np.eye(chain.n) + q / rate if windows else None
+    p = np.eye(chain.n) + chain.generator / rate if windows else None
     for k in range(int(ends.max(initial=-1)) + 1):
         v = v @ p if k else v0
         if k in changes:
@@ -296,9 +314,7 @@ def availability_at(chain: Ctmc, pi0, t: float) -> float:
 
 def absorbing_variant(chain: Ctmc) -> Ctmc:
     """Copy of the chain with every non-operational state made absorbing."""
-    q = np.array(chain.generator)
-    q[~chain.operational, :] = 0.0
-    return Ctmc(chain.labels, chain.operational, q)
+    return chain._without_exits(~chain.operational)
 
 
 def reliability_at(chain: Ctmc, pi0, t: float) -> float:
@@ -333,9 +349,8 @@ def mttf_rate_sum(chain: Ctmc) -> float:
     coincides with the rigorous absorbing-chain MTTF only when there is a
     single operational state; report it with the ``paper_rate_sum`` label.
     """
-    q = chain.generator
     op = chain.operational
-    fail_rates = q[np.ix_(op, ~op)].sum(axis=1) if (~op).any() else np.zeros(int(op.sum()))
+    fail_rates = chain.generator[np.ix_(op, ~op)].sum(axis=1)
     if np.any(fail_rates <= 0):
         bad = np.flatnonzero(op)[np.flatnonzero(fail_rates <= 0)]
         labels = ", ".join(chain.labels[i] for i in bad)
@@ -351,15 +366,13 @@ def _vet_hitting_states(chain: Ctmc, start: int, target_mask: np.ndarray, kind: 
     time is infinite with positive probability.  Returns the indices of
     the visitable non-target states.
     """
-    q = np.array(chain.generator)
-    q[target_mask, :] = 0.0
-    adj = _adjacency(q)
-    reach = _reachable(adj, start)
+    sources, targets = _edges(chain._without_exits(target_mask))
+    reach = _reachable(sources, targets, np.arange(chain.n) == start)
     live = reach & ~target_mask
     if not np.any(reach & target_mask):
         raise StructureError(f"no {kind} state is reachable from state {start}")
     # one backward search from the whole target set finds every state with a path into it
-    stuck = np.flatnonzero(live & ~_reachable(adj.T, target_mask))
+    stuck = np.flatnonzero(live & ~_reachable(targets, sources, target_mask))
     if stuck.size:
         i = stuck[0]
         raise StructureError(

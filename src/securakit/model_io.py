@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -160,7 +161,10 @@ class _Check:
         """A finite number as a float; ``rule`` names its bound in ``_RULES``."""
         if self._typed(value, path, (int, float), "a number") is None:
             return None
-        x = float(value)
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the largest double
+            x = math.inf
         if not math.isfinite(x):
             self.error(path, "expected a finite number")
             return None
@@ -400,6 +404,8 @@ def parse_model(text: str) -> ModelDocument:
         raise SchemaError([
             ("document", f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
         ]) from exc
+    except ValueError as exc:  # an integer literal past the digits Python converts
+        raise SchemaError([("document", f"a number has over {sys.get_int_max_str_digits()} digits")]) from exc
     check = _Check()
     root = check.obj(payload, "document")
     if root is None:
@@ -467,9 +473,10 @@ def _chain_of(obj: dict) -> tuple[Ctmc, int]:
     labels = [s["label"] for s in obj["states"]]
     flags = [s["operational"] for s in obj["states"]]
     rates = np.zeros((len(labels), len(labels)))
-    for tr in obj["transitions"]:
-        rates[tr["from"], tr["to"]] += tr["rate"]
-    return Ctmc.from_transition_rates(labels, flags, rates), obj.get("start", 0)
+    with np.errstate(over="ignore"):  # a repeated pair may sum past the largest double; Ctmc names it
+        for tr in obj["transitions"]:
+            rates[tr["from"], tr["to"]] += tr["rate"]
+    return Ctmc(labels, flags, rates), obj.get("start", 0)
 
 
 def build_chain(doc: ModelDocument) -> tuple[Ctmc, int]:

@@ -160,7 +160,7 @@ def simulate_trajectory(
     if not horizon >= 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     q = chain.generator
-    exit_rates = chain.exit_rates()
+    exit_rates = chain.exit_rates
     events: list[tuple[float, int]] = []
     state = start
     t = 0.0
@@ -194,33 +194,31 @@ class _ChainKernel:
 
     The kernel of a list of chains is that of their disjoint union: chain
     i's state s is state ``base[i] + s``, and ``part`` holds each state's
-    chain index.  State s jumps to ``targets[offsets[s]:offsets[s+1]]``
-    with cumulative probabilities ``cumprobs`` over the same slice (the
-    last one is 1); a state with no exits has an empty slice.
+    chain index.  The chains' CSR arrays are joined as they are: state s
+    jumps to ``targets[offsets[s]:offsets[s+1]]`` with cumulative
+    probabilities ``cumprobs`` over the same slice (the last one is 1); a
+    state with no exits has an empty slice.  Each row's cumulative sum is
+    np.cumsum of that row alone, divided by its exit rate.
     """
 
     def __init__(self, chains: list[Ctmc]):
         sizes = [chain.n for chain in chains]
         self.base = np.cumsum([0] + sizes[:-1])
         self.part = np.repeat(np.arange(len(chains)), sizes)
-        self.exit_rates = np.concatenate([chain.exit_rates() for chain in chains])
+        self.exit_rates = np.concatenate([chain.exit_rates for chain in chains])
         self.operational = np.concatenate([chain.operational for chain in chains])
-        targets, cumprobs = [], []
-        for chain, first in zip(chains, self.base):
-            for i, row in enumerate(np.array(chain.generator)):
-                rate = self.exit_rates[first + i]
-                row[i] = 0.0
-                tgt = np.flatnonzero(row > 0) if rate > 0 else np.zeros(0, dtype=np.intp)
-                cp = np.cumsum(row[tgt]) / rate
-                cp[-1:] = 1.0
-                targets.append(tgt + first)
-                cumprobs.append(cp)
-        degree = [tgt.size for tgt in targets]
-        self.targets = np.concatenate(targets)
-        self.cumprobs = np.concatenate(cumprobs)
-        self.offsets = np.cumsum([0] + degree)
+        self.targets = np.concatenate([chain.targets + first for chain, first in zip(chains, self.base)])
+        rates = np.concatenate([chain.rates for chain in chains])
+        degree = np.concatenate([np.diff(chain.offsets) for chain in chains])
+        self.offsets = np.concatenate(([0], np.cumsum(degree)))
         self._last = self.offsets[1:] - 1
-        self._rounds = math.ceil(math.log2(max(degree))) if max(degree) > 1 else 0  # search depth of choose
+        # rows of one out-degree at once: np.cumsum along a row adds as it does on that row alone
+        self.cumprobs = np.empty(rates.size)
+        for d in set(degree.tolist()) - {0}:  # np.unique would load numpy.ma, which a cold command pays for
+            at = self.offsets[:-1][degree == d, None] + np.arange(d)
+            self.cumprobs[at] = np.cumsum(rates[at], axis=1) / self.exit_rates[degree == d, None]
+        self.cumprobs[self._last[degree > 0]] = 1.0
+        self._rounds = math.ceil(math.log2(degree.max())) if degree.max() > 1 else 0  # search depth of choose
 
     def choose(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next state of each lane: the first target whose cumulative probability is >= u.

@@ -134,7 +134,7 @@ def build_msdr(rates: MsDrRates, single_repair_crew: bool = False) -> Ctmc:
     else:
         t[3, 1] = rates.mu_dr
         t[3, 2] = rates.mu_ms
-    return Ctmc.from_transition_rates(MSDR_LABELS, MSDR_OPERATIONAL, t)
+    return Ctmc(MSDR_LABELS, MSDR_OPERATIONAL, t)
 
 
 def service_availability(rates: MsDrRates, single_repair_crew: bool = False) -> float:

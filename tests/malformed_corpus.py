@@ -1,5 +1,29 @@
 """Shared corpus of malformed model documents for robustness gates."""
 
+# several faults in one document; tests/test_model_io.py pins each one's full diagnostic list
+MULTI_FAULT_DOCUMENTS = [
+    (
+        '{"kind": "markov", "parameters": {"states": [{"label": 1, "operational": "yes", "color": "red"},'
+        ' {"label": "down", "operational": false}], "transitions": [{"from": 0, "to": 1, "rate": 1}]}}'
+    ),
+    (
+        '{"kind": "markov", "parameters": {"states": [{"label": "up", "operational": true},'
+        ' {"label": "down", "operational": false}], "transitions": [{"rate": -1, "to": 7, "from": "0", "weight": 2}]}}'
+    ),
+    '{"analyses": "all", "parameters": [], "seed": 1.5, "time_unit": 3, "kind": 7, "extra": null}',
+    (
+        '{"kind": "msdr", "parameters": {"lambda_ms": "0.01", "mu_ms": 0.1,'
+        ' "attack": {"vector": "phishing", "applies_to": "ms", "rate": 0.1}}}'
+    ),
+    (
+        '{"kind": "r_out_of_n", "parameters": {"r": 6, "subsystems": [{"type": "probability", "p": 2, "q": 1},'
+        ' {"type": "two_state", "lambda": 0, "mu": "fast"}, {"type": "chain", "states": [{"label": "a",'
+        ' "operational": false}], "transitions": [{"from": 0, "to": 0, "rate": 1}], "start": 3},'
+        ' {"type": "gizmo"}, "sub"]}}'
+    ),
+    '{"kind": "weibull", "parameters": {"alpha": -1, "beta": 2, "data": {"times": [1, "2", 0, null], "censored": [true, 1]}}}',
+]
+
 MALFORMED_DOCUMENTS = [
     # syntax / structure
     "",
@@ -107,25 +131,8 @@ MALFORMED_DOCUMENTS = [
         '{"kind": "markov", "parameters": {"states": [], "transitions": [{"from": 0, "to": 1, "rate": 0.1}]},'
         ' "analyses": [{"op": "metrics", "failed": 2}]}'
     ),
-    # several faults in one document; tests/test_model_io.py pins each one's full diagnostic list
-    (
-        '{"kind": "markov", "parameters": {"states": [{"label": 1, "operational": "yes", "color": "red"},'
-        ' {"label": "down", "operational": false}], "transitions": [{"from": 0, "to": 1, "rate": 1}]}}'
-    ),
-    (
-        '{"kind": "markov", "parameters": {"states": [{"label": "up", "operational": true},'
-        ' {"label": "down", "operational": false}], "transitions": [{"rate": -1, "to": 7, "from": "0", "weight": 2}]}}'
-    ),
-    '{"analyses": "all", "parameters": [], "seed": 1.5, "time_unit": 3, "kind": 7, "extra": null}',
-    (
-        '{"kind": "msdr", "parameters": {"lambda_ms": "0.01", "mu_ms": 0.1,'
-        ' "attack": {"vector": "phishing", "applies_to": "ms", "rate": 0.1}}}'
-    ),
-    (
-        '{"kind": "r_out_of_n", "parameters": {"r": 6, "subsystems": [{"type": "probability", "p": 2, "q": 1},'
-        ' {"type": "two_state", "lambda": 0, "mu": "fast"}, {"type": "chain", "states": [{"label": "a",'
-        ' "operational": false}], "transitions": [{"from": 0, "to": 0, "rate": 1}], "start": 3},'
-        ' {"type": "gizmo"}, "sub"]}}'
-    ),
-    '{"kind": "weibull", "parameters": {"alpha": -1, "beta": 2, "data": {"times": [1, "2", 0, null], "censored": [true, 1]}}}',
+    *MULTI_FAULT_DOCUMENTS,
+    # a number past the largest double once crashed validate; a longer integer literal crashed json.loads
+    '{"kind": "weibull", "parameters": {"alpha": 1' + "0" * 399 + ', "beta": 2}}',
+    '{"kind": "weibull", "parameters": {"alpha": 1' + "0" * 5000 + ', "beta": 2}}',
 ]

@@ -162,13 +162,13 @@ def test_c07_mttf_cross_oracle():
     rates[0, 2] = 0.07
     rates[1, 0] = 1.0
     rates[2, 0] = 1.0
-    single_op_chains.append(Ctmc.from_transition_rates(["up", "f1", "f2"], [True, False, False], rates))
+    single_op_chains.append(Ctmc(["up", "f1", "f2"], [True, False, False], rates))
     exact = all(mttf_absorbing(c, 0) == mttf_rate_sum(c) for c in single_op_chains)
 
     rates = np.zeros((3, 3))
     rates[0, 1] = 0.1
     rates[1, 2] = 0.2
-    series = Ctmc.from_transition_rates(["up", "degraded", "failed"], [True, True, False], rates)
+    series = Ctmc(["up", "degraded", "failed"], [True, True, False], rates)
     series_err = abs(mttf_absorbing(series, 0) - (1 / 0.1 + 1 / 0.2))
     ok = exact and series_err <= 1e-12
     _report("C07", ok, f"single-op exact={exact}, series error={series_err:.2e}")

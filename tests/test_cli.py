@@ -433,6 +433,32 @@ class TestNonFiniteGrid:
         assert not out and not caught
 
 
+def overflow_chain(pairs):
+    """States up, a, b; ``pairs`` lists the (from, to) of each transition of rate 1.5e308, and a, b repair to up."""
+    states = [{"label": label, "operational": label == "up"} for label in ("up", "a", "b")]
+    transitions = [{"from": i, "to": j, "rate": 1.5e308} for i, j in pairs]
+    transitions += [{"from": i, "to": 0, "rate": 1.0} for i in (1, 2)]
+    return {"states": states, "transitions": transitions}
+
+
+class TestRateOverflow:
+    """Finite rates out of one state that sum past the largest double: one line that names the state."""
+
+    @pytest.mark.parametrize("command, payload, state", [
+        ("markov solve", {"kind": "markov", "parameters": overflow_chain([(0, 1), (0, 2)])}, "0 (up)"),
+        ("markov solve", {"kind": "markov", "parameters": overflow_chain([(0, 1), (0, 1)])}, "0 (up)"),
+        ("sec msdr", {**MSDR_DOC, "parameters": {**MSDR_DOC["parameters"], "lambda_ms": 1.5e308,
+                                                  "lambda_dr": 1.5e308}}, "0 (both_up)"),
+        ("sec routofn", {**ROUTOFN_DOC, "parameters": {"r": 1, "subsystems": [
+            {"type": "chain", **overflow_chain([(0, 1), (0, 1)])}]}}, "0 (up)"),
+    ], ids=["two_rates", "repeated_pair", "msdr", "routofn"])
+    def test_one_line_naming_the_state(self, capsys, write_doc, command, payload, state):
+        code, out, err = run(capsys, [*command.split(), "--file", write_doc(payload)])
+        assert code == 1
+        assert err == f"error: validation: generator entries must be finite; state {state} has exit rate inf\n"
+        assert not out
+
+
 class TestSeriesLimit:
     """A series longer than model_io.MAX_SERIES_POINTS is refused before anything is allocated."""
 
@@ -535,6 +561,13 @@ class TestColdStart:
         assert proc.stderr == err
         assert err.count("error: schema: ") == (3 if exit_code else 0)
         assert proc.stdout == "[]\n"
+
+    def test_validate_of_a_number_past_the_largest_double_loads_no_engine(self, write_doc):
+        path = write_doc({"kind": "weibull", "parameters": {"alpha": 10 ** 400, "beta": 2}})
+        proc = fresh_python(
+            f"import sys, securakit\nprint(securakit.cli.main(['validate', {path!r}]))\n{PRINT_ENGINES}")
+        assert proc.stdout == "1\n[]\n"
+        assert proc.stderr == "error: schema: parameters.alpha: expected a finite number\n"
 
     @pytest.mark.parametrize("command", ["mc reliability", "mc mttf"])
     def test_chain_monte_carlo_loads_no_securability(self, capsys, write_doc, command):

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.stats import poisson
 
+from securakit import markov, montecarlo
 from securakit.errors import ConvergenceError, DomainError, SingularSystemError, StructureError
 from securakit.markov import (
     UNIFORMIZATION_TAIL,
@@ -44,7 +47,7 @@ def series_chain(lam_a=0.1, lam_b=0.2):
     rates = np.zeros((3, 3))
     rates[0, 1] = lam_a
     rates[1, 2] = lam_b
-    return Ctmc.from_transition_rates(["up", "degraded", "failed"], [True, True, False], rates)
+    return Ctmc(["up", "degraded", "failed"], [True, True, False], rates)
 
 
 def random_chain(rng, n_states=4):
@@ -53,7 +56,7 @@ def random_chain(rng, n_states=4):
     ops = [rng.uniform() < 0.5 for _ in range(n_states)]
     ops[0] = True
     ops[-1] = False
-    return Ctmc.from_transition_rates([f"s{i}" for i in range(n_states)], ops, rates)
+    return Ctmc([f"s{i}" for i in range(n_states)], ops, rates)
 
 
 class TestConstruction:
@@ -67,10 +70,6 @@ class TestConstruction:
         for lam, mu in [(0, 0.1), (0.1, 0), (-1, 1), (1, -1)]:
             with pytest.raises(DomainError):
                 build_two_state(lam, mu)
-
-    def test_generator_row_sums_validated(self):
-        with pytest.raises(DomainError):
-            Ctmc(["a", "b"], [True, False], np.array([[-0.5, 0.4], [0.1, -0.1]]))
 
     def test_negative_off_diagonal_rejected(self):
         with pytest.raises(DomainError):
@@ -122,7 +121,7 @@ class TestDiscretize:
         for _ in range(10):
             chain = random_chain(rng)
             for frac in (0.1, 0.9):
-                p = np.eye(chain.n) + frac / chain.exit_rates().max() * chain.generator
+                p = np.eye(chain.n) + frac / chain.exit_rates.max() * chain.generator
                 v = np.full(chain.n, 1.0 / chain.n)
                 for _ in range(200_000):
                     nxt = v @ p
@@ -291,7 +290,7 @@ def stiff_chains(draw):
     rates = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n)
     start = draw(st.integers(min_value=0, max_value=n - 1))
     t = draw(st.floats(min_value=0.0, max_value=2.0))
-    chain = Ctmc.from_transition_rates([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], rates)
+    chain = Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], rates)
     return chain, start, t
 
 
@@ -335,10 +334,10 @@ def transient_grids(draw):
     log_rate = st.one_of(st.none(), st.floats(min_value=-2.0, max_value=1.0))
     exps = draw(st.lists(log_rate, min_size=n * n, max_size=n * n))
     rates = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n)
-    chain = Ctmc.from_transition_rates([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], rates)
+    chain = Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], rates)
     times = draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6))
     times += [0.0, times[0]]
-    rate = float(chain.exit_rates().max())
+    rate = float(chain.exit_rates.max())
     if rate > 0:
         times.append(720.0 / rate)
     pi0 = np.zeros(n)
@@ -422,7 +421,7 @@ class TestReliabilityVsAvailability:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_all_operational_chain_has_no_reliability_analysis(self):
-        chain = Ctmc.from_transition_rates(["a", "b"], [True, True], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        chain = Ctmc(["a", "b"], [True, True], np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(StructureError):
             reliability_at(chain, [1, 0], 1.0)
         assert availability_steady(chain) == 1.0
@@ -464,7 +463,7 @@ class TestHittingTimes:
         rates = np.zeros((3, 3))
         rates[0, 2] = 0.1
         rates[1, 2] = 0.2
-        chain = Ctmc.from_transition_rates(["a", "b", "fail"], [True, True, False], rates)
+        chain = Ctmc(["a", "b", "fail"], [True, True, False], rates)
         assert mttf_rate_sum(chain) == pytest.approx(15.0, rel=1e-12)
 
     def test_rate_sum_exact_match_single_operational_state(self):
@@ -475,7 +474,7 @@ class TestHittingTimes:
         rates[0, 2] = 0.07
         rates[1, 0] = 1.0
         rates[2, 0] = 1.0
-        chain = Ctmc.from_transition_rates(["up", "f1", "f2"], [True, False, False], rates)
+        chain = Ctmc(["up", "f1", "f2"], [True, False, False], rates)
         assert mttf_absorbing(chain, 0) == mttf_rate_sum(chain)
 
     def test_rate_sum_needs_direct_failure_exit(self):
@@ -492,7 +491,7 @@ class TestHittingTimes:
         rates[0, 1] = 0.5
         rates[1, 0] = 0.5
         rates[2, 0] = 1.0
-        chain = Ctmc.from_transition_rates(["a", "b", "fail"], [True, True, False], rates)
+        chain = Ctmc(["a", "b", "fail"], [True, True, False], rates)
         with pytest.raises(StructureError):
             mttf_absorbing(chain, 0)
         with pytest.raises(StructureError):
@@ -503,7 +502,7 @@ class TestHittingTimes:
         rates = np.zeros((3, 3))
         rates[0, 1] = 0.5
         rates[0, 2] = 0.5
-        chain = Ctmc.from_transition_rates(["s", "trap", "fail"], [True, True, False], rates)  # trap: no exits
+        chain = Ctmc(["s", "trap", "fail"], [True, True, False], rates)  # trap: no exits
         with pytest.raises(StructureError):
             mttf_absorbing(chain, 0)
 
@@ -512,7 +511,7 @@ class TestHittingTimes:
         rates = np.zeros((4, 4))
         rates[0, 1] = rates[0, 3] = 0.5
         rates[1, 2] = rates[2, 1] = 1.0
-        chain = Ctmc.from_transition_rates(["s", "a", "b", "fail"], [True, True, True, False], rates)
+        chain = Ctmc(["s", "a", "b", "fail"], [True, True, True, False], rates)
         with pytest.raises(StructureError) as exc:
             mttf_absorbing(chain, 0)
         assert str(exc.value) == (
@@ -533,7 +532,7 @@ class TestHittingTimes:
         rates[1, 2] = 0.1
         rates[2, 0] = 0.3
         rates[2, 1] = 0.2
-        chain = Ctmc.from_transition_rates(["up1", "up2", "down"], [True, True, False], rates)
+        chain = Ctmc(["up1", "up2", "down"], [True, True, False], rates)
         assert mttr(chain, 2) == pytest.approx(1.0 / 0.5, rel=1e-12)
 
     def test_mttr_without_repair_rejected(self):
@@ -605,7 +604,7 @@ def small_digraphs(draw):
     target = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     start = draw(st.integers(min_value=0, max_value=n - 1))
     rates = np.array(edges, dtype=float).reshape(n, n)
-    chain = Ctmc.from_transition_rates([f"s{i}" for i in range(n)], [True] * n, rates)
+    chain = Ctmc([f"s{i}" for i in range(n)], [True] * n, rates)
     return chain, start, np.array(target, dtype=bool)
 
 
@@ -621,3 +620,105 @@ def test_vetting_matches_per_state_search(case, kind):
         assert str(got.value) == str(exc)
         return
     assert np.array_equal(_vet_hitting_states(chain, start, target, kind), expected)
+
+
+@st.composite
+def csr_chains(draw):
+    """Chains of 1-40 states built with a drawn numpy seed, some with hub rows that exit everywhere.
+
+    Returns the input matrix, the operational flags and the chain.  Rates
+    span six decades; the input diagonal holds noise, negative or nan,
+    which the chain must ignore.
+    """
+    n = draw(st.integers(1, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    rates = np.where(gen.random((n, n)) < density, 10.0 ** gen.uniform(-3, 3, (n, n)), 0.0)
+    hubs = gen.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rates[hubs] = 10.0 ** gen.uniform(-3, 3, (hubs.sum(), n))
+    np.fill_diagonal(rates, np.where(gen.random(n) < 0.1, np.nan, gen.normal(size=n)))
+    flags = gen.random(n) < 0.7
+    flags[draw(st.integers(0, n - 1))] = True
+    return rates, flags, Ctmc([f"s{i}" for i in range(n)], flags, rates)
+
+
+def off_diagonal(rates) -> np.ndarray:
+    q = np.array(rates, dtype=float)
+    np.fill_diagonal(q, 0.0)
+    return q
+
+
+def dense_generator(rates) -> np.ndarray:
+    """Q from off-diagonal rates: the diagonal is minus each row's sum over the dense row."""
+    q = off_diagonal(rates)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def cumprob_oracle(rates) -> np.ndarray:
+    """The walker's cumulative probabilities, row by row: np.cumsum of the row's rates / its exit rate."""
+    q = off_diagonal(rates)
+    exits = q.sum(axis=1)
+    rows = []
+    for i, row in enumerate(q):
+        cp = np.cumsum(row[row > 0]) / exits[i]
+        cp[-1:] = 1.0
+        rows.append(cp)
+    return np.concatenate(rows)
+
+
+def bfs(adj: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the states that scipy's breadth-first search reaches from ``start`` in ``adj``."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[breadth_first_order(csr_matrix(adj.astype(float)), start, return_predecessors=False)] = True
+    return seen
+
+
+class TestStoredForm:
+    """The CSR arrays against oracles that read only the input matrix."""
+
+    @given(csr_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_generator_is_the_dense_formula_of_the_input(self, case):
+        rates, flags, chain = case
+        q = dense_generator(rates)
+        assert np.array_equal(chain.generator, q)
+        assert np.array_equal(chain.exit_rates, -np.diag(q))
+        cut = np.where(flags[:, None], rates, 0.0)
+        assert np.array_equal(absorbing_variant(chain).generator, dense_generator(cut))
+
+    @given(csr_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_cumprobs_are_each_rows_own_cumsum(self, case):
+        rates, flags, chain = case
+        kernel = montecarlo._ChainKernel([chain, absorbing_variant(chain)])
+        cut = np.where(flags[:, None], rates, 0.0)
+        assert np.array_equal(kernel.cumprobs, np.concatenate([cumprob_oracle(rates), cumprob_oracle(cut)]))
+
+    @given(csr_chains(), st.data(), st.sampled_from(["failure", "repair"]))
+    @settings(max_examples=100, deadline=None)
+    def test_searches_match_scipy_breadth_first_order(self, case, data, kind):
+        rates, _, chain = case
+        n = chain.n
+        adj = off_diagonal(rates) > 0
+        if bfs(adj, 0).all() and bfs(adj.T, 0).all():
+            markov._require_irreducible(chain)
+        else:
+            with pytest.raises(StructureError, match="chain is reducible"):
+                markov._require_irreducible(chain)
+        target = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        start = data.draw(st.integers(0, n - 1))
+        cut = adj & ~target[:, None]
+        reach = bfs(cut, start)
+        live = reach & ~target
+        stuck = [i for i in np.flatnonzero(live) if not (bfs(cut, i) & target).any()]
+        if not (reach & target).any():
+            message = f"no {kind} state is reachable from state {start}"
+        elif stuck:
+            message = f"state {stuck[0]} (s{stuck[0]}) can be visited but cannot reach any {kind} state"
+        else:
+            assert np.array_equal(_vet_hitting_states(chain, start, target, kind), np.flatnonzero(live))
+            return
+        with pytest.raises(StructureError) as err:
+            _vet_hitting_states(chain, start, target, kind)
+        assert str(err.value).startswith(message)

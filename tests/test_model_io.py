@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malformed_corpus import MALFORMED_DOCUMENTS
+from malformed_corpus import MALFORMED_DOCUMENTS, MULTI_FAULT_DOCUMENTS
 
 from securakit import model_io
 from securakit.errors import NumericalError, SchemaError, ValidationError
@@ -422,13 +422,28 @@ MULTI_FAULT_DIAGNOSTICS = [
 ]
 
 
-@pytest.mark.parametrize("text, expected", zip(MALFORMED_DOCUMENTS[-len(MULTI_FAULT_DIAGNOSTICS):],
-                                                MULTI_FAULT_DIAGNOSTICS),
+@pytest.mark.parametrize("text, expected", zip(MULTI_FAULT_DOCUMENTS, MULTI_FAULT_DIAGNOSTICS, strict=True),
                          ids=range(len(MULTI_FAULT_DIAGNOSTICS)))
 def test_multi_fault_documents_report_every_fault_in_order(text, expected):
     with pytest.raises(SchemaError) as err:
         parse_model(text)
     assert err.value.diagnostics == expected
+
+
+def test_number_past_the_largest_double_is_not_finite():
+    text = MALFORMED_DOCUMENTS[-2]
+    assert '"alpha": 1' + "0" * 399 + "," in text
+    with pytest.raises(SchemaError) as err:
+        parse_model(text)
+    assert err.value.diagnostics == [("parameters.alpha", "expected a finite number")]
+
+
+def test_integer_literal_past_the_digit_limit_is_a_document_diagnostic():
+    text = MALFORMED_DOCUMENTS[-1]
+    assert '"alpha": 1' + "0" * 5000 + "," in text
+    with pytest.raises(SchemaError) as err:
+        parse_model(text)
+    assert err.value.diagnostics == [("document", "a number has over 4300 digits")]
 
 
 def _schema_examples() -> list[dict]:

@@ -38,7 +38,7 @@ from securakit.securability import ChainSubsystem, MsDrRates, RoutOfNSystem, bui
 def non_repairable(lam):
     rates = np.zeros((2, 2))
     rates[0, 1] = lam
-    return Ctmc.from_transition_rates(["up", "down"], [True, False], rates)
+    return Ctmc(["up", "down"], [True, False], rates)
 
 
 def markov_reliability(chain, t):
@@ -53,14 +53,14 @@ def series_chain(lam_a=0.1, lam_b=0.2):
     rates = np.zeros((3, 3))
     rates[0, 1] = lam_a
     rates[1, 2] = lam_b
-    return Ctmc.from_transition_rates(["up", "degraded", "failed"], [True, True, False], rates)
+    return Ctmc(["up", "degraded", "failed"], [True, True, False], rates)
 
 
 def degrading(a, b, c, d):
     """ok -> degraded -> bad chain with repair from degraded and from bad."""
     rates = np.zeros((3, 3))
     rates[0, 1], rates[1, 0], rates[1, 2], rates[2, 0] = a, b, c, d
-    return Ctmc.from_transition_rates(["ok", "degraded", "bad"], [True, True, False], rates)
+    return Ctmc(["ok", "degraded", "bad"], [True, True, False], rates)
 
 
 def threshold_oracle(system, cfg):
@@ -134,7 +134,7 @@ class TestSimulateTrajectory:
         rates = np.zeros((3, 3))
         rates[0, 1] = 0.3
         rates[0, 2] = 0.7
-        chain = Ctmc.from_transition_rates(["s", "a", "b"], [True, False, False], rates)
+        chain = Ctmc(["s", "a", "b"], [True, False, False], rates)
         n = 100_000
         hits_a = 0
         for i in range(n):
@@ -268,7 +268,7 @@ class TestEstimateMttf:
         rates[0, 1] = 0.5
         rates[1, 0] = 0.5
         rates[2, 0] = 1.0
-        chain = Ctmc.from_transition_rates(["a", "b", "fail"], [True, True, False], rates)
+        chain = Ctmc(["a", "b", "fail"], [True, True, False], rates)
         from securakit.errors import StructureError
 
         with pytest.raises(StructureError):
@@ -313,7 +313,7 @@ class TestAbsorptionPreconditions:
         matrix = np.zeros((3, 3))
         for (i, j), rate in rates.items():
             matrix[i, j] = rate
-        chain = Ctmc.from_transition_rates(labels, [True, True, False], matrix)
+        chain = Ctmc(labels, [True, True, False], matrix)
         with pytest.raises(StructureError) as info:
             estimate_mttf(chain, 0, self.CFG)
         assert str(info.value) == message
@@ -335,7 +335,7 @@ class TestOccupancy:
 
     def test_exact_when_no_trial_changes_membership(self):
         # a -> b moves every trial between two targets, so each fraction is the whole window
-        chain = Ctmc.from_transition_rates(["a", "b"], [True, False], [[0.0, 1.0], [0.0, 0.0]])
+        chain = Ctmc(["a", "b"], [True, False], [[0.0, 1.0], [0.0, 0.0]])
         cfg = MonteCarloConfig(n_trials=200, horizon=3.0, seed=1)
         est = estimate_occupancy(chain, 0, cfg, target_states=(0, 1), burn_in=0.3)
         assert (est.value, est.std_error, est.ci95) == (1.0, 0.0, (1.0, 1.0))
@@ -490,7 +490,7 @@ class TestEventCapMessages:
         rates = np.zeros((5, 5))
         for i in range(4):
             rates[i, i + 1] = 1.0
-        chain = Ctmc.from_transition_rates(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False], rates)
+        chain = Ctmc(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False], rates)
         for cap, fails in ((4, False), (3, True)):
             cfg = MonteCarloConfig(n_trials=20, horizon=1.0, seed=3, max_events=cap)
             run = (lambda: estimate_mttf(chain, 0, cfg)) if horizon is None else (
@@ -680,7 +680,7 @@ def walker_chains(draw):
     flags = [True] + [draw(st.booleans()) for _ in range(n - 1)]
     if draw(st.booleans()):
         rates[0] = 0.0  # a stuck start state
-    return Ctmc.from_transition_rates([f"s{i}" for i in range(n)], flags, rates)
+    return Ctmc([f"s{i}" for i in range(n)], flags, rates)
 
 
 WALK_SETTINGS = settings(max_examples=40, deadline=None)
@@ -759,7 +759,7 @@ class TestWalkerEqualsTrajectoryOracle:
     def test_hub_chain_needs_four_search_rounds(self):
         rates = np.full((10, 10), 0.3)
         np.fill_diagonal(rates, 0.0)
-        chain = Ctmc.from_transition_rates([f"s{i}" for i in range(10)], [True] * 9 + [False], rates)
+        chain = Ctmc([f"s{i}" for i in range(10)], [True] * 9 + [False], rates)
         assert montecarlo._ChainKernel([chain])._rounds == 4
         cfg = MonteCarloConfig(n_trials=300, horizon=3.0, seed=31, max_events=self.HORIZON_CAP)
         assert estimate_mttf(chain, 0, cfg) == mttf_oracle(chain, 0, cfg)
@@ -785,7 +785,7 @@ class TestChainKernelChoose:
         rates[0] = gen.uniform(0.1, 2.0, n)  # a hub reaching every other state
         np.fill_diagonal(rates, 0.0)
         rates[n - 1] = 0.0  # no exits
-        chain = Ctmc.from_transition_rates([str(i) for i in range(n)], [True] * n, rates)
+        chain = Ctmc([str(i) for i in range(n)], [True] * n, rates)
         kernel = montecarlo._ChainKernel([chain])
         live = np.flatnonzero(np.diff(kernel.offsets) > 0)
         states, u = [], []
@@ -804,7 +804,7 @@ class TestChainKernelChoose:
         for degree, rounds in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4), (16, 4), (17, 5)):
             rates = np.zeros((degree + 1, degree + 1))
             rates[0, 1:] = 1.0
-            chain = Ctmc.from_transition_rates(
+            chain = Ctmc(
                 [str(i) for i in range(degree + 1)], [True] * (degree + 1), rates)
             assert montecarlo._ChainKernel([chain])._rounds == rounds
 
