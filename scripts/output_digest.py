@@ -5,7 +5,7 @@ Writes the documents of each benchmark workload with ``bench/workloads.py``
 and runs every command of its list in process through
 ``securakit.cli.main``, with the ``securakit`` of the tree this script sits
 in.  Each command runs with ``--format`` json, table and csv, and a
-command that takes ``--threads`` runs at 2 threads and at 1.  One line is
+command that takes ``--threads`` runs at 2 workers and at 1.  One line is
 printed per run: workload, seed, argv (document paths are bare file
 names), exit code, and the sha256 of stdout and of stderr.  After them,
 every document of ``tests/malformed_corpus.py`` runs through ``securakit
@@ -17,12 +17,12 @@ Usage: python scripts/output_digest.py --seeds 7 11 [--quick]
 Run it on a checkout of the parent commit and on the change, then diff
 the two outputs: an empty diff means every output kept its bytes.
 
-It also checks that results do not depend on the thread count: the
-script exits 1, naming the argv, when a command's 2-thread run differs
-from its 1-thread run in stdout or exit code.  The quick documents have
-fewer trials than one thread's minimum slice, so the script sets
-``montecarlo._MIN_SLICE`` to 1 in process: 2 threads then really split
-every Monte Carlo command's trials.
+It also checks that results do not depend on the worker count: the
+script exits 1, naming the argv, when a command's 2-worker run differs
+from its 1-worker run in stdout or exit code.  The quick documents have
+fewer trials than one worker's minimum slice, so the script sets
+``montecarlo._MIN_SLICE`` to 1 in process: 2 worker processes then really
+split every Monte Carlo command's trials.
 
 It checks too that threshold reliability does not depend on how its chain
 subsystems are grouped into walks: the script exits 1, naming the argv,
@@ -36,7 +36,7 @@ command runs: after the mc_walk commands, ``estimate_occupancy`` runs on
 that workload's MS/DR chain with its mttf entry's trial count and the
 document's seed, target state 3, burn-in 100 and horizon 1100 (the gate
 C09 setting), and the line holds the sha256 of the estimate's value and
-standard error.  It runs at 2 threads and at 1, and the script exits 1
+standard error.  It runs at 2 workers and at 1, and the script exits 1
 when the two differ.  A digest of a tree older than that line lacks it.
 """
 

@@ -15,8 +15,9 @@ PATH``; a flag the command does not read is a usage error, except that
 ``validate`` accepts ``--format`` and ``--out`` and ignores them.  ``markov
 transient`` and ``mc reliability`` accept ``--grid t0:t1:steps`` and emit a
 series block for plotting.  ``--seed`` overrides any in-document seed;
-``--threads`` defaults to ``SECURAKIT_THREADS`` or the number of usable
-cores, and results are independent of the thread count by the stream design.
+``--threads`` is the number of worker processes, the command's own
+included; it defaults to ``SECURAKIT_THREADS`` or the number of usable
+cores, and results are independent of it by the stream design.
 
 Exit codes: 0 success, 1 validation error, 2 numerical/convergence error,
 3 usage error.  Errors are reported one per line on stderr as
@@ -82,7 +83,7 @@ def _load_document(path: str) -> ModelDocument:
 
 
 def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
-    """The entry's trial settings with the seed resolved, and the thread count.
+    """The entry's trial settings with the seed resolved, and the worker process count.
 
     Handlers call it when they reach their Monte Carlo step, so an error
     from earlier work (``sec routofn``'s decomposition) is reported first.
@@ -345,7 +346,8 @@ def build_parser() -> _Parser:
         if "seed" in model_io._OP_SETTINGS.get(command.op, {}):
             p.add_argument("--seed", type=int, default=None, help="overrides any in-document seed")
             p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: SECURAKIT_THREADS or the usable cores)")
+                           help="worker processes, this one included "
+                                "(default: SECURAKIT_THREADS or the usable cores)")
         if command.handler is _validate:
             p.add_argument("--quiet", action="store_true")
     return root

@@ -45,6 +45,9 @@ class SchemaError(ValidationError):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(f"{p}: {m}" if p else m for p, m in self.diagnostics))
 
+    def __reduce__(self):  # pickled by its diagnostics, as a worker process sends it
+        return type(self), (self.diagnostics,)
+
 
 class NumericalError(SecurakitError):
     """Computation failed to produce a finite, converged answer (exit code 2)."""

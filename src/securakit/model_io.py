@@ -406,6 +406,8 @@ def parse_model(text: str) -> ModelDocument:
         ]) from exc
     except ValueError as exc:  # an integer literal past the digits Python converts
         raise SchemaError([("document", f"a number has over {sys.get_int_max_str_digits()} digits")]) from exc
+    except RecursionError as exc:  # the decoder recurses once per level of nesting
+        raise SchemaError([("document", "arrays or objects nest too deeply to parse")]) from exc
     check = _Check()
     root = check.obj(payload, "document")
     if root is None:

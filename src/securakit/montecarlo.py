@@ -6,7 +6,7 @@ state is chosen among competitors with probability proportional to its
 rate.  Trial t draws its randomness exclusively from the counter-based
 cell ``(seed, trial=t, substream)`` (see :mod:`securakit.rng`), and
 estimates reduce per-trial outcomes in trial-index order, so results are
-bit-identical no matter how many worker threads execute the trials.
+bit-identical no matter how many worker processes execute the trials.
 
 Every estimator walks its trials in vectorized waves through
 :func:`_walk_batch`, which consumes draws exactly as the single-path
@@ -46,7 +46,7 @@ if TYPE_CHECKING:
     from .securability import RoutOfNSystem
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_MIN_SLICE = 50_000  # fewest trials per worker thread (see _run_partitioned)
+_MIN_SLICE = 50_000  # fewest trials per worker process (see _run_partitioned)
 _MERGED_LANES = 1 << 16  # most lanes in a walk that merges subsystems (see estimate_threshold_reliability)
 
 
@@ -311,21 +311,83 @@ def _walk_batch(kernel: _ChainKernel, watched: np.ndarray, start, lo: int, hi: i
 def _run_partitioned(worker, n_trials: int, threads: int) -> list:
     """``worker(lo, hi)`` of each slice of a partition of [0, n_trials), in slice order.
 
-    Each worker thread gets at least ``_MIN_SLICE`` trials: the walker
-    runs a Python-level wave per jump under the interpreter lock, and on
-    smaller slices a second thread costs more than it saves.  Results do
-    not depend on the partition.
+    ``threads`` is the number of worker processes.  This process walks
+    slice 0 itself, and each other slice runs in a forked child that sends
+    its pickled result, or the exception it raised, back through a pipe;
+    the first error in slice order is raised here with its type and
+    message.  Every read end is closed before the children are reaped, so
+    a child blocked writing a large result to a parent whose own slice
+    raised still exits, and no child outlives the call.  Each worker gets
+    at least ``_MIN_SLICE`` trials: on smaller slices the fork and the
+    pipe cost more than a second core saves.  Where ``os.fork`` is missing
+    the job runs as one slice in process.  Results do not depend on the
+    partition.
     """
+    import os
+    import pickle
+
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     threads = min(threads, -(-n_trials // _MIN_SLICE))
-    if threads == 1:
+    if threads == 1 or not hasattr(os, "fork"):
         return [worker(0, n_trials)]
-    from concurrent.futures import ThreadPoolExecutor  # loaded only by jobs that start threads
-
     bounds = np.linspace(0, n_trials, threads + 1).astype(int).tolist()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, bounds[:-1], bounds[1:]))
+    reads, pids = [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(w)
+                raise
+            if pid == 0:
+                _serve_slice(worker, lo, hi, w, reads)
+            os.close(w)
+            pids.append(pid)
+        results = [worker(bounds[0], bounds[1])]
+        for r, lo, hi in zip(reads, bounds[1:-1], bounds[2:]):
+            with os.fdopen(r, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+            if not reply:
+                raise ChildProcessError(f"the worker process of trials {lo}..{hi - 1} ended without a result")
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve_slice(worker, lo: int, hi: int, pipe: int, inherited: list[int]):
+    """In a forked child: write ``worker(lo, hi)``, or what it raised, pickled to ``pipe``; never return.
+
+    The child leaves through ``os._exit``, whatever happens, so it never
+    unwinds into the caller's stack, flushes the parent's stdio or runs
+    its atexit hooks.  It first closes the read ends it inherited, so a
+    parent that closes its own read end of a pipe leaves it no reader.
+    """
+    import os
+    import pickle
+
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            reply = pickle.dumps((True, worker(lo, hi)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            reply = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(pipe, "wb") as out:
+            out.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _absorption_times(chain: Ctmc, start: int, cfg: MonteCarloConfig, horizon: float | None,

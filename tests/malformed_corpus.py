@@ -135,4 +135,6 @@ MALFORMED_DOCUMENTS = [
     # a number past the largest double once crashed validate; a longer integer literal crashed json.loads
     '{"kind": "weibull", "parameters": {"alpha": 1' + "0" * 399 + ', "beta": 2}}',
     '{"kind": "weibull", "parameters": {"alpha": 1' + "0" * 5000 + ', "beta": 2}}',
+    # nesting past the interpreter's recursion limit crashed json.loads
+    "[" * 100_000 + "]" * 100_000,
 ]

@@ -569,6 +569,15 @@ class TestColdStart:
         assert proc.stdout == "1\n[]\n"
         assert proc.stderr == "error: schema: parameters.alpha: expected a finite number\n"
 
+    def test_validate_of_deep_nesting_loads_no_engine(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(MALFORMED_DOCUMENTS[-1])
+        assert MALFORMED_DOCUMENTS[-1] == "[" * 100_000 + "]" * 100_000
+        proc = fresh_python(
+            f"import sys, securakit\nprint(securakit.cli.main(['validate', {str(path)!r}]))\n{PRINT_ENGINES}")
+        assert proc.stdout == "1\n[]\n"
+        assert proc.stderr == "error: schema: document: arrays or objects nest too deeply to parse\n"
+
     @pytest.mark.parametrize("command", ["mc reliability", "mc mttf"])
     def test_chain_monte_carlo_loads_no_securability(self, capsys, write_doc, command):
         path = write_doc(TWO_STATE_DOC)

@@ -431,7 +431,7 @@ def test_multi_fault_documents_report_every_fault_in_order(text, expected):
 
 
 def test_number_past_the_largest_double_is_not_finite():
-    text = MALFORMED_DOCUMENTS[-2]
+    text = MALFORMED_DOCUMENTS[-3]
     assert '"alpha": 1' + "0" * 399 + "," in text
     with pytest.raises(SchemaError) as err:
         parse_model(text)
@@ -439,11 +439,22 @@ def test_number_past_the_largest_double_is_not_finite():
 
 
 def test_integer_literal_past_the_digit_limit_is_a_document_diagnostic():
-    text = MALFORMED_DOCUMENTS[-1]
+    text = MALFORMED_DOCUMENTS[-2]
     assert '"alpha": 1' + "0" * 5000 + "," in text
     with pytest.raises(SchemaError) as err:
         parse_model(text)
     assert err.value.diagnostics == [("document", "a number has over 4300 digits")]
+
+
+@pytest.mark.parametrize("text", [
+    MALFORMED_DOCUMENTS[-1],
+    '{"kind": "markov", "parameters": {"lambda": 0.1, "mu": 0.1}, "junk": ' + "[" * 5000 + "]" * 5000 + "}",
+    '{"a": ' * 100_000 + "1" + "}" * 100_000,
+], ids=["arrays", "under_unknown_key", "objects"])
+def test_nesting_past_the_recursion_limit_is_a_document_diagnostic(text):
+    with pytest.raises(SchemaError) as err:
+        parse_model(text)
+    assert err.value.diagnostics == [("document", "arrays or objects nest too deeply to parse")]
 
 
 def _schema_examples() -> list[dict]:

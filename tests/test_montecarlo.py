@@ -1,7 +1,12 @@
 """Monte Carlo engine tests: statistical oracles and reproducibility."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from securakit import montecarlo
-from securakit.errors import ConvergenceError, DomainError, StructureError, ValidationError
+from securakit.errors import ConvergenceError, DomainError, SchemaError, StructureError, ValidationError
 from securakit.markov import (
     Ctmc,
     absorbing_variant,
@@ -382,7 +387,7 @@ class TestThresholdReliability:
     @MERGED_LANES
     @pytest.mark.parametrize("threshold", [1.0, 0.75, 0.5, 0.25])
     def test_four_degrading_subsystems_equal_scalar_oracle(self, monkeypatch, threshold, merged_lanes):
-        # a minimum slice of 1 trial makes 3 threads really split these small jobs
+        # a minimum slice of 1 trial makes 3 workers really split these small jobs
         monkeypatch.setattr(montecarlo, "_MIN_SLICE", 1)
         monkeypatch.setattr(montecarlo, "_MERGED_LANES", merged_lanes)
         system = RoutOfNSystem(r=4, subsystems=tuple(
@@ -422,24 +427,27 @@ class TestThresholdReliability:
             assert estimate_threshold_reliability(system, cfg, threads=1) == expected
             assert estimate_threshold_reliability(system, cfg, threads=3) == expected
 
-    def test_no_walk_holds_more_lanes_than_the_cap(self, monkeypatch):
+    def test_no_walk_holds_more_lanes_than_the_cap(self, monkeypatch, tmp_path):
         assert montecarlo._MERGED_LANES == 1 << 16
-        lanes = []
+        log = tmp_path / "lanes"
         walk = montecarlo._walk_batch
 
         def counted(kernel, watched, start, lo, hi, *args, **kwargs):
-            lanes.append((hi - lo) * np.size(start))
+            # a file, not a list: a forked worker's appends to a list never reach this process
+            with open(log, "a") as f:
+                f.write(f"{(hi - lo) * np.size(start)}\n")
             return walk(kernel, watched, start, lo, hi, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "_walk_batch", counted)
         system = RoutOfNSystem(r=1, subsystems=(0.9, *(build_two_state(0.1, 1.0) for _ in range(5))))
-        # (trials, threads): 3 subsystems fit in one walk of 20 000 trials, none beside 70 000,
-        # and 2 threads walk slices of 50 000 trials
+        # (trials, workers): 3 subsystems fit in one walk of 20 000 trials, none beside 70 000,
+        # and 2 worker processes walk slices of 50 000 trials
         for n_trials, threads, expected in ((100, 1, [500]), (20_000, 1, [60_000, 40_000]),
                                             (70_000, 1, [70_000] * 5), (100_000, 2, [50_000] * 10)):
-            lanes.clear()
+            log.write_text("")
             cfg = MonteCarloConfig(n_trials=n_trials, horizon=0.5, seed=3, threshold=0.5)
             estimate_threshold_reliability(system, cfg, threads=threads)
+            lanes = [int(line) for line in log.read_text().split()]
             assert lanes == expected
             assert max(lanes) <= max(n_trials // threads, 1 << 16)
 
@@ -686,6 +694,25 @@ def walker_chains(draw):
 WALK_SETTINGS = settings(max_examples=40, deadline=None)
 
 
+def fresh_python(code: str, *options: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports securakit from the tree under test.
+
+    The interpreter leads a process group of its own, and one that outlasts
+    the 60 s timeout is killed with every process it forked.
+    """
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, *options, "-c", code]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(argv, proc.returncode, out, err)
+
+
 def outcome(compute):
     """What ``compute()`` returns, or ``ConvergenceError`` if it hits the event cap."""
     try:
@@ -695,9 +722,9 @@ def outcome(compute):
 
 
 class TestWalkerEqualsTrajectoryOracle:
-    """Each estimator equals its trial-by-trial rebuild exactly, at 1 and 3 threads.
+    """Each estimator equals its trial-by-trial rebuild exactly, at 1 and 3 worker processes.
 
-    ``_MIN_SLICE`` is 1 so that 3 threads really split these small jobs.
+    ``_MIN_SLICE`` is 1 so that 3 workers really split these small jobs.
     The event caps end a walk that never stops (on a broken walker, or a
     chain whose failure set is nearly unreachable) with a ConvergenceError,
     which both sides must then raise.
@@ -849,11 +876,9 @@ class TestUnionKernel:
 
 class TestPartition:
     def test_small_jobs_run_on_one_thread(self, monkeypatch):
-        slices = []
         monkeypatch.setattr(montecarlo, "_MIN_SLICE", 10)
         for n_trials, threads, expected in ((9, 4, 1), (10, 4, 1), (11, 4, 2), (25, 8, 3), (25, 2, 2)):
-            slices.clear()
-            montecarlo._run_partitioned(lambda lo, hi: slices.append((lo, hi)), n_trials, threads)
+            slices = montecarlo._run_partitioned(lambda lo, hi: (lo, hi), n_trials, threads)
             assert len(slices) == expected
             assert sorted(slices)[0][0] == 0 and sorted(slices)[-1][1] == n_trials
 
@@ -873,3 +898,87 @@ class TestPartition:
     def test_cut_keeps_large_walks_threaded(self):
         assert -(-300_000 // montecarlo._MIN_SLICE) >= 2
         assert -(-20_000 // montecarlo._MIN_SLICE) == 1
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_slice_error_reaches_the_caller(self, monkeypatch, failing):
+        monkeypatch.setattr(montecarlo, "_MIN_SLICE", 1)
+
+        def worker(lo, hi):
+            if lo >= failing:  # this slice and every later one fail; the first in slice order wins
+                raise SchemaError([(f"slice {lo}..{hi}", "failed"), ("", "and more")])
+            return lo
+
+        with pytest.raises(SchemaError) as info:
+            montecarlo._run_partitioned(worker, 3, 3)
+        assert info.value.diagnostics == [(f"slice {failing}..{failing + 1}", "failed"), ("", "and more")]
+        assert str(info.value) == f"slice {failing}..{failing + 1}: failed; and more"
+        self.assert_no_child_left()
+
+    def test_a_parent_error_does_not_wait_on_children_blocked_writing(self):
+        # each child's 1 MB result outgrows the pipe buffer, so the child blocks writing until the
+        # parent reads it or closes the read end; run in a fresh interpreter so a hang ends at the timeout
+        code = (
+            "import os, time\n"
+            "import numpy as np\n"
+            "from securakit import montecarlo\n"
+            "montecarlo._MIN_SLICE = 1\n"
+            "def worker(lo, hi):\n"
+            "    if lo == 0:\n"
+            "        time.sleep(0.5)\n"
+            "        raise KeyError('parent slice')\n"
+            "    return np.zeros(1 << 17)\n"
+            "try:\n"
+            "    montecarlo._run_partitioned(worker, 3, 3)\n"
+            "except KeyError as exc:\n"
+            "    print(exc)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        proc = fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "'parent slice'\nno child left\n"
+        assert proc.stderr == ""
+
+    def test_a_child_event_cap_error_reads_as_in_process(self, monkeypatch):
+        # up -> degraded -> up or down: each trial makes a random number of jumps before it fails
+        chain = Ctmc(["up", "degraded", "down"], [True, True, False],
+                     [[0.0, 1.0, 0.0], [10.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        absorbing = absorbing_variant(chain)
+
+        def jumps(seed, trial):
+            return len(simulate_trajectory(absorbing, 0, math.inf, CounterRng(seed, trial)).events)
+
+        # a seed whose trial 0, the parent's slice, fails within the cap while a child's trial does not
+        seed = next(s for s in range(100) if jumps(s, 0) < max(jumps(s, 1), jumps(s, 2)))
+        cfg = MonteCarloConfig(n_trials=3, horizon=0.0, seed=seed, max_events=jumps(seed, 0))
+        monkeypatch.setattr(montecarlo, "_MIN_SLICE", 1)
+        messages = []
+        for threads in (1, 3):
+            with pytest.raises(ConvergenceError) as info:
+                estimate_mttf(chain, 0, cfg, threads=threads)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            f"a trial exceeded {cfg.max_events} events; the failure set may be effectively unreachable")
+        self.assert_no_child_left()
+
+    def test_a_fork_after_numpy_prints_no_thread_warning(self):
+        # Python 3.12 warns at a fork when the process runs several threads; numpy's BLAS pool
+        # stops itself before a fork, so a command that forks prints no such warning
+        code = (
+            "import numpy as np\n"
+            "from securakit import montecarlo\n"
+            "np.ones((300, 300)) @ np.ones((300, 300))\n"
+            "montecarlo._MIN_SLICE = 1\n"
+            "print(montecarlo._run_partitioned(lambda lo, hi: (lo, hi), 3, 3))\n"
+        )
+        proc = fresh_python(code, "-W", "always::DeprecationWarning")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[(0, 1), (1, 2), (2, 3)]\n"
+        assert "multi-threaded" not in proc.stderr
