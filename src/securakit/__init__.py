@@ -6,7 +6,8 @@ Submodules:
 * :mod:`securakit.markov` - continuous-time Markov chain availability engine
 * :mod:`securakit.montecarlo` - reproducible Monte Carlo estimation
 * :mod:`securakit.securability` - MS/DR chain, attacks, r-out-of-n composition
-* :mod:`securakit.model_io` - model documents and report serialization
+* :mod:`securakit.model_io` - model documents: parsing, validation, model builders
+* :mod:`securakit.report` - analysis reports and their serialization
 * :mod:`securakit.rng` - counter-based random streams
 * :mod:`securakit.cli` - the ``securakit`` command
 

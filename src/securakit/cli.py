@@ -16,8 +16,8 @@ PATH``; a flag the command does not read is a usage error, except that
 transient`` and ``mc reliability`` accept ``--grid t0:t1:steps`` and emit a
 series block for plotting.  ``--seed`` overrides any in-document seed;
 ``--threads`` is the number of worker processes, the command's own
-included; it defaults to ``SECURAKIT_THREADS`` or the number of usable
-cores, and results are independent of it by the stream design.
+included; it defaults to the number of usable cores, and results are
+independent of it by the stream design.
 
 Exit codes: 0 success, 1 validation error, 2 numerical/convergence error,
 3 usage error.  Errors are reported one per line on stderr as
@@ -102,13 +102,8 @@ def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
             )
     elif not 0 <= seed < 2 ** 64:
         raise UsageError(f"--seed must be in [0, 2**64), got {seed}")
-    threads, env = ctx.args.threads, os.environ.get("SECURAKIT_THREADS")
-    if threads is None and env is not None:
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise UsageError(f"SECURAKIT_THREADS must be an integer, got {env!r}") from exc
-    elif threads is None:  # the cores this process may run on, where the platform tells
+    threads = ctx.args.threads
+    if threads is None:  # the cores this process may run on, where the platform tells
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if threads < 1:
         raise UsageError(f"thread count must be >= 1, got {threads}")
@@ -268,8 +263,7 @@ def _sec_msdr(ctx: _Context) -> AnalysisReport:
 
     chain = ctx.model
     pi = markov.steady_state(chain)
-    # 1 - pi(both_down), the only non-operational state: service_availability without a second solve
-    service = 1.0 - float(pi.pi[~chain.operational].sum())
+    service = securability.msdr_service_availability(chain, pi)
     results = [Result("service_availability", service, "analytic"), *_state_rows(chain, pi)]
     results.append(Result("mttf", markov.mttf_absorbing(chain, ctx.start), "analytic"))
     threat = model_io.build_threat(ctx.doc)
@@ -346,8 +340,7 @@ def build_parser() -> _Parser:
         if "seed" in model_io._OP_SETTINGS.get(command.op, {}):
             p.add_argument("--seed", type=int, default=None, help="overrides any in-document seed")
             p.add_argument("--threads", type=int, default=None,
-                           help="worker processes, this one included "
-                                "(default: SECURAKIT_THREADS or the usable cores)")
+                           help="worker processes, this one included (default: the usable cores)")
         if command.handler is _validate:
             p.add_argument("--quiet", action="store_true")
     return root

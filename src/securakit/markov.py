@@ -169,6 +169,14 @@ def _reachable(sources: np.ndarray, targets: np.ndarray, start: np.ndarray) -> n
     return np.array(seen)
 
 
+def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """The solution x of a @ x = b; a singular ``a`` raises SingularSystemError naming the ``what`` system."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"{what} system is singular: {exc}") from exc
+
+
 def _require_irreducible(chain: Ctmc) -> None:
     (sources, targets), first = _edges(chain), np.arange(chain.n) == 0
     if not (_reachable(sources, targets, first).all() and _reachable(targets, sources, first).all()):
@@ -190,10 +198,7 @@ def steady_state(chain: Ctmc) -> ProbabilityVector:
     a[-1, :] = 1.0
     b = np.zeros(chain.n)
     b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"steady-state system is singular: {exc}") from exc
+    pi = _solve(a, b, "steady-state")
     tiny = (pi < 0) & (pi > -1e-13)
     pi[tiny] = 0.0
     residual = float(np.abs(pi @ q).max())
@@ -385,11 +390,11 @@ def _vet_hitting_states(chain: Ctmc, start: int, target_mask: np.ndarray, kind: 
 def _expected_hitting_time(chain: Ctmc, start: int, target_mask: np.ndarray, kind: str) -> float:
     """Expected time from ``start`` until the chain first enters ``target_mask``."""
     idx = _vet_hitting_states(chain, start, target_mask, kind)
-    sub = chain.generator[np.ix_(idx, idx)]
-    try:
-        tau = np.linalg.solve(sub, -np.ones(idx.size))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"hitting-time system is singular: {exc}") from exc
+    tau = _solve(chain.generator[np.ix_(idx, idx)], -np.ones(idx.size), "hitting-time")
+    # every expected time is > 0; a stiff system can lose all precision and give one that is not, or NaN
+    bad = ~(tau > 0)
+    if bad.any():
+        raise SingularSystemError(f"hitting-time solve lost precision: got {tau[bad][0]:.6g}")
     return float(tau[np.searchsorted(idx, start)])
 
 

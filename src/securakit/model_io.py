@@ -40,7 +40,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import SchemaError, ValidationError
-from .report import AnalysisReport, emit_report, from_json  # noqa: F401  (public surface)
 
 if TYPE_CHECKING:
     from .markov import Ctmc

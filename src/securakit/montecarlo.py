@@ -100,10 +100,6 @@ class Trajectory:
             raise DomainError("event times must be strictly increasing")
         object.__setattr__(self, "events", tuple((float(t), int(s)) for t, s in self.events))
 
-    @property
-    def survived_horizon(self) -> bool:
-        return self.absorbed_at is None
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -159,8 +155,7 @@ def simulate_trajectory(
     markov.check_start(chain, start)
     if not horizon >= 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
-    q = chain.generator
-    exit_rates = chain.exit_rates
+    offsets, exit_rates = chain.offsets, chain.exit_rates
     events: list[tuple[float, int]] = []
     state = start
     t = 0.0
@@ -173,14 +168,10 @@ def simulate_trajectory(
         if t + hold > horizon:
             return Trajectory(events=tuple(events), absorbed_at=None)
         t = t + hold
-        row = q[state]
+        lo, hi = offsets[state], offsets[state + 1]
         acc = 0.0
-        nxt = -1
-        for j in range(chain.n):
-            if j == state or row[j] <= 0:
-                continue
-            acc += row[j] / rate
-            nxt = j
+        for nxt, r in zip(chain.targets[lo:hi].tolist(), chain.rates[lo:hi].tolist()):
+            acc += r / rate
             if u <= acc:
                 break
         state = nxt

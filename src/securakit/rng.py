@@ -223,8 +223,3 @@ class CounterRng:
         counters = np.arange(self._index, self._index + n, dtype=np.uint64)
         self._index += n
         return uniform_block(self.seed, self.trial, self.substream, counters)
-
-    @property
-    def draws_used(self) -> int:
-        """Number of blocks consumed so far (the next draw's counter value)."""
-        return self._index

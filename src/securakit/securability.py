@@ -143,8 +143,17 @@ def service_availability(rates: MsDrRates, single_repair_crew: bool = False) -> 
     The service is up whenever at least one of MS/DR is up, i.e. in every
     state except ``both_down``.
     """
-    pi = markov.steady_state(build_msdr(rates, single_repair_crew))
-    return 1.0 - float(pi.pi[3])
+    chain = build_msdr(rates, single_repair_crew)
+    return msdr_service_availability(chain, markov.steady_state(chain))
+
+
+def msdr_service_availability(chain: Ctmc, pi: markov.ProbabilityVector) -> float:
+    """Service availability of an MS/DR ``chain`` from its solved steady state ``pi``.
+
+    One minus the mass outside the operational set, which for the MS/DR
+    chain is pi(both_down) alone.
+    """
+    return 1.0 - float(pi.pi[~chain.operational].sum())
 
 
 def combine_failure_and_attack(failure_rate: float, threat: ThreatProfile) -> float:

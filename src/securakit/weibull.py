@@ -66,10 +66,6 @@ class FailureSample:
     def uncensored_times(self) -> np.ndarray:
         return np.array([t for t, c in zip(self.times, self.censored) if not c])
 
-    @property
-    def n_uncensored(self) -> int:
-        return sum(not c for c in self.censored)
-
 
 def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
     """One law at the times ``t``: a float for a scalar or 0-d ``t``, an array otherwise.

@@ -132,6 +132,8 @@ MALFORMED_DOCUMENTS = [
         ' "analyses": [{"op": "metrics", "failed": 2}]}'
     ),
     *MULTI_FAULT_DOCUMENTS,
+    # a fit entry with a law but no data; tests read the entries after this one by negative index
+    '{"kind": "weibull", "parameters": {"alpha": 1, "beta": 2}, "analyses": [{"op": "fit"}]}',
     # a number past the largest double once crashed validate; a longer integer literal crashed json.loads
     '{"kind": "weibull", "parameters": {"alpha": 1' + "0" * 399 + ', "beta": 2}}',
     '{"kind": "weibull", "parameters": {"alpha": 1' + "0" * 5000 + ', "beta": 2}}',

@@ -64,6 +64,20 @@ WEIBULL_FIT_DOC = {
 }
 
 
+def chain_doc(operational, transitions, analyses, seed=None):
+    """A markov document with explicit states s0, s1, ... and (from, to, rate) transitions."""
+    states = [{"label": f"s{i}", "operational": op} for i, op in enumerate(operational)]
+    edges = [{"from": i, "to": j, "rate": rate} for i, j, rate in transitions]
+    doc = {"kind": "markov", "parameters": {"states": states, "transitions": edges}, "analyses": analyses}
+    return doc if seed is None else {**doc, "seed": seed}
+
+
+def ladder_doc(n, lam, mu):
+    """States 0..n-1 with failures i -> i+1 at ``lam`` and repairs back at ``mu``; only the top one is failed."""
+    transitions = [(i, i + 1, lam) for i in range(n - 1)] + [(i + 1, i, mu) for i in range(n - 1)]
+    return chain_doc([True] * (n - 1) + [False], transitions, [{"op": "metrics"}])
+
+
 @pytest.fixture
 def write_doc(tmp_path):
     def _write(payload, name="model.json"):
@@ -136,6 +150,15 @@ class TestHappyPaths:
         mttf_methods = {r["method"] for r in rows if r["metric"] == "mttf"}
         assert mttf_methods == {"analytic", "paper_rate_sum"}
 
+    def test_markov_metrics_omits_the_rate_sum_without_a_direct_failure_exit(self, capsys, write_doc):
+        # s0 reaches the failed s2 only through s1, so the rate-sum estimate is undefined
+        doc = chain_doc([True, True, False], [(0, 1, 0.02), (1, 0, 0.3), (1, 2, 0.05), (2, 0, 0.1)],
+                        [{"op": "metrics"}])
+        code, out, err = run(capsys, ["markov", "metrics", "--file", write_doc(doc), "--format", "json"])
+        assert (code, err) == (0, "")
+        rows = [(r["metric"], r["method"]) for r in json.loads(out)["results"]]
+        assert rows == [("mttf", "analytic"), ("mttr", "analytic"), ("availability", "analytic")]
+
     def test_mc_reliability(self, capsys, write_doc):
         path = write_doc(TWO_STATE_DOC)
         code, out, _ = run(capsys, ["mc", "reliability", "--file", path, "--format", "json"])
@@ -167,6 +190,26 @@ class TestHappyPaths:
         assert code == 0
         values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
         assert values["service_availability"] == pytest.approx(0.9917355, abs=5e-8)
+
+    @pytest.mark.parametrize("applies_to", ["ms", "dr", "both"])
+    def test_sec_msdr_attack_raises_the_named_failure_rates(self, capsys, write_doc, applies_to):
+        lam_ms, lam_dr, mu_ms, mu_dr, attack = 0.01, 0.02, 0.1, 0.3, 0.05
+        params = {"lambda_ms": lam_ms, "lambda_dr": lam_dr, "mu_ms": mu_ms, "mu_dr": mu_dr,
+                  "attack": {"rate": attack, "applies_to": applies_to}}
+        code, out, err = run(capsys, ["sec", "msdr", "--file", write_doc({**MSDR_DOC, "parameters": params}),
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
+        # with both repairs concurrent, MS and DR are independent two-state chains: pi is their product
+        a = lam_ms + attack * (applies_to != "dr")
+        b = lam_dr + attack * (applies_to != "ms")
+        ms_down, dr_down = a / (a + mu_ms), b / (b + mu_dr)
+        expected = {"both_up": (1 - ms_down) * (1 - dr_down), "ms_down": ms_down * (1 - dr_down),
+                    "dr_down": (1 - ms_down) * dr_down, "both_down": ms_down * dr_down}
+        for label, p in expected.items():
+            assert values[f"pi[{label}]"] == pytest.approx(p, rel=1e-12)
+        assert values["service_availability"] == pytest.approx(1 - expected["both_down"], rel=1e-12)
+        assert values["mtta"] == pytest.approx(1 / attack, rel=1e-15)
 
     def test_sec_routofn(self, capsys, write_doc):
         path = write_doc(ROUTOFN_DOC)
@@ -285,7 +328,8 @@ class TestDeterminism:
         entry = next(e for e in doc.analyses if e["op"] == "reliability")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.delenv("SECURAKIT_THREADS", raising=False)
+        # no environment variable changes the default
+        monkeypatch.setenv("SECURAKIT_THREADS", "3")
 
         def threads(flag=None):
             args = argparse.Namespace(seed=None, threads=flag)
@@ -293,8 +337,6 @@ class TestDeterminism:
             return cli._monte_carlo(ctx)[1]
 
         assert threads() == 1
-        monkeypatch.setenv("SECURAKIT_THREADS", "3")
-        assert threads() == 3
         assert threads(5) == 5
 
     def test_missing_seed_is_validation_error(self, capsys, write_doc):
@@ -303,16 +345,6 @@ class TestDeterminism:
         code, _, err = run(capsys, ["mc", "reliability", "--file", path])
         assert code == 1
         assert "seed" in err
-
-    def test_env_threads_fallback(self, capsys, write_doc, monkeypatch):
-        path = write_doc(TWO_STATE_DOC)
-        monkeypatch.setenv("SECURAKIT_THREADS", "2")
-        code, out, _ = run(capsys, ["mc", "reliability", "--file", path, "--format", "json"])
-        assert code == 0
-        monkeypatch.setenv("SECURAKIT_THREADS", "junk")
-        code, _, err = run(capsys, ["mc", "reliability", "--file", path, "--format", "json"])
-        assert code == 3
-        assert "SECURAKIT_THREADS" in err
 
 
 CENSORED_FIT_DOC = {
@@ -706,6 +738,28 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
         assert (values["pdf"], values["hazard"], values["cdf"], values["reliability"]) == (1e-10, 1e-10, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n, lam, mu", [(6, 1e-5, 1e3), (12, 1e-2, 10.0)])
+    def test_hitting_time_that_lost_precision_exits_2(self, capsys, write_doc, n, lam, mu):
+        # the solve's answer on these stiff chains is negative: a loud error, not a printed MTTF
+        code, out, err = run(capsys, ["markov", "metrics", "--file", write_doc(ladder_doc(n, lam, mu))])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: numerical: hitting-time solve lost precision: got -")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, entry, message", [
+        ("markov metrics", {"op": "metrics"}, "markov metrics needs a chain with a non-operational state"),
+        ("mc mttf", {"op": "mttf", "n_trials": 10}, "chain has no non-operational state"),
+    ])
+    def test_chain_without_a_failed_state_is_validation_error(self, capsys, write_doc, command, entry, message):
+        doc = chain_doc([True, True], [(0, 1, 0.1), (1, 0, 0.2)], [entry], seed=1)
+        code, out, err = run(capsys, [*command.split(), "--file", write_doc(doc)])
+        assert (code, out, err) == (1, "", f"error: validation: {message}\n")
+
+    def test_grid_with_a_non_number_is_usage_error(self, capsys, write_doc):
+        code, out, err = run(capsys, ["markov", "transient", "--file", write_doc(TWO_STATE_DOC),
+                                      "--grid", "0:a:3"])
+        assert (code, out, err) == (3, "", "error: usage: --grid expects numbers T0:T1:STEPS, got '0:a:3'\n")
 
     def test_usage_error_unknown_flag(self, capsys):
         code, _, err = run(capsys, ["markov", "solve", "--bogus", "x"])

@@ -519,6 +519,34 @@ class TestHittingTimes:
             "expected hitting time is infinite"
         )
 
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -5.0])
+    def test_a_hitting_time_that_is_not_positive_is_lost_precision(self, monkeypatch, bad):
+        # the start's own time stays right; a bad time of any other state fails the whole solve
+        solve = np.linalg.solve
+
+        def damaged(a, b):
+            tau = solve(a, b)
+            tau[-1] = bad
+            return tau
+
+        monkeypatch.setattr(np.linalg, "solve", damaged)
+        with pytest.raises(SingularSystemError) as exc:
+            mttf_absorbing(series_chain(0.1, 0.2), 0)
+        assert str(exc.value) == f"hitting-time solve lost precision: got {bad:.6g}"
+
+    @pytest.mark.parametrize("solver, message", [
+        (steady_state, "steady-state system is singular: boom"),
+        (lambda chain: mttf_absorbing(chain, 0), "hitting-time system is singular: boom"),
+    ], ids=["steady_state", "hitting_time"])
+    def test_singular_solve_names_its_system(self, monkeypatch, solver, message):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("boom")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularSystemError) as exc:
+            solver(build_two_state(0.1, 0.2))
+        assert str(exc.value) == message
+
     def test_mttf_start_must_be_operational(self):
         with pytest.raises(DomainError):
             mttf_absorbing(build_two_state(0.1, 0.1), 1)

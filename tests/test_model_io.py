@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from malformed_corpus import MALFORMED_DOCUMENTS, MULTI_FAULT_DOCUMENTS
 
-from securakit import model_io
 from securakit.errors import NumericalError, SchemaError, ValidationError
 from securakit.markov import build_two_state
 from securakit.model_io import (
@@ -430,6 +429,15 @@ def test_multi_fault_documents_report_every_fault_in_order(text, expected):
     assert err.value.diagnostics == expected
 
 
+def test_fit_entry_with_a_law_but_no_data_is_a_schema_diagnostic():
+    text = MALFORMED_DOCUMENTS[-4]
+    assert json.loads(text) == {"kind": "weibull", "parameters": {"alpha": 1, "beta": 2},
+                                "analyses": [{"op": "fit"}]}
+    with pytest.raises(SchemaError) as err:
+        parse_model(text)
+    assert err.value.diagnostics == [("parameters.data", "op 'fit' needs failure data")]
+
+
 def test_number_past_the_largest_double_is_not_finite():
     text = MALFORMED_DOCUMENTS[-3]
     assert '"alpha": 1' + "0" * 399 + "," in text
@@ -626,8 +634,3 @@ class TestReports:
 
         with pytest.raises(DomainError):
             Series("s", [1.0], [1.0, 2.0])
-
-
-def test_model_io_reexports_report_surface():
-    assert model_io.emit_report is emit_report
-    assert model_io.AnalysisReport is AnalysisReport

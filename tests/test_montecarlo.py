@@ -133,7 +133,7 @@ class TestSimulateTrajectory:
         chain = Ctmc(["a", "b"], [True, False], np.zeros((2, 2)))
         path = simulate_trajectory(chain, 0, 100.0, CounterRng(seed=1))
         assert path.events == ()
-        assert path.survived_horizon
+        assert path.absorbed_at is None
 
     def test_competing_risks_proportions(self):
         rates = np.zeros((3, 3))
@@ -175,6 +175,17 @@ class TestSimulateTrajectory:
 
 
 class TestEstimateReliability:
+    @pytest.mark.parametrize("times, message", [
+        ([], "times must be nonempty"),
+        (-1.0, "times must be >= 0"),
+        ([0.0, 5.0, -0.5], "times must be >= 0"),
+    ])
+    def test_curve_times_must_be_nonempty_and_nonnegative(self, times, message):
+        cfg = MonteCarloConfig(n_trials=10, horizon=1.0, seed=3)
+        with pytest.raises(DomainError) as info:
+            estimate_reliability_curve(build_two_state(0.01, 0.1), 0, cfg, times)
+        assert str(info.value) == message
+
     def test_two_state_matches_exponential(self):
         chain = build_two_state(0.01, 0.1)
         cfg = MonteCarloConfig(n_trials=100_000, horizon=10.0, seed=3)
@@ -337,6 +348,14 @@ class TestOccupancy:
         cfg = MonteCarloConfig(n_trials=10, horizon=10.0, seed=0)
         with pytest.raises(DomainError):
             estimate_occupancy(chain, 0, cfg, target_states=(1,), burn_in=10.0)
+
+    @pytest.mark.parametrize("target", [2, -1])
+    def test_target_out_of_range(self, target):
+        chain = build_two_state(0.05, 0.2)
+        cfg = MonteCarloConfig(n_trials=10, horizon=10.0, seed=0)
+        with pytest.raises(DomainError) as info:
+            estimate_occupancy(chain, 0, cfg, target_states=(0, target), burn_in=1.0)
+        assert str(info.value) == f"target state {target} out of range 0..1"
 
     def test_exact_when_no_trial_changes_membership(self):
         # a -> b moves every trial between two targets, so each fraction is the whole window

@@ -362,4 +362,3 @@ class TestFailureSample:
     def test_default_flags_all_uncensored(self):
         sample = FailureSample((1.0, 2.0))
         assert sample.censored == (False, False)
-        assert sample.n_uncensored == 2
