@@ -10,12 +10,16 @@ printed per run: workload, seed, argv (document paths are bare file
 names), exit code, and the sha256 of stdout and of stderr.  After them,
 every document of ``tests/malformed_corpus.py`` runs through ``securakit
 validate`` and prints one line the same way, so the diff covers the
-diagnostics too.
+diagnostics too.  A corpus line, and the file ``validate`` reads, is named
+by the first 12 hex digits of the sha256 of the document text, so a
+document added anywhere in the corpus adds one line and renames no other.
 
 Usage: python scripts/output_digest.py --seeds 7 11 [--quick]
 
-Run it on a checkout of the parent commit and on the change, then diff
-the two outputs: an empty diff means every output kept its bytes.
+Copy this script into a checkout of the parent commit, run it there and
+on the change, then diff the two outputs: an empty diff means every
+output kept its bytes.  Running the same script in both trees keeps an
+edit to the script itself out of the diff.
 
 It also checks that results do not depend on the worker count: the
 script exits 1, naming the argv, when a command's 2-worker run differs
@@ -150,11 +154,12 @@ def main() -> None:
                     os.chdir(here)
         os.chdir(tmp)
         try:
-            for i, text in enumerate(MALFORMED_DOCUMENTS):
-                name = f"malformed_{i}.json"
+            for text in MALFORMED_DOCUMENTS:
+                key = _sha(text)[:12]
+                name = f"malformed_{key}.json"
                 Path(name).write_text(text, encoding="utf-8")
                 code, out, err = _run(["validate", name])
-                print("malformed_corpus", i, "validate", name, f"exit={code}",
+                print("malformed_corpus", key, "validate", name, f"exit={code}",
                       f"stdout={_sha(out)}", f"stderr={_sha(err)}", flush=True)
         finally:
             os.chdir(here)

@@ -77,7 +77,7 @@ class _Context(NamedTuple):
 def _load_document(path: str) -> ModelDocument:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     return model_io.parse_model(text)
 
@@ -353,7 +353,7 @@ def _run(args) -> AnalysisReport | None:
         return command.handler(args)
     name = f"{args.command} {args.subcommand}"
     doc = _load_document(args.file)
-    kinds = tuple(kind for kind, ops in model_io.OPS.items() if command.op in ops)
+    kinds = tuple(kind for kind, row in model_io._KINDS.items() if command.op in row.ops)
     if doc.kind not in kinds:
         raise ValidationError(f"{name} needs a document of kind {' or '.join(kinds)}, got {doc.kind}")
     model, start, entry = model_io.build_model(doc, command.op)

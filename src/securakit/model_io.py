@@ -21,7 +21,8 @@ analyses require an explicit seed (document- or analysis-level, or the
 CLI flag); none is ever auto-generated.
 
 Each kind is one row of ``_KINDS``: the parameter keys it allows, their
-validator and its builder, which :func:`build_model` calls for any kind.
+validator, its builder, which :func:`build_model` calls for any kind, and
+the ops its analyses may name.
 Parsing and validation are pure Python.  The builders import the engines
 they construct (and numpy) when called, so validating a document loads
 neither.
@@ -189,14 +190,6 @@ _INDEX = partial(_Check.integer, lo=0)
 _POSITIVE = partial(_Check.number, rule="be > 0")
 _NONNEG = partial(_Check.number, rule="be >= 0")
 
-# analyses permitted per document kind; the CLI takes the kinds a command accepts from here
-_CHAIN_OPS = ("solve", "transient", "metrics", "reliability", "mttf")
-OPS = {
-    "weibull": ("eval", "fit"),
-    "markov": _CHAIN_OPS,
-    "msdr": ("msdr",) + _CHAIN_OPS,
-    "r_out_of_n": ("routofn", "threshold_reliability"),
-}
 FIT_METHODS = ("rank_regression", "mle", "both")
 _MC_COMMON = {"n_trials": (True, _TRIALS), "seed": (False, _SEED), "max_events": (False, _TRIALS)}
 # settings accepted per op: name -> (required, validator); the ops with a seed are the Monte Carlo ones
@@ -338,28 +331,32 @@ def _validate_r_out_of_n_params(check: _Check, params: dict):
 
 
 class _Kind(NamedTuple):
-    """A document kind: the parameter keys it allows, their validator and its model builder.
+    """A document kind: the parameter keys it allows, their validator, its model builder and its ops.
 
     ``validate(check, params)`` returns the chain's state count where it is
     known, else None.  ``build(doc)`` returns ``(model, start)``, ``start``
     None for a kind without a chain; it calls the public builder by its
-    module name, so a patched builder is the one called.
+    module name, so a patched builder is the one called.  ``ops`` are the
+    analyses its documents may request; the CLI takes the kinds a command
+    accepts from them.
     """
 
     params: tuple[str, ...]
     validate: Callable[[_Check, dict], int | None]
     build: Callable[[ModelDocument], tuple]
+    ops: tuple[str, ...]
 
 
+_CHAIN_OPS = ("solve", "transient", "metrics", "reliability", "mttf")
 _KINDS = {
     "weibull": _Kind(("alpha", "beta", "data"), _validate_weibull_params,
-                     lambda doc: (build_failure_sample(doc), None)),
+                     lambda doc: (build_failure_sample(doc), None), ("eval", "fit")),
     "markov": _Kind(("lambda", "mu", "states", "transitions", "start"), _validate_markov_params,
-                    lambda doc: build_chain(doc)),
+                    lambda doc: build_chain(doc), _CHAIN_OPS),
     "msdr": _Kind(("lambda_ms", "lambda_dr", "mu_ms", "mu_dr", "single_repair_crew", "attack"),
-                  _validate_msdr_params, lambda doc: (build_msdr_chain(doc), 0)),
+                  _validate_msdr_params, lambda doc: (build_msdr_chain(doc), 0), ("msdr", *_CHAIN_OPS)),
     "r_out_of_n": _Kind(("r", "subsystems"), _validate_r_out_of_n_params,
-                        lambda doc: (build_r_out_of_n(doc), None)),
+                        lambda doc: (build_r_out_of_n(doc), None), ("routofn", "threshold_reliability")),
 }
 
 
@@ -373,7 +370,7 @@ def _validate_analyses(check: _Check, kind: str, analyses) -> list[dict]:
         obj = check.obj(entry, base)
         if obj is None:
             continue
-        op = check.string(obj.get("op"), f"{base}.op", choices=OPS[kind])
+        op = check.string(obj.get("op"), f"{base}.op", choices=_KINDS[kind].ops)
         if op is None:
             continue
         spec = _OP_SETTINGS[op]
@@ -413,7 +410,7 @@ def parse_model(text: str) -> ModelDocument:
         raise SchemaError(check.diags)
 
     check.keys(root, ("kind", "time_unit", "seed", "parameters", "analyses"), "", "unknown top-level key")
-    kind = check.string(root.get("kind"), "kind", choices=OPS)
+    kind = check.string(root.get("kind"), "kind", choices=_KINDS)
     time_unit = check.string(root["time_unit"], "time_unit") if "time_unit" in root else None
     seed = _SEED(check, root["seed"], "seed") if "seed" in root else None
     params = check.obj(root.get("parameters"), "parameters")
@@ -523,9 +520,7 @@ def build_failure_sample(doc: ModelDocument) -> FailureSample:
     if "data" not in doc.parameters:
         raise ValidationError("weibull fit needs parameters.data in the document")
     data = doc.parameters["data"]
-    times = tuple(float(t) for t in data["times"])
-    censored = tuple(bool(c) for c in data.get("censored", ()))
-    return FailureSample(times=times, censored=censored)
+    return FailureSample(times=data["times"], censored=data.get("censored", ()))
 
 
 def build_r_out_of_n(doc: ModelDocument) -> RoutOfNSystem:

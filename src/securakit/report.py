@@ -1,11 +1,13 @@
 """Analysis report container and its serialized forms.
 
 JSON is the canonical machine format: emission is deterministic (sorted
-keys, fixed separators) and lossless, so ``from_json(to_json(r)) == r``
-field for field and repeated runs of a seeded analysis produce
-byte-identical documents.  CSV exists for plotting pipelines (one row per
-result, one section per series) and the table form is for humans; neither
-carries the round-trip guarantee.
+keys, fixed separators), so repeated runs of a seeded analysis produce
+byte-identical documents.  The round trip ``from_json(to_json(r)) == r``
+holds by construction: ``to_json`` writes each record's dataclass fields
+and ``from_json`` passes them back to its constructor by name, so a field
+is declared once, in its dataclass.  CSV exists for plotting pipelines
+(one row per result, one section per series) and the table form is for
+humans; neither carries the round-trip guarantee.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .errors import DomainError, NumericalError
 TOOL_VERSION = "0.1.0"
 
 METHOD_LABELS = frozenset({"analytic", "paper_rate_sum", "monte_carlo", "rank_regression", "mle"})
-
-FORMATS = ("json", "csv", "table")
 
 
 @dataclass
@@ -70,36 +70,20 @@ class AnalysisReport:
 
 
 def to_json(report: AnalysisReport) -> str:
-    payload = {
-        "tool_version": report.tool_version,
-        "seed_used": report.seed_used,
-        "model_echo": report.model_echo,
-        "results": [
-            {"metric": r.metric, "value": r.value, "method": r.method, "uncertainty": r.uncertainty}
-            for r in report.results
-        ],
-        "series": [{"name": s.name, "t": s.t, "values": s.values} for s in report.series],
-    }
+    # each record's fields, taken shallowly: a series' lists are written, not copied
+    payload = vars(report) | {"results": [vars(r) for r in report.results],
+                              "series": [vars(s) for s in report.series]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def from_json(text: str) -> AnalysisReport:
+    """The report ``text`` holds; a key that is no field of its record raises ``TypeError``."""
     payload = json.loads(text)
-    return AnalysisReport(
-        model_echo=payload["model_echo"],
-        results=[
-            Result(
-                metric=r["metric"],
-                value=r["value"],
-                method=r["method"],
-                uncertainty=r.get("uncertainty"),
-            )
-            for r in payload["results"]
-        ],
-        series=[Series(name=s["name"], t=s["t"], values=s["values"]) for s in payload.get("series", [])],
-        tool_version=payload["tool_version"],
-        seed_used=payload.get("seed_used"),
-    )
+    payload["results"] = [Result(**r) for r in payload["results"]]
+    if "series" in payload:
+        payload["series"] = [Series(**s) for s in payload["series"]]
+    version = payload.pop("tool_version")  # required: the field's default names this build, not the report's
+    return AnalysisReport(**payload, tool_version=version)
 
 
 def _fmt(value: float) -> str:
@@ -143,12 +127,13 @@ def to_table(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# format name -> writer, in the order the CLI offers them
+_WRITERS = {"json": to_json, "csv": to_csv, "table": to_table}
+FORMATS = tuple(_WRITERS)
+
+
 def emit_report(report: AnalysisReport, format: str = "json") -> str:
     """Serialize a report as ``json`` (canonical), ``csv``, or ``table``."""
-    if format == "json":
-        return to_json(report)
-    if format == "csv":
-        return to_csv(report)
-    if format == "table":
-        return to_table(report)
-    raise DomainError(f"format must be one of {FORMATS}, got {format!r}")
+    if format not in FORMATS:
+        raise DomainError(f"format must be one of {FORMATS}, got {format!r}")
+    return _WRITERS[format](report)

@@ -778,6 +778,15 @@ class TestExitCodes:
         code, _, err = run(capsys, ["markov", "solve", "--file", "/nonexistent/x.json"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["validate", "{}"], ["markov", "solve", "--file", "{}"]])
+    def test_document_that_is_not_utf8_is_validation_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff" + json.dumps(TWO_STATE_DOC).encode())
+        code, out, err = run(capsys, [a.format(path) for a in argv])
+        assert (code, out) == (1, "")
+        assert err == (f"error: validation: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
     @pytest.mark.parametrize("command, doc, message", WRONG_KIND, ids=[c for c, _, _ in WRONG_KIND])
     def test_wrong_kind_is_validation_error(self, capsys, write_doc, command, doc, message):
         code, out, err = run(capsys, [*command.split(), "--file", write_doc(doc)])

@@ -587,6 +587,33 @@ class TestReports:
         restored = from_json(emit_report(report, "json"))
         assert restored.results[0].value == math.pi
 
+    def test_json_optional_fields_take_their_defaults(self):
+        text = '{"model_echo": {}, "results": [{"metric": "a", "value": 1.0, "method": "analytic"}],' \
+               ' "tool_version": "0.1.0"}'
+        report = from_json(text)
+        assert report.series == [] and report.seed_used is None
+        assert report.results[0].uncertainty is None
+        assert from_json(emit_report(report, "json")) == report
+
+    def test_json_without_tool_version_rejected(self):
+        payload = json.loads(emit_report(self.sample_report(), "json"))
+        del payload["tool_version"]
+        with pytest.raises(KeyError, match="tool_version"):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("where", ["report", "result", "series"])
+    def test_json_unknown_key_rejected(self, where):
+        payload = json.loads(emit_report(self.sample_report(), "json"))
+        target = {"report": payload, "result": payload["results"][0], "series": payload["series"][0]}[where]
+        target["diagnostics"] = {}
+        with pytest.raises(TypeError, match="diagnostics"):
+            from_json(json.dumps(payload))
+
+    def test_formats_in_cli_order(self):
+        from securakit.report import FORMATS
+
+        assert FORMATS == ("json", "csv", "table")
+
     def test_json_emission_is_deterministic(self):
         a = emit_report(self.sample_report(), "json")
         b = emit_report(self.sample_report(), "json")
@@ -614,8 +641,9 @@ class TestReports:
     def test_unknown_format_rejected(self):
         from securakit.errors import DomainError
 
-        with pytest.raises(DomainError):
-            emit_report(self.sample_report(), "yaml")
+        for format in ("yaml", ["json"]):
+            with pytest.raises(DomainError):
+                emit_report(self.sample_report(), format)
 
     def test_method_labels_enforced(self):
         from securakit.errors import DomainError
