@@ -20,11 +20,16 @@ included; it defaults to the number of usable cores, and results are
 independent of it by the stream design.
 
 Exit codes: 0 success, 1 validation error, 2 numerical/convergence error,
-3 usage error.  Errors are reported one per line on stderr as
-``error: <category>: <detail>``, and warnings as ``warning: <detail>``.
+3 usage error, which includes an output that cannot be written: an
+unwritable ``--out`` or a standard output whose reader has gone.  Errors
+are reported one per line on stderr as ``error: <category>: <detail>``,
+and warnings as ``warning: <detail>``.
 
 Each handler imports the engines it calls, so ``validate`` runs without
-numpy and a command loads only the engines it uses.
+numpy and a command loads only the engines it uses; likewise the parser
+builds the commands and flags of the invoked group only.  :func:`main`
+leaves the garbage collector as it finds it: the program entry,
+:func:`securakit.__main__.run`, is what turns it off for a command.
 """
 
 from __future__ import annotations
@@ -80,6 +85,19 @@ def _load_document(path: str) -> ModelDocument:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     return model_io.parse_model(text)
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output and flush it; a reader that has gone is a usage error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what is left in the buffer goes to devnull, so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"cannot write standard output: {exc}") from exc
 
 
 def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
@@ -155,7 +173,7 @@ def _weibull_eval(args) -> AnalysisReport:
 def _validate(args) -> None:
     _load_document(args.file)
     if not args.quiet:
-        print(f"ok: {args.file}")
+        _write_stdout(f"ok: {args.file}\n")
 
 
 def _weibull_fit(ctx: _Context) -> AnalysisReport:
@@ -312,19 +330,31 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The parser of every command, or, given ``argv``, of the one group it reaches.
+
+    Every top-level entry is built, since root help and an invalid choice
+    list them all.  argparse dispatches on the first argument that is no
+    option, so the first argument naming an entry names the group reached;
+    an argument before it that names none is an invalid choice at the root.
+    """
     root = _Parser(prog="securakit", description="reliability and securability analysis toolkit")
     sub = root.add_subparsers(dest="command", required=True)
+    entries = {}
+    for (group, name), command in _COMMANDS.items():
+        if group not in entries:
+            entries[group] = sub.add_parser(group, help=command.help if name is None else _GROUP_HELP[group])
+    reached = entries if argv is None else [next((arg for arg in argv if arg in entries), None)]
     groups = {}
     for (group, name), command in _COMMANDS.items():
+        if group not in reached:
+            continue
         if name is None:
-            p = sub.add_parser(group, help=command.help)
+            p = entries[group]
             p.add_argument("file")
         else:
             if group not in groups:
-                groups[group] = sub.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
-                    dest="subcommand", required=True
-                )
+                groups[group] = entries[group].add_subparsers(dest="subcommand", required=True)
             p = groups[group].add_parser(name, help=command.help)
             if command.op is None:
                 for flag in ("--alpha", "--beta", "--t"):
@@ -381,7 +411,8 @@ def _attach_grid_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
+        argv = _attach_grid_values(sys.argv[1:] if argv is None else argv)
+        args = build_parser(argv).parse_args(argv)
         rep = _run(args)
         if rep is not None:
             text = emit_report(rep, args.format)
@@ -391,7 +422,7 @@ def main(argv=None) -> int:
                 except OSError as exc:
                     raise UsageError(f"cannot write {args.out}: {exc}") from exc
             else:
-                sys.stdout.write(text)
+                _write_stdout(text)
         return EXIT_OK
     except SchemaError as exc:
         for path, message in exc.diagnostics:
@@ -407,6 +438,3 @@ def main(argv=None) -> int:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -554,12 +555,16 @@ ENGINES = ("numpy", "securakit.markov", "securakit.montecarlo", "securakit.weibu
 PRINT_ENGINES = f"print([m for m in {ENGINES!r} if m in sys.modules])\n"
 
 
-def fresh_python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports securakit from the tree under test."""
+def fresh_env() -> dict:
+    """The environment of a new interpreter that imports securakit from the tree under test."""
     src = str(Path(securakit.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports securakit from the tree under test."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=fresh_env(), timeout=60)
 
 
 class TestColdStart:
@@ -647,6 +652,82 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "module 'securakit' has no attribute 'no_such_name'\n"
+
+
+class TestProgramEntry:
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, write_doc):
+        before = gc.isenabled(), gc.get_freeze_count()
+        code, _, _ = run(capsys, ["markov", "solve", "--file", write_doc(TWO_STATE_DOC)])
+        assert code == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("command, payload", [
+        ("weibull fit", WEIBULL_FIT_DOC),
+        ("markov solve", TWO_STATE_DOC),
+        ("sec msdr", MSDR_DOC),
+        ("sec routofn", ROUTOFN_DOC),
+    ])
+    def test_module_run_ends_with_the_collector_off_and_the_heap_frozen(self, capsys, write_doc, command, payload):
+        argv = [*command.split(), "--file", write_doc(payload)]
+        # what ``python -m securakit ...`` runs, then the collector state it left
+        proc = fresh_python(
+            "import gc, runpy, sys\n"
+            f"sys.argv = ['securakit', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('securakit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print('collector enabled:', gc.isenabled(), 'frozen:', gc.get_freeze_count() > 0)\n"
+        )
+        code, out, err = run(capsys, argv)
+        assert proc.returncode == code == 0
+        assert proc.stderr == err
+        assert proc.stdout == out + "collector enabled: False frozen: True\n"
+
+    @pytest.mark.parametrize("command", ["markov solve --file", "markov transient --file", "validate"])
+    def test_closed_stdout_pipe_is_a_usage_error(self, write_doc, command):
+        argv = [*command.split(), write_doc(TWO_STATE_DOC)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone before the command writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "securakit", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=fresh_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: usage: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+HELP_DIR = Path(__file__).parent / "help"
+# the root, every group and every command, each with its help pinned in HELP_DIR
+HELP_COMMANDS = ["", "weibull", "markov", "mc", "sec", "weibull eval", "weibull fit", "markov solve",
+                 "markov transient", "markov metrics", "mc reliability", "mc mttf", "sec msdr", "sec routofn",
+                 "validate"]
+USAGE_ERRORS = [
+    [], ["-x"], ["bogus"], ["Markov", "solve"], ["--", "markov", "solve"], ["--format", "json", "markov", "solve"],
+    ["--quiet", "validate", "f"], ["markov"], ["sec"], ["markov", "bogus"], ["mc", "solve", "--file", "f"],
+    ["markov", "--file", "f", "solve"], ["markov", "solve"], ["markov", "solve", "--file", "f", "--seed", "1"],
+    ["weibull", "eval", "--alpha", "x"], ["weibull", "eval", "--alpha", "1", "--beta", "1"],
+    ["weibull", "fit", "--file", "f", "--method", "bogus"], ["mc", "mttf", "--file", "f", "--format", "xml"],
+    ["mc", "reliability", "--file", "f", "--grid"], ["sec", "routofn", "--file", "f", "--threads", "two"],
+    ["validate"], ["validate", "f", "--grid", "0:1:2"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", HELP_COMMANDS, ids=lambda command: command or "root")
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command.split(), "--help"])
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.err) == (0, "")
+        assert captured.out == (HELP_DIR / "_".join(["securakit", *command.split()])).with_suffix(".txt").read_text()
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "none")
+    def test_usage_error_is_that_of_the_full_parser(self, capsys, argv):
+        with pytest.raises(cli.UsageError) as full:
+            cli.build_parser().parse_args(cli._attach_grid_values(argv))
+        assert run(capsys, argv) == (3, "", f"error: usage: {full.value}\n")
 
 
 class TestMalformedCorpus:
