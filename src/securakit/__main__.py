@@ -3,8 +3,6 @@
 import gc
 import sys
 
-from .cli import main
-
 
 def run() -> None:
     """Run one command with the cyclic garbage collector off, freeze the heap, and exit with its code.
@@ -16,12 +14,16 @@ def run() -> None:
     heap the process is about to discard.  ``gc.freeze`` moves every object
     into the permanent generation, which those collections skip.  The exit
     is the normal one, through ``SystemExit``: atexit handlers, the flush of
-    the standard streams and ``finally`` blocks still run.
+    the standard streams and ``finally`` blocks still run.  The CLI is
+    imported here, after ``gc.disable()``, so argparse, json, dataclasses
+    and the CLI's own modules load with the collector already off.
 
     Only this entry touches the collector: :func:`securakit.cli.main`, the
     engines and any library caller keep it as they find it.
     """
     gc.disable()
+    from .cli import main
+
     code = main()
     gc.freeze()
     sys.exit(code)

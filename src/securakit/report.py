@@ -17,9 +17,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import __version__ as TOOL_VERSION
 from .errors import DomainError, NumericalError
-
-TOOL_VERSION = "0.1.0"
 
 METHOD_LABELS = frozenset({"analytic", "paper_rate_sum", "monte_carlo", "rank_regression", "mle"})
 

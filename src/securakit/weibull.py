@@ -24,6 +24,7 @@ from .rng import CounterRng
 
 _SCORE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,16 @@ def pdf(t, m: WeibullModel):
 
 
 def mean_life(m: WeibullModel) -> float:
-    """Mean failure time alpha * Gamma(1 + 1/beta)."""
-    return m.alpha * math.gamma(1.0 + 1.0 / m.beta)
+    """Mean failure time alpha * Gamma(1 + 1/beta); inf only if the mean itself passes the double range.
+
+    Gamma alone overflows once beta falls below about 0.0059; the mean is
+    then formed from its logarithm, log(alpha) + lgamma(1 + 1/beta).
+    """
+    try:
+        return m.alpha * math.gamma(1.0 + 1.0 / m.beta)
+    except OverflowError:
+        log_mean = math.log(m.alpha) + math.lgamma(1.0 + 1.0 / m.beta)
+        return math.exp(log_mean) if log_mean < _LOG_DOUBLE_MAX else math.inf
 
 
 def sample_lifetimes(m: WeibullModel, n: int, rng: CounterRng) -> np.ndarray:

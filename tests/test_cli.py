@@ -492,6 +492,42 @@ class TestRateOverflow:
         assert not out
 
 
+class TestWeibullMeanLifeRange:
+    """Gamma(1 + 1/beta) passes the double range for small shapes; the mean life is then a number or exit 2."""
+
+    def test_flag_sweep_exits_0_or_2(self, capsys):
+        values = [repr(float(v)) for v in np.geomspace(5e-324, 1.7e308, 10)]
+        codes, warned = set(), set()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for alpha in values:
+                for beta in values:
+                    for t in [*values, "0", "inf"]:
+                        code = main(["weibull", "eval", "--alpha", alpha, "--beta", beta, "--t", t])
+                        capsys.readouterr()
+                        codes.add(code)
+                        warned.update((code, str(w.message)) for w in caught)
+                        caught.clear()
+        assert codes == {0, 2}
+        # the density forms inf * 0 or inf - inf at the far corners, where the hazard is inf and the run exits 2
+        assert warned <= {(2, "invalid value encountered in multiply"), (2, "invalid value encountered in subtract")}
+
+    def test_mean_past_the_gamma_range_is_finite(self, capsys):
+        from scipy.special import gammaln
+
+        code, out, err = run(capsys, ["weibull", "eval", "--alpha", "1e-300", "--beta", "0.005", "--t", "1",
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
+        assert values["mean_life"] == pytest.approx(math.exp(math.log(1e-300) + gammaln(201.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("times", [[1, 2, 1e300], [1e-100, 1, 1e100]])
+    def test_fit_with_an_infinite_mean_life_exits_2(self, capsys, write_doc, times):
+        path = write_doc({"kind": "weibull", "parameters": {"data": {"times": times}}})
+        code, out, err = run(capsys, ["weibull", "fit", "--file", path])
+        assert (code, out, err) == (2, "", "error: numerical: mean_life is not finite: inf\n")
+
+
 class TestSeriesLimit:
     """A series longer than model_io.MAX_SERIES_POINTS is refused before anything is allocated."""
 
@@ -571,7 +607,7 @@ class TestColdStart:
     def test_validate_in_fresh_interpreter_loads_no_scipy(self, write_doc):
         path = write_doc(TWO_STATE_DOC)
         proc = fresh_python(
-            "import sys, securakit\n"
+            "import sys, securakit.cli\n"
             f"assert securakit.cli.main(['validate', {path!r}, '--quiet']) == 0\n"
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
         )
@@ -602,7 +638,7 @@ class TestColdStart:
     def test_validate_of_a_number_past_the_largest_double_loads_no_engine(self, write_doc):
         path = write_doc({"kind": "weibull", "parameters": {"alpha": 10 ** 400, "beta": 2}})
         proc = fresh_python(
-            f"import sys, securakit\nprint(securakit.cli.main(['validate', {path!r}]))\n{PRINT_ENGINES}")
+            f"import sys, securakit.cli\nprint(securakit.cli.main(['validate', {path!r}]))\n{PRINT_ENGINES}")
         assert proc.stdout == "1\n[]\n"
         assert proc.stderr == "error: schema: parameters.alpha: expected a finite number\n"
 
@@ -611,7 +647,7 @@ class TestColdStart:
         path.write_text(MALFORMED_DOCUMENTS[-1])
         assert MALFORMED_DOCUMENTS[-1] == "[" * 100_000 + "]" * 100_000
         proc = fresh_python(
-            f"import sys, securakit\nprint(securakit.cli.main(['validate', {str(path)!r}]))\n{PRINT_ENGINES}")
+            f"import sys, securakit.cli\nprint(securakit.cli.main(['validate', {str(path)!r}]))\n{PRINT_ENGINES}")
         assert proc.stdout == "1\n[]\n"
         assert proc.stderr == "error: schema: document: arrays or objects nest too deeply to parse\n"
 
@@ -631,27 +667,23 @@ class TestColdStart:
         assert proc.returncode == code == 0, proc.stderr
         assert proc.stdout == out + "True False\n"
 
-    def test_import_loads_no_engine(self):
-        proc = fresh_python("import sys, securakit\n" + PRINT_ENGINES)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
-
-    def test_engine_names_load_on_first_access(self):
+    def test_package_root_loads_no_submodule(self):
         proc = fresh_python(
             "import sys, securakit\n"
-            "assert 'securakit.markov' not in sys.modules\n"
-            "assert securakit.Ctmc is securakit.markov.Ctmc\n"
-            "names = {}\n"
-            "exec('from securakit import *', names)\n"
-            "assert set(securakit.__all__) <= set(names), set(securakit.__all__) - set(names)\n"
-            "assert all(names[n] is getattr(securakit, n) for n in securakit.__all__)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'securakit'), 'numpy' in sys.modules)\n"
+            "import securakit.__main__\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'securakit'))\n"
             "try:\n"
-            "    securakit.no_such_name\n"
+            "    securakit.Ctmc\n"
             "except AttributeError as exc:\n"
             "    print(exc)\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "module 'securakit' has no attribute 'no_such_name'\n"
+        assert proc.stdout == (
+            "['securakit'] False\n"
+            "['securakit', 'securakit.__main__']\n"
+            "module 'securakit' has no attribute 'Ctmc'\n"
+        )
 
 
 class TestProgramEntry:

@@ -102,6 +102,16 @@ class TestBuildMsdr:
         est = estimate_occupancy(chain, 0, cfg, target_states=(3,), burn_in=100.0)
         assert abs(est.value - (1 / 11) ** 2) < 3 * est.std_error
 
+    @pytest.mark.parametrize("lam", [1e-4, 1e-6, 1e-8])
+    def test_mttf_of_a_stiff_symmetric_chain_matches_the_closed_form(self, lam):
+        # both sites up -> one down at 2*lam, back at mu or on to both down at lam: MTTF = (3*lam + mu) / (2*lam**2)
+        mu = 1.0
+        exact = (3 * lam + mu) / (2 * lam**2)
+        # the error scale of a backward-stable solve of the 4-state system, whose condition number grows as mu/lam
+        bound = 4 * (mu / lam) * 2.2e-16
+        got = markov.mttf_absorbing(build_msdr(MsDrRates(lam, lam, mu, mu)), 0)
+        assert abs(got - exact) / exact <= bound
+
     def test_rates_must_be_positive(self):
         with pytest.raises(DomainError):
             MsDrRates(0.0, 0.01, 0.1, 0.1)
