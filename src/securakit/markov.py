@@ -211,42 +211,37 @@ def steady_state(chain: Ctmc) -> ProbabilityVector:
     return ProbabilityVector(pi)
 
 
-def _poisson_weights(mu: float, tail_tol: float) -> tuple[int, np.ndarray]:
+def _poisson_weights(mu: float) -> tuple[int, np.ndarray]:
     """Poisson(mu) probabilities for k = left..R, renormalized to sum to 1.
 
     Fox & Glynn (CACM 1988): the weights are built outward from the mode
-    floor(mu) by the ratio recursions w[k]/w[k-1] = mu/k, summed in log
-    form, so no factorial or lgamma of a large argument is formed.  The
-    window [left, right] comes from the Chernoff and Bernstein tail bounds
-    and leaves out at most tail_tol**2 of mass on each side.  R is the least
-    k with P(X > k) <= tail_tol; that tail is a reversed cumulative sum, so
-    the smallest terms are added first.
+    floor(mu) by the ratio recursion w[k] = w[k-1] * mu/k, as running
+    products whose every factor is at most 1, so no factorial, lgamma, exp
+    or log is formed and nothing overflows.  The window [left, right] comes
+    from the Chernoff and Bernstein tail bounds and leaves out at most
+    ``UNIFORMIZATION_TAIL**2`` of mass on each side.  R is the least k with
+    P(X > k) <= ``UNIFORMIZATION_TAIL``; that tail is a reversed cumulative
+    sum, so the smallest terms are added first.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise DomainError(f"tail tolerance must lie in (0, 1), got {tail_tol}")
     if not math.isfinite(mu):
         raise ConvergenceError(f"uniformization cannot bound the tail at rate*t = {mu:.3g}")
-    # P(X <= mu - y) <= exp(-y^2 / (2 mu)) = 1 - tail_tol puts R at or above this floor.
-    floor_r = math.floor(mu - math.sqrt(-2.0 * mu * math.log1p(-tail_tol)))
+    # P(X <= mu - y) <= exp(-y^2 / (2 mu)) = 1 - UNIFORMIZATION_TAIL: R is at least this floor.
+    floor_r = math.floor(mu - math.sqrt(-2.0 * mu * math.log1p(-UNIFORMIZATION_TAIL)))
     if floor_r > _MAX_UNIFORMIZATION_TERMS:
         raise ConvergenceError(
             f"uniformization needs {floor_r} terms (rate*t = {mu:.3g}); split the horizon"
         )
-    a = -2.0 * math.log(tail_tol)  # each window edge bounds a tail of exp(-a) = tail_tol**2
+    a = -2.0 * math.log(UNIFORMIZATION_TAIL)  # each window edge bounds a tail of exp(-a) = tolerance**2
     left = max(0, math.floor(mu - math.sqrt(2.0 * mu * a)))
     right = math.ceil(mu + a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * mu))
     mode = math.floor(mu)
-    up = np.arange(mode + 1, right + 1, dtype=float)
-    down = np.arange(mode, left, -1, dtype=float)
-    with np.errstate(divide="ignore"):  # mu that underflowed to 0 gives log 0 = -inf: weight 0
-        log_w = np.concatenate((
-            np.cumsum(np.log1p((down - mu) / mu))[::-1],  # log w[k-1]/w[mode], ratio k/mu
-            [0.0],
-            np.cumsum(np.log1p((mu - up) / up)),  # log w[k]/w[mode], ratio mu/k
-        ))
-    w = np.exp(log_w)
+    w = np.concatenate((
+        np.cumprod(np.arange(mode, left, -1) / mu)[::-1],  # w[k-1]/w[mode]: product of j/mu, j = k..mode
+        [1.0],
+        np.cumprod(mu / np.arange(mode + 1, right + 1)),  # w[k]/w[mode]: product of mu/j, j = mode+1..k
+    ))
     tail = np.cumsum(w[::-1])[::-1]  # tail[i] = sum of w[i:]
-    cut = int(np.searchsorted(-tail[1:], -tail_tol * tail[0]))
+    cut = int(np.searchsorted(-tail[1:], -UNIFORMIZATION_TAIL * tail[0]))
     if left + cut > _MAX_UNIFORMIZATION_TERMS:
         raise ConvergenceError(
             f"uniformization needs {left + cut} terms (rate*t = {mu:.3g}); split the horizon"
@@ -286,7 +281,7 @@ def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
     rate = float(np.max(chain.exit_rates))
     timed = (grid != 0) & (rate != 0)  # the points that need a window; the rest are pi0
     points = np.flatnonzero(timed)
-    windows = [_poisson_weights(rate * t, UNIFORMIZATION_TAIL) for t in grid[points].tolist()]
+    windows = [_poisson_weights(rate * t) for t in grid[points].tolist()]
     lefts = np.array([left for left, _ in windows], dtype=np.int64)
     sizes = np.array([w.size for _, w in windows], dtype=np.int64)
     weights = np.concatenate([w for _, w in windows]) if windows else np.empty(0)

@@ -80,8 +80,10 @@ def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
     underflows to zero or a subnormal, or overflows), log(t/alpha) is formed
     as log t - log alpha.  Times at inf take the limit ``at_inf``, where a
     law would form inf - inf or 0 * inf.  exp saturates to inf or 0 for
-    huge t by design, so overflow is not warned about; invalid values
-    still are.
+    huge t by design, and the hazard and the density re-form each product
+    that turns invalid (:func:`_scaled_exp`), so numpy warns of neither
+    overflow nor invalid values; a value that stays inf reaches the
+    caller's finiteness check.
     """
     arr = np.asarray(t, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < 0):
@@ -93,7 +95,7 @@ def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
             raise SingularityError(f"{at_zero} diverges at t=0 for beta < 1")
         at_zero = 1.0 / m.alpha if m.beta == 1 else 0.0
     out = np.where(zero, at_zero, at_inf)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratio = times / m.alpha
         inner = ~zero & (times < np.inf)
         logr = np.log(ratio)
@@ -101,6 +103,19 @@ def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
         logr[lost] = np.log(times[lost]) - math.log(m.alpha)
         out[inner] = law(logr[inner])
     return float(out[0]) if arr.ndim == 0 else out
+
+
+def _scaled_exp(m: WeibullModel, a: np.ndarray) -> np.ndarray:
+    """(beta/alpha) * exp(a), or exp(log beta - log alpha + a) where the product is not finite and positive.
+
+    At the far corners beta/alpha overflows while exp(a) underflows, and
+    the product is inf * 0; the log form gives the number both stand for.
+    Finite positive products keep their bits.
+    """
+    out = (m.beta / m.alpha) * np.exp(a)
+    redo = ~((out > 0) & (out < np.inf))
+    out[redo] = np.exp(math.log(m.beta) - math.log(m.alpha) + a[redo])
+    return out
 
 
 def reliability(t, m: WeibullModel):
@@ -121,7 +136,7 @@ def hazard(t, m: WeibullModel):
     the hazard is 0 for beta < 1, 1/alpha for beta = 1 and inf for beta > 1.
     """
     at_inf = 1.0 / m.alpha if m.beta == 1 else (math.inf if m.beta > 1 else 0.0)
-    return _evaluate(t, m, lambda logr: (m.beta / m.alpha) * np.exp((m.beta - 1.0) * logr), "hazard", at_inf)
+    return _evaluate(t, m, lambda logr: _scaled_exp(m, (m.beta - 1.0) * logr), "hazard", at_inf)
 
 
 def pdf(t, m: WeibullModel):
@@ -129,11 +144,12 @@ def pdf(t, m: WeibullModel):
 
     At t = 0 the density is 1/alpha for beta = 1, zero for beta > 1, and
     divergent for beta < 1 (raises :class:`SingularityError`), and it is
-    zero at t = inf.  A single exponential keeps huge-t evaluations finite
-    (inf*0 never forms).
+    zero at t = inf.  A single exponential keeps huge-t evaluations finite;
+    where (t/alpha)**beta overflows, its exponent is -inf and the density 0.
     """
     def law(logr):
-        return (m.beta / m.alpha) * np.exp((m.beta - 1.0) * logr - np.exp(m.beta * logr))
+        power = np.exp(m.beta * logr)
+        return _scaled_exp(m, np.where(power < np.inf, (m.beta - 1.0) * logr - power, -np.inf))
 
     return _evaluate(t, m, law, "density", 0.0)
 

@@ -237,7 +237,7 @@ class TestTransient:
 class TestPoissonWeights:
     @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 50.0, 400.0, 4e4, 1e6])
     def test_l1_distance_to_scipy_pmf(self, mu):
-        left, w = _poisson_weights(mu, UNIFORMIZATION_TAIL)
+        left, w = _poisson_weights(mu)
         right = left + w.size - 1
         inside = np.abs(w - poisson.pmf(np.arange(left, right + 1), mu)).sum()
         outside = poisson.cdf(left - 1, mu) + poisson.sf(right, mu)
@@ -245,9 +245,9 @@ class TestPoissonWeights:
         assert inside + outside <= (1e-12 if mu <= 400 else 1e-8)
 
     @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 50.0, 400.0, 4e4, 1e6])
-    @pytest.mark.parametrize("tol", [1e-13, 1e-6])
-    def test_cut_meets_tail_with_no_more_terms_than_scipy_quantile(self, mu, tol):
-        left, w = _poisson_weights(mu, tol)
+    def test_cut_meets_tail_with_no_more_terms_than_scipy_quantile(self, mu):
+        tol = UNIFORMIZATION_TAIL
+        left, w = _poisson_weights(mu)
         right = left + w.size - 1
         assert poisson.sf(right, mu) <= tol
         terms = int(poisson.isf(tol, mu)) + 1  # the scipy-quantile cut used before Fox-Glynn
@@ -255,6 +255,16 @@ class TestPoissonWeights:
             terms += 10
         assert right <= terms
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 50.0, 400.0, 4e4, 1e6])
+    def test_ratio_recursion_rises_to_the_mode_and_falls_after(self, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            left, w = _poisson_weights(mu)
+        peak = math.floor(mu) - left
+        assert np.all(np.diff(w[: peak + 1]) >= 0) and np.all(np.diff(w[peak:]) <= 0)
+        k = np.arange(left + 1, left + w.size)
+        np.testing.assert_allclose(w[1:] / w[:-1], mu / k, rtol=1e-13, atol=0)
 
     def test_huge_rate_t_fails_fast(self):
         begin = time.perf_counter()
@@ -265,7 +275,7 @@ class TestPoissonWeights:
     def test_non_finite_rate_t_is_convergence_error(self):
         for mu in (math.inf, math.nan):
             with pytest.raises(ConvergenceError, match="cannot bound the tail"):
-                _poisson_weights(mu, UNIFORMIZATION_TAIL)
+                _poisson_weights(mu)
         with pytest.raises(ConvergenceError, match="cannot bound the tail"):
             transient(build_two_state(1.0, 1.0), [1.0, 0.0], math.inf)
 
@@ -274,11 +284,6 @@ class TestPoissonWeights:
             warnings.simplefilter("error")
             out = transient(build_two_state(1.0, 1.0), [1.0, 0.0], 5e-324)
         np.testing.assert_array_equal(out.pi, [1.0, 0.0])
-
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3, math.nan])
-    def test_tail_tolerance_outside_unit_interval_rejected(self, tol):
-        with pytest.raises(DomainError):
-            _poisson_weights(1.0, tol)
 
 
 @st.composite
@@ -304,7 +309,7 @@ def test_transient_matches_expm_on_stiff_chains(case):
     np.testing.assert_allclose(transient(chain, pi0, t).pi, expected, rtol=0, atol=1e-10)
 
 
-def transient_oracle(chain, pi0, t, tail_tol=UNIFORMIZATION_TAIL):
+def transient_oracle(chain, pi0, t):
     """One uniformization run from t = 0 for a single point: the per-point reference."""
     if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t}")
@@ -313,7 +318,7 @@ def transient_oracle(chain, pi0, t, tail_tol=UNIFORMIZATION_TAIL):
     rate = float(np.max(-np.diag(q)))
     if t == 0 or rate == 0:
         return v0
-    left, weights = _poisson_weights(rate * t, tail_tol)
+    left, weights = _poisson_weights(rate * t)
     p = np.eye(chain.n) + q / rate
     v = v0
     for _ in range(left):
@@ -357,7 +362,7 @@ def test_transient_grid_equals_per_point_runs(case):
 
 class TestTransientGrid:
     def test_window_starts_above_zero_at_rate_t_720(self):
-        left, _ = _poisson_weights(720.0, UNIFORMIZATION_TAIL)
+        left, _ = _poisson_weights(720.0)
         assert left > 0
 
     def test_matches_matrix_exponential(self):

@@ -184,6 +184,23 @@ class TestEvaluation:
                 assert fn(t, m) == pytest.approx(value, rel=1e-12, abs=0.0)
                 assert fn(np.array([t, 1.0]), m)[0] == fn(t, m)
 
+    @pytest.mark.parametrize("alpha, beta, t, expected", [
+        (7.32023680974036e-254, 5.22669911573612e97, 5e-324, {hazard: 0.0, pdf: 0.0}),
+        (1.0, 1e308, 100.0, {hazard: math.inf, pdf: 0.0}),
+        (1e-300, 1e5, 1e-300 * math.exp(-0.01), None),
+    ], ids=["scale_inf_exp_zero", "power_inf", "exp_zero_product_not"])
+    def test_scale_or_power_outside_the_doubles(self, alpha, beta, t, expected):
+        """The hazard and the density where beta/alpha, (t/alpha)**beta or exp(a) leave the doubles, with no warning."""
+        m = WeibullModel(alpha, beta)
+        if expected is None:  # (beta/alpha) * exp(a) with exp(a) = 0 but a positive product: the log form
+            value = math.exp(math.log(beta) - math.log(alpha) + (beta - 1.0) * math.log(t / alpha))
+            assert value > 0
+            expected = {hazard: value, pdf: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, value in expected.items():
+                assert fn(t, m) == pytest.approx(value, rel=1e-12, abs=0.0)
+
     def test_invalid_model_rejected(self):
         for alpha, beta in [(0, 1), (-1, 1), (1, 0), (1, -2), (math.inf, 1), (1, math.nan)]:
             with pytest.raises(DomainError):
