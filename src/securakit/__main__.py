@@ -15,8 +15,8 @@ def run() -> None:
     into the permanent generation, which those collections skip.  The exit
     is the normal one, through ``SystemExit``: atexit handlers, the flush of
     the standard streams and ``finally`` blocks still run.  The CLI is
-    imported here, after ``gc.disable()``, so argparse, json, dataclasses
-    and the CLI's own modules load with the collector already off.
+    imported here, after ``gc.disable()``, so argparse, json and the CLI's
+    own modules load with the collector already off.
 
     Only this entry touches the collector: :func:`securakit.cli.main`, the
     engines and any library caller keep it as they find it.

@@ -291,11 +291,13 @@ def _sec_msdr(ctx: _Context) -> AnalysisReport:
 
 
 def _sec_routofn(ctx: _Context) -> AnalysisReport:
-    from . import montecarlo, securability
+    from . import securability
 
     results = securability.decompose(ctx.model)
-    if ctx.entry is None:
+    if ctx.entry is None:  # no walk: the Monte Carlo engine stays unloaded
         return AnalysisReport({}, results)
+    from . import montecarlo
+
     cfg, threads = _monte_carlo(ctx)
     est = montecarlo.estimate_threshold_reliability(ctx.model, cfg, threads=threads)
     results.append(Result("threshold_reliability", est.value, "monte_carlo", uncertainty=est.std_error))

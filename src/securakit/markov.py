@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ UNIFORMIZATION_TAIL = 1e-13
 _MAX_UNIFORMIZATION_TERMS = 5_000_000
 
 
-@dataclass(frozen=True, eq=False)
 class Ctmc:
     """Labeled states, their operational mask and their transition rates, stored once in CSR form.
 
@@ -52,13 +50,9 @@ class Ctmc:
     zero, is derived: see :attr:`generator`.  Every array is read-only.
     """
 
-    labels: tuple[str, ...]
-    operational: np.ndarray
-    rates: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(str(label) for label in self.labels)
-        op = np.array(self.operational, dtype=bool)
+    def __init__(self, labels: tuple[str, ...], operational: np.ndarray, rates: np.ndarray):
+        labels = tuple(str(label) for label in labels)
+        op = np.array(operational, dtype=bool)
         n = len(labels)
         if op.shape != (n,):
             raise DomainError("labels and operational flags must have equal length")
@@ -69,7 +63,7 @@ class Ctmc:
         if len(set(labels)) < n:
             repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise DomainError(f"duplicate state label {repeated!r}")
-        q = np.array(self.rates, dtype=float)
+        q = np.array(rates, dtype=float)
         if q.shape != (n, n):
             raise DomainError(f"generator must be {n}x{n}, got {q.shape}")
         np.fill_diagonal(q, 0.0)
@@ -81,7 +75,7 @@ class Ctmc:
                 f"generator entries must be finite; state {i} ({labels[i]}) has exit rate {exit_rates[i]}")
         if np.any(q < 0):
             raise DomainError("off-diagonal generator entries must be >= 0")
-        object.__setattr__(self, "labels", labels)
+        self.labels = labels
         self._store(operational=op, targets=np.nonzero(edges := q > 0)[1], rates=q[edges],
                     offsets=np.concatenate(([0], np.cumsum(edges.sum(axis=1)))), exit_rates=exit_rates)
 
@@ -89,7 +83,7 @@ class Ctmc:
         """Set each of ``arrays`` as a read-only attribute; returns this chain."""
         for name, value in arrays.items():
             value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            setattr(self, name, value)
         return self
 
     def _without_exits(self, rows: np.ndarray) -> Ctmc:
@@ -116,17 +110,14 @@ class Ctmc:
         return q
 
 
-@dataclass(frozen=True, eq=False)
 class ProbabilityVector:
     """State probabilities: one distribution (1-d) or one per row (2-d), each >= 0 summing to 1.
 
     The sums are checked within 1e-12 in one pass; the array is taken as is and made read-only.
     """
 
-    pi: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.pi, dtype=float)
+    def __init__(self, pi: np.ndarray):
+        v = np.asarray(pi, dtype=float)
         if v.ndim not in (1, 2) or v.shape[-1] == 0:
             raise DomainError("probability vector must be a nonempty 1-d array or a 2-d stack of them")
         if np.any(v < 0):
@@ -134,7 +125,7 @@ class ProbabilityVector:
         if np.any(np.abs(v.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
             raise DomainError("probability vector must sum to 1 within 1e-12")
         v.setflags(write=False)
-        object.__setattr__(self, "pi", v)
+        self.pi = v
 
 
 def build_two_state(lam: float, mu: float) -> Ctmc:

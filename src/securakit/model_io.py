@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -52,7 +51,6 @@ _TRIALS_BOUND = 2 ** 32
 MAX_SERIES_POINTS = 10 ** 6  # in one series: --grid STEPS, or ceil(t/dt) + 1 for a transient entry
 
 
-@dataclass
 class ModelDocument:
     """Validated model description: kind, parameters, requested analyses.
 
@@ -60,11 +58,10 @@ class ModelDocument:
     settings the document gave, in document order.
     """
 
-    kind: str
-    parameters: dict
-    analyses: list[dict] = field(default_factory=list)
-    time_unit: str | None = None
-    seed: int | None = None
+    def __init__(self, kind: str, parameters: dict, analyses: list[dict] = (), time_unit: str | None = None,
+                 seed: int | None = None):
+        self.kind, self.parameters, self.analyses = kind, parameters, list(analyses)
+        self.time_unit, self.seed = time_unit, seed
 
 
 # the bounds a number may be held to, by the text that follows "must" in the diagnostic

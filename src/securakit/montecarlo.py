@@ -32,7 +32,6 @@ MTTF downward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,7 +49,6 @@ _MIN_SLICE = 50_000  # fewest trials per worker process (see _run_partitioned)
 _MERGED_LANES = 1 << 16  # most lanes in a walk that merges subsystems (see estimate_threshold_reliability)
 
 
-@dataclass(frozen=True)
 class MonteCarloConfig:
     """Trial count, mission horizon, reproducibility seed, and threshold.
 
@@ -62,26 +60,22 @@ class MonteCarloConfig:
     degenerate instant mission (reliability exactly 1).
     """
 
-    n_trials: int
-    horizon: float
-    seed: int
-    threshold: float = 1.0
-    max_events: int = 10 ** 9
-
-    def __post_init__(self):
-        if not (isinstance(self.n_trials, int) and 1 <= self.n_trials < TRIAL_BOUND):
-            raise DomainError(f"n_trials must be an int in [1, 2**32), got {self.n_trials!r}")
-        if not (math.isfinite(self.horizon) and self.horizon >= 0):
-            raise DomainError(f"horizon must be finite and >= 0, got {self.horizon}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
-            raise DomainError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
-        if not 0 < self.threshold <= 1:
-            raise DomainError(f"threshold must lie in (0, 1], got {self.threshold}")
-        if self.max_events < 1:
+    def __init__(self, n_trials: int, horizon: float, seed: int, threshold: float = 1.0,
+                 max_events: int = 10 ** 9):
+        if not (isinstance(n_trials, int) and 1 <= n_trials < TRIAL_BOUND):
+            raise DomainError(f"n_trials must be an int in [1, 2**32), got {n_trials!r}")
+        if not (math.isfinite(horizon) and horizon >= 0):
+            raise DomainError(f"horizon must be finite and >= 0, got {horizon}")
+        if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
+            raise DomainError(f"seed must be an int in [0, 2**64), got {seed!r}")
+        if not 0 < threshold <= 1:
+            raise DomainError(f"threshold must lie in (0, 1], got {threshold}")
+        if max_events < 1:
             raise DomainError("max_events must be >= 1")
+        self.n_trials, self.horizon, self.seed = n_trials, horizon, seed
+        self.threshold, self.max_events = threshold, max_events
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """One sampled path: (time, state) transitions plus how it ended.
 
@@ -89,33 +83,25 @@ class Trajectory:
     ``None`` means the path survived to the horizon.
     """
 
-    events: tuple[tuple[float, int], ...]
-    absorbed_at: float | None = None
-
-    def __post_init__(self):
-        times = [e[0] for e in self.events]
+    def __init__(self, events: tuple[tuple[float, int], ...], absorbed_at: float | None = None):
+        times = [e[0] for e in events]
         if any(t < 0 for t in times):
             raise DomainError("event times must be >= 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise DomainError("event times must be strictly increasing")
-        object.__setattr__(self, "events", tuple((float(t), int(s)) for t, s in self.events))
+        self.events, self.absorbed_at = tuple((float(t), int(s)) for t, s in events), absorbed_at
 
 
-@dataclass(frozen=True)
 class Estimate:
     """Point estimate with its standard error and normal 95% CI: floats, or arrays over a curve."""
 
-    value: float | np.ndarray
-    std_error: float | np.ndarray
-    ci95: tuple
-    n_effective: int
-
-    def __post_init__(self):
-        lo, hi = self.ci95
-        if np.any(np.less(self.std_error, 0)):
+    def __init__(self, value: float | np.ndarray, std_error: float | np.ndarray, ci95: tuple, n_effective: int):
+        lo, hi = ci95
+        if np.any(np.less(std_error, 0)):
             raise DomainError("std_error must be >= 0")
-        if not np.all(np.less_equal(lo, self.value) & np.less_equal(self.value, hi)):
+        if not np.all(np.less_equal(lo, value) & np.less_equal(value, hi)):
             raise DomainError("ci95 must contain the point estimate")
+        self.value, self.std_error, self.ci95, self.n_effective = value, std_error, ci95, n_effective
 
     def __eq__(self, other):
         if not isinstance(other, Estimate):
@@ -133,10 +119,14 @@ def _binomial_estimate(successes, n: int) -> Estimate:
 
 
 def _mean_estimate(samples: np.ndarray) -> Estimate:
-    # every sample is >= 0, and so is the CI's lower bound
+    # every sample is >= 0, and so is the CI's lower bound.  The sum and the squared deviations are
+    # formed on the samples scaled by 2**-e, below 1, so they cannot overflow; a power of two scales
+    # exactly, so a mean and an error within the double range keep their bits.
     n = samples.size
-    value = float(samples.sum() / n)
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    e = math.frexp(samples.max())[1]
+    scaled = np.ldexp(samples, -e)
+    value = math.ldexp(float(scaled.sum() / n), e)
+    se = math.ldexp(float(scaled.std(ddof=1)), e) / math.sqrt(n) if n > 1 else 0.0
     return Estimate(value=value, std_error=se, ci95=(max(0.0, value - _Z95 * se), value + _Z95 * se),
                     n_effective=n)
 

@@ -3,11 +3,11 @@
 JSON is the canonical machine format: emission is deterministic (sorted
 keys, fixed separators), so repeated runs of a seeded analysis produce
 byte-identical documents.  The round trip ``from_json(to_json(r)) == r``
-holds by construction: ``to_json`` writes each record's dataclass fields
-and ``from_json`` passes them back to its constructor by name, so a field
-is declared once, in its dataclass.  CSV exists for plotting pipelines
-(one row per result, one section per series) and the table form is for
-humans; neither carries the round-trip guarantee.
+holds by construction: ``to_json`` writes each record's attributes, and
+``from_json`` passes them back to its constructor by name, so a field is
+named once, as a parameter of its record's constructor.  CSV exists for
+plotting pipelines (one row per result, one section per series) and the
+table form is for humans; neither carries the round-trip guarantee.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
 
 from . import __version__ as TOOL_VERSION
 from .errors import DomainError, NumericalError
@@ -23,53 +22,51 @@ from .errors import DomainError, NumericalError
 METHOD_LABELS = frozenset({"analytic", "paper_rate_sum", "monte_carlo", "rank_regression", "mle"})
 
 
-@dataclass
-class Result:
+class _Record:
+    """A record compared by value: equal to another of its class whose attributes are equal."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+
+class Result(_Record):
     """One named metric with the method that produced it.
 
     ``uncertainty`` is the standard error for sampled metrics and ``None``
-    for exact ones.  A value that is not finite (JSON has no NaN or
-    Infinity) raises :class:`NumericalError`.
+    for exact ones.  A value or an uncertainty that is not finite (JSON has
+    no NaN or Infinity) raises :class:`NumericalError`.
     """
 
-    metric: str
-    value: float
-    method: str
-    uncertainty: float | None = None
-
-    def __post_init__(self):
-        if self.method not in METHOD_LABELS:
-            raise DomainError(f"method must be one of {sorted(METHOD_LABELS)}, got {self.method!r}")
-        if not math.isfinite(self.value):
-            raise NumericalError(f"{self.metric} is not finite: {self.value}")
+    def __init__(self, metric: str, value: float, method: str, uncertainty: float | None = None):
+        if method not in METHOD_LABELS:
+            raise DomainError(f"method must be one of {sorted(METHOD_LABELS)}, got {method!r}")
+        if not math.isfinite(value):
+            raise NumericalError(f"{metric} is not finite: {value}")
+        if uncertainty is not None and not math.isfinite(uncertainty):
+            raise NumericalError(f"{metric} uncertainty is not finite: {uncertainty}")
+        self.metric, self.value, self.method, self.uncertainty = metric, value, method, uncertainty
 
 
-@dataclass
-class Series:
+class Series(_Record):
     """Named (t, value) curve for plotting."""
 
-    name: str
-    t: list[float]
-    values: list[float]
-
-    def __post_init__(self):
-        if len(self.t) != len(self.values):
+    def __init__(self, name: str, t: list[float], values: list[float]):
+        if len(t) != len(values):
             raise DomainError("series t and values must have equal length")
+        self.name, self.t, self.values = name, t, values
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(_Record):
     """Metric bundle with provenance: every value carries a method label."""
 
-    model_echo: dict
-    results: list[Result]
-    series: list[Series] = field(default_factory=list)
-    tool_version: str = TOOL_VERSION
-    seed_used: int | None = None
+    def __init__(self, model_echo: dict, results: list[Result], series: list[Series] = (),
+                 tool_version: str = TOOL_VERSION, seed_used: int | None = None):
+        self.model_echo, self.results, self.series = model_echo, results, list(series)
+        self.tool_version, self.seed_used = tool_version, seed_used
 
 
 def to_json(report: AnalysisReport) -> str:
-    # each record's fields, taken shallowly: a series' lists are written, not copied
+    # each record's attributes, taken shallowly: a series' lists are written, not copied
     payload = vars(report) | {"results": [vars(r) for r in report.results],
                               "series": [vars(s) for s in report.series]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

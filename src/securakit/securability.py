@@ -22,7 +22,6 @@ probability below one is expressed by pre-scaling the rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,46 +40,33 @@ MSDR_MODEL_NOTES = (
 )
 
 
-@dataclass(frozen=True)
 class MsDrRates:
     """Failure and repair rates (1/time) for the main system and DR site."""
 
-    lambda_ms: float
-    lambda_dr: float
-    mu_ms: float
-    mu_dr: float
-
-    def __post_init__(self):
-        for name in ("lambda_ms", "lambda_dr", "mu_ms", "mu_dr"):
-            value = getattr(self, name)
+    def __init__(self, lambda_ms: float, lambda_dr: float, mu_ms: float, mu_dr: float):
+        self.lambda_ms, self.lambda_dr, self.mu_ms, self.mu_dr = lambda_ms, lambda_dr, mu_ms, mu_dr
+        for name, value in vars(self).items():
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
 class ThreatProfile:
     """Successful-attack arrival rate (Poisson) against one component."""
 
-    attack_rate: float
-    applies_to: str = ""
-
-    def __post_init__(self):
-        if not (math.isfinite(self.attack_rate) and self.attack_rate >= 0):
-            raise DomainError(f"attack_rate must be finite and >= 0, got {self.attack_rate}")
+    def __init__(self, attack_rate: float, applies_to: str = ""):
+        if not (math.isfinite(attack_rate) and attack_rate >= 0):
+            raise DomainError(f"attack_rate must be finite and >= 0, got {attack_rate}")
+        self.attack_rate, self.applies_to = attack_rate, applies_to
 
 
-@dataclass(frozen=True, eq=False)
 class ChainSubsystem:
     """A subsystem modeled as a chain plus its start state."""
 
-    chain: Ctmc
-    start: int = 0
-
-    def __post_init__(self):
-        markov.check_start(self.chain, self.start)
+    def __init__(self, chain: Ctmc, start: int = 0):
+        markov.check_start(chain, start)
+        self.chain, self.start = chain, start
 
 
-@dataclass(frozen=True, eq=False)
 class RoutOfNSystem:
     """System that is good when at least r of its n independent subsystems are.
 
@@ -89,15 +75,12 @@ class RoutOfNSystem:
     series system.
     """
 
-    r: int
-    subsystems: tuple
-
-    def __post_init__(self):
-        subs = tuple(self.subsystems)
+    def __init__(self, r: int, subsystems: tuple):
+        subs = tuple(subsystems)
         if len(subs) < 1:
             raise DomainError("system needs at least one subsystem")
-        if not (isinstance(self.r, int) and 1 <= self.r <= len(subs)):
-            raise DomainError(f"r must satisfy 1 <= r <= {len(subs)}, got {self.r!r}")
+        if not (isinstance(r, int) and 1 <= r <= len(subs)):
+            raise DomainError(f"r must satisfy 1 <= r <= {len(subs)}, got {r!r}")
         normalized = []
         for i, sub in enumerate(subs):
             if isinstance(sub, ChainSubsystem):
@@ -113,7 +96,7 @@ class RoutOfNSystem:
                 raise DomainError(
                     f"subsystem {i}: expected ChainSubsystem, Ctmc, or probability, got {type(sub).__name__}"
                 )
-        object.__setattr__(self, "subsystems", tuple(normalized))
+        self.r, self.subsystems = r, tuple(normalized)
 
     @property
     def n(self) -> int:

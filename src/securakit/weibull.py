@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,20 +26,19 @@ _MAX_NEWTON_ITER = 100
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
 class WeibullModel:
-    """Scale ``alpha`` (time units) and shape ``beta`` of a Weibull law."""
+    """Scale ``alpha`` (time units) and shape ``beta`` of a Weibull law; equal parameters, equal laws."""
 
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+    def __init__(self, alpha: float, beta: float):
+        self.alpha, self.beta = alpha, beta
+        for name, value in vars(self).items():
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
-@dataclass(frozen=True)
+
 class FailureSample:
     """Observed failure times with optional right-censoring flags.
 
@@ -48,20 +46,16 @@ class FailureSample:
     seen (the unit survived at least ``times[i]``).
     """
 
-    times: tuple[float, ...]
-    censored: tuple[bool, ...] = field(default=())
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+    def __init__(self, times: tuple[float, ...], censored: tuple[bool, ...] = ()):
+        times = tuple(float(t) for t in times)
         if not times:
             raise DomainError("failure sample must contain at least one time")
         if any(not math.isfinite(t) or t <= 0 for t in times):
             raise DomainError("all failure times must be finite and > 0")
-        censored = tuple(bool(c) for c in self.censored) if self.censored else (False,) * len(times)
+        censored = tuple(bool(c) for c in censored) if censored else (False,) * len(times)
         if len(censored) != len(times):
             raise DomainError("censored flags must match times in length")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "censored", censored)
+        self.times, self.censored = times, censored
 
     @property
     def uncensored_times(self) -> np.ndarray:

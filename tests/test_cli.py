@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, determinism, diagnostics, formats."""
 
 import argparse
+import ast
 import csv
 import gc
 import io
@@ -533,6 +534,26 @@ class TestWeibullMeanLifeRange:
         assert (code, out, err) == (2, "", "error: numerical: mean_life is not finite: inf\n")
 
 
+class TestMonteCarloMttfRange:
+    """Failure times whose squared deviations (near 1e160), or whose sum (near 1e306), pass the double range."""
+
+    @pytest.mark.parametrize("power", [530, 1017])  # 1017: the 1000 times sum past the largest double
+    def test_tiny_failure_rate_scales_value_and_error_exactly(self, write_doc, power):
+        def mttf(lam: float) -> dict:
+            path = write_doc({"kind": "markov", "seed": 5, "parameters": {"lambda": lam, "mu": 1.0},
+                              "analyses": [{"op": "mttf", "n_trials": 1000}]}, name=f"{lam!r}.json")
+            proc = subprocess.run([sys.executable, "-m", "securakit", "mc", "mttf", "--file", path, "--format", "json"],
+                                  capture_output=True, text=True, env=fresh_env(), timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            (result,) = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))["results"]
+            return result
+
+        # holding times are -log(u) / lambda: at lambda = 2**-power each one is 2**power times longer, exactly
+        small, unit = mttf(math.ldexp(1.0, -power)), mttf(1.0)
+        assert small["value"] == math.ldexp(unit["value"], power)
+        assert small["uncertainty"] == math.ldexp(unit["uncertainty"], power)
+
+
 class TestSeriesLimit:
     """A series longer than model_io.MAX_SERIES_POINTS is refused before anything is allocated."""
 
@@ -692,6 +713,47 @@ class TestColdStart:
         code, out, err = run(capsys, argv)
         assert proc.returncode == code == 0, proc.stderr
         assert proc.stdout == out + "True False\n"
+
+    def test_routofn_without_a_threshold_entry_loads_no_walker(self, capsys, write_doc):
+        payload = {**ROUTOFN_DOC, "parameters": {"r": 1, "subsystems": [
+            {"type": "two_state", "lambda": 0.01, "mu": 0.1}, {"type": "probability", "p": 0.9}]}}
+        argv = ["sec", "routofn", "--file", write_doc(payload)]
+        proc = fresh_python(
+            "import runpy, sys\n"
+            f"sys.argv = ['securakit', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('securakit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print([m for m in ('securakit.montecarlo', 'securakit.rng') if m in sys.modules])\n"
+        )
+        code, out, err = run(capsys, argv)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out + "[]\n"
+
+    def test_validate_command_generates_no_code(self, write_doc):
+        # dataclasses compile each record's methods with exec at import, and load inspect to do it
+        path = write_doc(MSDR_DOC)
+        proc = fresh_python(
+            "import runpy, sys\n"
+            f"sys.argv = ['securakit', 'validate', {path!r}]\n"
+            "try:\n"
+            "    runpy.run_module('securakit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"ok: {path}\n[]\n"
+
+    def test_no_module_imports_dataclasses(self):
+        imports = []
+        for path in sorted(Path(securakit.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imports += [(path.name, alias.name) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    imports.append((path.name, node.module))
+        assert ("cli.py", "argparse") in imports  # the scan sees the imports
+        assert [(name, module) for name, module in imports if module == "dataclasses"] == []
 
     def test_package_root_loads_no_submodule(self):
         proc = fresh_python(

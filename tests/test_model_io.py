@@ -657,6 +657,20 @@ class TestReports:
             Result("hazard", value, "analytic")
         assert str(err.value) == f"hazard is not finite: {value}"
 
+    @pytest.mark.parametrize("uncertainty", [math.nan, math.inf, -math.inf])
+    def test_non_finite_uncertainty_rejected(self, uncertainty):
+        with pytest.raises(NumericalError) as err:
+            Result("mttf", 1.0, "monte_carlo", uncertainty=uncertainty)
+        assert str(err.value) == f"mttf uncertainty is not finite: {uncertainty}"
+
+    def test_records_compare_by_value(self):
+        report = self.sample_report()
+        assert report == self.sample_report() and report is not self.sample_report()
+        report.results[1] = Result("mttf", 99.62, "monte_carlo", uncertainty=0.32)
+        assert report != self.sample_report()
+        assert Series("s", [1.0], [2.0]) != Series("s", [1.0], [3.0])
+        assert Result("a", 1.0, "analytic") != AnalysisReport({}, [])
+
     def test_series_length_mismatch_rejected(self):
         from securakit.errors import DomainError
 

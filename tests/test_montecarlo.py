@@ -290,6 +290,20 @@ class TestEstimateMttf:
         with pytest.raises(StructureError):
             estimate_mttf(chain, 0, MonteCarloConfig(n_trials=10, horizon=1.0, seed=0))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mean_and_standard_error_keep_the_bits_of_the_unscaled_ones(self, seed):
+        # both are formed on the samples scaled by a power of two; where nothing overflows that is exact
+        draws = np.random.default_rng(seed)
+        samples = draws.exponential(10.0 ** draws.uniform(-6, 6), size=int(draws.integers(2, 5000)))
+        est, n = _mean_estimate(samples), samples.size
+        assert (est.value, est.std_error) == (float(samples.sum() / n), float(samples.std(ddof=1) / math.sqrt(n)))
+
+    def test_mean_and_standard_error_of_huge_times_scale_exactly(self):
+        small = np.array([1.0, 2.0, 4.0, 7.0])
+        huge = _mean_estimate(np.ldexp(small, 1021))  # the sum and each squared deviation pass the double range
+        assert (huge.value, huge.std_error) == tuple(math.ldexp(x, 1021) for x in (small.mean(),
+                                                                                   _mean_estimate(small).std_error))
+
 
 class TestAbsorptionPreconditions:
     """The estimators check their start state, and MTTF its failure set, before walking."""
