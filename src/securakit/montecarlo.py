@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import markov
+from . import markov, rng
 from .errors import ConvergenceError, DomainError
 from .markov import Ctmc
 from .rng import TRIAL_BOUND, CounterRng, uniform_block, uniform_pairs
@@ -216,7 +216,8 @@ class _ChainKernel:
             step = 1 << r
             # the last entry is 1 >= u, so a probe past it never advances
             probe = np.minimum(pos + (step - 1), last) if step > 1 else pos
-            np.add(pos, step, out=pos, where=self.cumprobs[probe] < u)
+            below = self.cumprobs[probe] < u
+            pos += below * step if step > 1 else below
         return self.targets[pos]
 
 
@@ -234,9 +235,16 @@ def _walk_batch(kernel: _ChainKernel, watched: np.ndarray, start, lo: int, hi: i
     first double and the state choice from its second, the same draws as
     :func:`simulate_trajectory`.  Outcomes therefore depend only on
     (seed, trial, substream), never on the batch partition or on which
-    lanes share a walk.  The walking lanes are kept as compacted (trial,
-    state, time) arrays that are filtered only when lanes stop: past the
-    horizon or in a state with no exits.
+    lanes share a walk.  The walking lanes are kept as (trial, state,
+    time, exit rate) arrays, compacted once per wave, after the jump: a
+    lane stops once its jump lands past the horizon, whose flip is not
+    logged, or in a state with no exits.  A walk without a horizon whose
+    wave no longer fills a cipher chunk (``rng._CHUNK``) draws blocks
+    w .. w + depth - 1 of each lane at once, depth = min(``rng._CHUNK //
+    lanes``, w), and keeps the rows not yet used, compacted with the
+    lanes, for the next waves, so its thin tail still runs the cipher over
+    full chunks; every other wave draws block w alone.  Block w of a lane
+    is the same double however far ahead it was drawn.
 
     Returns the flip log: four arrays ``(trial, substream, time, delta)``
     with one entry per jump that enters (delta +1) or leaves (delta -1)
@@ -245,31 +253,43 @@ def _walk_batch(kernel: _ChainKernel, watched: np.ndarray, start, lo: int, hi: i
     """
     k = np.size(start)
     trial = np.repeat(np.arange(lo, hi, dtype=np.uint64), k)
-    state = np.tile(np.asarray(start, dtype=np.int64), hi - lo)
+    nxt = np.tile(np.asarray(start, dtype=np.int64), hi - lo)
     # each state's substream: its part's
     substream_of = np.broadcast_to(np.asarray(substream, dtype=np.uint64), (k,))[kernel.part]
     t = np.zeros(trial.size)
+    holds = choices = np.zeros((0, trial.size))  # blocks drawn ahead: row i is block wave + i of each lane
     log = [(np.zeros(0, dtype=np.int64), substream_of[:0], t[:0], np.zeros(0, dtype=np.int64))]
+    within = None
     wave = 0
-    while trial.size:
-        rates = kernel.exit_rates[state]
+    while True:
+        # the one compaction of a wave: keep the lanes within the horizon whose new state has exits
+        rates = kernel.exit_rates[nxt]
         keep = rates > 0
-        if not keep.all():
-            trial, state, t, rates = trial[keep], state[keep], t[keep], rates[keep]
-            if not trial.size:
-                break
-        # one cell per trial (k == 1): a scalar substream spares a gather per wave
-        hold, choice = uniform_pairs(seed, trial, substream if k == 1 else substream_of[state], wave)
+        if within is not None:
+            keep &= within
+        kept = np.flatnonzero(keep)
+        if kept.size < trial.size:
+            trial, nxt, t, rates = trial[kept], nxt[kept], t[kept], rates[kept]
+            holds, choices = np.take(holds, kept, axis=1), np.take(choices, kept, axis=1)
+        state = nxt
+        if not trial.size:
+            break
+        if not len(holds):
+            # without a horizon a lane walks on until it is absorbed, so once a wave no longer fills a cipher
+            # chunk, blocks drawn ahead to fill one get used; lanes in the tail of a horizon walk are about
+            # to cross it and would leave theirs unused.  No lane is drawn more blocks ahead than it has
+            # used, so a lane absorbed early wastes fewer blocks than it reads
+            depth = max(1, min(rng._CHUNK // trial.size, wave)) if horizon is None else 1
+            ahead = np.arange(wave, wave + depth, dtype=np.uint64)[:, None]
+            # one cell per trial (k == 1): a scalar substream spares a gather
+            holds, choices = uniform_pairs(seed, trial, substream if k == 1 else substream_of[state], ahead)
+        hold, choice, holds, choices = holds[0], choices[0], holds[1:], choices[1:]
         np.log(hold, out=hold)
         hold /= rates
         t -= hold  # plus an Exp(rate) holding time, -log(u) / rate
         if horizon is not None:
-            keep = t <= horizon
-            if not keep.all():
-                trial, state, t, choice = trial[keep], state[keep], t[keep], choice[keep]
-                if not trial.size:
-                    break
-        if wave + 1 > max_events:
+            within = t <= horizon
+        if wave + 1 > max_events and (within is None or within.any()):
             if horizon is None:
                 raise ConvergenceError(
                     f"a trial exceeded {max_events} events; the failure set may be "
@@ -281,10 +301,12 @@ def _walk_batch(kernel: _ChainKernel, watched: np.ndarray, start, lo: int, hi: i
             )
         nxt = kernel.choose(state, choice)
         now_in = watched[nxt]
-        flipped = np.flatnonzero(now_in != watched[state])
+        changed = now_in != watched[state]
+        if within is not None:
+            changed &= within
+        flipped = np.flatnonzero(changed)
         log.append((trial[flipped].astype(np.int64), substream_of[state[flipped]], t[flipped],
                     np.where(now_in[flipped], 1, -1)))
-        state = nxt
         wave += 1
     return tuple(np.concatenate(col) for col in zip(*log))
 

@@ -42,6 +42,7 @@ _CHUNK = 1 << 14  # lanes per cipher pass (see _blocks)
 SEED_BOUND = 2 ** 64
 TRIAL_BOUND = 2 ** 32
 SUBSTREAM_BOUND = 2 ** 32
+COUNTER_BOUND = 2 ** 64
 
 
 def _philox4x32(c0, c1, c2, c3, k0, k1):
@@ -74,11 +75,21 @@ def _philox4x32(c0, c1, c2, c3, k0, k1):
 
 
 def _lanes(values, bound: int, what: str) -> np.ndarray:
-    """``values`` as uint64, once each one is checked to lie in [0, ``bound``)."""
+    """``values`` as uint64, once each one is checked to be an integer in [0, ``bound``).
+
+    Only integer arrays and scalars pass: a float is not truncated to an
+    index.  A Python int outside the int64 and uint64 ranges, which numpy
+    holds as an object, fails the bound check.
+    """
     v = np.asarray(values)
-    # an unsigned array holds no negative entry, so only its largest needs a pass
-    low = 0 if v.dtype.kind == "u" else v.min(initial=0)
-    high = v.max(initial=0)
+    if v.dtype.kind in "iu":
+        # an unsigned array holds no negative entry, so only its largest needs a pass
+        low = 0 if v.dtype.kind == "u" else v.min(initial=0)
+        high = v.max(initial=0)
+    elif v.dtype.kind == "O" and isinstance(values, int):
+        low = high = values
+    else:
+        raise DomainError(f"{what} must be an integer, got {v.dtype} values")
     if low < 0 or high >= bound:
         raise DomainError(f"{what} must be in [0, 2**{bound.bit_length() - 1}), "
                           f"got {low if low < 0 else high}")
@@ -103,22 +114,27 @@ def _blocks(seed: int, trials, substreams, counters, words: int) -> tuple[np.nda
     ``trials``, ``substreams`` and ``counters`` are broadcast-compatible
     integer arrays or scalars; each of the ``words`` arrays returned has
     their broadcast shape, and array k is made of block words (x2k, x2k+1).
-    A block is the same no matter how the request is batched, so the
-    cipher runs over chunks of ``_CHUNK`` lanes.  A chunk's working set is
-    about eight uint64 words per lane (the counter words, two products and
-    the outputs), 1 MiB at 2**14 lanes, which stays in one core's L2 cache
-    where 2**16 lanes (4 MiB) spill to L3: on a Xeon VM with 2 MiB of L2
-    per core, a block took about 45 ns at 2**14 or 2**15 lanes and 62 ns
-    at 2**16 (Python 3.11, numpy 2.4).  Each worker process runs the
-    cipher on its own core, so no chunk has to outlast a hand-over of the
-    interpreter lock, and a chunk is still long enough that its hundred or
-    so numpy calls cost far less than their arithmetic.
+    Each counter, like each cell, is checked: one outside [0, 2**64) or
+    that is not an integer raises ``DomainError``.  A counter array of
+    shape (depth, 1) against n trials draws blocks c .. c + depth - 1 of
+    each trial, one row per block; an array of one entry costs no more
+    than a scalar.  A block is the same no matter how the request is
+    batched, so the cipher runs over chunks of ``_CHUNK`` lanes.  A
+    chunk's working set is about eight uint64 words per lane (the counter
+    words, two products and the outputs), 1 MiB at 2**14 lanes, which
+    stays in one core's L2 cache where 2**16 lanes (4 MiB) spill to L3:
+    on a Xeon VM with 2 MiB of L2 per core, a block took about 45 ns at
+    2**14 or 2**15 lanes and 62 ns at 2**16 (Python 3.11, numpy 2.4).
+    Each worker process runs the cipher on its own core, so no chunk has
+    to outlast a hand-over of the interpreter lock, and a chunk is still
+    long enough that its hundred or so numpy calls cost far less than
+    their arithmetic.
     """
     trials, substreams = _check_cell(seed, trials, substreams)
-    counters = np.asarray(counters, dtype=np.uint64)
+    counters = _lanes(counters, COUNTER_BOUND, "draw index")
     shape = np.broadcast_shapes(trials.shape, substreams.shape, counters.shape)
-    # lanes laid out flat; a scalar trial, substream or counter stays a scalar
-    lanes = [x if x.ndim == 0 else np.broadcast_to(x, shape).reshape(-1)
+    # lanes laid out flat; a trial, substream or counter of one entry stays a scalar
+    lanes = [x.reshape(()) if x.size == 1 else np.broadcast_to(x, shape).reshape(-1)
              for x in (trials, substreams, counters)]
     key = (np.uint64(seed & 0xFFFFFFFF), np.uint64(seed >> 32))
     u = np.empty((words, math.prod(shape)))

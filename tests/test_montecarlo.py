@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from securakit import montecarlo
+from securakit import montecarlo, rng
 from securakit.errors import ConvergenceError, DomainError, SchemaError, StructureError, ValidationError
 from securakit.markov import (
     Ctmc,
@@ -542,6 +542,25 @@ class TestEventCapMessages:
             else:
                 run()
 
+    @pytest.mark.parametrize("horizon", [None, 1e9])
+    def test_cap_counts_jumps_exactly_with_blocks_drawn_ahead(self, monkeypatch, horizon):
+        # 64 lanes per chunk: the 20 lanes draw block 0, block 1, then blocks 2 and 3 at once, across the cap of 3
+        monkeypatch.setattr(rng, "_CHUNK", 64)
+        self.test_cap_counts_jumps_exactly(horizon)
+
+    @pytest.mark.parametrize("chunk", [1, rng._CHUNK])
+    def test_a_jump_past_the_cap_and_the_horizon_is_not_counted(self, monkeypatch, chunk):
+        # three jumps of about 1e-6 each, then one of about 1e9: jump 4 lands past the horizon
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        rates = np.zeros((5, 5))
+        for i, rate in enumerate([1e6, 1e6, 1e6, 1e-9]):
+            rates[i, i + 1] = rate
+        chain = Ctmc(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False], rates)
+        cfg = MonteCarloConfig(n_trials=20, horizon=1.0, seed=3, max_events=3)
+        assert estimate_reliability(chain, 0, cfg).value == 1.0
+        with pytest.raises(ConvergenceError):
+            estimate_reliability_curve(chain, 0, cfg, [1e15])
+
     def test_mttf(self):
         with pytest.raises(ConvergenceError) as info:
             estimate_mttf(self.CHAIN, 0, self.CFG)
@@ -905,6 +924,67 @@ class TestUnionKernel:
         # each of the 40 * 3 lanes fails at most once, and some do not fail by the horizon
         assert 0 < log[0].size < 40 * 3 and set(log[0].tolist()) <= set(range(5, 45))
         assert np.all(log[3] == -1)
+
+
+class TestDrawAhead:
+    """A walk's flips do not depend on how many blocks it draws ahead of its jumps.
+
+    Lanes per cipher chunk set the depth of a walk without a horizon: a
+    chunk of 1 draws one block per wave, and 3, 64 or the default draw
+    deeper as the walk thins out.  A walk with a horizon draws one block
+    per wave.
+    """
+
+    CHUNKS = pytest.mark.parametrize("chunk", [3, 64, rng._CHUNK])
+
+    @staticmethod
+    def walks(monkeypatch, chunk, walk):
+        """The logs of ``walk()`` at one block per wave and at ``chunk``, once found equal, and their draw counts."""
+        draws = []
+        monkeypatch.setattr(montecarlo, "uniform_pairs", lambda *args: draws.append(1) or rng.uniform_pairs(*args))
+        monkeypatch.setattr(rng, "_CHUNK", 1)
+        one_deep = walk()
+        one_deep_draws = len(draws)
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        ahead = walk()
+        for a, b in zip(one_deep, ahead):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        return one_deep, ahead, one_deep_draws, len(draws) - one_deep_draws
+
+    @CHUNKS
+    @pytest.mark.parametrize("horizon", [None, 6.0])
+    def test_absorbing_walk(self, monkeypatch, chunk, horizon):
+        kernel = montecarlo._ChainKernel([absorbing_variant(degrading(0.5, 0.3, 0.5, 0.2))])
+        _, log, one_deep, ahead = self.walks(monkeypatch, chunk, lambda: montecarlo._walk_batch(
+            kernel, kernel.operational, 0, 5, 405, 31, 0, horizon, 10_000))
+        assert [col.dtype for col in log] == [np.int64, np.uint64, np.float64, np.int64]
+        # each trial fails at most once; without a horizon every one of them fails
+        assert np.unique(log[0]).size == log[0].size
+        assert (log[0].size == 400) == (horizon is None)
+        # a horizon walk draws one block per wave; 3 lanes per chunk draw ahead only for a last lone lane
+        assert ahead == one_deep if horizon is not None else chunk == 3 or ahead < one_deep
+
+    @CHUNKS
+    def test_walk_of_many_flips(self, monkeypatch, chunk):
+        # ok <-> degraded churn until a rare failure: the watched set {degraded} is entered and left many times
+        kernel = montecarlo._ChainKernel([absorbing_variant(degrading(2.0, 3.0, 0.3, 1.0))])
+        watched = np.array([False, True, False])
+        logs = self.walks(monkeypatch, chunk, lambda: montecarlo._walk_batch(
+            kernel, watched, 0, 0, 200, 8, 0, None, 10_000))
+        flips_per_trial = np.bincount(logs[1][0])
+        assert flips_per_trial.min() >= 2 and flips_per_trial.max() >= 50
+        assert logs[3] < logs[2] or chunk == 3
+        # each trial's time in the watched set, its flips summed in log order as the occupancy estimator does
+        one_deep, ahead = (np.bincount(trial, -delta * when, 200) for trial, _, when, delta in logs[:2])
+        assert np.array_equal(one_deep, ahead)
+
+    @CHUNKS
+    def test_union_walk(self, monkeypatch, chunk):
+        union = montecarlo._ChainKernel([absorbing_variant(chain) for chain in TestUnionKernel.CHAINS])
+        _, log, one_deep, ahead = self.walks(monkeypatch, chunk, lambda: montecarlo._walk_batch(
+            union, union.operational, union.base + [0, 1, 0], 5, 45, 123, np.array([4, 0, 9]), None, 10_000))
+        assert sorted(set(log[1].tolist())) == [0, 4, 9] and log[0].size == 40 * 3
+        assert ahead < one_deep or chunk == 3
 
 
 class TestPartition:

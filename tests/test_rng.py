@@ -120,6 +120,44 @@ def test_cell_bounds_rejected():
                 draw(0, trial, substream, 0)
 
 
+@pytest.mark.parametrize("draw", [uniform_block, uniform_pairs])
+@pytest.mark.parametrize("trial, substream, counter", [
+    (np.array([1.5]), 0, 0),  # not the draw of trial 1
+    (1, 2.9, 0),  # not substream 2
+    (np.array([1, 2]), np.array([0.0, 1.0]), 0),
+    (True, 0, 0),
+])
+def test_cells_must_be_integers(draw, trial, substream, counter):
+    message = r"^(trial index|substream id) must be an integer, got (float64|bool) values$"
+    with pytest.raises(DomainError, match=message):
+        draw(0, trial, substream, counter)
+
+
+@pytest.mark.parametrize("draw", [uniform_block, uniform_pairs])
+@pytest.mark.parametrize("counter, got", [
+    (np.array([-2], dtype=np.int64), -2),  # not the block of counter 2**64 - 2
+    (-1, -1),
+    (2 ** 64, 2 ** 64),
+    (np.array([[3], [-5]]), -5),
+])
+def test_draw_indices_outside_the_counter_range_are_rejected(draw, counter, got):
+    with pytest.raises(DomainError, match=rf"^draw index must be in \[0, 2\*\*64\), got {got}$"):
+        draw(0, np.arange(4), 0, counter)
+
+
+@pytest.mark.parametrize("counter", [np.array([2.0]), 1.5])
+def test_draw_indices_must_be_integers(counter):
+    with pytest.raises(DomainError, match=r"^draw index must be an integer, got float64 values$"):
+        uniform_block(0, 1, 0, counter)
+
+
+def test_draw_indices_at_the_ends_of_the_counter_range_are_accepted():
+    for counter in (0, 2 ** 64 - 1):
+        expected = _uniform_pair_scalar(5, 1, 2, counter)
+        for form in (counter, np.array([counter], dtype=np.uint64), np.array([[counter]], dtype=np.uint64)):
+            assert np.ravel(uniform_pairs(5, 1, 2, form)).tolist() == list(expected)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
     trial=st.integers(min_value=0, max_value=2 ** 32 - 1),
