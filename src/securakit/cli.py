@@ -151,7 +151,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _state_rows(chain, pi) -> list[Result]:
-    return [Result(f"pi[{label}]", float(pi.pi[i]), "analytic") for i, label in enumerate(chain.labels)]
+    return [Result(f"pi[{label}]", p, "analytic") for label, p in zip(chain.labels, pi)]
 
 
 def _weibull_eval(args) -> AnalysisReport:
@@ -199,7 +199,7 @@ def _markov_solve(ctx: _Context) -> AnalysisReport:
 
     chain = ctx.model
     pi = markov.steady_state(chain)
-    availability = float(pi.pi[chain.operational].sum())
+    availability = math.fsum(p for p, up in zip(pi, chain.operational) if up)
     return AnalysisReport({}, _state_rows(chain, pi) + [Result("availability", availability, "analytic")])
 
 
@@ -229,17 +229,14 @@ def _markov_transient(ctx: _Context) -> AnalysisReport:
 
 
 def _markov_metrics(ctx: _Context) -> AnalysisReport:
-    import numpy as np
-
     from . import markov
 
     chain = ctx.model
     failed = ctx.settings.get("failed")
     if failed is None:
-        non_op = np.flatnonzero(~chain.operational)
-        if non_op.size == 0:
+        failed = next((i for i, up in enumerate(chain.operational) if not up), None)
+        if failed is None:
             raise ValidationError("markov metrics needs a chain with a non-operational state")
-        failed = int(non_op[0])
     results = [Result("mttf", markov.mttf_absorbing(chain, ctx.start), "analytic")]
     try:
         results.append(Result("mttf", markov.mttf_rate_sum(chain), "paper_rate_sum"))

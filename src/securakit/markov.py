@@ -1,14 +1,14 @@
 """Continuous-time Markov chain reliability engine.
 
-The canonical model object is a :class:`Ctmc`: labeled states, a mask of
-the operational ones and the transition rates.  It has one constructor,
-which takes the off-diagonal rates as an n x n matrix and stores them once,
-in CSR form, with each state's exit rate.  The reachability searches and
-the Monte Carlo kernel read the CSR arrays; the generator Q, whose rows
-sum to zero, is formed from them as a dense matrix where a solver needs
-one.  Steady states come from a dense linear solve, and transient
-distributions from uniformization, which keeps probabilities nonnegative
-and carries a certified truncation error.
+The canonical model object is a :class:`Ctmc`: labeled states, their
+operational flags and the transition rates.  It has one constructor, which
+takes the rates as ``(source, target, rate)`` triplets and stores them
+once, in CSR form, with each state's exit rate, all as tuples of Python
+numbers.  Steady states and expected hitting times come from one
+subtraction-free elimination over those rows (:func:`_eliminate`), in pure
+Python, so those analyses load no numpy.  Transient distributions come from
+uniformization on the dense generator Q (numpy), which keeps probabilities
+nonnegative and carries a certified truncation error.
 
 Availability and reliability are deliberately distinct: availability sums
 operational-state mass on the unmodified chain (repairs allowed), while
@@ -19,10 +19,9 @@ still counts as failed once it has left the operational set.
 
 from __future__ import annotations
 
-import copy
 import math
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConvergenceError,
@@ -31,83 +30,94 @@ from .errors import (
     StructureError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ROW_SUM_TOL = 1e-12
 STEADY_RESIDUAL_TOL = 1e-10
 UNIFORMIZATION_TAIL = 1e-13
 _MAX_UNIFORMIZATION_TERMS = 5_000_000
+_RESCALE = 2.0 ** 256  # a stationary value past this rescales those before it, by 1/_RESCALE (exact)
 
 
 class Ctmc:
-    """Labeled states, their operational mask and their transition rates, stored once in CSR form.
+    """Labeled states, their operational flags and their transition rates, stored once in CSR form.
 
-    ``labels`` are distinct strings, one per state; ``operational`` is a
-    read-only bool mask over the states with at least one True.  ``rates``
-    is given as the n x n matrix of off-diagonal rates, finite and >= 0;
-    its diagonal is ignored.  It is kept as CSR: state i jumps to
-    ``targets[offsets[i]:offsets[i + 1]]``, in ascending order, at the
-    ``rates`` over the same slice.  ``exit_rates[i]`` is the sum of row i,
-    taken over the whole dense row.  The generator Q, whose rows sum to
-    zero, is derived: see :attr:`generator`.  Every array is read-only.
+    ``labels`` are distinct strings, one per state; ``operational`` holds
+    one flag per state, at least one of them True.  ``transitions`` is an
+    iterable of ``(source, target, rate)`` triplets over states
+    0..n-1, with finite rates >= 0; the rates of a repeated pair are summed
+    in the order given, and a self-loop is ignored.  The rates are kept as
+    CSR: state i jumps to ``targets[offsets[i]:offsets[i + 1]]``, in
+    ascending order, at the ``rates`` over the same slice, and a zero rate
+    is no jump.  ``exit_rates[i]`` is the ``math.fsum`` of row i.  Every
+    field is a tuple; the generator Q is derived: see :attr:`generator`.
     """
 
-    def __init__(self, labels: tuple[str, ...], operational: np.ndarray, rates: np.ndarray):
+    def __init__(self, labels, operational, transitions):
         labels = tuple(str(label) for label in labels)
-        op = np.array(operational, dtype=bool)
+        op = tuple(bool(flag) for flag in operational)
         n = len(labels)
-        if op.shape != (n,):
+        if len(op) != n:
             raise DomainError("labels and operational flags must have equal length")
         if not n:
             raise DomainError("state space must contain at least one state")
-        if not op.any():
+        if not any(op):
             raise DomainError("state space needs at least one operational state")
         if len(set(labels)) < n:
             repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise DomainError(f"duplicate state label {repeated!r}")
-        q = np.array(rates, dtype=float)
-        if q.shape != (n, n):
-            raise DomainError(f"generator must be {n}x{n}, got {q.shape}")
-        np.fill_diagonal(q, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):  # finite rates may sum past the largest double
-            exit_rates = q.sum(axis=1)
-        i = np.argmin(np.isfinite(exit_rates))  # the first state whose exit rate is not finite, if any
-        if not np.isfinite(exit_rates[i]):
-            raise DomainError(
-                f"generator entries must be finite; state {i} ({labels[i]}) has exit rate {exit_rates[i]}")
-        if np.any(q < 0):
+        rows = [{} for _ in labels]  # rows[i][j]: the rate i -> j
+        for i, j, rate in transitions:
+            if not (0 <= i < n and 0 <= j < n):
+                raise DomainError(f"transition {i} -> {j} names a state outside 0..{n - 1}")
+            if i != j:
+                rows[i][j] = rows[i].get(j, 0.0) + float(rate)
+        exit_rates = tuple(_row_sum(row.values()) for row in rows)
+        for i, rate in enumerate(exit_rates):
+            if not math.isfinite(rate):
+                raise DomainError(
+                    f"generator entries must be finite; state {i} ({labels[i]}) has exit rate {rate}")
+        if any(rate < 0 for row in rows for rate in row.values()):
             raise DomainError("off-diagonal generator entries must be >= 0")
-        self.labels = labels
-        self._store(operational=op, targets=np.nonzero(edges := q > 0)[1], rates=q[edges],
-                    offsets=np.concatenate(([0], np.cumsum(edges.sum(axis=1)))), exit_rates=exit_rates)
-
-    def _store(self, **arrays) -> Ctmc:
-        """Set each of ``arrays`` as a read-only attribute; returns this chain."""
-        for name, value in arrays.items():
-            value.setflags(write=False)
-            setattr(self, name, value)
-        return self
-
-    def _without_exits(self, rows: np.ndarray) -> Ctmc:
-        """A copy of this chain with every rate out of the states of bool mask ``rows`` removed."""
-        kept = ~np.repeat(rows, np.diff(self.offsets))
-        return copy.copy(self)._store(offsets=np.concatenate(([0], np.cumsum(kept)))[self.offsets],
-                                      targets=self.targets[kept], rates=self.rates[kept],
-                                      exit_rates=np.where(rows, 0.0, self.exit_rates))
+        edges = [sorted((j, rate) for j, rate in row.items() if rate > 0) for row in rows]
+        self.labels, self.operational, self.exit_rates = labels, op, exit_rates
+        self.offsets = tuple(accumulate(map(len, edges), initial=0))
+        self.targets = tuple(j for row in edges for j, _ in row)
+        self.rates = tuple(rate for row in edges for _, rate in row)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    def exits(self, i: int):
+        """The ``(target, rate)`` pairs of state i's jumps, in CSR order."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return zip(self.targets[lo:hi], self.rates[lo:hi])
+
     @property
     def generator(self) -> np.ndarray:
-        """The dense n x n generator Q, formed from the CSR arrays: a fresh read-only array.
+        """The dense n x n generator Q, formed from the CSR arrays: a fresh read-only numpy array.
 
         Off the diagonal it holds the rates; on it, minus the exit rates, so each row sums to zero
         up to rounding.
         """
-        q = np.diag(-self.exit_rates)
-        q[_edges(self)] = self.rates
+        import numpy as np
+
+        q = np.diag(-np.array(self.exit_rates))
+        sources = np.repeat(np.arange(self.n), np.diff(self.offsets))
+        q[sources, np.array(self.targets, dtype=np.intp)] = self.rates
         q.setflags(write=False)
         return q
+
+
+def _row_sum(rates) -> float:
+    """``math.fsum`` of ``rates``; where fsum refuses (finite rates past the largest double, or inf
+    with -inf), the plain sum, which is then not finite either."""
+    try:
+        return math.fsum(rates)
+    except (OverflowError, ValueError):
+        return sum(rates)
 
 
 class ProbabilityVector:
@@ -117,6 +127,8 @@ class ProbabilityVector:
     """
 
     def __init__(self, pi: np.ndarray):
+        import numpy as np
+
         v = np.asarray(pi, dtype=float)
         if v.ndim not in (1, 2) or v.shape[-1] == 0:
             raise DomainError("probability vector must be a nonempty 1-d array or a 2-d stack of them")
@@ -131,7 +143,7 @@ class ProbabilityVector:
 def build_two_state(lam: float, mu: float) -> Ctmc:
     """Up/down chain: failure rate ``lam`` out of state 0, repair rate ``mu``."""
     _check_two_state_rates(lam, mu)
-    return Ctmc(("up", "down"), (True, False), [[0.0, lam], [mu, 0.0]])
+    return Ctmc(("up", "down"), (True, False), [(0, 1, lam), (1, 0, mu)])
 
 
 def _check_two_state_rates(lam: float, mu: float) -> None:
@@ -141,65 +153,145 @@ def _check_two_state_rates(lam: float, mu: float) -> None:
         raise DomainError(f"repair rate must be > 0, got {mu}")
 
 
-def _edges(chain: Ctmc) -> tuple[np.ndarray, np.ndarray]:
-    """Each rate's source and target state, in CSR order."""
-    return np.repeat(np.arange(chain.n), np.diff(chain.offsets)), chain.targets
+def _graph(chain: Ctmc, cut=None) -> tuple[list, list]:
+    """Each state's successors and predecessors along the rates, without the rates out of the
+    states that ``cut`` flags."""
+    after = [() if cut is not None and cut[i] else chain.targets[chain.offsets[i]:chain.offsets[i + 1]]
+             for i in range(chain.n)]
+    before = [[] for _ in after]
+    for i, successors in enumerate(after):
+        for j in successors:
+            before[j].append(i)
+    return after, before
 
 
-def _reachable(sources: np.ndarray, targets: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """States reachable from the states of bool mask ``start`` along the edges sources[e] -> targets[e]."""
-    after = [[] for _ in range(start.size)]  # after[i]: the targets of the edges out of state i
-    for i, j in zip(sources.tolist(), targets.tolist()):
-        after[i].append(j)
-    seen, stack = start.tolist(), np.flatnonzero(start).tolist()
+def _search(after: list, start: list[int]) -> list[bool]:
+    """The states reachable from the states ``start`` along ``after[i]``, the states one step past i."""
+    seen, stack = [False] * len(after), list(start)
+    for i in stack:
+        seen[i] = True
     while stack:
         for j in after[stack.pop()]:
             if not seen[j]:
                 seen[j] = True
                 stack.append(j)
-    return np.array(seen)
+    return seen
 
 
-def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """The solution x of a @ x = b; a singular ``a`` raises SingularSystemError naming the ``what`` system."""
+def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[float]:
+    """Solve a chain's linear system by eliminating its states from the last down to state 1.
+
+    ``rows[i]`` maps each state j != i to the rate i -> j; the dicts and
+    ``rewards`` are used up.  Eliminating state k takes it out of the chain:
+    each rate i -> k is passed on to k's other targets in proportion to their
+    rates, ``a_ij + a_ik * (a_kj / s_k)``, where the pivot s_k is the fsum of
+    the rates out of k to the states still in.  The share that comes back to
+    i is dropped rather than subtracted from i's diagonal, so every pivot is
+    a sum of nonnegative rates and no step subtracts: each entry keeps a
+    small relative error however stiff the chain (Grassmann, Taksar & Heyman,
+    Oper. Res. 1985; for hitting times Alfa, Xue & Ye, Numer. Math. 2002).
+
+    Without ``rewards`` the chain must be irreducible, and the result is its
+    stationary distribution: pi_0 = 1, then pi_k is the fsum of pi_i * a_ik
+    over the rates into k as k was eliminated, over s_k, all normalized by
+    their fsum.  Whenever pi_k passes ``_RESCALE``, pi_0..pi_k are divided by
+    it, a power of two, so a chain whose mass grows past the double range
+    from state 0 up still solves, with the bits of the unscaled sum wherever
+    no value falls below the normal range.
+
+    With ``rewards``, state 0 stands for the absorbing target set, every
+    other state must reach it, and the result is each state's expected
+    reward before absorption when state k earns ``rewards[k]`` per unit time
+    (0 for state 0; rewards of 1 give the expected hitting times): the
+    elimination passes rewards on as it does rates, and state k's value is
+    the fsum of its reward and of a_kj times state j's value, over s_k.
+
+    Only ``+``, ``*``, ``/`` and ``math.fsum`` on Python floats are used, so
+    the bits do not depend on the machine.  A pivot that is not positive and
+    finite raises ZeroDivisionError, and an fsum past the largest double
+    OverflowError: both are ArithmeticErrors.
+    """
+    n = len(rows)
+    into = [set() for _ in rows]  # into[j]: the states whose row has held a rate to j
+    for i, row in enumerate(rows):
+        for j in row:
+            into[j].add(i)
+    pivots, inflows = [0.0] * n, [None] * n
+    for k in range(n - 1, 0, -1):
+        s = pivots[k] = math.fsum(rows[k].values())
+        if not 0 < s < math.inf:
+            raise ZeroDivisionError(f"pivot of state {k} is {s}")
+        shares = [(j, rate / s) for j, rate in rows[k].items()]
+        inflow = inflows[k] = {i: rows[i].pop(k) for i in into[k] if i < k}
+        for i, rate in inflow.items():
+            row = rows[i]
+            for j, share in shares:
+                if j == i:
+                    continue
+                if j in row:
+                    row[j] += rate * share
+                else:
+                    row[j] = rate * share
+                    into[j].add(i)
+            if rewards is not None:
+                rewards[i] += rate * (rewards[k] / s)
+    if rewards is None:
+        x = [1.0] + [0.0] * (n - 1)
+        for k in range(1, n):
+            x[k] = math.fsum([x[i] * rate for i, rate in inflows[k].items()]) / pivots[k]
+            if x[k] > _RESCALE:
+                x[:k + 1] = [v / _RESCALE for v in x[:k + 1]]
+        total = math.fsum(x)
+        return [v / total for v in x]
+    x = [0.0] * n
+    for k in range(1, n):
+        x[k] = math.fsum([rewards[k], *(rate * x[j] for j, rate in rows[k].items())]) / pivots[k]
+    return x
+
+
+def _solve(rows: list[dict], rewards: list[float] | None, what: str) -> list[float]:
+    """:func:`_eliminate`, with a pivot that is not positive and finite raised as SingularSystemError
+    naming the ``what`` system."""
     try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
+        return _eliminate(rows, rewards)
+    except ArithmeticError as exc:
         raise SingularSystemError(f"{what} system is singular: {exc}") from exc
 
 
 def _require_irreducible(chain: Ctmc) -> None:
-    (sources, targets), first = _edges(chain), np.arange(chain.n) == 0
-    if not (_reachable(sources, targets, first).all() and _reachable(targets, sources, first).all()):
+    after, before = _graph(chain)
+    if not (all(_search(after, [0])) and all(_search(before, [0]))):
         raise StructureError("chain is reducible: not every state reaches every other")
 
 
-def steady_state(chain: Ctmc) -> ProbabilityVector:
-    """Stationary distribution pi with pi @ Q = 0 and sum(pi) = 1.
+def steady_state(chain: Ctmc) -> tuple[float, ...]:
+    """Stationary distribution pi with pi @ Q = 0 and sum(pi) = 1, one float per state.
 
-    Solved as the dense linear system Q^T pi = 0 with one equation replaced
-    by the normalization constraint; the residual ``max|pi @ Q|`` is
-    verified below 1e-10 times the rate scale ``max(1, max|Q|)``, so chains
-    of any rate scale are judged alike.  Entry noise in (-1e-13, 0) from
-    the solve is clipped to zero before validation.
+    Solved by the subtraction-free elimination of :func:`_eliminate` on the
+    irreducible chain's rate rows, so even entries many decades below the
+    largest keep a small relative error.  The residual ``max|pi @ Q|``, each
+    entry an fsum, is verified below 1e-10 times the rate scale ``max(1,
+    max|Q|)``, so chains of any rate scale are judged alike; then each entry
+    is checked to be >= 0 and their sum to be 1 within 1e-12.
     """
     _require_irreducible(chain)
-    q = chain.generator
-    a = q.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(chain.n)
-    b[-1] = 1.0
-    pi = _solve(a, b, "steady-state")
-    tiny = (pi < 0) & (pi > -1e-13)
-    pi[tiny] = 0.0
-    residual = float(np.abs(pi @ q).max())
-    bound = STEADY_RESIDUAL_TOL * max(1.0, float(np.abs(q).max()))
-    if residual >= bound:
+    pi = _solve([dict(chain.exits(i)) for i in range(chain.n)], None, "steady-state")
+    flows = [[-p * rate] for p, rate in zip(pi, chain.exit_rates)]  # flows[j]: the terms of (pi @ Q)[j]
+    for i, p in enumerate(pi):
+        for j, rate in chain.exits(i):
+            flows[j].append(p * rate)
+    residual = max(abs(math.fsum(terms)) for terms in flows)
+    bound = STEADY_RESIDUAL_TOL * max(1.0, max(chain.exit_rates))  # an exit rate is its row's largest |Q| entry
+    if not residual < bound:
         raise SingularSystemError(
             f"steady-state residual {residual:.3e} exceeds {bound:.3e} "
             f"({STEADY_RESIDUAL_TOL:.0e} x max(1, max|Q|))"
         )
-    return ProbabilityVector(pi)
+    if any(p < 0 for p in pi):
+        raise DomainError("probability vector entries must be >= 0")
+    if abs(math.fsum(pi) - 1.0) > ROW_SUM_TOL:
+        raise DomainError("probability vector must sum to 1 within 1e-12")
+    return tuple(pi)
 
 
 def _poisson_weights(mu: float) -> tuple[int, np.ndarray]:
@@ -214,6 +306,8 @@ def _poisson_weights(mu: float) -> tuple[int, np.ndarray]:
     P(X > k) <= ``UNIFORMIZATION_TAIL``; that tail is a reversed cumulative
     sum, so the smallest terms are added first.
     """
+    import numpy as np
+
     if not math.isfinite(mu):
         raise ConvergenceError(f"uniformization cannot bound the tail at rate*t = {mu:.3g}")
     # P(X <= mu - y) <= exp(-y^2 / (2 mu)) = 1 - UNIFORMIZATION_TAIL: R is at least this floor.
@@ -263,6 +357,8 @@ def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
     same to the last bit as when it is computed alone.  Every window, and
     every error, comes before the first product.
     """
+    import numpy as np
+
     grid = np.array(times, dtype=float)
     if not np.all(grid >= 0):
         raise DomainError(f"time must be >= 0, got {grid[~(grid >= 0)][0]}")
@@ -300,12 +396,13 @@ def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
 def availability_at(chain: Ctmc, pi0, t: float) -> float:
     """Point availability: operational mass of the transient distribution."""
     dist = transient(chain, pi0, t)
-    return float(dist.pi[chain.operational].sum())
+    return float(dist.pi[list(chain.operational)].sum())
 
 
 def absorbing_variant(chain: Ctmc) -> Ctmc:
     """Copy of the chain with every non-operational state made absorbing."""
-    return chain._without_exits(~chain.operational)
+    op = chain.operational
+    return Ctmc(chain.labels, op, ((i, j, rate) for i in range(chain.n) if op[i] for j, rate in chain.exits(i)))
 
 
 def reliability_at(chain: Ctmc, pi0, t: float) -> float:
@@ -314,10 +411,10 @@ def reliability_at(chain: Ctmc, pi0, t: float) -> float:
     Computed as the operational mass of the transient distribution on the
     absorbing variant, so repairs cannot rescue a failed trajectory.
     """
-    if chain.operational.all():
+    if all(chain.operational):
         raise StructureError("reliability analysis needs at least one non-operational state")
     dist = transient(absorbing_variant(chain), pi0, t)
-    return float(dist.pi[chain.operational].sum())
+    return float(dist.pi[list(chain.operational)].sum())
 
 
 def availability_two_state(lam: float, mu: float) -> float:
@@ -327,9 +424,8 @@ def availability_two_state(lam: float, mu: float) -> float:
 
 
 def availability_steady(chain: Ctmc) -> float:
-    """Long-run availability: operational mass of the steady state."""
-    pi = steady_state(chain)
-    return float(pi.pi[chain.operational].sum())
+    """Long-run availability: operational mass of the steady state, an fsum."""
+    return math.fsum(p for p, up in zip(steady_state(chain), chain.operational) if up)
 
 
 def mttf_rate_sum(chain: Ctmc) -> float:
@@ -339,49 +435,67 @@ def mttf_rate_sum(chain: Ctmc) -> float:
     non-operational states; every operational state must have one.  This
     coincides with the rigorous absorbing-chain MTTF only when there is a
     single operational state; report it with the ``paper_rate_sum`` label.
+    Each rate and the total are fsums.
     """
     op = chain.operational
-    fail_rates = chain.generator[np.ix_(op, ~op)].sum(axis=1)
-    if np.any(fail_rates <= 0):
-        bad = np.flatnonzero(op)[np.flatnonzero(fail_rates <= 0)]
-        labels = ", ".join(chain.labels[i] for i in bad)
-        raise StructureError(f"operational state(s) with zero failure exit rate: {labels}")
-    return float((1.0 / fail_rates).sum())
+    fail_rates = {i: math.fsum(rate for j, rate in chain.exits(i) if not op[j])
+                  for i in range(chain.n) if op[i]}
+    bad = [chain.labels[i] for i, rate in fail_rates.items() if rate <= 0]
+    if bad:
+        raise StructureError(f"operational state(s) with zero failure exit rate: {', '.join(bad)}")
+    return math.fsum(1.0 / rate for rate in fail_rates.values())
 
 
-def _vet_hitting_states(chain: Ctmc, start: int, target_mask: np.ndarray, kind: str) -> np.ndarray:
+def _vet_hitting_states(chain: Ctmc, start: int, target_mask, kind: str) -> list[int]:
     """Check that absorption into ``target_mask`` from ``start`` is certain.
 
     Target states are treated as absorbing; every non-target state the
     walk can visit must be able to reach the target, otherwise the hitting
-    time is infinite with positive probability.  Returns the indices of
-    the visitable non-target states.
+    time is infinite with positive probability.  ``target_mask`` holds one
+    flag per state.  Returns the visitable non-target states, ascending.
     """
-    sources, targets = _edges(chain._without_exits(target_mask))
-    reach = _reachable(sources, targets, np.arange(chain.n) == start)
-    live = reach & ~target_mask
-    if not np.any(reach & target_mask):
+    after, before = _graph(chain, target_mask)
+    reach = _search(after, [start])
+    if not any(r and hit for r, hit in zip(reach, target_mask)):
         raise StructureError(f"no {kind} state is reachable from state {start}")
+    live = [i for i, (r, hit) in enumerate(zip(reach, target_mask)) if r and not hit]
     # one backward search from the whole target set finds every state with a path into it
-    stuck = np.flatnonzero(live & ~_reachable(targets, sources, target_mask))
-    if stuck.size:
-        i = stuck[0]
-        raise StructureError(
-            f"state {i} ({chain.labels[i]}) can be visited but cannot "
-            f"reach any {kind} state; expected hitting time is infinite"
-        )
-    return np.flatnonzero(live)
+    hits = _search(before, [i for i, hit in enumerate(target_mask) if hit])
+    for i in live:
+        if not hits[i]:
+            raise StructureError(
+                f"state {i} ({chain.labels[i]}) can be visited but cannot "
+                f"reach any {kind} state; expected hitting time is infinite"
+            )
+    return live
 
 
-def _expected_hitting_time(chain: Ctmc, start: int, target_mask: np.ndarray, kind: str) -> float:
-    """Expected time from ``start`` until the chain first enters ``target_mask``."""
-    idx = _vet_hitting_states(chain, start, target_mask, kind)
-    tau = _solve(chain.generator[np.ix_(idx, idx)], -np.ones(idx.size), "hitting-time")
-    # every expected time is > 0; a stiff system can lose all precision and give one that is not, or NaN
-    bad = ~(tau > 0)
-    if bad.any():
-        raise SingularSystemError(f"hitting-time solve lost precision: got {tau[bad][0]:.6g}")
-    return float(tau[np.searchsorted(idx, start)])
+def _expected_hitting_time(chain: Ctmc, start: int, target_mask, kind: str) -> float:
+    """Expected time from ``start`` until the chain first enters ``target_mask``.
+
+    The system holds the target set as its state 0 and the visitable
+    non-target states after it, in order; each row keeps the state's rates
+    to the others, plus the fsum of its rates into the target set.
+    """
+    live = _vet_hitting_states(chain, start, target_mask, kind)
+    at = {i: k for k, i in enumerate(live, 1)}  # state i is state at[i] of the system
+    rows = [{}]
+    for i in live:
+        row, absorbed = {}, []
+        for j, rate in chain.exits(i):
+            if j in at:
+                row[at[j]] = rate
+            else:
+                absorbed.append(rate)
+        if absorbed:
+            row[0] = math.fsum(absorbed)
+        rows.append(row)
+    tau = _solve(rows, [0.0] + [1.0] * len(live), "hitting-time")
+    # every expected time is > 0; one that is not, or NaN, is a fault of the solve, and stays loud
+    bad = next((t for t in tau[1:] if not t > 0), None)
+    if bad is not None:
+        raise SingularSystemError(f"hitting-time solve lost precision: got {bad:.6g}")
+    return tau[at[start]]
 
 
 def check_start(chain: Ctmc, start: int, operational: bool = False) -> None:
@@ -395,10 +509,9 @@ def check_start(chain: Ctmc, start: int, operational: bool = False) -> None:
 def vet_absorption(chain: Ctmc, start: int) -> None:
     """Raise unless a walk from operational ``start`` surely hits a failure state."""
     check_start(chain, start, operational=True)
-    op = chain.operational
-    if op.all():
+    if all(chain.operational):
         raise StructureError("chain has no non-operational state")
-    _vet_hitting_states(chain, start, ~op, kind="failure")
+    _vet_hitting_states(chain, start, [not up for up in chain.operational], kind="failure")
 
 
 def mttf_absorbing(chain: Ctmc, start: int) -> float:
@@ -408,7 +521,7 @@ def mttf_absorbing(chain: Ctmc, start: int) -> float:
     operational states are retained.  Report with the ``analytic`` label.
     """
     check_start(chain, start, operational=True)
-    return _expected_hitting_time(chain, start, ~chain.operational, kind="failure")
+    return _expected_hitting_time(chain, start, [not up for up in chain.operational], kind="failure")
 
 
 def mttr(chain: Ctmc, failed: int) -> float:

@@ -459,19 +459,14 @@ def build_model(
 
 def _chain_of(obj: dict) -> tuple[Ctmc, int]:
     """Chain plus start state from a ``lambda``/``mu`` shortcut or a ``states``/``transitions`` declaration."""
-    import numpy as np
-
     from .markov import Ctmc, build_two_state
 
     if "lambda" in obj:
         return build_two_state(obj["lambda"], obj["mu"]), obj.get("start", 0)
     labels = [s["label"] for s in obj["states"]]
     flags = [s["operational"] for s in obj["states"]]
-    rates = np.zeros((len(labels), len(labels)))
-    with np.errstate(over="ignore"):  # a repeated pair may sum past the largest double; Ctmc names it
-        for tr in obj["transitions"]:
-            rates[tr["from"], tr["to"]] += tr["rate"]
-    return Ctmc(labels, flags, rates), obj.get("start", 0)
+    transitions = ((tr["from"], tr["to"], tr["rate"]) for tr in obj["transitions"])
+    return Ctmc(labels, flags, transitions), obj.get("start", 0)
 
 
 def build_chain(doc: ModelDocument) -> tuple[Ctmc, int]:

@@ -160,7 +160,7 @@ def simulate_trajectory(
         t = t + hold
         lo, hi = offsets[state], offsets[state + 1]
         acc = 0.0
-        for nxt, r in zip(chain.targets[lo:hi].tolist(), chain.rates[lo:hi].tolist()):
+        for nxt, r in zip(chain.targets[lo:hi], chain.rates[lo:hi]):
             acc += r / rate
             if u <= acc:
                 break
@@ -188,8 +188,9 @@ class _ChainKernel:
         self.part = np.repeat(np.arange(len(chains)), sizes)
         self.exit_rates = np.concatenate([chain.exit_rates for chain in chains])
         self.operational = np.concatenate([chain.operational for chain in chains])
-        self.targets = np.concatenate([chain.targets + first for chain, first in zip(chains, self.base)])
-        rates = np.concatenate([chain.rates for chain in chains])
+        self.targets = np.concatenate([np.array(chain.targets, dtype=np.intp) + first
+                                       for chain, first in zip(chains, self.base)])
+        rates = np.concatenate([np.array(chain.rates, dtype=float) for chain in chains])
         degree = np.concatenate([np.diff(chain.offsets) for chain in chains])
         self.offsets = np.concatenate(([0], np.cumsum(degree)))
         self._last = self.offsets[1:] - 1

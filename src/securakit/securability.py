@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import markov
 from .errors import DomainError
 from .markov import Ctmc
@@ -105,19 +103,13 @@ class RoutOfNSystem:
 
 def build_msdr(rates: MsDrRates, single_repair_crew: bool = False) -> Ctmc:
     """Four-state MS/DR chain with independent failures and repairs."""
-    t = np.zeros((4, 4))
-    t[0, 1] = rates.lambda_ms
-    t[0, 2] = rates.lambda_dr
-    t[1, 0] = rates.mu_ms
-    t[2, 0] = rates.mu_dr
-    t[1, 3] = rates.lambda_dr
-    t[2, 3] = rates.lambda_ms
-    if single_repair_crew:
-        t[3, 2] = rates.mu_ms  # one crew, MS repaired first
-    else:
-        t[3, 1] = rates.mu_dr
-        t[3, 2] = rates.mu_ms
-    return Ctmc(MSDR_LABELS, MSDR_OPERATIONAL, t)
+    transitions = [
+        (0, 1, rates.lambda_ms), (0, 2, rates.lambda_dr), (1, 0, rates.mu_ms), (2, 0, rates.mu_dr),
+        (1, 3, rates.lambda_dr), (2, 3, rates.lambda_ms), (3, 2, rates.mu_ms),
+    ]
+    if not single_repair_crew:  # one crew repairs MS first; two repair both at once
+        transitions.append((3, 1, rates.mu_dr))
+    return Ctmc(MSDR_LABELS, MSDR_OPERATIONAL, transitions)
 
 
 def service_availability(rates: MsDrRates, single_repair_crew: bool = False) -> float:
@@ -130,13 +122,13 @@ def service_availability(rates: MsDrRates, single_repair_crew: bool = False) -> 
     return msdr_service_availability(chain, markov.steady_state(chain))
 
 
-def msdr_service_availability(chain: Ctmc, pi: markov.ProbabilityVector) -> float:
+def msdr_service_availability(chain: Ctmc, pi: tuple[float, ...]) -> float:
     """Service availability of an MS/DR ``chain`` from its solved steady state ``pi``.
 
     One minus the mass outside the operational set, which for the MS/DR
     chain is pi(both_down) alone.
     """
-    return 1.0 - float(pi.pi[~chain.operational].sum())
+    return 1.0 - math.fsum(p for p, up in zip(pi, chain.operational) if not up)
 
 
 def combine_failure_and_attack(failure_rate: float, threat: ThreatProfile) -> float:
@@ -176,12 +168,10 @@ def r_out_of_n_availability(system: RoutOfNSystem) -> float:
 
 def _at_least(r: int, ps) -> float:
     """P(at least r successes) among independent events of probabilities ``ps``."""
-    dp = np.zeros(len(ps) + 1)
-    dp[0] = 1.0
+    dp = [1.0] + [0.0] * len(ps)  # dp[k]: P(k successes) among the events so far
     for p in ps:
-        dp[1:] = dp[1:] * (1.0 - p) + dp[:-1] * p
-        dp[0] *= 1.0 - p
-    return float(dp[r:].sum())
+        dp = [dp[0] * (1.0 - p)] + [dp[k] * (1.0 - p) + dp[k - 1] * p for k in range(1, len(dp))]
+    return math.fsum(dp[r:])
 
 
 def decompose(system: RoutOfNSystem) -> list[Result]:

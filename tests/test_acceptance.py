@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from exact_chains import triplets
 from malformed_corpus import MALFORMED_DOCUMENTS
 
 from securakit import markov, montecarlo, securability, weibull
@@ -122,14 +123,14 @@ def test_c04_steady_state_correctness():
         build_msdr(MsDrRates(0.01, 0.01, 0.1, 0.1)),
     ):
         pi = steady_state(chain)
-        worst_residual = max(worst_residual, float(np.abs(pi.pi @ chain.generator).max()))
+        worst_residual = max(worst_residual, float(np.abs(np.array(pi) @ chain.generator).max()))
     worst_closed_form = 0.0
     for lam, mu in _rate_pairs(50):
         pi = steady_state(build_two_state(lam, mu))
         worst_closed_form = max(
             worst_closed_form,
-            abs(pi.pi[0] - mu / (lam + mu)),
-            abs(pi.pi[1] - lam / (lam + mu)),
+            abs(pi[0] - mu / (lam + mu)),
+            abs(pi[1] - lam / (lam + mu)),
         )
     ok = worst_residual < 1e-10 and worst_closed_form <= 1e-12
     _report(
@@ -140,7 +141,7 @@ def test_c04_steady_state_correctness():
 def test_c05_availability_consistency():
     worst = 0.0
     for lam, mu in _rate_pairs(50):
-        mass = float(steady_state(build_two_state(lam, mu)).pi[0])
+        mass = steady_state(build_two_state(lam, mu))[0]
         worst = max(worst, abs(availability_two_state(lam, mu) - mass))
     _report("C05", worst <= 1e-12, f"max |closed form - steady mass|={worst:.2e}")
 
@@ -162,13 +163,13 @@ def test_c07_mttf_cross_oracle():
     rates[0, 2] = 0.07
     rates[1, 0] = 1.0
     rates[2, 0] = 1.0
-    single_op_chains.append(Ctmc(["up", "f1", "f2"], [True, False, False], rates))
+    single_op_chains.append(Ctmc(["up", "f1", "f2"], [True, False, False], triplets(rates)))
     exact = all(mttf_absorbing(c, 0) == mttf_rate_sum(c) for c in single_op_chains)
 
     rates = np.zeros((3, 3))
     rates[0, 1] = 0.1
     rates[1, 2] = 0.2
-    series = Ctmc(["up", "degraded", "failed"], [True, True, False], rates)
+    series = Ctmc(["up", "degraded", "failed"], [True, True, False], triplets(rates))
     series_err = abs(mttf_absorbing(series, 0) - (1 / 0.1 + 1 / 0.2))
     ok = exact and series_err <= 1e-12
     _report("C07", ok, f"single-op exact={exact}, series error={series_err:.2e}")
@@ -198,7 +199,7 @@ def test_c09_msdr_cross_validation():
     )
     mttf_ok = abs(mttf_est.value - analytic_mttf) <= 3.0 * mttf_est.std_error
 
-    pi3 = float(steady_state(chain).pi[3])
+    pi3 = steady_state(chain)[3]
     occ_est = montecarlo.estimate_occupancy(
         chain,
         0,

@@ -12,11 +12,13 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from exact_chains import exact_hitting_times, ladder
 from malformed_corpus import MALFORMED_DOCUMENTS
 
 import securakit
@@ -412,7 +414,7 @@ class TestTransientSeries:
         chain, start = model_io.build_chain(model_io.parse_model(json.dumps(doc)))
         pi0 = np.zeros(chain.n)
         pi0[start] = 1.0
-        op_mask = chain.operational
+        op_mask = list(chain.operational)
         series = {s["name"]: s for s in json.loads(out)["series"]}
         times = series["availability"]["t"]
         for i, t in enumerate(times):
@@ -774,6 +776,35 @@ class TestColdStart:
         )
 
 
+    CHAIN_ROUTOFN = {"kind": "r_out_of_n", "seed": 3, "parameters": {"r": 1, "subsystems": [
+        {"type": "two_state", "lambda": 0.01, "mu": 0.1}, {"type": "probability", "p": 0.9}]}}
+
+    @pytest.mark.parametrize("argv, payload, numpy_loaded", [
+        (["markov", "solve"], TWO_STATE_DOC, False),
+        (["markov", "metrics"], TWO_STATE_DOC, False),
+        (["sec", "msdr"], MSDR_DOC, False),
+        (["sec", "routofn"], CHAIN_ROUTOFN, False),
+        (["markov", "transient", "--grid", "0:10:3"], TWO_STATE_DOC, True),
+        (["sec", "routofn"], {**CHAIN_ROUTOFN, "analyses": [{"op": "threshold_reliability", "n_trials": 100,
+                                                               "horizon": 1.0}]}, True),
+    ], ids=["markov_solve", "markov_metrics", "sec_msdr", "sec_routofn", "markov_transient",
+            "sec_routofn_threshold"])
+    def test_analytic_chain_commands_load_no_numpy(self, capsys, write_doc, argv, payload, numpy_loaded):
+        argv = [*argv, "--file", write_doc(payload)]
+        # what ``python -m securakit ARGV`` runs, then whether numpy was loaded
+        proc = fresh_python(
+            "import runpy, sys\n"
+            f"sys.argv = ['securakit', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('securakit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print('numpy' in sys.modules)\n"
+        )
+        code, out, err = run(capsys, argv)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out + f"{numpy_loaded}\n"
+
+
 class TestProgramEntry:
     def test_main_leaves_the_collector_as_it_found_it(self, capsys, write_doc):
         before = gc.isenabled(), gc.get_freeze_count()
@@ -941,12 +972,14 @@ class TestExitCodes:
         assert (values["pdf"], values["hazard"], values["cdf"], values["reliability"]) == (1e-10, 1e-10, 0.0, 1.0)
 
     @pytest.mark.parametrize("n, lam, mu", [(6, 1e-5, 1e3), (12, 1e-2, 10.0)])
-    def test_hitting_time_that_lost_precision_exits_2(self, capsys, write_doc, n, lam, mu):
-        # the solve's answer on these stiff chains is negative: a loud error, not a printed MTTF
-        code, out, err = run(capsys, ["markov", "metrics", "--file", write_doc(ladder_doc(n, lam, mu))])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: numerical: hitting-time solve lost precision: got -")
-        assert err.count("\n") == 1
+    def test_stiff_hitting_time_exits_0_with_the_exact_mttf(self, capsys, write_doc, n, lam, mu):
+        # an LU solve gave a negative MTTF on these chains; the elimination gives the exact one
+        code, out, err = run(capsys, ["markov", "metrics", "--file", write_doc(ladder_doc(n, lam, mu)),
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        mttf = next(r["value"] for r in json.loads(out)["results"] if r["metric"] == "mttf")
+        exact = exact_hitting_times(ladder(n, lam, mu, repairable_top=True), {n - 1})[0]
+        assert abs(Fraction(mttf) / exact - 1) <= 1e-13
 
     @pytest.mark.parametrize("command, entry, message", [
         ("markov metrics", {"op": "metrics"}, "markov metrics needs a chain with a non-operational state"),

@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from exact_chains import triplets
+
 from securakit import cli, markov, montecarlo
 from securakit.errors import ConvergenceError, DomainError, SchemaError
 from securakit.markov import Ctmc, _poisson_weights, build_two_state, transient_grid
@@ -42,8 +44,8 @@ def test_seed_out_of_range_is_usage_error(capsys, tmp_path, seed):
 
 
 def test_generator_of_the_wrong_shape():
-    with pytest.raises(DomainError, match=r"^generator must be 2x2, got \(3, 3\)$"):
-        Ctmc(("up", "down"), (True, False), np.zeros((3, 3)))
+    with pytest.raises(DomainError, match=r"^transition 0 -> 2 names a state outside 0\.\.1$"):
+        Ctmc(("up", "down"), (True, False), triplets(np.zeros((3, 3))))
 
 
 def test_start_vector_of_the_wrong_length():

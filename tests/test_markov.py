@@ -3,6 +3,7 @@
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.stats import poisson
+
+from exact_chains import exact_hitting_times, exact_steady_state, ladder, triplets
 
 from securakit import markov, montecarlo
 from securakit.errors import ConvergenceError, DomainError, SingularSystemError, StructureError
@@ -47,7 +50,7 @@ def series_chain(lam_a=0.1, lam_b=0.2):
     rates = np.zeros((3, 3))
     rates[0, 1] = lam_a
     rates[1, 2] = lam_b
-    return Ctmc(["up", "degraded", "failed"], [True, True, False], rates)
+    return Ctmc(["up", "degraded", "failed"], [True, True, False], triplets(rates))
 
 
 def random_chain(rng, n_states=4):
@@ -56,7 +59,7 @@ def random_chain(rng, n_states=4):
     ops = [rng.uniform() < 0.5 for _ in range(n_states)]
     ops[0] = True
     ops[-1] = False
-    return Ctmc([f"s{i}" for i in range(n_states)], ops, rates)
+    return Ctmc([f"s{i}" for i in range(n_states)], ops, triplets(rates))
 
 
 class TestConstruction:
@@ -73,11 +76,11 @@ class TestConstruction:
 
     def test_negative_off_diagonal_rejected(self):
         with pytest.raises(DomainError):
-            Ctmc(["a", "b"], [True, False], np.array([[0.1, -0.1], [-0.1, 0.1]]))
+            Ctmc(["a", "b"], [True, False], triplets([[0.1, -0.1], [-0.1, 0.1]]))
 
     def test_state_space_needs_operational_state(self):
         with pytest.raises(DomainError):
-            Ctmc(["a", "b"], [False, False], np.zeros((2, 2)))
+            Ctmc(["a", "b"], [False, False], triplets(np.zeros((2, 2))))
 
     @pytest.mark.parametrize("labels, flags, message", [
         (["a", "b"], [True], "labels and operational flags must have equal length"),
@@ -87,18 +90,26 @@ class TestConstruction:
     ])
     def test_constructor_messages(self, labels, flags, message):
         with pytest.raises(DomainError) as err:
-            Ctmc(labels, flags, np.zeros((len(labels), len(labels))))
+            Ctmc(labels, flags, triplets(np.zeros((len(labels), len(labels)))))
         assert str(err.value) == message
 
     def test_operational_is_one_read_only_mask(self):
         flags = np.array([True, True, False])
-        chain = Ctmc(("up", "degraded", "failed"), flags, np.zeros((3, 3)))
+        chain = Ctmc(("up", "degraded", "failed"), flags, [])
         flags[:] = False  # the chain keeps its own copy
-        assert chain.operational is chain.operational
-        assert chain.operational.dtype == bool and chain.operational.tolist() == [True, True, False]
-        with pytest.raises(ValueError):
-            chain.operational[0] = False
+        assert chain.operational == (True, True, False)
+        assert all(type(flag) is bool for flag in chain.operational)
         assert chain.labels == ("up", "degraded", "failed")
+
+    def test_triplets_sum_repeated_pairs_in_order_and_ignore_self_loops(self):
+        chain = Ctmc(["a", "b", "c"], [True, True, False],
+                     [(0, 2, 0.1), (0, 0, math.nan), (0, 2, 0.2), (0, 1, 0.0), (1, 0, 1e-3), (1, 2, 5.0), (0, 2, 0.3)])
+        assert chain.offsets == (0, 1, 3, 3)
+        assert chain.targets == (2, 0, 2)  # a zero rate is no jump
+        assert chain.rates == ((0.1 + 0.2) + 0.3, 1e-3, 5.0)
+        assert chain.exit_rates == ((0.1 + 0.2) + 0.3, math.fsum([1e-3, 5.0]), 0.0)
+        with pytest.raises(DomainError, match=r"^transition 2 -> 3 names a state outside 0\.\.2$"):
+            Ctmc(["a", "b", "c"], [True, True, False], [(0, 1, 1.0), (2, 3, 1.0)])
 
     def test_absorbing_variant_keeps_labels_and_operational(self):
         chain = build_two_state(0.01, 0.1)
@@ -121,7 +132,7 @@ class TestDiscretize:
         for _ in range(10):
             chain = random_chain(rng)
             for frac in (0.1, 0.9):
-                p = np.eye(chain.n) + frac / chain.exit_rates.max() * chain.generator
+                p = np.eye(chain.n) + frac / max(chain.exit_rates) * chain.generator
                 v = np.full(chain.n, 1.0 / chain.n)
                 for _ in range(200_000):
                     nxt = v @ p
@@ -129,17 +140,17 @@ class TestDiscretize:
                         v = nxt
                         break
                     v = nxt
-                np.testing.assert_allclose(v, steady_state(chain).pi, rtol=0, atol=1e-8)
+                np.testing.assert_allclose(v, steady_state(chain), rtol=0, atol=1e-8)
 
 
 class TestSteadyState:
     def test_two_state_closed_form(self):
         pi = steady_state(build_two_state(0.01, 0.1))
-        np.testing.assert_allclose(pi.pi, [10 / 11, 1 / 11], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pi, [10 / 11, 1 / 11], rtol=0, atol=1e-15)
 
     def test_symmetric_two_state(self):
         pi = steady_state(build_two_state(0.3, 0.3))
-        np.testing.assert_allclose(pi.pi, [0.5, 0.5], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pi, [0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_random_rates_match_closed_form(self):
         rng = CounterRng(seed=6)
@@ -147,40 +158,47 @@ class TestSteadyState:
             lam = 10 ** (rng.uniform() * 4 - 3)
             mu = 10 ** (rng.uniform() * 4 - 3)
             pi = steady_state(build_two_state(lam, mu))
-            assert pi.pi[0] == pytest.approx(mu / (lam + mu), abs=1e-12)
-            assert pi.pi[1] == pytest.approx(lam / (lam + mu), abs=1e-12)
+            assert pi[0] == pytest.approx(mu / (lam + mu), abs=1e-12)
+            assert pi[1] == pytest.approx(lam / (lam + mu), abs=1e-12)
 
     def test_residual_invariant(self):
         rng = CounterRng(seed=7)
         for _ in range(20):
             chain = random_chain(rng)
             pi = steady_state(chain)
-            assert np.abs(pi.pi @ chain.generator).max() < 1e-10
-            assert abs(pi.pi.sum() - 1.0) <= 1e-12
+            assert np.abs(np.array(pi) @ chain.generator).max() < 1e-10
+            assert abs(math.fsum(pi) - 1.0) <= 1e-12
 
     def test_reducible_chain_rejected(self):
-        chain = Ctmc(["up", "dead"], [True, False], np.array([[-0.1, 0.1], [0.0, 0.0]]))
+        chain = Ctmc(["up", "dead"], [True, False], triplets([[-0.1, 0.1], [0.0, 0.0]]))
         with pytest.raises(StructureError):
             steady_state(chain)
 
     @pytest.mark.parametrize("lam, mu", [(1e8, 2e8), (3e9, 1e10)])
     def test_fast_rates_match_closed_form(self, lam, mu):
         pi = steady_state(build_two_state(lam, mu))
-        assert pi.pi[0] == pytest.approx(mu / (lam + mu), abs=1e-12)
-        assert pi.pi[1] == pytest.approx(lam / (lam + mu), abs=1e-12)
+        assert pi[0] == pytest.approx(mu / (lam + mu), abs=1e-12)
+        assert pi[1] == pytest.approx(lam / (lam + mu), abs=1e-12)
+
+    def test_mass_growing_past_the_double_range_from_state_0(self):
+        # pi_k grows as r**k, r = 1.25, and 1.25**3999 is about 10**387
+        r, pi = 1.25, steady_state(ladder(4000, 1.0, 0.8, repairable_top=True))
+        assert pi[-1] == pytest.approx(1 - 1 / r, rel=1e-14)  # (1 - 1/r) / (1 - r**-4000)
+        assert pi[-100] == pytest.approx((1 - 1 / r) * r ** -99, rel=1e-12)
+        assert pi[0] == 0.0  # r**-3999 is below the smallest double
 
     @pytest.mark.parametrize("lam, mu", [(0.01, 0.1), (1e8, 2e8), (3e9, 1e10)])
     def test_wrong_pi_still_rejected(self, monkeypatch, lam, mu):
-        solve = np.linalg.solve
+        eliminate = markov._eliminate
 
-        def perturbed(a, b):
-            pi = solve(a, b)
+        def perturbed(rows, rewards):
+            pi = eliminate(rows, rewards)
             shift = 1e-6 * pi[0]  # relative error 1e-6, total mass unchanged
             pi[0] += shift
             pi[1] -= shift
             return pi
 
-        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        monkeypatch.setattr(markov, "_eliminate", perturbed)
         with pytest.raises(SingularSystemError, match="steady-state residual"):
             steady_state(build_two_state(lam, mu))
 
@@ -207,7 +225,7 @@ class TestTransient:
         chain = build_two_state(lam, mu)
         t = 100.0 / (lam + mu)
         out = transient(chain, [1.0, 0.0], t)
-        np.testing.assert_allclose(out.pi, steady_state(chain).pi, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(out.pi, steady_state(chain), rtol=0, atol=1e-8)
 
     def test_matches_matrix_exponential(self):
         rng = CounterRng(seed=8)
@@ -226,7 +244,7 @@ class TestTransient:
             assert abs(transient(chain, [1, 0, 0, 0], t).pi.sum() - 1.0) < 1e-10
 
     def test_zero_generator_is_static(self):
-        chain = Ctmc(["a", "b"], [True, True], np.zeros((2, 2)))
+        chain = Ctmc(["a", "b"], [True, True], triplets(np.zeros((2, 2))))
         np.testing.assert_array_equal(transient(chain, [0.3, 0.7], 50.0).pi, [0.3, 0.7])
 
     def test_negative_time_rejected(self):
@@ -295,7 +313,7 @@ def stiff_chains(draw):
     rates = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n)
     start = draw(st.integers(min_value=0, max_value=n - 1))
     t = draw(st.floats(min_value=0.0, max_value=2.0))
-    chain = Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], rates)
+    chain = Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], triplets(rates))
     return chain, start, t
 
 
@@ -339,10 +357,10 @@ def transient_grids(draw):
     log_rate = st.one_of(st.none(), st.floats(min_value=-2.0, max_value=1.0))
     exps = draw(st.lists(log_rate, min_size=n * n, max_size=n * n))
     rates = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n)
-    chain = Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], rates)
+    chain = Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], triplets(rates))
     times = draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6))
     times += [0.0, times[0]]
-    rate = float(chain.exit_rates.max())
+    rate = max(chain.exit_rates)
     if rate > 0:
         times.append(720.0 / rate)
     pi0 = np.zeros(n)
@@ -426,7 +444,7 @@ class TestReliabilityVsAvailability:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_all_operational_chain_has_no_reliability_analysis(self):
-        chain = Ctmc(["a", "b"], [True, True], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        chain = Ctmc(["a", "b"], [True, True], triplets([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(StructureError):
             reliability_at(chain, [1, 0], 1.0)
         assert availability_steady(chain) == 1.0
@@ -450,7 +468,7 @@ class TestAvailability:
         for _ in range(50):
             lam, mu = 0.001 + rng.uniform(), 0.001 + rng.uniform()
             chain = build_two_state(lam, mu)
-            mass = float(steady_state(chain).pi[0])
+            mass = steady_state(chain)[0]
             assert availability_two_state(lam, mu) == pytest.approx(mass, abs=1e-12)
 
     def test_rejects_nonpositive_rates(self):
@@ -468,7 +486,7 @@ class TestHittingTimes:
         rates = np.zeros((3, 3))
         rates[0, 2] = 0.1
         rates[1, 2] = 0.2
-        chain = Ctmc(["a", "b", "fail"], [True, True, False], rates)
+        chain = Ctmc(["a", "b", "fail"], [True, True, False], triplets(rates))
         assert mttf_rate_sum(chain) == pytest.approx(15.0, rel=1e-12)
 
     def test_rate_sum_exact_match_single_operational_state(self):
@@ -479,7 +497,7 @@ class TestHittingTimes:
         rates[0, 2] = 0.07
         rates[1, 0] = 1.0
         rates[2, 0] = 1.0
-        chain = Ctmc(["up", "f1", "f2"], [True, False, False], rates)
+        chain = Ctmc(["up", "f1", "f2"], [True, False, False], triplets(rates))
         assert mttf_absorbing(chain, 0) == mttf_rate_sum(chain)
 
     def test_rate_sum_needs_direct_failure_exit(self):
@@ -496,7 +514,7 @@ class TestHittingTimes:
         rates[0, 1] = 0.5
         rates[1, 0] = 0.5
         rates[2, 0] = 1.0
-        chain = Ctmc(["a", "b", "fail"], [True, True, False], rates)
+        chain = Ctmc(["a", "b", "fail"], [True, True, False], triplets(rates))
         with pytest.raises(StructureError):
             mttf_absorbing(chain, 0)
         with pytest.raises(StructureError):
@@ -507,7 +525,7 @@ class TestHittingTimes:
         rates = np.zeros((3, 3))
         rates[0, 1] = 0.5
         rates[0, 2] = 0.5
-        chain = Ctmc(["s", "trap", "fail"], [True, True, False], rates)  # trap: no exits
+        chain = Ctmc(["s", "trap", "fail"], [True, True, False], triplets(rates))  # trap: no exits
         with pytest.raises(StructureError):
             mttf_absorbing(chain, 0)
 
@@ -516,7 +534,7 @@ class TestHittingTimes:
         rates = np.zeros((4, 4))
         rates[0, 1] = rates[0, 3] = 0.5
         rates[1, 2] = rates[2, 1] = 1.0
-        chain = Ctmc(["s", "a", "b", "fail"], [True, True, True, False], rates)
+        chain = Ctmc(["s", "a", "b", "fail"], [True, True, True, False], triplets(rates))
         with pytest.raises(StructureError) as exc:
             mttf_absorbing(chain, 0)
         assert str(exc.value) == (
@@ -527,14 +545,14 @@ class TestHittingTimes:
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -5.0])
     def test_a_hitting_time_that_is_not_positive_is_lost_precision(self, monkeypatch, bad):
         # the start's own time stays right; a bad time of any other state fails the whole solve
-        solve = np.linalg.solve
+        eliminate = markov._eliminate
 
-        def damaged(a, b):
-            tau = solve(a, b)
+        def damaged(rows, rewards):
+            tau = eliminate(rows, rewards)
             tau[-1] = bad
             return tau
 
-        monkeypatch.setattr(np.linalg, "solve", damaged)
+        monkeypatch.setattr(markov, "_eliminate", damaged)
         with pytest.raises(SingularSystemError) as exc:
             mttf_absorbing(series_chain(0.1, 0.2), 0)
         assert str(exc.value) == f"hitting-time solve lost precision: got {bad:.6g}"
@@ -544,10 +562,10 @@ class TestHittingTimes:
         (lambda chain: mttf_absorbing(chain, 0), "hitting-time system is singular: boom"),
     ], ids=["steady_state", "hitting_time"])
     def test_singular_solve_names_its_system(self, monkeypatch, solver, message):
-        def singular(a, b):
-            raise np.linalg.LinAlgError("boom")
+        def singular(rows, rewards):
+            raise ArithmeticError("boom")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(markov, "_eliminate", singular)
         with pytest.raises(SingularSystemError) as exc:
             solver(build_two_state(0.1, 0.2))
         assert str(exc.value) == message
@@ -565,7 +583,7 @@ class TestHittingTimes:
         rates[1, 2] = 0.1
         rates[2, 0] = 0.3
         rates[2, 1] = 0.2
-        chain = Ctmc(["up1", "up2", "down"], [True, True, False], rates)
+        chain = Ctmc(["up1", "up2", "down"], [True, True, False], triplets(rates))
         assert mttr(chain, 2) == pytest.approx(1.0 / 0.5, rel=1e-12)
 
     def test_mttr_without_repair_rejected(self):
@@ -575,6 +593,59 @@ class TestHittingTimes:
     def test_mttr_needs_failed_state(self):
         with pytest.raises(DomainError):
             mttr(build_two_state(0.1, 0.1), 0)
+
+
+def relative_error(got: float, exact: Fraction) -> float:
+    return float(abs(Fraction(got) / exact - 1))
+
+
+class TestStiffChainsAgainstExactSolves:
+    """Birth-death chains whose LU solve lost the MTTF, against exact rational solves."""
+
+    @pytest.mark.parametrize("n, lam, mu, mttf", [
+        (6, 1e-3, 10.0, 1.0002e19),
+        (8, 1e-3, 10.0, 1.0002e27),
+        (12, 1e-2, 10.0, 1.002e32),
+        (6, 1e-5, 1e3, 1.0e37),
+        (50, 0.3, 1.0, 8.53e25),
+    ])
+    def test_every_hitting_time_matches_the_exact_solve(self, n, lam, mu, mttf):
+        chain = ladder(n, lam, mu)
+        exact = exact_hitting_times(chain, {n - 1})
+        assert float(exact[0]) == pytest.approx(mttf, rel=1e-3)
+        for start, tau in exact.items():
+            assert relative_error(mttf_absorbing(chain, start), tau) <= 1e-13
+
+    def test_every_steady_state_entry_matches_the_exact_solve(self):
+        chain = ladder(6, 1e-3, 10.0, repairable_top=True)
+        exact = exact_steady_state(chain)
+        assert float(exact[5]) == pytest.approx(9.999e-21, rel=1e-12)
+        pi = steady_state(chain)
+        assert max(relative_error(p, e) for p, e in zip(pi, exact)) <= 1e-13
+        assert mttr(chain, 5) == 0.1  # one step: the time of the single repair
+
+
+@st.composite
+def stiff_backbone_chains(draw):
+    """2-8 states with rates 10**[-5, 5], ratios up to 1e10, many of them zero, over a backbone of
+    positive rates i <-> i+1: every chain is irreducible, and its top state, the one failed state,
+    is reachable from every other."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    rate = st.floats(min_value=-5.0, max_value=5.0).map(lambda e: 10.0 ** e)
+    rates = np.array(draw(st.lists(st.one_of(st.just(0.0), rate), min_size=n * n, max_size=n * n)))
+    rates = rates.reshape(n, n)
+    for i in range(n - 1):
+        rates[i, i + 1], rates[i + 1, i] = draw(rate), draw(rate)
+    return Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], triplets(rates))
+
+
+@given(stiff_backbone_chains())
+@settings(max_examples=100, deadline=None)
+def test_elimination_keeps_every_entry_to_a_small_relative_error(chain):
+    pi = steady_state(chain)
+    assert max(relative_error(p, e) for p, e in zip(pi, exact_steady_state(chain))) <= 1e-13
+    for start, tau in exact_hitting_times(chain, {chain.n - 1}).items():
+        assert relative_error(mttf_absorbing(chain, start), tau) <= 1e-13
 
 
 class TestVectors:
@@ -599,7 +670,7 @@ class TestVectors:
 def test_two_state_steady_state_property(pair):
     lam, mu = pair
     pi = steady_state(build_two_state(lam, mu))
-    assert pi.pi[0] == pytest.approx(mu / (lam + mu), rel=1e-9)
+    assert pi[0] == pytest.approx(mu / (lam + mu), rel=1e-9)
 
 
 def vet_oracle(chain, start, target_mask, kind):
@@ -637,7 +708,7 @@ def small_digraphs(draw):
     target = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     start = draw(st.integers(min_value=0, max_value=n - 1))
     rates = np.array(edges, dtype=float).reshape(n, n)
-    chain = Ctmc([f"s{i}" for i in range(n)], [True] * n, rates)
+    chain = Ctmc([f"s{i}" for i in range(n)], [True] * n, triplets(rates))
     return chain, start, np.array(target, dtype=bool)
 
 
@@ -672,7 +743,7 @@ def csr_chains(draw):
     np.fill_diagonal(rates, np.where(gen.random(n) < 0.1, np.nan, gen.normal(size=n)))
     flags = gen.random(n) < 0.7
     flags[draw(st.integers(0, n - 1))] = True
-    return rates, flags, Ctmc([f"s{i}" for i in range(n)], flags, rates)
+    return rates, flags, Ctmc([f"s{i}" for i in range(n)], flags, triplets(rates))
 
 
 def off_diagonal(rates) -> np.ndarray:
@@ -682,16 +753,16 @@ def off_diagonal(rates) -> np.ndarray:
 
 
 def dense_generator(rates) -> np.ndarray:
-    """Q from off-diagonal rates: the diagonal is minus each row's sum over the dense row."""
+    """Q from off-diagonal rates: the diagonal is minus each row's fsum over the dense row."""
     q = off_diagonal(rates)
-    np.fill_diagonal(q, -q.sum(axis=1))
+    np.fill_diagonal(q, [-math.fsum(row) for row in q])
     return q
 
 
 def cumprob_oracle(rates) -> np.ndarray:
     """The walker's cumulative probabilities, row by row: np.cumsum of the row's rates / its exit rate."""
     q = off_diagonal(rates)
-    exits = q.sum(axis=1)
+    exits = [math.fsum(row) for row in q]
     rows = []
     for i, row in enumerate(q):
         cp = np.cumsum(row[row > 0]) / exits[i]

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from exact_chains import triplets
+
 from securakit import montecarlo, rng
 from securakit.errors import ConvergenceError, DomainError, SchemaError, StructureError, ValidationError
 from securakit.markov import (
@@ -43,7 +45,7 @@ from securakit.securability import ChainSubsystem, MsDrRates, RoutOfNSystem, bui
 def non_repairable(lam):
     rates = np.zeros((2, 2))
     rates[0, 1] = lam
-    return Ctmc(["up", "down"], [True, False], rates)
+    return Ctmc(["up", "down"], [True, False], triplets(rates))
 
 
 def markov_reliability(chain, t):
@@ -58,14 +60,14 @@ def series_chain(lam_a=0.1, lam_b=0.2):
     rates = np.zeros((3, 3))
     rates[0, 1] = lam_a
     rates[1, 2] = lam_b
-    return Ctmc(["up", "degraded", "failed"], [True, True, False], rates)
+    return Ctmc(["up", "degraded", "failed"], [True, True, False], triplets(rates))
 
 
 def degrading(a, b, c, d):
     """ok -> degraded -> bad chain with repair from degraded and from bad."""
     rates = np.zeros((3, 3))
     rates[0, 1], rates[1, 0], rates[1, 2], rates[2, 0] = a, b, c, d
-    return Ctmc(["ok", "degraded", "bad"], [True, True, False], rates)
+    return Ctmc(["ok", "degraded", "bad"], [True, True, False], triplets(rates))
 
 
 def threshold_oracle(system, cfg):
@@ -130,7 +132,7 @@ class TestSimulateTrajectory:
         assert abs(empty / n - p) < 3 * se
 
     def test_all_absorbing_chain_survives_without_events(self):
-        chain = Ctmc(["a", "b"], [True, False], np.zeros((2, 2)))
+        chain = Ctmc(["a", "b"], [True, False], triplets(np.zeros((2, 2))))
         path = simulate_trajectory(chain, 0, 100.0, CounterRng(seed=1))
         assert path.events == ()
         assert path.absorbed_at is None
@@ -139,7 +141,7 @@ class TestSimulateTrajectory:
         rates = np.zeros((3, 3))
         rates[0, 1] = 0.3
         rates[0, 2] = 0.7
-        chain = Ctmc(["s", "a", "b"], [True, False, False], rates)
+        chain = Ctmc(["s", "a", "b"], [True, False, False], triplets(rates))
         n = 100_000
         hits_a = 0
         for i in range(n):
@@ -284,7 +286,7 @@ class TestEstimateMttf:
         rates[0, 1] = 0.5
         rates[1, 0] = 0.5
         rates[2, 0] = 1.0
-        chain = Ctmc(["a", "b", "fail"], [True, True, False], rates)
+        chain = Ctmc(["a", "b", "fail"], [True, True, False], triplets(rates))
         from securakit.errors import StructureError
 
         with pytest.raises(StructureError):
@@ -343,7 +345,7 @@ class TestAbsorptionPreconditions:
         matrix = np.zeros((3, 3))
         for (i, j), rate in rates.items():
             matrix[i, j] = rate
-        chain = Ctmc(labels, [True, True, False], matrix)
+        chain = Ctmc(labels, [True, True, False], triplets(matrix))
         with pytest.raises(StructureError) as info:
             estimate_mttf(chain, 0, self.CFG)
         assert str(info.value) == message
@@ -373,7 +375,7 @@ class TestOccupancy:
 
     def test_exact_when_no_trial_changes_membership(self):
         # a -> b moves every trial between two targets, so each fraction is the whole window
-        chain = Ctmc(["a", "b"], [True, False], [[0.0, 1.0], [0.0, 0.0]])
+        chain = Ctmc(["a", "b"], [True, False], triplets([[0.0, 1.0], [0.0, 0.0]]))
         cfg = MonteCarloConfig(n_trials=200, horizon=3.0, seed=1)
         est = estimate_occupancy(chain, 0, cfg, target_states=(0, 1), burn_in=0.3)
         assert (est.value, est.std_error, est.ci95) == (1.0, 0.0, (1.0, 1.0))
@@ -531,7 +533,7 @@ class TestEventCapMessages:
         rates = np.zeros((5, 5))
         for i in range(4):
             rates[i, i + 1] = 1.0
-        chain = Ctmc(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False], rates)
+        chain = Ctmc(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False], triplets(rates))
         for cap, fails in ((4, False), (3, True)):
             cfg = MonteCarloConfig(n_trials=20, horizon=1.0, seed=3, max_events=cap)
             run = (lambda: estimate_mttf(chain, 0, cfg)) if horizon is None else (
@@ -555,7 +557,7 @@ class TestEventCapMessages:
         rates = np.zeros((5, 5))
         for i, rate in enumerate([1e6, 1e6, 1e6, 1e-9]):
             rates[i, i + 1] = rate
-        chain = Ctmc(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False], rates)
+        chain = Ctmc(["up0", "up1", "up2", "up3", "down"], [True] * 4 + [False], triplets(rates))
         cfg = MonteCarloConfig(n_trials=20, horizon=1.0, seed=3, max_events=3)
         assert estimate_reliability(chain, 0, cfg).value == 1.0
         with pytest.raises(ConvergenceError):
@@ -740,7 +742,7 @@ def walker_chains(draw):
     flags = [True] + [draw(st.booleans()) for _ in range(n - 1)]
     if draw(st.booleans()):
         rates[0] = 0.0  # a stuck start state
-    return Ctmc([f"s{i}" for i in range(n)], flags, rates)
+    return Ctmc([f"s{i}" for i in range(n)], flags, triplets(rates))
 
 
 WALK_SETTINGS = settings(max_examples=40, deadline=None)
@@ -838,7 +840,7 @@ class TestWalkerEqualsTrajectoryOracle:
     def test_hub_chain_needs_four_search_rounds(self):
         rates = np.full((10, 10), 0.3)
         np.fill_diagonal(rates, 0.0)
-        chain = Ctmc([f"s{i}" for i in range(10)], [True] * 9 + [False], rates)
+        chain = Ctmc([f"s{i}" for i in range(10)], [True] * 9 + [False], triplets(rates))
         assert montecarlo._ChainKernel([chain])._rounds == 4
         cfg = MonteCarloConfig(n_trials=300, horizon=3.0, seed=31, max_events=self.HORIZON_CAP)
         assert estimate_mttf(chain, 0, cfg) == mttf_oracle(chain, 0, cfg)
@@ -864,7 +866,7 @@ class TestChainKernelChoose:
         rates[0] = gen.uniform(0.1, 2.0, n)  # a hub reaching every other state
         np.fill_diagonal(rates, 0.0)
         rates[n - 1] = 0.0  # no exits
-        chain = Ctmc([str(i) for i in range(n)], [True] * n, rates)
+        chain = Ctmc([str(i) for i in range(n)], [True] * n, triplets(rates))
         kernel = montecarlo._ChainKernel([chain])
         live = np.flatnonzero(np.diff(kernel.offsets) > 0)
         states, u = [], []
@@ -884,7 +886,7 @@ class TestChainKernelChoose:
             rates = np.zeros((degree + 1, degree + 1))
             rates[0, 1:] = 1.0
             chain = Ctmc(
-                [str(i) for i in range(degree + 1)], [True] * (degree + 1), rates)
+                [str(i) for i in range(degree + 1)], [True] * (degree + 1), triplets(rates))
             assert montecarlo._ChainKernel([chain])._rounds == rounds
 
 
@@ -1062,7 +1064,7 @@ class TestPartition:
     def test_a_child_event_cap_error_reads_as_in_process(self, monkeypatch):
         # up -> degraded -> up or down: each trial makes a random number of jumps before it fails
         chain = Ctmc(["up", "degraded", "down"], [True, True, False],
-                     [[0.0, 1.0, 0.0], [10.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+                     triplets([[0.0, 1.0, 0.0], [10.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
         absorbing = absorbing_variant(chain)
 
         def jumps(seed, trial):

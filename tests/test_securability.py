@@ -66,10 +66,10 @@ class TestBuildMsdr:
 
     def test_operational_flags(self):
         chain = build_msdr(SYMMETRIC)
-        assert chain.operational.tolist() == [True, True, True, False]
+        assert chain.operational == (True, True, True, False)
 
     def test_symmetric_steady_state_product_form(self):
-        pi = steady_state(build_msdr(SYMMETRIC)).pi
+        pi = steady_state(build_msdr(SYMMETRIC))
         assert pi[3] == pytest.approx((1 / 11) ** 2, abs=1e-12)
         np.testing.assert_allclose(pi, product_form_pi(SYMMETRIC), rtol=0, atol=1e-10)
 
@@ -77,13 +77,13 @@ class TestBuildMsdr:
         rng = CounterRng(seed=30)
         for _ in range(25):
             rates = MsDrRates(*(0.001 + rng.uniform() for _ in range(4)))
-            pi = steady_state(build_msdr(rates)).pi
+            pi = steady_state(build_msdr(rates))
             np.testing.assert_allclose(pi, product_form_pi(rates), rtol=0, atol=1e-10)
 
     def test_instant_repair_limit(self):
         lam = 0.01
         rates = MsDrRates(lam, lam, 1e4 * lam, 1e4 * lam)
-        pi = steady_state(build_msdr(rates)).pi
+        pi = steady_state(build_msdr(rates))
         assert pi[3] < 1e-7
 
     def test_single_repair_crew_topology(self):
