@@ -178,6 +178,14 @@ def _search(after: list, start: list[int]) -> list[bool]:
     return seen
 
 
+class _PivotError(ZeroDivisionError):
+    """A pivot of :func:`_eliminate` that is not positive and finite, at row ``state`` of the system."""
+
+    def __init__(self, state: int, pivot: float):
+        super().__init__(f"pivot of state {state} is {pivot}")
+        self.state, self.pivot = state, pivot
+
+
 def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[float]:
     """Solve a chain's linear system by eliminating its states from the last down to state 1.
 
@@ -208,8 +216,8 @@ def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[flo
 
     Only ``+``, ``*``, ``/`` and ``math.fsum`` on Python floats are used, so
     the bits do not depend on the machine.  A pivot that is not positive and
-    finite raises ZeroDivisionError, and an fsum past the largest double
-    OverflowError: both are ArithmeticErrors.
+    finite raises :class:`_PivotError`, a ZeroDivisionError, and an fsum past
+    the largest double OverflowError: both are ArithmeticErrors.
     """
     n = len(rows)
     into = [set() for _ in rows]  # into[j]: the states whose row has held a rate to j
@@ -220,7 +228,7 @@ def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[flo
     for k in range(n - 1, 0, -1):
         s = pivots[k] = math.fsum(rows[k].values())
         if not 0 < s < math.inf:
-            raise ZeroDivisionError(f"pivot of state {k} is {s}")
+            raise _PivotError(k, s)
         shares = [(j, rate / s) for j, rate in rows[k].items()]
         inflow = inflows[k] = {i: rows[i].pop(k) for i in into[k] if i < k}
         for i, rate in inflow.items():
@@ -249,15 +257,6 @@ def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[flo
     return x
 
 
-def _solve(rows: list[dict], rewards: list[float] | None, what: str) -> list[float]:
-    """:func:`_eliminate`, with a pivot that is not positive and finite raised as SingularSystemError
-    naming the ``what`` system."""
-    try:
-        return _eliminate(rows, rewards)
-    except ArithmeticError as exc:
-        raise SingularSystemError(f"{what} system is singular: {exc}") from exc
-
-
 def _require_irreducible(chain: Ctmc) -> None:
     after, before = _graph(chain)
     if not (all(_search(after, [0])) and all(_search(before, [0]))):
@@ -275,7 +274,10 @@ def steady_state(chain: Ctmc) -> tuple[float, ...]:
     is checked to be >= 0 and their sum to be 1 within 1e-12.
     """
     _require_irreducible(chain)
-    pi = _solve([dict(chain.exits(i)) for i in range(chain.n)], None, "steady-state")
+    try:
+        pi = _eliminate([dict(chain.exits(i)) for i in range(chain.n)], None)
+    except ArithmeticError as exc:
+        raise SingularSystemError(f"steady-state system is singular: {exc}") from exc
     flows = [[-p * rate] for p, rate in zip(pi, chain.exit_rates)]  # flows[j]: the terms of (pi @ Q)[j]
     for i, p in enumerate(pi):
         for j, rate in chain.exits(i):
@@ -475,7 +477,12 @@ def _expected_hitting_time(chain: Ctmc, start: int, target_mask, kind: str) -> f
 
     The system holds the target set as its state 0 and the visitable
     non-target states after it, in order; each row keeps the state's rates
-    to the others, plus the fsum of its rates into the target set.
+    to the others, plus the fsum of its rates into the target set.  Since
+    every live state reaches the target (vetted first), each pivot of the
+    elimination is positive in exact arithmetic; one that is 0 or inf in
+    floats means the time from that state leaves the double range, and the
+    error names the state.  Any other arithmetic failure is a singular
+    system.
     """
     live = _vet_hitting_states(chain, start, target_mask, kind)
     at = {i: k for k, i in enumerate(live, 1)}  # state i is state at[i] of the system
@@ -490,7 +497,14 @@ def _expected_hitting_time(chain: Ctmc, start: int, target_mask, kind: str) -> f
         if absorbed:
             row[0] = math.fsum(absorbed)
         rows.append(row)
-    tau = _solve(rows, [0.0] + [1.0] * len(live), "hitting-time")
+    try:
+        tau = _eliminate(rows, [0.0] + [1.0] * len(live))
+    except _PivotError as exc:
+        i = live[exc.state - 1]
+        raise SingularSystemError(f"expected hitting time from state {i} ({chain.labels[i]}) leaves the "
+                                  f"double range: its pivot in the elimination is {exc.pivot}") from exc
+    except ArithmeticError as exc:
+        raise SingularSystemError(f"hitting-time system is singular: {exc}") from exc
     # every expected time is > 0; one that is not, or NaN, is a fault of the solve, and stays loud
     bad = next((t for t in tau[1:] if not t > 0), None)
     if bad is not None:

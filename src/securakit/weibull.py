@@ -6,24 +6,30 @@ dimensionless shape ``beta``; survival through time t is
 hazard), ``beta = 1`` reduces to the memoryless exponential, ``beta > 1``
 models wear-out (rising hazard).
 
-All evaluation functions accept a scalar or an ndarray of times and are
-pure; fitting offers median-rank regression (robust default for small
-samples) and maximum likelihood with right-censoring support.
+Each evaluation function is one scalar law in :mod:`math` on Python
+floats; a list or an array of times is mapped through that law entry by
+entry into an ndarray, so each entry equals the scalar call to the bit.
+Fitting offers median-rank regression (robust default for small samples)
+and maximum likelihood with right-censoring support, both from
+``math.fsum`` sums.  Only array input and :func:`sample_lifetimes` load
+numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, SingularityError, StructureError
-from .rng import CounterRng
+
+if TYPE_CHECKING:
+    from .rng import CounterRng
 
 _SCORE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
-_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 class WeibullModel:
@@ -57,69 +63,69 @@ class FailureSample:
             raise DomainError("censored flags must match times in length")
         self.times, self.censored = times, censored
 
-    @property
-    def uncensored_times(self) -> np.ndarray:
-        return np.array([t for t, c in zip(self.times, self.censored) if not c])
+
+def _exp(x: float) -> float:
+    """math.exp, saturating to inf past the largest double (where math.exp raises OverflowError), as np.exp does."""
+    return math.inf if x > _LOG_DOUBLE_MAX else math.exp(x)
 
 
 def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
-    """One law at the times ``t``: a float for a scalar or 0-d ``t``, an array otherwise.
+    """One law at the times ``t``: a float for a scalar or 0-d ``t``, an ndarray for a sequence or array.
 
-    ``law`` maps log(t/alpha) of the positive times to values, so each law
-    forms (t/alpha)**k as exp(k*log(t/alpha)), which does not overflow in
-    the power.  Times at 0 take ``at_zero``: a number, or for the hazard
+    A list, tuple or array maps each entry through the scalar evaluation
+    below (numpy loads only then).  ``law`` maps log(t/alpha) of a positive
+    time to its value, so each law forms (t/alpha)**k as
+    exp(k*log(t/alpha)), which does not overflow in the power.  A time at 0 takes ``at_zero``: a number, or for the hazard
     and the density the name of the quantity, whose t = 0 value is 1/alpha
     at beta = 1, zero at beta > 1, and divergent at beta < 1 (raises
     :class:`SingularityError`).  Where t/alpha is not a normal double (it
     underflows to zero or a subnormal, or overflows), log(t/alpha) is formed
-    as log t - log alpha.  Times at inf take the limit ``at_inf``, where a
+    as log t - log alpha.  A time at inf takes the limit ``at_inf``, where a
     law would form inf - inf or 0 * inf.  exp saturates to inf or 0 for
     huge t by design, and the hazard and the density re-form each product
-    that turns invalid (:func:`_scaled_exp`), so numpy warns of neither
-    overflow nor invalid values; a value that stays inf reaches the
-    caller's finiteness check.
+    that turns invalid (:func:`_scaled_exp`); a value that stays inf reaches
+    the caller's finiteness check.
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0):
+    if isinstance(t, (list, tuple)) or getattr(t, "ndim", 0):
+        import numpy as np
+
+        times = np.asarray(t, dtype=float)
+        values = [_evaluate(x, m, law, at_zero, at_inf) for x in times.ravel().tolist()]
+        return np.array(values, dtype=float).reshape(times.shape)
+    t = float(t)
+    if not t >= 0:
         raise DomainError("time must be >= 0")
-    times = np.atleast_1d(arr)
-    zero = times == 0
-    if isinstance(at_zero, str):
-        if m.beta < 1 and np.any(zero):
+    if t == 0 and isinstance(at_zero, str):
+        if m.beta < 1:
             raise SingularityError(f"{at_zero} diverges at t=0 for beta < 1")
         at_zero = 1.0 / m.alpha if m.beta == 1 else 0.0
-    out = np.where(zero, at_zero, at_inf)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = times / m.alpha
-        inner = ~zero & (times < np.inf)
-        logr = np.log(ratio)
-        lost = (ratio < np.finfo(float).tiny) | (ratio == np.inf)  # t/alpha kept few bits, or none
-        logr[lost] = np.log(times[lost]) - math.log(m.alpha)
-        out[inner] = law(logr[inner])
-    return float(out[0]) if arr.ndim == 0 else out
+    if t == 0 or t == math.inf:
+        return at_zero if t == 0 else at_inf
+    ratio = t / m.alpha
+    if sys.float_info.min <= ratio < math.inf:
+        return law(math.log(ratio))
+    return law(math.log(t) - math.log(m.alpha))  # t/alpha kept few bits, or none
 
 
-def _scaled_exp(m: WeibullModel, a: np.ndarray) -> np.ndarray:
+def _scaled_exp(m: WeibullModel, a: float) -> float:
     """(beta/alpha) * exp(a), or exp(log beta - log alpha + a) where the product is not finite and positive.
 
     At the far corners beta/alpha overflows while exp(a) underflows, and
     the product is inf * 0; the log form gives the number both stand for.
     Finite positive products keep their bits.
     """
-    out = (m.beta / m.alpha) * np.exp(a)
-    redo = ~((out > 0) & (out < np.inf))
-    out[redo] = np.exp(math.log(m.beta) - math.log(m.alpha) + a[redo])
-    return out
+    out = (m.beta / m.alpha) * _exp(a)
+    return out if 0 < out < math.inf else _exp(math.log(m.beta) - math.log(m.alpha) + a)
 
 
 def reliability(t, m: WeibullModel):
     """Survival probability exp(-(t/alpha)**beta) at time t >= 0."""
-    return _evaluate(t, m, lambda logr: np.exp(-np.exp(m.beta * logr)), 1.0, 0.0)
+    return _evaluate(t, m, lambda logr: _exp(-_exp(m.beta * logr)), 1.0, 0.0)
 
 
 def cdf(t, m: WeibullModel):
     """Failure probability by time t; exact complement of :func:`reliability`."""
-    return _evaluate(t, m, lambda logr: 1.0 - np.exp(-np.exp(m.beta * logr)), 0.0, 1.0)
+    return _evaluate(t, m, lambda logr: 1.0 - _exp(-_exp(m.beta * logr)), 0.0, 1.0)
 
 
 def hazard(t, m: WeibullModel):
@@ -142,8 +148,8 @@ def pdf(t, m: WeibullModel):
     where (t/alpha)**beta overflows, its exponent is -inf and the density 0.
     """
     def law(logr):
-        power = np.exp(m.beta * logr)
-        return _scaled_exp(m, np.where(power < np.inf, (m.beta - 1.0) * logr - power, -np.inf))
+        power = _exp(m.beta * logr)
+        return _scaled_exp(m, (m.beta - 1.0) * logr - power if power < math.inf else -math.inf)
 
     return _evaluate(t, m, law, "density", 0.0)
 
@@ -158,11 +164,13 @@ def mean_life(m: WeibullModel) -> float:
         return m.alpha * math.gamma(1.0 + 1.0 / m.beta)
     except OverflowError:
         log_mean = math.log(m.alpha) + math.lgamma(1.0 + 1.0 / m.beta)
-        return math.exp(log_mean) if log_mean < _LOG_DOUBLE_MAX else math.inf
+        return _exp(log_mean)
 
 
 def sample_lifetimes(m: WeibullModel, n: int, rng: CounterRng) -> np.ndarray:
     """Draw ``n`` lifetimes by inverse CDF: t = alpha * (-ln U)**(1/beta)."""
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     u = rng.uniforms(n)
@@ -189,58 +197,59 @@ def fit(data: FailureSample, method: str = "rank_regression") -> WeibullModel:
 
 
 def _fit_rank_regression(data: FailureSample) -> WeibullModel:
-    failures = data.uncensored_times
     if any(data.censored):
         warnings.warn(
             "rank regression ignores censored observations; consider method='mle'",
             stacklevel=3,
         )
-    if failures.size < 3:
+    x = sorted(math.log(t) for t, c in zip(data.times, data.censored) if not c)
+    n = len(x)
+    if n < 3:
         raise DomainError("rank regression needs at least 3 uncensored failure times")
-    if np.all(failures == failures[0]):
+    if x[0] == x[-1]:
         raise StructureError("degenerate failure data: all failure times are equal")
-    t = np.sort(failures)
-    n = t.size
     # Benard approximation to the median rank of order statistic i
-    f_hat = (np.arange(1, n + 1) - 0.3) / (n + 0.4)
-    x = np.log(t)
-    y = np.log(-np.log(1.0 - f_hat))
-    slope, intercept = np.polyfit(x, y, 1)
-    beta = float(slope)
-    alpha = float(np.exp(-intercept / slope))
-    return WeibullModel(alpha=alpha, beta=beta)
+    y = [math.log(-math.log(1.0 - (i - 0.3) / (n + 0.4))) for i in range(1, n + 1)]
+    # least squares from the centred sums: slope sum(dx*dy)/sum(dx*dx), intercept y_mean - slope*x_mean
+    x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
+    dx = [v - x_mean for v in x]
+    slope = math.fsum([d * (v - y_mean) for d, v in zip(dx, y)]) / math.fsum([d * d for d in dx])
+    intercept = y_mean - slope * x_mean
+    return WeibullModel(alpha=_exp(-intercept / slope), beta=slope)
 
 
 def _fit_mle(data: FailureSample) -> WeibullModel:
-    times = np.asarray(data.times, dtype=float)
-    uncensored = ~np.asarray(data.censored, dtype=bool)
-    r = int(uncensored.sum())
+    scale = max(data.times)
+    logw = [math.log(t / scale) for t in data.times]  # numerical hygiene: w**beta <= 1, score is scale-invariant
+    log_fail = [v for v, c in zip(logw, data.censored) if not c]
+    r = len(log_fail)
     if r < 1:
         raise DomainError("maximum likelihood needs at least one uncensored failure time")
-    scale = times.max()
-    if np.all(times[uncensored] == scale):  # only then has the profile score no root (beta -> inf)
+    # t/scale rounds to 1, and its log to 0, only at t = scale; only when every failure is there
+    # has the profile score no root (beta -> inf)
+    if all(v == 0 for v in log_fail):
         raise StructureError("degenerate failure data: all failure times are equal")
-
-    w = times / scale  # numerical hygiene: w**beta <= 1, score is scale-invariant
-    logw = np.log(w)
-    mean_log_fail = float(logw[uncensored].mean())
+    mean_log_fail = math.fsum(log_fail) / r
 
     def score_and_slope(beta):
-        wb = np.exp(beta * logw)
-        s0 = wb.sum()
-        s1 = (wb * logw).sum()
-        s2 = (wb * logw * logw).sum()
+        wb = [math.exp(beta * v) for v in logw]
+        s0 = math.fsum(wb)
+        s1 = math.fsum([a * v for a, v in zip(wb, logw)])
+        s2 = math.fsum([a * v * v for a, v in zip(wb, logw)])
         g = 1.0 / beta + mean_log_fail - s1 / s0
         dg = -1.0 / (beta * beta) - (s2 * s0 - s1 * s1) / (s0 * s0)
         return g, dg, s0
 
-    sd_log = float(np.std(logw[uncensored], ddof=1)) if r > 1 else 0.0
+    sd_log = math.sqrt(math.fsum([(v - mean_log_fail) ** 2 for v in log_fail]) / max(r - 1, 1))
     beta = min(max(1.2826 / sd_log, 0.05), 50.0) if sd_log > 0 else 1.0
     for _ in range(_MAX_NEWTON_ITER):
         g, dg, s0 = score_and_slope(beta)
         if abs(g) <= _SCORE_TOL:
-            alpha = scale * (s0 / r) ** (1.0 / beta)
-            return WeibullModel(alpha=float(alpha), beta=float(beta))
+            try:
+                alpha = scale * (s0 / r) ** (1.0 / beta)
+            except OverflowError:  # past the largest double; the model rejects alpha = inf
+                alpha = math.inf
+            return WeibullModel(alpha=alpha, beta=beta)
         step = g / dg
         beta = beta / 2.0 if beta - step <= 0 else beta - step
     raise ConvergenceError(

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -732,6 +733,30 @@ class TestColdStart:
         assert proc.returncode == code == 0, proc.stderr
         assert proc.stdout == out + "[]\n"
 
+    @pytest.mark.parametrize("argv, censored", [
+        (["weibull", "eval", "--alpha", "2", "--beta", "2", "--t", "2"], None),
+        (["weibull", "fit", "--method", "both"], [False, True, False, False, True, False, False, False, False, False]),
+    ], ids=["weibull_eval", "weibull_fit"])
+    def test_weibull_commands_load_no_numpy(self, capsys, write_doc, argv, censored):
+        if censored is not None:
+            data = {**WEIBULL_FIT_DOC["parameters"]["data"], "censored": censored}
+            argv = [*argv, "--file", write_doc({**WEIBULL_FIT_DOC, "parameters": {"data": data}})]
+        # what ``python -m securakit ARGV`` runs, then the modules it left loaded
+        proc = fresh_python(
+            "import runpy, sys\n"
+            f"sys.argv = ['securakit', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('securakit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print([m for m in ('numpy', 'securakit.rng') if m in sys.modules])\n"
+        )
+        code, out, err = run(capsys, argv)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stderr == err
+        assert err == ("" if censored is None else
+                       "warning: rank regression ignores censored observations; consider method='mle'\n")
+        assert proc.stdout == out + "[]\n"
+
     def test_validate_command_generates_no_code(self, write_doc):
         # dataclasses compile each record's methods with exec at import, and load inspect to do it
         path = write_doc(MSDR_DOC)
@@ -980,6 +1005,14 @@ class TestExitCodes:
         mttf = next(r["value"] for r in json.loads(out)["results"] if r["metric"] == "mttf")
         exact = exact_hitting_times(ladder(n, lam, mu, repairable_top=True), {n - 1})[0]
         assert abs(Fraction(mttf) / exact - 1) <= 1e-13
+
+    def test_hitting_time_past_the_double_range_names_the_chain_state(self, capsys, write_doc):
+        # the MTTF of this ladder is about (mu/lam)**n: from about 600 states it passes the largest double
+        code, out, err = run(capsys, ["markov", "metrics", "--file", write_doc(ladder_doc(700, 0.3, 1.0))])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == err.count("error:") == 1
+        assert err.startswith("error: numerical: ") and "double range" in err
+        assert re.search(r"state (\d+) \(s\1\)", err) and "singular" not in err
 
     @pytest.mark.parametrize("command, entry, message", [
         ("markov metrics", {"op": "metrics"}, "markov metrics needs a chain with a non-operational state"),

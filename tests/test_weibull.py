@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,6 +266,18 @@ class TestIdentitiesAndProperties:
             assert np.all(np.diff(h) < 0)
 
 
+    @given(models, st.sampled_from([pdf, cdf, hazard, reliability]),
+           st.lists(st.one_of(st.floats(min_value=0.0), st.floats(min_value=0.01, max_value=100.0)), max_size=6))
+    def test_array_form_is_the_scalar_form_to_the_bit(self, m, fn, times):
+        """A law on an array equals the law on each entry, bit for bit, at 0 and inf too."""
+        times = [0.0, math.inf, *times, 0.0]
+        if m.beta < 1 and fn in (pdf, hazard):  # divergent at t = 0
+            times = [t for t in times if t > 0]
+        values = fn(np.array(times), m)
+        assert isinstance(values, np.ndarray) and values.shape == (len(times),)
+        assert [v.hex() for v in values.tolist()] == [fn(t, m).hex() for t in times]
+
+
 class TestFit:
     def test_generate_and_recover_both_methods(self):
         true = WeibullModel(alpha=100.0, beta=2.0)
@@ -300,6 +313,12 @@ class TestFit:
     def test_mle_rejects_failures_all_at_the_largest_time(self, times, censored):
         with pytest.raises(StructureError, match="all failure times are equal"):
             fit(FailureSample(times, censored), method="mle")
+
+    def test_mle_scale_past_the_double_range_is_a_domain_error(self):
+        # one failure far below nine censored times: beta is about 0.0015 and alpha about 9.4**660
+        data = FailureSample((1e-300,) + (1.0,) * 9, (False,) + (True,) * 9)
+        with pytest.raises(DomainError, match="^alpha must be finite and > 0, got inf$"):
+            fit(data, method="mle")
 
     def test_rank_regression_exact_on_quantile_grid(self):
         # the ten exact quantiles of (alpha=1, beta=1) at the median-rank
@@ -360,6 +379,39 @@ class TestFit:
 
         for method in ("rank_regression", "mle"):
             assert error(10_000, method) < error(100, method)
+
+
+def exact_rank_line(times):
+    """Slope and intercept of the least-squares line through the rank-regression points, in exact rationals.
+
+    The points are the same floats the fit forms: log t of the sorted
+    failure times against log(-log(1 - F)) at Benard's median ranks F.
+    """
+    x = [Fraction(math.log(t)) for t in sorted(times)]
+    n = len(x)
+    y = [Fraction(math.log(-math.log(1.0 - (i - 0.3) / (n + 0.4)))) for i in range(1, n + 1)]
+    x_mean, y_mean = sum(x) / n, sum(y) / n
+    slope = sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y)) / sum((a - x_mean) ** 2 for a in x)
+    return slope, y_mean - slope * x_mean
+
+
+class TestRankRegressionOracle:
+    # each of slope and intercept within 1e-14 relative of the exact least-squares line:
+    # about 45 units in the last place, for a handful of roundings of well-conditioned sums
+    REL = 1e-14
+
+    @pytest.mark.parametrize("true, n, seed, decades", [
+        (WeibullModel(100.0, 2.0), 200, 5, 1),
+        (WeibullModel(1e3, 0.02), 200, 9, 100),  # (-ln U)**50 spreads the times over many decades
+    ], ids=["seeded", "many_decades"])
+    def test_fit_is_the_exact_least_squares_line(self, true, n, seed, decades):
+        times = [float(t) for t in sample_lifetimes(true, n, CounterRng(seed=seed))]
+        assert math.log10(max(times) / min(times)) >= decades
+        slope, intercept = exact_rank_line(times)
+        est = fit(FailureSample(tuple(times)), method="rank_regression")
+        assert abs(Fraction(est.beta) / slope - 1) <= self.REL
+        # the fit reports alpha = exp(-intercept / slope), so the intercept is -beta * log(alpha)
+        assert abs(Fraction(-est.beta * math.log(est.alpha)) / intercept - 1) <= self.REL
 
 
 class TestFailureSample:
