@@ -219,7 +219,7 @@ def _markov_transient(ctx: _Context) -> AnalysisReport:
         raise ValidationError("markov transient needs --grid or an analyses entry with 't'")
     pi0 = np.zeros(chain.n)
     pi0[ctx.start] = 1.0
-    dists = markov.transient_grid(chain, pi0, grid).pi
+    dists = markov.transient_grid(chain, pi0, grid)
     times = grid.tolist()
     # compress keeps the rows C-contiguous, so each row sums in the order a 1-d sum does
     availability = np.compress(chain.operational, dists, axis=1).sum(axis=1).tolist()

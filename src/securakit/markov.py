@@ -120,26 +120,6 @@ def _row_sum(rates) -> float:
         return sum(rates)
 
 
-class ProbabilityVector:
-    """State probabilities: one distribution (1-d) or one per row (2-d), each >= 0 summing to 1.
-
-    The sums are checked within 1e-12 in one pass; the array is taken as is and made read-only.
-    """
-
-    def __init__(self, pi: np.ndarray):
-        import numpy as np
-
-        v = np.asarray(pi, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[-1] == 0:
-            raise DomainError("probability vector must be a nonempty 1-d array or a 2-d stack of them")
-        if np.any(v < 0):
-            raise DomainError("probability vector entries must be >= 0")
-        if np.any(np.abs(v.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
-            raise DomainError("probability vector must sum to 1 within 1e-12")
-        v.setflags(write=False)
-        self.pi = v
-
-
 def build_two_state(lam: float, mu: float) -> Ctmc:
     """Up/down chain: failure rate ``lam`` out of state 0, repair rate ``mu``."""
     _check_two_state_rates(lam, mu)
@@ -216,8 +196,9 @@ def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[flo
 
     Only ``+``, ``*``, ``/`` and ``math.fsum`` on Python floats are used, so
     the bits do not depend on the machine.  A pivot that is not positive and
-    finite raises :class:`_PivotError`, a ZeroDivisionError, and an fsum past
-    the largest double OverflowError: both are ArithmeticErrors.
+    finite, or one that takes a state's value past the largest double,
+    raises :class:`_PivotError`, a ZeroDivisionError, and an fsum past the
+    largest double OverflowError: both are ArithmeticErrors.
     """
     n = len(rows)
     into = [set() for _ in rows]  # into[j]: the states whose row has held a rate to j
@@ -254,6 +235,8 @@ def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[flo
     x = [0.0] * n
     for k in range(1, n):
         x[k] = math.fsum([rewards[k], *(rate * x[j] for j, rate in rows[k].items())]) / pivots[k]
+        if x[k] == math.inf:  # a finite sum over a pivot too small for it
+            raise _PivotError(k, pivots[k])
     return x
 
 
@@ -337,12 +320,29 @@ def _poisson_weights(mu: float) -> tuple[int, np.ndarray]:
     return left, weights / weights.sum()
 
 
-def transient(chain: Ctmc, pi0, t: float) -> ProbabilityVector:
-    """Distribution pi0 @ expm(Q t) by uniformization; see :func:`transient_grid`."""
-    return ProbabilityVector(transient_grid(chain, pi0, [t]).pi[0])
+def _distributions(v: np.ndarray) -> np.ndarray:
+    """``v`` made read-only, after checking that it is one distribution (1-d) or one per row (2-d).
+
+    Each has at least one entry, every entry >= 0, and its sum within 1e-12 of 1, checked in one pass.
+    """
+    import numpy as np
+
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise DomainError("probability vector must be a nonempty 1-d array or a 2-d stack of them")
+    if np.any(v < 0):
+        raise DomainError("probability vector entries must be >= 0")
+    if np.any(np.abs(v.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
+        raise DomainError("probability vector must sum to 1 within 1e-12")
+    v.setflags(write=False)
+    return v
 
 
-def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
+def transient(chain: Ctmc, pi0, t: float) -> np.ndarray:
+    """Distribution pi0 @ expm(Q t) by uniformization: row 0 of :func:`transient_grid` at ``[t]``."""
+    return transient_grid(chain, pi0, [t])[0]
+
+
+def transient_grid(chain: Ctmc, pi0, times) -> np.ndarray:
     """Distributions pi0 @ expm(Q t), one row per t in ``times``, by one uniformization pass.
 
     Each distribution is the Poisson(rate*t)-weighted sum of v_k = pi0 @ P**k
@@ -357,14 +357,16 @@ def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
     each is added to every point whose window holds it in one broadcast
     update, in the order a single-point run adds them, so every row is the
     same to the last bit as when it is computed alone.  Every window, and
-    every error, comes before the first product.
+    every error but the check of the result, comes before the first
+    product.  ``pi0`` and the result are checked by :func:`_distributions`;
+    the result is a read-only points x states array.
     """
     import numpy as np
 
     grid = np.array(times, dtype=float)
     if not np.all(grid >= 0):
         raise DomainError(f"time must be >= 0, got {grid[~(grid >= 0)][0]}")
-    v0 = pi0.pi if isinstance(pi0, ProbabilityVector) else ProbabilityVector(np.array(pi0, dtype=float)).pi
+    v0 = _distributions(np.array(pi0, dtype=float))
     if v0.ndim != 1 or v0.size != chain.n:
         raise DomainError(f"probability vector has {v0.size} entries, chain has {chain.n} states")
     rate = float(np.max(chain.exit_rates))
@@ -392,13 +394,12 @@ def transient_grid(chain: Ctmc, pi0, times) -> ProbabilityVector:
             out[rows] += weights[at + k][:, None] * v
     # a C-contiguous row sums in the order a 1-d sum does, and x / 1.0 is x, so pi0 rows keep their bits
     out /= np.where(timed, out.sum(axis=1), 1.0)[:, None]
-    return ProbabilityVector(out)
+    return _distributions(out)
 
 
 def availability_at(chain: Ctmc, pi0, t: float) -> float:
     """Point availability: operational mass of the transient distribution."""
-    dist = transient(chain, pi0, t)
-    return float(dist.pi[list(chain.operational)].sum())
+    return float(transient(chain, pi0, t)[list(chain.operational)].sum())
 
 
 def absorbing_variant(chain: Ctmc) -> Ctmc:
@@ -415,8 +416,7 @@ def reliability_at(chain: Ctmc, pi0, t: float) -> float:
     """
     if all(chain.operational):
         raise StructureError("reliability analysis needs at least one non-operational state")
-    dist = transient(absorbing_variant(chain), pi0, t)
-    return float(dist.pi[list(chain.operational)].sum())
+    return availability_at(absorbing_variant(chain), pi0, t)
 
 
 def availability_two_state(lam: float, mu: float) -> float:
@@ -480,9 +480,9 @@ def _expected_hitting_time(chain: Ctmc, start: int, target_mask, kind: str) -> f
     to the others, plus the fsum of its rates into the target set.  Since
     every live state reaches the target (vetted first), each pivot of the
     elimination is positive in exact arithmetic; one that is 0 or inf in
-    floats means the time from that state leaves the double range, and the
-    error names the state.  Any other arithmetic failure is a singular
-    system.
+    floats, or so small that the time from its state overflows, means that
+    time leaves the double range, and the error names the state.  Any other
+    arithmetic failure is a singular system.
     """
     live = _vet_hitting_states(chain, start, target_mask, kind)
     at = {i: k for k, i in enumerate(live, 1)}  # state i is state at[i] of the system

@@ -32,6 +32,7 @@ MTTF downward.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +45,6 @@ from .rng import TRIAL_BOUND, CounterRng, uniform_block, uniform_pairs
 if TYPE_CHECKING:
     from .securability import RoutOfNSystem
 
-_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MIN_SLICE = 50_000  # fewest trials per worker process (see _run_partitioned)
 _MERGED_LANES = 1 << 16  # most lanes in a walk that merges subsystems (see estimate_threshold_reliability)
 
@@ -93,33 +93,26 @@ class Trajectory:
 
 
 class Estimate:
-    """Point estimate with its standard error and normal 95% CI: floats, or arrays over a curve."""
+    """Point estimate with its standard error: floats, or arrays over a curve."""
 
-    def __init__(self, value: float | np.ndarray, std_error: float | np.ndarray, ci95: tuple, n_effective: int):
-        lo, hi = ci95
+    def __init__(self, value: float | np.ndarray, std_error: float | np.ndarray):
         if np.any(np.less(std_error, 0)):
             raise DomainError("std_error must be >= 0")
-        if not np.all(np.less_equal(lo, value) & np.less_equal(value, hi)):
-            raise DomainError("ci95 must contain the point estimate")
-        self.value, self.std_error, self.ci95, self.n_effective = value, std_error, ci95, n_effective
+        self.value, self.std_error = value, std_error
 
     def __eq__(self, other):
         if not isinstance(other, Estimate):
             return NotImplemented
-        fields = (self.value, self.std_error, *self.ci95, self.n_effective)
-        return all(map(np.array_equal, fields, (other.value, other.std_error, *other.ci95, other.n_effective)))
+        return np.array_equal(self.value, other.value) and np.array_equal(self.std_error, other.std_error)
 
 
 def _binomial_estimate(successes, n: int) -> Estimate:
     value = np.divide(successes, n)
-    se = np.sqrt(value * (1.0 - value) / n)
-    lo = np.maximum(0.0, value - _Z95 * se)
-    hi = np.minimum(1.0, value + _Z95 * se)
-    return Estimate(value=value, std_error=se, ci95=(lo, hi), n_effective=n)
+    return Estimate(value, np.sqrt(value * (1.0 - value) / n))
 
 
 def _mean_estimate(samples: np.ndarray) -> Estimate:
-    # every sample is >= 0, and so is the CI's lower bound.  The sum and the squared deviations are
+    # every sample is >= 0, so the largest bounds them all.  The sum and the squared deviations are
     # formed on the samples scaled by 2**-e, below 1, so they cannot overflow; a power of two scales
     # exactly, so a mean and an error within the double range keep their bits.
     n = samples.size
@@ -127,8 +120,7 @@ def _mean_estimate(samples: np.ndarray) -> Estimate:
     scaled = np.ldexp(samples, -e)
     value = math.ldexp(float(scaled.sum() / n), e)
     se = math.ldexp(float(scaled.std(ddof=1)), e) / math.sqrt(n) if n > 1 else 0.0
-    return Estimate(value=value, std_error=se, ci95=(max(0.0, value - _Z95 * se), value + _Z95 * se),
-                    n_effective=n)
+    return Estimate(value, se)
 
 
 def simulate_trajectory(
@@ -178,8 +170,8 @@ class _ChainKernel:
     chain index.  The chains' CSR arrays are joined as they are: state s
     jumps to ``targets[offsets[s]:offsets[s+1]]`` with cumulative
     probabilities ``cumprobs`` over the same slice (the last one is 1); a
-    state with no exits has an empty slice.  Each row's cumulative sum is
-    np.cumsum of that row alone, divided by its exit rate.
+    state with no exits has an empty slice.  A row's cumulative sums add
+    its rates in CSR order, one at a time, and are divided by its exit rate.
     """
 
     def __init__(self, chains: list[Ctmc]):
@@ -190,15 +182,11 @@ class _ChainKernel:
         self.operational = np.concatenate([chain.operational for chain in chains])
         self.targets = np.concatenate([np.array(chain.targets, dtype=np.intp) + first
                                        for chain, first in zip(chains, self.base)])
-        rates = np.concatenate([np.array(chain.rates, dtype=float) for chain in chains])
         degree = np.concatenate([np.diff(chain.offsets) for chain in chains])
         self.offsets = np.concatenate(([0], np.cumsum(degree)))
         self._last = self.offsets[1:] - 1
-        # rows of one out-degree at once: np.cumsum along a row adds as it does on that row alone
-        self.cumprobs = np.empty(rates.size)
-        for d in set(degree.tolist()) - {0}:  # np.unique would load numpy.ma, which a cold command pays for
-            at = self.offsets[:-1][degree == d, None] + np.arange(d)
-            self.cumprobs[at] = np.cumsum(rates[at], axis=1) / self.exit_rates[degree == d, None]
+        self.cumprobs = np.array([acc / chain.exit_rates[s] for chain in chains for s in range(chain.n)
+                                  for acc in accumulate(chain.rates[chain.offsets[s]:chain.offsets[s + 1]])])
         self.cumprobs[self._last[degree > 0]] = 1.0
         self._rounds = math.ceil(math.log2(degree.max())) if degree.max() > 1 else 0  # search depth of choose
 
@@ -416,9 +404,8 @@ def estimate_reliability(chain: Ctmc, start: int, cfg: MonteCarloConfig, threads
     """Fraction of trials that never leave the operational set by the horizon.
 
     Trials run on the absorbing variant of the chain; the estimate is the
-    sample mean of survival indicators with binomial standard error and a
-    normal 95% CI clamped to [0, 1].  It is the reliability curve at the one
-    time ``cfg.horizon``.
+    sample mean of survival indicators with its binomial standard error.  It
+    is the reliability curve at the one time ``cfg.horizon``.
     """
     return estimate_reliability_curve(chain, start, cfg, cfg.horizon, threads)
 

@@ -419,7 +419,7 @@ class TestTransientSeries:
         series = {s["name"]: s for s in json.loads(out)["series"]}
         times = series["availability"]["t"]
         for i, t in enumerate(times):
-            pi = markov.transient(chain, pi0, t).pi
+            pi = markov.transient(chain, pi0, t)
             assert series["availability"]["values"][i] == float(pi[op_mask].sum())
             for j, label in enumerate(chain.labels):
                 assert series[f"pi[{label}]"]["values"][i] == float(pi[j])
@@ -1013,6 +1013,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == err.count("error:") == 1
         assert err.startswith("error: numerical: ") and "double range" in err
         assert re.search(r"state (\d+) \(s\1\)", err) and "singular" not in err
+
+    def test_hitting_time_overflowing_over_a_subnormal_pivot_names_the_chain_state(self, capsys, write_doc):
+        # at 600 states the pivot of state 0 is 4.4e-314, not 0: only the quotient by it overflows
+        code, out, err = run(capsys, ["markov", "metrics", "--file", write_doc(ladder_doc(600, 0.3, 1.0))])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == err.count("error:") == 1
+        assert err.startswith("error: numerical: expected hitting time from state 0 (s0) leaves the double range")
+
+    def test_hitting_time_just_inside_the_double_range_exits_0(self, capsys, write_doc):
+        code, out, err = run(capsys, ["markov", "metrics", "--file", write_doc(ladder_doc(580, 0.3, 1.0)),
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        mttf = next(r["value"] for r in json.loads(out)["results"] if r["metric"] == "mttf")
+        assert mttf == pytest.approx(1.1392e303, rel=1e-4)
 
     @pytest.mark.parametrize("command, entry, message", [
         ("markov metrics", {"op": "metrics"}, "markov metrics needs a chain with a non-operational state"),

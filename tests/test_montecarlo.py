@@ -194,7 +194,6 @@ class TestEstimateReliability:
         est = estimate_reliability(chain, 0, cfg)
         assert abs(est.value - math.exp(-0.1)) < 3 * est.std_error
         assert 0.0 <= est.value <= 1.0
-        assert est.n_effective == cfg.n_trials
 
     def test_zero_horizon_is_certain_survival(self):
         chain = build_two_state(0.01, 0.1)
@@ -378,7 +377,7 @@ class TestOccupancy:
         chain = Ctmc(["a", "b"], [True, False], triplets([[0.0, 1.0], [0.0, 0.0]]))
         cfg = MonteCarloConfig(n_trials=200, horizon=3.0, seed=1)
         est = estimate_occupancy(chain, 0, cfg, target_states=(0, 1), burn_in=0.3)
-        assert (est.value, est.std_error, est.ci95) == (1.0, 0.0, (1.0, 1.0))
+        assert (est.value, est.std_error) == (1.0, 0.0)
 
 
 class TestThresholdReliability:
@@ -607,14 +606,14 @@ class TestReproducibility:
             hits += abs(est.value - truth) <= 3 * est.std_error
         assert hits >= 19
 
-    def test_ci_width_scales_with_sqrt_n(self):
+    def test_std_error_scales_with_sqrt_n(self):
         lam, h = 0.05, 10.0
         chain = build_two_state(lam, 0.1)
-        widths = {}
+        errors = {}
         for n in (1000, 10_000):
             est = estimate_reliability(chain, 0, MonteCarloConfig(n_trials=n, horizon=h, seed=17))
-            widths[n] = est.ci95[1] - est.ci95[0]
-        ratio = widths[1000] / widths[10_000]
+            errors[n] = est.std_error
+        ratio = errors[1000] / errors[10_000]
         assert ratio == pytest.approx(math.sqrt(10.0), rel=0.25)
 
 
@@ -633,17 +632,11 @@ class TestConfigAndEstimate:
 
     def test_estimate_invariants(self):
         with pytest.raises(DomainError):
-            Estimate(value=0.5, std_error=-0.1, ci95=(0.4, 0.6), n_effective=10)
-        with pytest.raises(DomainError):
-            Estimate(value=0.9, std_error=0.1, ci95=(0.4, 0.6), n_effective=10)
+            Estimate(value=0.5, std_error=-0.1)
         # a curve is checked entry by entry: one bad point among good ones is rejected
-        lo, hi = np.array([0.4, 0.5, 0.6]), np.array([0.6, 0.7, 0.8])
-        Estimate(value=np.array([0.5, 0.6, 0.7]), std_error=np.full(3, 0.05), ci95=(lo, hi), n_effective=10)
+        Estimate(value=np.array([0.5, 0.6, 0.7]), std_error=np.full(3, 0.05))
         with pytest.raises(DomainError):
-            Estimate(value=np.array([0.5, 0.9, 0.7]), std_error=np.full(3, 0.05), ci95=(lo, hi), n_effective=10)
-        with pytest.raises(DomainError):
-            Estimate(value=np.array([0.5, 0.6, 0.7]), std_error=np.array([0.05, -0.1, 0.05]), ci95=(lo, hi),
-                     n_effective=10)
+            Estimate(value=np.array([0.5, 0.6, 0.7]), std_error=np.array([0.05, -0.1, 0.05]))
 
     def test_curve_estimates_compare_by_value(self):
         # array fields: a tuple comparison of them raised ValueError
@@ -656,13 +649,6 @@ class TestConfigAndEstimate:
         assert curve(7) != curve(8)
         assert curve(7) != estimate_reliability(chain, 0, MonteCarloConfig(200, 2.0, 7))
         assert curve(7) != "curve"
-
-    def test_ci_contains_value_and_is_clamped(self):
-        chain = build_two_state(0.001, 0.1)
-        est = estimate_reliability(chain, 0, MonteCarloConfig(n_trials=500, horizon=1.0, seed=18))
-        lo, hi = est.ci95
-        assert lo <= est.value <= hi
-        assert hi <= 1.0
 
 
 # --- walker oracles: every estimator rebuilt trial by trial from simulate_trajectory
