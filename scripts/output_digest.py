@@ -42,6 +42,14 @@ document's seed, target state 3, burn-in 100 and horizon 1100 (the gate
 C09 setting), and the line holds the sha256 of the estimate's value and
 standard error.  It runs at 2 workers and at 1, and the script exits 1
 when the two differ.  A digest of a tree older than that line lacks it.
+
+The last line is newer still and covers the sparse product of ``markov
+transient``, which no quick chain reaches (they are small enough for the
+dense one): whatever ``--seeds`` and ``--quick`` say, the full-size seed-7
+chain_scale ``markov transient`` runs once, with ``--format json``, on its
+400-state birth-death chain, and the line holds its argv, exit code, and
+the sha256 of stdout and stderr, like the others.  A digest of a tree
+older than that line lacks it.
 """
 
 from __future__ import annotations
@@ -161,6 +169,13 @@ def main() -> None:
                 code, out, err = _run(["validate", name])
                 print("malformed_corpus", key, "validate", name, f"exit={code}",
                       f"stdout={_sha(out)}", f"stderr={_sha(err)}", flush=True)
+            Path("chain_scale-full").mkdir()
+            os.chdir("chain_scale-full")
+            commands = workloads.build("chain_scale", 7, Path("."), workloads.FULL, THREADS)
+            argv = next(command.argv for command in commands if command.argv[:2] == ("markov", "transient"))
+            code, out, err = _run(list(argv))
+            print("chain_scale", 7, "full", " ".join(argv), f"exit={code}",
+                  f"stdout={_sha(out)}", f"stderr={_sha(err)}", flush=True)
         finally:
             os.chdir(here)
     for line in mismatched:

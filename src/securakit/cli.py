@@ -224,7 +224,7 @@ def _markov_transient(ctx: _Context) -> AnalysisReport:
     # compress keeps the rows C-contiguous, so each row sums in the order a 1-d sum does
     availability = np.compress(chain.operational, dists, axis=1).sum(axis=1).tolist()
     series = [Series("availability", times, availability)]
-    series += [Series(f"pi[{label}]", times, dists[:, i].tolist()) for i, label in enumerate(chain.labels)]
+    series += [Series(f"pi[{label}]", times, column) for label, column in zip(chain.labels, dists.T.tolist())]
     return AnalysisReport({}, [Result("availability", availability[-1], "analytic")], series)
 
 

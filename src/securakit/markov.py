@@ -7,8 +7,10 @@ once, in CSR form, with each state's exit rate, all as tuples of Python
 numbers.  Steady states and expected hitting times come from one
 subtraction-free elimination over those rows (:func:`_eliminate`), in pure
 Python, so those analyses load no numpy.  Transient distributions come from
-uniformization on the dense generator Q (numpy), which keeps probabilities
-nonnegative and carries a certified truncation error.
+uniformization (numpy), which keeps probabilities nonnegative and carries a
+certified truncation error; its products run over the CSR rates on a sparse
+chain and over the dense uniformized matrix otherwise, whichever a measured
+cost rule says is cheaper (:func:`_sparse`).
 
 Availability and reliability are deliberately distinct: availability sums
 operational-state mass on the unmodified chain (repairs allowed), while
@@ -185,7 +187,10 @@ def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[flo
     their fsum.  Whenever pi_k passes ``_RESCALE``, pi_0..pi_k are divided by
     it, a power of two, so a chain whose mass grows past the double range
     from state 0 up still solves, with the bits of the unscaled sum wherever
-    no value falls below the normal range.
+    no value falls below the normal range.  A pi_k whose quotient overflows
+    in one step is taken apart by :func:`_split_quotient` instead, and
+    pi_0..pi_(k-1) are divided by the power of two that brings it near 1, so
+    those far below it fall to 0 as they do in the normalized answer.
 
     With ``rewards``, state 0 stands for the absorbing target set, every
     other state must reach it, and the result is each state's expected
@@ -227,8 +232,16 @@ def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[flo
     if rewards is None:
         x = [1.0] + [0.0] * (n - 1)
         for k in range(1, n):
-            x[k] = math.fsum([x[i] * rate for i, rate in inflows[k].items()]) / pivots[k]
-            if x[k] > _RESCALE:
+            try:
+                x[k] = math.fsum([x[i] * rate for i, rate in inflows[k].items()]) / pivots[k]
+            except OverflowError:  # an fsum past the largest double
+                x[k] = math.inf
+            if x[k] == math.inf:
+                g, e = _split_quotient([(x[i], rate) for i, rate in inflows[k].items()], pivots[k])
+                m = max(e, 0)
+                x[:k] = [math.ldexp(v, -m) for v in x[:k]]
+                x[k] = math.ldexp(g, e - m)
+            elif x[k] > _RESCALE:
                 x[:k + 1] = [v / _RESCALE for v in x[:k + 1]]
         total = math.fsum(x)
         return [v / total for v in x]
@@ -238,6 +251,23 @@ def _eliminate(rows: list[dict], rewards: list[float] | None = None) -> list[flo
         if x[k] == math.inf:  # a finite sum over a pivot too small for it
             raise _PivotError(k, pivots[k])
     return x
+
+
+def _split_quotient(terms: list[tuple[float, float]], s: float) -> tuple[float, int]:
+    """``fsum(v * rate for v, rate in terms) / s`` as ``(g, e)``, the value g * 2**e, with e an int.
+
+    For a quotient past the largest double: each v, rate and s is split by
+    ``math.frexp`` into a mantissa and a power of two, the products of the
+    mantissas are shifted by the largest power among them, and only the
+    mantissas are summed and divided.  Shifts by powers of two are exact
+    above the subnormal range, so g * 2**e is the quotient rounded as it
+    would be with no limit on the exponent.  At least one v must be > 0.
+    """
+    split = [(a * b, p + q) for (a, p), (b, q) in
+             ((math.frexp(v), math.frexp(rate)) for v, rate in terms if v)]
+    top = max(e for _, e in split)
+    c, r = math.frexp(s)
+    return math.fsum([math.ldexp(ab, e - top) for ab, e in split]) / c, top - r
 
 
 def _require_irreducible(chain: Ctmc) -> None:
@@ -337,6 +367,45 @@ def _distributions(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _sparse(n: int, nnz: int) -> bool:
+    """Whether v @ P for an n-state chain with ``nnz`` rates is cheaper over the CSR rates than dense.
+
+    The cost rule is ``20 * nnz + 10_000 < n * n``.  Measured per product
+    (numpy 2.4 with OpenBLAS, Python 3.11, 2-core x86-64 VM): the dense
+    ``v @ p`` costs about 1 us plus 0.15 ns per matrix entry (0.9 us at 2
+    states, 2.4 us at 100, 24 us at 400), the CSR product about 2 us plus
+    3 ns per rate (1.9 us at 2 rates, 2.8 us at 198, 4.6 us at 798, 12 us
+    at 3,200, 26 us at 8,000).  So a two-state chain and a 100-state
+    birth-death chain stay dense, and a 150-state one, a 400-state one or a
+    400-state chain with 6,000 rates go CSR.  Past a few hundred states the
+    dense product also slows per entry, so the rule errs toward dense.
+    """
+    return 20 * nnz + 10_000 < n * n
+
+
+def _product(chain: Ctmc, rate: float):
+    """The map v -> v @ P, with P = I + Q/rate, in the layout :func:`_sparse` picks for ``chain``.
+
+    Both layouts hold the same entries to the bit: the dense P is formed as
+    ``I + Q/rate``, the CSR one keeps ``1 - exit/rate`` on the diagonal,
+    which is ``1 + (-exit)/rate`` exactly, and ``rate_ij/rate`` off it.
+    Only the order in which a product adds its terms differs: the CSR
+    product adds each state's kept mass to the ``np.bincount`` of its
+    inflows, in CSR order, so its bits do not depend on the BLAS library.
+    """
+    import numpy as np
+
+    n = chain.n
+    if not _sparse(n, len(chain.rates)):
+        p = np.eye(n) + chain.generator / rate
+        return lambda v: v @ p
+    keep = 1.0 - np.array(chain.exit_rates) / rate
+    sources = np.repeat(np.arange(n), np.diff(chain.offsets))
+    targets = np.array(chain.targets, dtype=np.intp)
+    shares = np.array(chain.rates) / rate
+    return lambda v: v * keep + np.bincount(targets, v[sources] * shares, n)
+
+
 def transient(chain: Ctmc, pi0, t: float) -> np.ndarray:
     """Distribution pi0 @ expm(Q t) by uniformization: row 0 of :func:`transient_grid` at ``[t]``."""
     return transient_grid(chain, pi0, [t])[0]
@@ -356,7 +425,10 @@ def transient_grid(chain: Ctmc, pi0, times) -> np.ndarray:
     The powers v_k are formed once, up to the largest R of the grid, and
     each is added to every point whose window holds it in one broadcast
     update, in the order a single-point run adds them, so every row is the
-    same to the last bit as when it is computed alone.  Every window, and
+    same to the last bit as when it is computed alone.  Each power is one
+    product v @ P in the layout :func:`_product` picks: over the CSR rates on
+    a sparse chain, whose bits then do not depend on the BLAS library, and
+    dense otherwise.  Every window, and
     every error but the check of the result, comes before the first
     product.  ``pi0`` and the result are checked by :func:`_distributions`;
     the result is a read-only points x states array.
@@ -382,9 +454,9 @@ def transient_grid(chain: Ctmc, pi0, times) -> np.ndarray:
     changes = {0, *lefts.tolist(), *(ends + 1).tolist()}
     # -0.0 + x is x to the bit, so a window's first term lands as w * v
     out = np.where(timed[:, None], -0.0, v0)
-    p = np.eye(chain.n) + chain.generator / rate if windows else None
+    step = _product(chain, rate) if windows else None
     for k in range(int(ends.max(initial=-1)) + 1):
-        v = v @ p if k else v0
+        v = step(v) if k else v0
         if k in changes:
             live = np.flatnonzero((lefts <= k) & (k <= ends))
             rows, at = points[live], base[live]

@@ -2,8 +2,15 @@
 
 JSON is the canonical machine format: emission is deterministic (sorted
 keys, fixed separators), so repeated runs of a seeded analysis produce
-byte-identical documents.  The round trip ``from_json(to_json(r)) == r``
-holds by construction: ``to_json`` writes each record's attributes, and
+byte-identical documents.  The bytes are those of ``json.dumps(payload,
+indent=2, sort_keys=True)``, whose indented form runs CPython's pure-Python
+encoder, but a small recursive writer makes them: strings go through the C
+``encode_basestring_ascii``, a list of finite floats is one join of their
+``float.__repr__``, a list object is written once however many series share
+it (every series of a transient report shares one ``t`` list), and every
+other value goes through its own leaf formatter.  The round trip
+``from_json(to_json(r)) == r`` holds by construction: ``to_json`` writes
+each record's attributes, and
 ``from_json`` passes them back to its constructor by name, so a field is
 named once, as a parameter of its record's constructor.  CSV exists for
 plotting pipelines (one row per result, one section per series) and the
@@ -15,6 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from . import __version__ as TOOL_VERSION
 from .errors import DomainError, NumericalError
@@ -69,7 +77,57 @@ def to_json(report: AnalysisReport) -> str:
     # each record's attributes, taken shallowly: a series' lists are written, not copied
     payload = vars(report) | {"results": [vars(r) for r in report.results],
                               "series": [vars(s) for s in report.series]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload, "", {}) + "\n"
+
+
+def _json(value, pad: str, written: dict) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it, nested at indent ``pad``.
+
+    Dict keys must be strings.  ``written`` maps ``(id(list), pad)`` to the
+    text of each list written so far in this payload, so a list object that
+    several series share is written once.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        key = (id(value), pad)
+        if key not in written:
+            written[key] = _json_array(value, pad, written)
+        return written[key]
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner, written)}"
+                 for key, item in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_array(items, pad: str, written: dict) -> str:
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    try:  # a list of floats is one join; of their reprs, only those of inf and nan hold an "n"
+        text = sep.join(map(float.__repr__, items))
+    except TypeError:  # an item that is no float
+        text = None
+    if text is None or "n" in text:
+        text = sep.join([_json(item, inner, written) for item in items])
+    return "[\n" + inner + text + "\n" + pad + "]"
 
 
 def from_json(text: str) -> AnalysisReport:

@@ -633,7 +633,7 @@ def fresh_python(code: str) -> subprocess.CompletedProcess:
 
 
 class TestTransientDispatch:
-    """Transient bytes do not follow numpy's SIMD level.
+    """Transient bytes do not follow numpy's SIMD level, nor, on a sparse chain, OpenBLAS's kernels.
 
     numpy ignores a feature name it does not know, so the test runs on any
     host; it has power only where numpy dispatches AVX-512 kernels.
@@ -647,6 +647,19 @@ class TestTransientDispatch:
         env = {k: v for k, v in fresh_env().items() if k != "NPY_DISABLE_CPU_FEATURES"}
         outs = []
         for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
+            proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **extra}, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
+    def test_sparse_chain_same_stdout_under_other_blas_kernels(self, write_doc):
+        # a 400-state ladder takes the CSR product, which calls no BLAS kernel; OpenBLAS ignores a
+        # core type it does not know, so this has power only where it would pick a kernel other than Haswell's
+        argv = [sys.executable, "-m", "securakit", "markov", "transient", "--file", write_doc(birth_death_doc(400)),
+                "--grid", "0:400:11", "--format", "json"]
+        env = {k: v for k, v in fresh_env().items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+        outs = []
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Haswell"}):
             proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **extra}, timeout=60)
             assert (proc.returncode, proc.stderr) == (0, "")
             outs.append(proc.stdout)
@@ -1027,6 +1040,14 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         mttf = next(r["value"] for r in json.loads(out)["results"] if r["metric"] == "mttf")
         assert mttf == pytest.approx(1.1392e303, rel=1e-4)
+
+    def test_steady_state_ratio_past_the_double_range_exits_0(self, capsys, write_doc):
+        # pi_down / pi_up = 1e600: the one quotient overflowed, and the residual check saw nan
+        doc = {**TWO_STATE_DOC, "parameters": {"lambda": 1e300, "mu": 1e-300}}
+        code, out, err = run(capsys, ["markov", "solve", "--file", write_doc(doc), "--format", "json"])
+        assert (code, err) == (0, "")
+        values = {r["metric"]: r["value"] for r in json.loads(out)["results"]}
+        assert values == {"pi[up]": 0.0, "pi[down]": 1.0, "availability": 0.0}
 
     @pytest.mark.parametrize("command, entry, message", [
         ("markov metrics", {"op": "metrics"}, "markov metrics needs a chain with a non-operational state"),

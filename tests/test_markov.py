@@ -328,36 +328,57 @@ def test_transient_matches_expm_on_stiff_chains(case):
 
 
 def transient_oracle(chain, pi0, t):
-    """One uniformization run from t = 0 for a single point: the per-point reference."""
+    """One uniformization run from t = 0 for a single point: the per-point reference.
+
+    Its products v @ P are those of the layout that ``markov._sparse`` picks for the chain.
+    """
     if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t}")
     v0 = _distributions(np.array(pi0, dtype=float))
-    q = chain.generator
-    rate = float(np.max(-np.diag(q)))
+    rate = float(np.max(-np.diag(chain.generator)))
     if t == 0 or rate == 0:
         return v0
     left, weights = _poisson_weights(rate * t)
-    p = np.eye(chain.n) + q / rate
+    step = markov._product(chain, rate)
     v = v0
     for _ in range(left):
-        v = v @ p
+        v = step(v)
     out = weights[0] * v
     for w in weights[1:]:
-        v = v @ p
+        v = step(v)
         out = out + w * v
     out /= out.sum()
     return out
 
 
+def sparse_chain(rng, n):
+    """A ring of n states with rates in [0.1, 2), and 2n more jumps between random states."""
+    transitions = [(i, (i + 1) % n, 0.1 + 1.9 * rng.uniform()) for i in range(n)]
+    transitions += [(int(rng.uniform() * n), int(rng.uniform() * n), 3.0 * rng.uniform()) for _ in range(2 * n)]
+    return Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], transitions)
+
+
 @st.composite
 def transient_grids(draw):
-    """2-8 states, rates over three decades, and a shuffled grid holding t = 0,
-    a repeated time and a point with rate*t = 720, where the window starts above 0."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    log_rate = st.one_of(st.none(), st.floats(min_value=-2.0, max_value=1.0))
-    exps = draw(st.lists(log_rate, min_size=n * n, max_size=n * n))
-    rates = np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n)
-    chain = Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], triplets(rates))
+    """A chain on either side of the product layout rule, and a shuffled grid holding t = 0, a
+    repeated time and a point with rate*t = 720, where the window starts above 0.
+
+    Dense side: 2-8 states with rates over three decades, many of them zero.  CSR side: a
+    birth-death chain of 150-200 states with rates over three decades and up to n/2 more jumps.
+    """
+    sparse = draw(st.booleans())
+    log_rate = st.floats(min_value=-2.0, max_value=1.0)
+    if sparse:
+        n = draw(st.integers(min_value=150, max_value=200))
+        transitions = [(i + di, i + 1 - di, 10.0 ** draw(log_rate)) for i in range(n - 1) for di in (0, 1)]
+        state = st.integers(min_value=0, max_value=n - 1)
+        transitions += draw(st.lists(st.tuples(state, state, log_rate.map(lambda e: 10.0 ** e)), max_size=n // 2))
+    else:
+        n = draw(st.integers(min_value=2, max_value=8))
+        exps = draw(st.lists(st.one_of(st.none(), log_rate), min_size=n * n, max_size=n * n))
+        transitions = triplets(np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n))
+    chain = Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], transitions)
+    assert markov._sparse(chain.n, len(chain.rates)) == sparse
     times = draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6))
     times += [0.0, times[0]]
     rate = max(chain.exit_rates)
@@ -390,6 +411,29 @@ class TestTransientGrid:
         for t, row in zip(times, transient_grid(chain, pi0, times)):
             expected = pi0 @ expm(chain.generator * t)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-10)
+
+    def test_layout_rule_puts_small_chains_dense_and_large_sparse_ones_csr(self):
+        assert not markov._sparse(2, 2)  # the two-state chain
+        assert not markov._sparse(40, 78)  # a 40-state birth-death chain
+        assert markov._sparse(400, 798)  # a 400-state one
+        assert not markov._sparse(400, 16_000)  # 40 jumps per state
+
+    @pytest.mark.parametrize("chain, times", [
+        (ladder(400, 1.0, 0.8, repairable_top=True), [0.0, 0.5, 3.0, 20.0, 100.0, 400.0]),
+        (ladder(300, 0.3, 1.0), [0.5, 3.0, 20.0, 100.0, 400.0]),
+        (sparse_chain(CounterRng(seed=5), 300), [0.5, 3.0, 20.0, 100.0]),
+    ], ids=["birth-death-400", "absorbing-birth-death-300", "random-sparse-300"])
+    def test_csr_product_matches_expm_and_the_dense_product(self, monkeypatch, chain, times):
+        assert markov._sparse(chain.n, len(chain.rates))
+        pi0 = np.zeros(chain.n)
+        pi0[0] = 1.0
+        dists = transient_grid(chain, pi0, times)
+        for t, row in zip(times, dists):
+            np.testing.assert_allclose(row, pi0 @ expm(chain.generator * t), rtol=0, atol=1e-10)
+        monkeypatch.setattr(markov, "_sparse", lambda n, nnz: False)
+        # both sum nonnegative terms, so only rounding parts them: up to about 1,300 products (rate*t)
+        # the largest relative difference measured was 10 units of 2**-52
+        np.testing.assert_allclose(dists, transient_grid(chain, pi0, times), rtol=16 * 2.0 ** -52, atol=0)
 
     def test_empty_grid(self):
         assert transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], []).shape == (0, 2)
@@ -623,6 +667,25 @@ class TestStiffChainsAgainstExactSolves:
         with pytest.raises(SingularSystemError,
                            match=r"^expected hitting time from state 0 \(s0\) leaves the double range"):
             mttf_absorbing(ladder(n, 0.3, 1.0), 0)
+
+    @pytest.mark.parametrize("chain", [
+        build_two_state(1.0, 1e-310),  # pi_1 / pi_0 = 1e310, over a subnormal pivot
+        build_two_state(1e300, 1e-300),  # 1e600: pi_0 falls to 0
+        Ctmc(["a", "b", "c"], [True, True, False], [(0, 1, 1e200), (1, 0, 1e-200), (1, 2, 2.0), (2, 1, 1.0)]),
+        Ctmc(["a", "b", "c"], [True, True, False], [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1e300), (2, 1, 1e-300)]),
+        # pi_2 is an fsum of two terms of 1e308, past the largest double before the pivot of 2 divides it
+        Ctmc(["a", "b", "c"], [True, True, False],
+             [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1e308), (1, 2, 1e308), (2, 0, 1.0), (2, 1, 1.0)]),
+    ], ids=["subnormal-repair", "ratio-1e600", "ratio-1e400-then-2", "ratio-1e600-at-the-top", "fsum-overflow"])
+    def test_a_ratio_past_the_double_range_in_one_step(self, chain):
+        # each quotient overflowed to inf, and the normalization gave a residual of nan
+        exact = exact_steady_state(chain)
+        pi = steady_state(chain)
+        for p, e in zip(pi, exact):
+            if e >= 2.0 ** -1022:
+                assert relative_error(p, e) <= 1e-13
+            else:  # a subnormal keeps fewer bits; the exact value rounds to it within a few of its steps
+                assert abs(p - float(e)) <= 4 * 2.0 ** -1074
 
     def test_every_steady_state_entry_matches_the_exact_solve(self):
         chain = ladder(6, 1e-3, 10.0, repairable_top=True)

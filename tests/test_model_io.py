@@ -24,7 +24,16 @@ from securakit.model_io import (
     build_r_out_of_n,
     parse_model,
 )
-from securakit.report import AnalysisReport, Result, Series, emit_report, from_json, to_csv
+from securakit.report import (
+    METHOD_LABELS,
+    AnalysisReport,
+    Result,
+    Series,
+    emit_report,
+    from_json,
+    to_csv,
+    to_json,
+)
 from securakit.weibull import WeibullModel
 
 
@@ -618,6 +627,37 @@ class TestReports:
         a = emit_report(self.sample_report(), "json")
         b = emit_report(self.sample_report(), "json")
         assert a == b
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_json_is_the_bytes_of_json_dumps(self, data):
+        def floats(finite=False):
+            return st.one_of(st.floats(allow_nan=not finite, allow_infinity=not finite),
+                             st.floats(allow_nan=not finite, allow_infinity=not finite).map(np.float64))
+
+        text = st.text(max_size=12)  # non-ASCII, quotes, backslashes and control characters to escape
+        leaves = st.one_of(st.none(), st.booleans(), st.integers(), floats(), text)
+        echo = data.draw(st.dictionaries(text, st.recursive(
+            leaves,
+            lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(text, children, max_size=4)),
+            max_leaves=20,
+        ), max_size=5))
+        results = data.draw(st.lists(st.builds(
+            Result, text, floats(finite=True), st.sampled_from(sorted(METHOD_LABELS)),
+            st.one_of(st.none(), floats(finite=True)),
+        ), max_size=4))
+        t = data.draw(st.lists(floats(), max_size=6))  # one list object that every series shares
+        values = st.lists(st.one_of(floats(), st.integers()), min_size=len(t), max_size=len(t))
+        series = [Series(name, t, data.draw(values)) for name in data.draw(st.lists(text, max_size=4))]
+        report = AnalysisReport(echo, results, series, tool_version=data.draw(text),
+                                seed_used=data.draw(st.one_of(st.none(), st.integers(min_value=0))))
+
+        payload = vars(report) | {"results": [vars(r) for r in results], "series": [vars(s) for s in series]}
+        written = to_json(report)
+        assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert to_json(from_json(written)) == written
+        if "NaN" not in written:  # NaN is unequal to itself
+            assert from_json(written) == report
 
     def test_csv_result_row_contract(self):
         report = AnalysisReport(
