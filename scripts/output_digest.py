@@ -43,9 +43,10 @@ C09 setting), and the line holds the sha256 of the estimate's value and
 standard error.  It runs at 2 workers and at 1, and the script exits 1
 when the two differ.  A digest of a tree older than that line lacks it.
 
-The last line is newer still and covers the sparse product of ``markov
-transient``, which no quick chain reaches (they are small enough for the
-dense one): whatever ``--seeds`` and ``--quick`` say, the full-size seed-7
+The last line is newer still and covers ``markov transient`` at full
+size, where the quick chains are small (the two-state chain takes the
+pure-Python product and the 40-state one the CSR product, with the same
+bits): whatever ``--seeds`` and ``--quick`` say, the full-size seed-7
 chain_scale ``markov transient`` runs once, with ``--format json``, on its
 400-state birth-death chain, and the line holds its argv, exit code, and
 the sha256 of stdout and stderr, like the others.  A digest of a tree

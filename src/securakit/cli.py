@@ -39,6 +39,7 @@ import math
 import os
 import sys
 import warnings
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -48,8 +49,6 @@ from .model_io import ModelDocument
 from .report import FORMATS, AnalysisReport, Result, Series, emit_report
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .montecarlo import MonteCarloConfig
 
 EXIT_OK = 0
@@ -131,9 +130,8 @@ def _monte_carlo(ctx: _Context) -> tuple[MonteCarloConfig, int]:
     return cfg, threads
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    import numpy as np
-
+def _parse_grid(spec: str) -> list[float]:
+    """The times ``T0:T1:STEPS`` names: the floats of ``np.linspace(T0, T1, STEPS)``, to the bit."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"--grid expects T0:T1:STEPS, got {spec!r}")
@@ -147,7 +145,18 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError("--grid needs 0 <= T0 <= T1 and STEPS >= 1")
     if steps > model_io.MAX_SERIES_POINTS:
         raise UsageError(f"--grid STEPS must be at most {model_io.MAX_SERIES_POINTS}, got {steps}")
-    return np.linspace(t0, t1, steps)
+    delta, div = t1 - t0, steps - 1
+    if not div:
+        return [0.0 * delta + t0]
+    step = delta / div
+    # numpy's steps: k * step + t0, or (k / div) * delta + t0 where the step underflows to 0, and T1 last
+    return [(k * step if step else k / div * delta) + t0 for k in range(div)] + [t1]
+
+
+def _step_grid(t: float, dt: float) -> list[float]:
+    """0, dt, 2*dt, ... up to and including ``t``, a step within rounding of t being t itself: the
+    floats of ``np.append(np.arange(k) * dt, t)``, to the bit."""
+    return [k * dt for k in range(math.ceil(t / dt * (1 - 1e-9)))] + [t]
 
 
 def _state_rows(chain, pi) -> list[Result]:
@@ -204,27 +213,21 @@ def _markov_solve(ctx: _Context) -> AnalysisReport:
 
 
 def _markov_transient(ctx: _Context) -> AnalysisReport:
-    import numpy as np
-
     from . import markov
 
     chain, settings = ctx.model, ctx.settings
     if ctx.args.grid is not None:
-        grid = _parse_grid(ctx.args.grid)
+        times = _parse_grid(ctx.args.grid)
     elif "t" in settings:
-        # 0, dt, 2*dt, ... up to and including t; a step within rounding of t is t itself
-        t_final, dt = settings["t"], settings.get("dt", math.inf)
-        grid = np.append(np.arange(math.ceil(t_final / dt * (1 - 1e-9))) * dt, t_final)
+        times = _step_grid(settings["t"], settings.get("dt", math.inf))
     else:
         raise ValidationError("markov transient needs --grid or an analyses entry with 't'")
-    pi0 = np.zeros(chain.n)
+    pi0 = [0.0] * chain.n
     pi0[ctx.start] = 1.0
-    dists = markov.transient_grid(chain, pi0, grid)
-    times = grid.tolist()
-    # compress keeps the rows C-contiguous, so each row sums in the order a 1-d sum does
-    availability = np.compress(chain.operational, dists, axis=1).sum(axis=1).tolist()
+    dists = markov.transient_grid(chain, pi0, times)
+    availability = [math.fsum(compress(row, chain.operational)) for row in dists]
     series = [Series("availability", times, availability)]
-    series += [Series(f"pi[{label}]", times, column) for label, column in zip(chain.labels, dists.T.tolist())]
+    series += [Series(f"pi[{label}]", times, list(column)) for label, column in zip(chain.labels, zip(*dists))]
     return AnalysisReport({}, [Result("availability", availability[-1], "analytic")], series)
 
 
@@ -248,17 +251,13 @@ def _markov_metrics(ctx: _Context) -> AnalysisReport:
 
 
 def _mc_reliability(ctx: _Context) -> AnalysisReport:
-    import numpy as np
-
     from . import montecarlo
 
     cfg, threads = _monte_carlo(ctx)
-    grid = _parse_grid(ctx.args.grid) if ctx.args.grid is not None else np.empty(0)
+    grid = _parse_grid(ctx.args.grid) if ctx.args.grid is not None else []
     # the headline estimate at the horizon comes from the same trials as the grid
-    curve = montecarlo.estimate_reliability_curve(
-        ctx.model, ctx.start, cfg, np.append(grid, cfg.horizon), threads=threads
-    )
-    series = [Series("reliability", grid.tolist(), curve.value[:-1].tolist())] if grid.size else []
+    curve = montecarlo.estimate_reliability_curve(ctx.model, ctx.start, cfg, [*grid, cfg.horizon], threads=threads)
+    series = [Series("reliability", grid, curve.value[:-1].tolist())] if grid else []
     value, std_error = float(curve.value[-1]), float(curve.std_error[-1])
     results = [Result("reliability", value, "monte_carlo", uncertainty=std_error)]
     return AnalysisReport({}, results, series, seed_used=cfg.seed)

@@ -7,10 +7,11 @@ once, in CSR form, with each state's exit rate, all as tuples of Python
 numbers.  Steady states and expected hitting times come from one
 subtraction-free elimination over those rows (:func:`_eliminate`), in pure
 Python, so those analyses load no numpy.  Transient distributions come from
-uniformization (numpy), which keeps probabilities nonnegative and carries a
-certified truncation error; its products run over the CSR rates on a sparse
-chain and over the dense uniformized matrix otherwise, whichever a measured
-cost rule says is cheaper (:func:`_sparse`).
+uniformization, which keeps probabilities nonnegative and carries a
+certified truncation error; its products run over the CSR rates in pure
+Python or in numpy, with the same bits, whichever a measured cost rule
+says is cheaper (:func:`_layout`), so a small chain loads no numpy
+either.
 
 Availability and reliability are deliberately distinct: availability sums
 operational-state mass on the unmodified chain (repairs allowed), while
@@ -22,7 +23,9 @@ still counts as failed once it has left the operational set.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from bisect import bisect_left
+from itertools import accumulate, compress
+from operator import mul, neg
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -309,169 +312,234 @@ def steady_state(chain: Ctmc) -> tuple[float, ...]:
     return tuple(pi)
 
 
-def _poisson_weights(mu: float) -> tuple[int, np.ndarray]:
-    """Poisson(mu) probabilities for k = left..R, renormalized to sum to 1.
+def _window(mu: float) -> tuple[int, int]:
+    """The Fox-Glynn window ``(left, right)`` of the Poisson(mu) weights, from ``math`` on scalars.
 
-    Fox & Glynn (CACM 1988): the weights are built outward from the mode
-    floor(mu) by the ratio recursion w[k] = w[k-1] * mu/k, as running
-    products whose every factor is at most 1, so no factorial, lgamma, exp
-    or log is formed and nothing overflows.  The window [left, right] comes
-    from the Chernoff and Bernstein tail bounds and leaves out at most
-    ``UNIFORMIZATION_TAIL**2`` of mass on each side.  R is the least k with
-    P(X > k) <= ``UNIFORMIZATION_TAIL``; that tail is a reversed cumulative
-    sum, so the smallest terms are added first.
+    Fox & Glynn (CACM 1988): the Chernoff and Bernstein tail bounds put at
+    most ``UNIFORMIZATION_TAIL**2`` of mass below ``left`` and above
+    ``right``.  A ``mu`` that is not finite, or whose sum needs more than
+    ``_MAX_UNIFORMIZATION_TERMS`` terms, raises ConvergenceError.
     """
-    import numpy as np
-
     if not math.isfinite(mu):
         raise ConvergenceError(f"uniformization cannot bound the tail at rate*t = {mu:.3g}")
     # P(X <= mu - y) <= exp(-y^2 / (2 mu)) = 1 - UNIFORMIZATION_TAIL: R is at least this floor.
-    floor_r = math.floor(mu - math.sqrt(-2.0 * mu * math.log1p(-UNIFORMIZATION_TAIL)))
-    if floor_r > _MAX_UNIFORMIZATION_TERMS:
-        raise ConvergenceError(
-            f"uniformization needs {floor_r} terms (rate*t = {mu:.3g}); split the horizon"
-        )
+    _check_terms(math.floor(mu - math.sqrt(-2.0 * mu * math.log1p(-UNIFORMIZATION_TAIL))), mu)
     a = -2.0 * math.log(UNIFORMIZATION_TAIL)  # each window edge bounds a tail of exp(-a) = tolerance**2
     left = max(0, math.floor(mu - math.sqrt(2.0 * mu * a)))
-    right = math.ceil(mu + a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * mu))
+    return left, math.ceil(mu + a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * mu))
+
+
+def _check_terms(terms: int, mu: float) -> None:
+    if terms > _MAX_UNIFORMIZATION_TERMS:
+        raise ConvergenceError(f"uniformization needs {terms:.3g} terms (rate*t = {mu:.3g}); split the horizon")
+
+
+def _poisson_weights(mu: float, left: int, right: int) -> list[float]:
+    """Poisson(mu) weights for k = left..R, relative to that of the mode floor(mu), which is 1.
+
+    The weights are built outward from the mode by the ratio recursion
+    w[k] = w[k-1] * mu/k, as running products whose every factor is at most
+    1, so no factorial, lgamma, exp or log is formed and nothing overflows.
+    ``(left, right)`` is the :func:`_window` of ``mu``, and R is the least k
+    in it with P(X > k) <= ``UNIFORMIZATION_TAIL``; that tail is a running
+    sum from the window's right edge, so the smallest terms are added first.
+    The weights are not normalized: :func:`transient_grid` normalizes each
+    weighted sum instead, which scales the weights by the same factor.
+    """
     mode = math.floor(mu)
-    w = np.concatenate((
-        np.cumprod(np.arange(mode, left, -1) / mu)[::-1],  # w[k-1]/w[mode]: product of j/mu, j = k..mode
-        [1.0],
-        np.cumprod(mu / np.arange(mode + 1, right + 1)),  # w[k]/w[mode]: product of mu/j, j = mode+1..k
-    ))
-    tail = np.cumsum(w[::-1])[::-1]  # tail[i] = sum of w[i:]
-    cut = int(np.searchsorted(-tail[1:], -UNIFORMIZATION_TAIL * tail[0]))
-    if left + cut > _MAX_UNIFORMIZATION_TERMS:
-        raise ConvergenceError(
-            f"uniformization needs {left + cut} terms (rate*t = {mu:.3g}); split the horizon"
-        )
-    weights = w[: cut + 1]
-    return left, weights / weights.sum()
+    w = list(accumulate([j / mu for j in range(mode, left, -1)], mul))  # w[k-1]: product of j/mu, j = k..mode
+    w.reverse()
+    w.append(1.0)
+    w += accumulate([mu / j for j in range(mode + 1, right + 1)], mul)  # w[k]: product of mu/j, j = mode+1..k
+    tail = list(accumulate(reversed(w)))  # tail[-1 - i] = sum of w[i:]
+    tail.reverse()
+    cut = bisect_left(tail, -UNIFORMIZATION_TAIL * tail[0], 1, key=neg) - 1
+    _check_terms(left + cut, mu)
+    del w[cut + 1:]
+    return w
 
 
-def _distributions(v: np.ndarray) -> np.ndarray:
-    """``v`` made read-only, after checking that it is one distribution (1-d) or one per row (2-d).
+def _distribution(p) -> tuple[float, ...]:
+    """``p``, a flat sequence of numbers, as a tuple of floats, after checking that it is one distribution.
 
-    Each has at least one entry, every entry >= 0, and its sum within 1e-12 of 1, checked in one pass.
+    It has at least one entry, every entry >= 0, and its ``math.fsum``
+    within 1e-12 of 1; a NaN fails one of the two.
     """
-    import numpy as np
-
-    if v.ndim not in (1, 2) or v.shape[-1] == 0:
-        raise DomainError("probability vector must be a nonempty 1-d array or a 2-d stack of them")
-    if np.any(v < 0):
+    try:
+        p = list(p)
+        if any(getattr(x, "ndim", 0) for x in p):  # float() takes an array of one entry
+            raise TypeError("an entry is an array")
+        p = tuple(map(float, p))
+    except (TypeError, ValueError) as exc:  # such as a row of a 2-d array
+        raise DomainError(f"probability vector must be a flat sequence of numbers: {exc}") from exc
+    if not p:
+        raise DomainError("probability vector must be nonempty")
+    if not min(p) >= 0:
         raise DomainError("probability vector entries must be >= 0")
-    if np.any(np.abs(v.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
+    if not abs(_row_sum(p) - 1.0) <= ROW_SUM_TOL:
         raise DomainError("probability vector must sum to 1 within 1e-12")
-    v.setflags(write=False)
-    return v
+    return p
 
 
-def _sparse(n: int, nnz: int) -> bool:
-    """Whether v @ P for an n-state chain with ``nnz`` rates is cheaper over the CSR rates than dense.
+def _layout(n: int, nnz: int, windows: list[tuple[int, int]]) -> str:
+    """``"python"`` or ``"csr"``: where the products v @ P of a transient grid cost less.
 
-    The cost rule is ``20 * nnz + 10_000 < n * n``.  Measured per product
-    (numpy 2.4 with OpenBLAS, Python 3.11, 2-core x86-64 VM): the dense
-    ``v @ p`` costs about 1 us plus 0.15 ns per matrix entry (0.9 us at 2
-    states, 2.4 us at 100, 24 us at 400), the CSR product about 2 us plus
-    3 ns per rate (1.9 us at 2 rates, 2.8 us at 198, 4.6 us at 798, 12 us
-    at 3,200, 26 us at 8,000).  So a two-state chain and a 100-state
-    birth-death chain stay dense, and a 150-state one, a 400-state one or a
-    400-state chain with 6,000 rates go CSR.  Past a few hundred states the
-    dense product also slows per entry, so the rule errs toward dense.
+    ``windows`` holds the :func:`_window` of each point of the grid, so the
+    rule runs before numpy is loaded.  A grid takes one product per power,
+    up to the largest right edge, and one accumulation per weight: a power
+    added to one point's row.  The costs, in ns, were measured in process
+    with numpy already loaded (numpy 2.4 with OpenBLAS, Python 3.11, 2-core
+    x86-64 VM), so a caller that has numpy pays no more than with numpy
+    alone.  In pure Python a product costs about 1,000 plus 40 per state and
+    rate, an accumulation 600 plus 60 per state.  In numpy a product over
+    the CSR rates, with the broadcast update of its power, costs about 3,500
+    plus 3 per rate, each weight 400 and each point 10,000.  Both layouts
+    give the same bits, so the rule decides only the time.  A two-state
+    chain on an 11-point grid, or at one point of rate*t = 1,000, stays in
+    Python; a 100-point grid on it, or a 5-state birth-death chain on the
+    11-point grid, goes to numpy.
     """
-    return 20 * nnz + 10_000 < n * n
+    products = max((right for _, right in windows), default=0)
+    weights = sum(right - left + 1 for left, right in windows)
+    python = products * (1_000 + 40 * (n + nnz)) + weights * (600 + 60 * n)
+    csr = products * (3_500 + 3 * nnz) + weights * 400 + len(windows) * 10_000
+    return "python" if python <= csr else "csr"
 
 
 def _product(chain: Ctmc, rate: float):
-    """The map v -> v @ P, with P = I + Q/rate, in the layout :func:`_sparse` picks for ``chain``.
+    """The map v -> v @ P in numpy, with P = I + Q/rate, over the CSR rates.
 
-    Both layouts hold the same entries to the bit: the dense P is formed as
-    ``I + Q/rate``, the CSR one keeps ``1 - exit/rate`` on the diagonal,
-    which is ``1 + (-exit)/rate`` exactly, and ``rate_ij/rate`` off it.
-    Only the order in which a product adds its terms differs: the CSR
-    product adds each state's kept mass to the ``np.bincount`` of its
-    inflows, in CSR order, so its bits do not depend on the BLAS library.
+    P keeps ``1 - exit/rate`` on the diagonal and ``rate_ij/rate`` off it.
+    A product is one ``np.bincount`` over the rates in CSR order and then
+    the diagonal, so each state's inflows are summed from 0.0, in CSR
+    order, and its kept mass is added last.  Its bits do not depend on the
+    BLAS library, and are those of the pure-Python product of
+    :func:`_grid_python`.
     """
     import numpy as np
 
     n = chain.n
-    if not _sparse(n, len(chain.rates)):
-        p = np.eye(n) + chain.generator / rate
-        return lambda v: v @ p
-    keep = 1.0 - np.array(chain.exit_rates) / rate
-    sources = np.repeat(np.arange(n), np.diff(chain.offsets))
-    targets = np.array(chain.targets, dtype=np.intp)
-    shares = np.array(chain.rates) / rate
-    return lambda v: v * keep + np.bincount(targets, v[sources] * shares, n)
+    states = np.arange(n)
+    sources = np.concatenate((np.repeat(states, np.diff(chain.offsets)), states))
+    targets = np.concatenate((np.array(chain.targets, dtype=np.intp), states))
+    shares = np.concatenate((np.array(chain.rates) / rate, 1.0 - np.array(chain.exit_rates) / rate))
+    return lambda v: np.bincount(targets, v[sources] * shares, n)
 
 
-def transient(chain: Ctmc, pi0, t: float) -> np.ndarray:
+def _grid_python(chain: Ctmc, v0, rate: float, points: list) -> list[list[float]]:
+    """For each ``(left, weights)`` of ``points``, the sum of the powers v_k = v0 @ P**k for k =
+    left, left + 1, ..., each times its weight: in pure Python.
+
+    A product sums, from 0.0, each state's inflows ``v[i] * (rate_ij/rate)``
+    in CSR order and then its kept mass ``v[j] * (1 - exit_j/rate)``: the
+    additions of the ``np.bincount`` of :func:`_product`, so the bits are
+    those of its CSR product.  Each sum starts at -0.0 and adds ``w * v_k``
+    entry by entry, as :func:`_grid_csr` does.
+    """
+    ends = [left + len(w) - 1 for left, w in points]
+    edges = [(i, j, rate_ij / rate) for i in range(chain.n) for j, rate_ij in chain.exits(i)]  # CSR order
+    edges += [(j, j, 1.0 - exit_rate / rate) for j, exit_rate in enumerate(chain.exit_rates)]
+    sums = [[-0.0] * chain.n for _ in points]
+    changes = {0, *(left for left, _ in points), *(end + 1 for end in ends)}
+    v = v0
+    for k in range(max(ends) + 1):
+        if k:
+            inflow = [0.0] * chain.n
+            for i, j, share in edges:
+                inflow[j] += v[i] * share
+            v = inflow
+        if k in changes:  # the live points change only where a window opens or has just closed
+            live = [(i, left, w) for i, ((left, w), end) in enumerate(zip(points, ends)) if left <= k <= end]
+        for i, left, w in live:
+            weight = w[k - left]
+            sums[i] = [s + weight * x for s, x in zip(sums[i], v)]
+    return sums
+
+
+def _grid_csr(chain: Ctmc, v0, rate: float, points: list) -> list[list[float]]:
+    """:func:`_grid_python` in numpy, with the products of :func:`_product`: each power is added to
+    every point whose window holds it in one broadcast update."""
+    import numpy as np
+
+    lefts = np.array([left for left, _ in points], dtype=np.int64)
+    sizes = np.array([len(w) for _, w in points], dtype=np.int64)
+    weights = np.concatenate([w for _, w in points])
+    ends = lefts + sizes - 1
+    base = np.cumsum(sizes) - sizes - lefts  # weights[base[i] + k] is point i's weight of v_k
+    changes = {0, *lefts.tolist(), *(ends + 1).tolist()}
+    sums = np.full((len(points), chain.n), -0.0)  # -0.0 + x is x to the bit, so a first term lands as w * v
+    step = _product(chain, rate)
+    v = np.array(v0)
+    for k in range(int(ends.max()) + 1):
+        if k:
+            v = step(v)
+        if k in changes:
+            live = np.flatnonzero((lefts <= k) & (k <= ends))
+            rows, at = live, base[live]
+            if live.size and live[-1] - live[0] == live.size - 1:  # a run of rows updates in place
+                rows = slice(live[0], live[-1] + 1)
+        if live.size:
+            sums[rows] += weights[at + k][:, None] * v
+    return sums.tolist()
+
+
+def transient(chain: Ctmc, pi0, t: float) -> tuple[float, ...]:
     """Distribution pi0 @ expm(Q t) by uniformization: row 0 of :func:`transient_grid` at ``[t]``."""
     return transient_grid(chain, pi0, [t])[0]
 
 
-def transient_grid(chain: Ctmc, pi0, times) -> np.ndarray:
+def transient_grid(chain: Ctmc, pi0, times) -> tuple[tuple[float, ...], ...]:
     """Distributions pi0 @ expm(Q t), one row per t in ``times``, by one uniformization pass.
 
     Each distribution is the Poisson(rate*t)-weighted sum of v_k = pi0 @ P**k
-    with P = I + Q/rate.  The weights are Fox-Glynn weights computed in numpy
+    with P = I + Q/rate.  The weights are Fox-Glynn weights
     (:func:`_poisson_weights`): a point's sum stops at the least R with
     P(X > R) <= ``UNIFORMIZATION_TAIL``, terms below its left window edge
-    (at most ``UNIFORMIZATION_TAIL**2`` of mass) are skipped, and its
-    retained weights are renormalized, so each result is a valid
-    probability vector with truncation bias below the tolerance.
+    (at most ``UNIFORMIZATION_TAIL**2`` of mass) are skipped, and the sum
+    is normalized by its ``math.fsum``, which renormalizes the retained
+    weights too, so each result is a valid probability vector with
+    truncation bias below the tolerance.
 
     The powers v_k are formed once, up to the largest R of the grid, and
-    each is added to every point whose window holds it in one broadcast
-    update, in the order a single-point run adds them, so every row is the
-    same to the last bit as when it is computed alone.  Each power is one
-    product v @ P in the layout :func:`_product` picks: over the CSR rates on
-    a sparse chain, whose bits then do not depend on the BLAS library, and
-    dense otherwise.  Every window, and
-    every error but the check of the result, comes before the first
-    product.  ``pi0`` and the result are checked by :func:`_distributions`;
-    the result is a read-only points x states array.
+    each is added to every point whose window holds it, in the order a
+    single-point run adds them.  :func:`_layout` picks where from the
+    chain's size and the grid's windows: pure Python (:func:`_grid_python`),
+    which loads no numpy, or numpy over the CSR rates (:func:`_grid_csr`).
+    Both add the same terms in the same order, so every row is the same to
+    the last bit as when it is computed alone, in either layout, and does
+    not depend on the BLAS library.  Every window, and every error but the
+    check of the result, comes before the first product.  ``pi0`` is
+    checked by :func:`_distribution`.  Every term of a sum is >= 0, so a
+    sum whose ``math.fsum`` is finite and positive is, divided by it, a
+    distribution; any other sum raises ConvergenceError.  The result is a
+    tuple of row tuples, one per point.
     """
-    import numpy as np
-
-    grid = np.array(times, dtype=float)
-    if not np.all(grid >= 0):
-        raise DomainError(f"time must be >= 0, got {grid[~(grid >= 0)][0]}")
-    v0 = _distributions(np.array(pi0, dtype=float))
-    if v0.ndim != 1 or v0.size != chain.n:
-        raise DomainError(f"probability vector has {v0.size} entries, chain has {chain.n} states")
-    rate = float(np.max(chain.exit_rates))
-    timed = (grid != 0) & (rate != 0)  # the points that need a window; the rest are pi0
-    points = np.flatnonzero(timed)
-    windows = [_poisson_weights(rate * t) for t in grid[points].tolist()]
-    lefts = np.array([left for left, _ in windows], dtype=np.int64)
-    sizes = np.array([w.size for _, w in windows], dtype=np.int64)
-    weights = np.concatenate([w for _, w in windows]) if windows else np.empty(0)
-    ends = lefts + sizes - 1
-    base = np.cumsum(sizes) - sizes - lefts  # weights[base[i] + k] is point i's weight of v_k
-    # the live points change only where a window opens or has just closed
-    changes = {0, *lefts.tolist(), *(ends + 1).tolist()}
-    # -0.0 + x is x to the bit, so a window's first term lands as w * v
-    out = np.where(timed[:, None], -0.0, v0)
-    step = _product(chain, rate) if windows else None
-    for k in range(int(ends.max(initial=-1)) + 1):
-        v = step(v) if k else v0
-        if k in changes:
-            live = np.flatnonzero((lefts <= k) & (k <= ends))
-            rows, at = points[live], base[live]
-            if rows.size and rows[-1] - rows[0] == rows.size - 1:  # a run of rows updates in place
-                rows = slice(rows[0], rows[-1] + 1)
-        if live.size:
-            out[rows] += weights[at + k][:, None] * v
-    # a C-contiguous row sums in the order a 1-d sum does, and x / 1.0 is x, so pi0 rows keep their bits
-    out /= np.where(timed, out.sum(axis=1), 1.0)[:, None]
-    return _distributions(out)
+    times = [float(t) for t in times]
+    bad = next((t for t in times if not t >= 0), None)
+    if bad is not None:
+        raise DomainError(f"time must be >= 0, got {bad}")
+    v0 = _distribution(pi0)
+    if len(v0) != chain.n:
+        raise DomainError(f"probability vector has {len(v0)} entries, chain has {chain.n} states")
+    rate = max(chain.exit_rates)
+    timed = [i for i, t in enumerate(times) if t != 0 and rate != 0]  # the rest are pi0
+    mus = [rate * times[i] for i in timed]
+    rows = [v0] * len(times)
+    if mus:
+        windows = [_window(mu) for mu in mus]
+        grid = _grid_python if _layout(chain.n, len(chain.rates), windows) == "python" else _grid_csr
+        points = [(left, _poisson_weights(mu, left, right)) for mu, (left, right) in zip(mus, windows)]
+        for i, row in zip(timed, grid(chain, v0, rate, points)):
+            total = _row_sum(row)
+            if not 0 < total < math.inf:
+                raise ConvergenceError(f"uniformization lost the probability mass at t = {times[i]:.3g}")
+            rows[i] = tuple([x / total for x in row])
+    return tuple(rows)
 
 
 def availability_at(chain: Ctmc, pi0, t: float) -> float:
-    """Point availability: operational mass of the transient distribution."""
-    return float(transient(chain, pi0, t)[list(chain.operational)].sum())
+    """Point availability: operational mass of the transient distribution, an fsum."""
+    return math.fsum(compress(transient(chain, pi0, t), chain.operational))
 
 
 def absorbing_variant(chain: Ctmc) -> Ctmc:

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exact_chains import exact_hitting_times, ladder
 from malformed_corpus import MALFORMED_DOCUMENTS
@@ -413,16 +415,15 @@ class TestTransientSeries:
 
     def assert_series_match_points(self, out, doc):
         chain, start = model_io.build_chain(model_io.parse_model(json.dumps(doc)))
-        pi0 = np.zeros(chain.n)
+        pi0 = [0.0] * chain.n
         pi0[start] = 1.0
-        op_mask = list(chain.operational)
         series = {s["name"]: s for s in json.loads(out)["series"]}
         times = series["availability"]["t"]
         for i, t in enumerate(times):
             pi = markov.transient(chain, pi0, t)
-            assert series["availability"]["values"][i] == float(pi[op_mask].sum())
+            assert series["availability"]["values"][i] == math.fsum(p for p, up in zip(pi, chain.operational) if up)
             for j, label in enumerate(chain.labels):
-                assert series[f"pi[{label}]"]["values"][i] == float(pi[j])
+                assert series[f"pi[{label}]"]["values"][i] == pi[j]
         return times
 
     def test_grid_series(self, capsys, write_doc):
@@ -431,6 +432,14 @@ class TestTransientSeries:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert self.assert_series_match_points(out, doc) == [5.0 * k for k in range(13)]
+
+    @pytest.mark.parametrize("grid", ["0:50:11", "7:7:4", "0:3:1"])
+    def test_two_state_grid_series(self, capsys, write_doc, grid):
+        # these grids take the pure-Python products, and each single point too
+        argv = ["markov", "transient", "--file", write_doc(TWO_STATE_DOC), "--grid", grid, "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert self.assert_series_match_points(out, TWO_STATE_DOC) == cli._parse_grid(grid)
 
     def test_document_t_dt_series(self, capsys, write_doc):
         doc = birth_death_doc()
@@ -457,6 +466,35 @@ class TestTransientSeries:
         assert report["results"][0]["value"] == report["series"][0]["values"][-1]
 
 
+finite_times = st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True)
+
+
+class TestGridTimes:
+    """The CLI's times are Python floats with the bits of numpy's, so ``mc reliability --grid`` keeps its bytes."""
+
+    @given(finite_times, finite_times, st.integers(min_value=1, max_value=60))
+    @settings(max_examples=300, deadline=None)
+    def test_grid_has_the_bits_of_linspace(self, a, b, steps):
+        t0, t1 = min(a, b), max(a, b)
+        for lo, hi in ((t0, t1), (t0, t0)):
+            grid = cli._parse_grid(f"{lo!r}:{hi!r}:{steps}")
+            assert all(type(t) is float for t in grid)
+            assert grid == np.linspace(lo, hi, steps).tolist()
+
+    @pytest.mark.parametrize("spec", ["0:1:1", "0:5e-324:3", "5e-324:1e-323:5", "0:0:3", "2.5:2.5:1", "0:50:11",
+                                      "0:1e308:3", "1e-300:1e300:7"])
+    def test_grid_edges_have_the_bits_of_linspace(self, spec):
+        t0, t1, steps = spec.split(":")
+        assert cli._parse_grid(spec) == np.linspace(float(t0), float(t1), int(steps)).tolist()
+
+    @given(st.floats(min_value=0.0, max_value=1e4), st.floats(min_value=0.1, max_value=1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_step_grid_has_the_bits_of_arange_with_t_appended(self, t, dt):
+        steps = math.ceil(t / dt * (1 - 1e-9))
+        assert cli._step_grid(t, dt) == np.append(np.arange(steps) * dt, t).tolist()
+        assert cli._step_grid(t, math.inf) == [t]
+
+
 class TestNonFiniteGrid:
     @pytest.mark.parametrize("spec", ["0:nan:5", "0:inf:3", "nan:1:3", "0:1e999:2", "-inf:0:2"])
     @pytest.mark.parametrize("command", [["markov", "transient"], ["mc", "reliability"]])
@@ -468,6 +506,12 @@ class TestNonFiniteGrid:
         assert code == 3
         assert err == f"error: usage: --grid needs finite T0 and T1, got {spec!r}\n"
         assert not out and not caught
+
+    def test_term_count_past_the_cap_is_one_short_line(self, capsys, write_doc):
+        argv = ["markov", "transient", "--file", write_doc(TWO_STATE_DOC), "--grid", "0:1e308:3"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert err == "error: numerical: uniformization needs 5e+306 terms (rate*t = 5e+306); split the horizon\n"
 
 
 def overflow_chain(pairs):
@@ -652,10 +696,12 @@ class TestTransientDispatch:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_sparse_chain_same_stdout_under_other_blas_kernels(self, write_doc):
-        # a 400-state ladder takes the CSR product, which calls no BLAS kernel; OpenBLAS ignores a
-        # core type it does not know, so this has power only where it would pick a kernel other than Haswell's
-        argv = [sys.executable, "-m", "securakit", "markov", "transient", "--file", write_doc(birth_death_doc(400)),
+    @pytest.mark.parametrize("doc", [TWO_STATE_DOC, birth_death_doc(400)], ids=["two_state", "birth_death_400"])
+    def test_sparse_chain_same_stdout_under_other_blas_kernels(self, write_doc, doc):
+        # the two-state chain takes the pure-Python product and a 400-state ladder the CSR one, neither of which
+        # calls a BLAS kernel; OpenBLAS ignores a core type it does not know, so this has power only where it
+        # would pick a kernel other than Haswell's
+        argv = [sys.executable, "-m", "securakit", "markov", "transient", "--file", write_doc(doc),
                 "--grid", "0:400:11", "--format", "json"]
         env = {k: v for k, v in fresh_env().items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
         outs = []
@@ -822,11 +868,12 @@ class TestColdStart:
         (["markov", "metrics"], TWO_STATE_DOC, False),
         (["sec", "msdr"], MSDR_DOC, False),
         (["sec", "routofn"], CHAIN_ROUTOFN, False),
-        (["markov", "transient", "--grid", "0:10:3"], TWO_STATE_DOC, True),
+        (["markov", "transient", "--grid", "0:10:3"], TWO_STATE_DOC, False),
+        (["markov", "transient", "--grid", "0:10:3"], birth_death_doc(400), True),
         (["sec", "routofn"], {**CHAIN_ROUTOFN, "analyses": [{"op": "threshold_reliability", "n_trials": 100,
                                                                "horizon": 1.0}]}, True),
     ], ids=["markov_solve", "markov_metrics", "sec_msdr", "sec_routofn", "markov_transient",
-            "sec_routofn_threshold"])
+            "markov_transient_birth_death_400", "sec_routofn_threshold"])
     def test_analytic_chain_commands_load_no_numpy(self, capsys, write_doc, argv, payload, numpy_loaded):
         argv = [*argv, "--file", write_doc(payload)]
         # what ``python -m securakit ARGV`` runs, then whether numpy was loaded

@@ -22,7 +22,7 @@ from exact_chains import triplets
 
 from securakit import cli, markov, montecarlo
 from securakit.errors import ConvergenceError, DomainError, SchemaError
-from securakit.markov import Ctmc, _poisson_weights, build_two_state, transient_grid
+from securakit.markov import Ctmc, _poisson_weights, _window, build_two_state, transient_grid
 from securakit.montecarlo import MonteCarloConfig, _run_partitioned, simulate_trajectory
 from securakit.rng import CounterRng
 from securakit.securability import RoutOfNSystem
@@ -56,8 +56,8 @@ def test_start_vector_of_the_wrong_length():
 def test_uniformization_term_cap_after_the_window():
     # the floor of R passes the cap, the window's right edge does not
     with pytest.raises(ConvergenceError) as err:
-        _poisson_weights(4.99e6)
-    assert str(err.value) == "uniformization needs 5006425 terms (rate*t = 4.99e+06); split the horizon"
+        _poisson_weights(4.99e6, *_window(4.99e6))
+    assert str(err.value) == "uniformization needs 5.01e+06 terms (rate*t = 4.99e+06); split the horizon"
 
 
 def test_event_cap_below_one():

@@ -33,7 +33,7 @@ from securakit.markov import (
     steady_state,
     transient,
     transient_grid,
-    _distributions,
+    _distribution,
     _poisson_weights,
     _vet_hitting_states,
     vet_absorption,
@@ -241,7 +241,7 @@ class TestTransient:
         rng = CounterRng(seed=9)
         chain = random_chain(rng)
         for t in (0.1, 1.0, 10.0, 100.0):
-            assert abs(transient(chain, [1, 0, 0, 0], t).sum() - 1.0) < 1e-10
+            assert abs(math.fsum(transient(chain, [1, 0, 0, 0], t)) - 1.0) < 1e-10
 
     def test_zero_generator_is_static(self):
         chain = Ctmc(["a", "b"], [True, True], triplets(np.zeros((2, 2))))
@@ -252,10 +252,18 @@ class TestTransient:
             transient(build_two_state(0.1, 0.1), [1, 0], -1.0)
 
 
+def weights_array(mu):
+    """The left edge of the Poisson weights of ``mu``, and the weights as an array that sums to 1."""
+    left, right = markov._window(mu)
+    w = _poisson_weights(mu, left, right)
+    assert w[math.floor(mu) - left] == 1.0  # the weights are relative to the mode's
+    return left, np.array(w) / math.fsum(w)
+
+
 class TestPoissonWeights:
     @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 50.0, 400.0, 4e4, 1e6])
     def test_l1_distance_to_scipy_pmf(self, mu):
-        left, w = _poisson_weights(mu)
+        left, w = weights_array(mu)
         right = left + w.size - 1
         inside = np.abs(w - poisson.pmf(np.arange(left, right + 1), mu)).sum()
         outside = poisson.cdf(left - 1, mu) + poisson.sf(right, mu)
@@ -265,20 +273,19 @@ class TestPoissonWeights:
     @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 50.0, 400.0, 4e4, 1e6])
     def test_cut_meets_tail_with_no_more_terms_than_scipy_quantile(self, mu):
         tol = UNIFORMIZATION_TAIL
-        left, w = _poisson_weights(mu)
+        left, w = weights_array(mu)
         right = left + w.size - 1
         assert poisson.sf(right, mu) <= tol
         terms = int(poisson.isf(tol, mu)) + 1  # the scipy-quantile cut used before Fox-Glynn
         while poisson.sf(terms, mu) > tol:
             terms += 10
         assert right <= terms
-        assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 50.0, 400.0, 4e4, 1e6])
     def test_ratio_recursion_rises_to_the_mode_and_falls_after(self, mu):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            left, w = _poisson_weights(mu)
+            left, w = weights_array(mu)
         peak = math.floor(mu) - left
         assert np.all(np.diff(w[: peak + 1]) >= 0) and np.all(np.diff(w[peak:]) <= 0)
         k = np.arange(left + 1, left + w.size)
@@ -293,7 +300,7 @@ class TestPoissonWeights:
     def test_non_finite_rate_t_is_convergence_error(self):
         for mu in (math.inf, math.nan):
             with pytest.raises(ConvergenceError, match="cannot bound the tail"):
-                _poisson_weights(mu)
+                markov._window(mu)
         with pytest.raises(ConvergenceError, match="cannot bound the tail"):
             transient(build_two_state(1.0, 1.0), [1.0, 0.0], math.inf)
 
@@ -327,19 +334,21 @@ def test_transient_matches_expm_on_stiff_chains(case):
     np.testing.assert_allclose(transient(chain, pi0, t), expected, rtol=0, atol=1e-10)
 
 
-def transient_oracle(chain, pi0, t):
+def transient_oracle(chain, pi0, t, dense=False):
     """One uniformization run from t = 0 for a single point: the per-point reference.
 
-    Its products v @ P are those of the layout that ``markov._sparse`` picks for the chain.
+    Its products v @ P are numpy's over the CSR rates, or, if ``dense``, ``v @ (I + Q/rate)``.
     """
     if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t}")
-    v0 = _distributions(np.array(pi0, dtype=float))
+    v0 = np.array(_distribution(pi0))
     rate = float(np.max(-np.diag(chain.generator)))
     if t == 0 or rate == 0:
         return v0
-    left, weights = _poisson_weights(rate * t)
-    step = markov._product(chain, rate)
+    left, right = markov._window(rate * t)
+    weights = _poisson_weights(rate * t, left, right)
+    p = np.eye(chain.n) + chain.generator / rate
+    step = (lambda v: v @ p) if dense else markov._product(chain, rate)
     v = v0
     for _ in range(left):
         v = step(v)
@@ -347,8 +356,13 @@ def transient_oracle(chain, pi0, t):
     for w in weights[1:]:
         v = step(v)
         out = out + w * v
-    out /= out.sum()
-    return out
+    return out / math.fsum(out.tolist())
+
+
+def grid_layout(chain, times):
+    """The layout :func:`markov._layout` picks for ``times`` on ``chain``."""
+    rate = max(chain.exit_rates)
+    return markov._layout(chain.n, len(chain.rates), [markov._window(rate * t) for t in times if t and rate])
 
 
 def sparse_chain(rng, n):
@@ -363,8 +377,9 @@ def transient_grids(draw):
     """A chain on either side of the product layout rule, and a shuffled grid holding t = 0, a
     repeated time and a point with rate*t = 720, where the window starts above 0.
 
-    Dense side: 2-8 states with rates over three decades, many of them zero.  CSR side: a
-    birth-death chain of 150-200 states with rates over three decades and up to n/2 more jumps.
+    Small side: 2-8 states with rates over three decades, many of them zero, which the rule puts
+    in pure Python or CSR by its grid.  CSR side: a birth-death chain of 150-200 states with
+    rates over three decades and up to n/2 more jumps.
     """
     sparse = draw(st.booleans())
     log_rate = st.floats(min_value=-2.0, max_value=1.0)
@@ -378,7 +393,6 @@ def transient_grids(draw):
         exps = draw(st.lists(st.one_of(st.none(), log_rate), min_size=n * n, max_size=n * n))
         transitions = triplets(np.array([0.0 if e is None else 10.0 ** e for e in exps]).reshape(n, n))
     chain = Ctmc([f"s{i}" for i in range(n)], [True] * (n - 1) + [False], transitions)
-    assert markov._sparse(chain.n, len(chain.rates)) == sparse
     times = draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6))
     times += [0.0, times[0]]
     rate = max(chain.exit_rates)
@@ -386,7 +400,9 @@ def transient_grids(draw):
         times.append(720.0 / rate)
     pi0 = np.zeros(n)
     pi0[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
-    return chain, pi0, draw(st.permutations(times))
+    times = draw(st.permutations(times))
+    assert grid_layout(chain, times) == "csr" or not sparse
+    return chain, pi0, times
 
 
 @given(transient_grids())
@@ -394,14 +410,41 @@ def transient_grids(draw):
 def test_transient_grid_equals_per_point_runs(case):
     chain, pi0, times = case
     dists = transient_grid(chain, pi0, times)
-    assert dists.shape == (len(times), chain.n)
+    assert len(dists) == len(times) and {len(row) for row in dists} == {chain.n}
     for t, row in zip(times, dists):
-        assert np.array_equal(row, transient_oracle(chain, pi0, t))
+        assert row == tuple(transient_oracle(chain, pi0, t).tolist())
+
+
+@st.composite
+def stiff_transients(draw):
+    """A chain of :func:`stiff_backbone_chains` (rate ratios up to 1e10), a start state and 1-4
+    times with rate*t up to 300."""
+    chain = draw(stiff_backbone_chains())
+    rate = max(chain.exit_rates)
+    rate_t = st.floats(min_value=0.0, max_value=300.0)
+    times = draw(st.lists(rate_t.map(lambda mu: mu / rate), min_size=1, max_size=4))
+    pi0 = np.zeros(chain.n)
+    pi0[draw(st.integers(min_value=0, max_value=chain.n - 1))] = 1.0
+    return chain, pi0, times
+
+
+@given(stiff_transients())
+@settings(max_examples=60, deadline=None)
+def test_python_and_csr_layouts_have_the_same_bits_and_match_expm(case):
+    chain, pi0, times = case
+    rows = {}
+    for layout in ("python", "csr"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(markov, "_layout", lambda n, nnz, windows: layout)
+            rows[layout] = transient_grid(chain, pi0, times)
+    assert rows["python"] == rows["csr"]
+    for t, row in zip(times, rows["python"]):
+        np.testing.assert_allclose(row, pi0 @ expm(chain.generator * t), rtol=0, atol=1e-12)
 
 
 class TestTransientGrid:
     def test_window_starts_above_zero_at_rate_t_720(self):
-        left, _ = _poisson_weights(720.0)
+        left, _ = markov._window(720.0)
         assert left > 0
 
     def test_matches_matrix_exponential(self):
@@ -412,11 +455,18 @@ class TestTransientGrid:
             expected = pi0 @ expm(chain.generator * t)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-10)
 
-    def test_layout_rule_puts_small_chains_dense_and_large_sparse_ones_csr(self):
-        assert not markov._sparse(2, 2)  # the two-state chain
-        assert not markov._sparse(40, 78)  # a 40-state birth-death chain
-        assert markov._sparse(400, 798)  # a 400-state one
-        assert not markov._sparse(400, 16_000)  # 40 jumps per state
+    @pytest.mark.parametrize("chain, times, layout", [
+        (build_two_state(0.01, 0.1), np.linspace(0.0, 50.0, 11), "python"),  # the cli_cold transient
+        (build_two_state(0.01, 0.1), [1e4], "python"),  # one point at rate*t = 1,100
+        (build_two_state(0.1, 1.0), np.linspace(0.0, 50.0, 10 ** 4), "csr"),  # 1.6 million weights
+        (ladder(5, 1.0, 0.8), np.linspace(0.0, 100.0, 11), "csr"),
+        (ladder(40, 1.0, 0.8), [1.0], "csr"),
+        (ladder(400, 1.0, 0.8), np.linspace(0.0, 400.0, 41), "csr"),  # the chain_scale transient
+        (build_two_state(0.01, 0.1), [0.0], "python"),  # no window: no product
+    ], ids=["two_state_11", "two_state_one_point", "two_state_10000", "ladder_5", "ladder_40", "ladder_400",
+            "no_window"])
+    def test_layout_rule_sides(self, chain, times, layout):
+        assert grid_layout(chain, times) == layout
 
     @pytest.mark.parametrize("chain, times", [
         (ladder(400, 1.0, 0.8, repairable_top=True), [0.0, 0.5, 3.0, 20.0, 100.0, 400.0]),
@@ -424,19 +474,21 @@ class TestTransientGrid:
         (sparse_chain(CounterRng(seed=5), 300), [0.5, 3.0, 20.0, 100.0]),
     ], ids=["birth-death-400", "absorbing-birth-death-300", "random-sparse-300"])
     def test_csr_product_matches_expm_and_the_dense_product(self, monkeypatch, chain, times):
-        assert markov._sparse(chain.n, len(chain.rates))
+        assert grid_layout(chain, times) == "csr"
         pi0 = np.zeros(chain.n)
         pi0[0] = 1.0
         dists = transient_grid(chain, pi0, times)
         for t, row in zip(times, dists):
             np.testing.assert_allclose(row, pi0 @ expm(chain.generator * t), rtol=0, atol=1e-10)
-        monkeypatch.setattr(markov, "_sparse", lambda n, nnz: False)
-        # both sum nonnegative terms, so only rounding parts them: up to about 1,300 products (rate*t)
-        # the largest relative difference measured was 10 units of 2**-52
-        np.testing.assert_allclose(dists, transient_grid(chain, pi0, times), rtol=16 * 2.0 ** -52, atol=0)
+            # both sum nonnegative terms, so only rounding parts them from the dense v @ (I + Q/rate): up to
+            # about 1,300 products (rate*t) the largest relative difference measured was 10 units of 2**-52
+            np.testing.assert_allclose(row, transient_oracle(chain, pi0, t, dense=True), rtol=16 * 2.0 ** -52, atol=0)
+        # the pure-Python product adds the same terms in the same order
+        monkeypatch.setattr(markov, "_layout", lambda n, nnz, windows: "python")
+        assert transient_grid(chain, pi0, times) == dists
 
     def test_empty_grid(self):
-        assert transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], []).shape == (0, 2)
+        assert transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], []) == ()
 
     def test_long_grid(self):
         # 10**4 points once cost a Python loop over every live point at every power: 2 s here
@@ -446,7 +498,7 @@ class TestTransientGrid:
             start = time.perf_counter()
             dists = transient_grid(chain, [1.0, 0.0], grid)
             elapsed.append(time.perf_counter() - start)
-        assert dists.shape == (grid.size, 2)
+        assert len(dists) == grid.size and {len(row) for row in dists} == {2}
         assert min(elapsed) < 1.0
 
     def test_huge_last_point_fails_fast(self):
@@ -721,24 +773,24 @@ def test_elimination_keeps_every_entry_to_a_small_relative_error(chain):
 
 class TestVectors:
     def test_probability_vector_validation(self):
-        with pytest.raises(DomainError):
-            _distributions(np.array([0.5, 0.6]))
-        with pytest.raises(DomainError):
-            _distributions(np.array([-0.1, 1.1]))
-        # a stack holds one distribution per row, and one bad row among good ones is rejected
-        good = [[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]]
-        assert _distributions(np.array(good)).shape == (3, 2)
-        for bad_row in ([0.5, 0.5 + 1e-9], [-0.1, 1.1]):
+        for bad in ([0.5, 0.6], [-0.1, 1.1], [math.nan, 1.0], [1.0, math.nan], [math.inf], [1e308, 1e308], [],
+                    np.empty(0)):
             with pytest.raises(DomainError):
-                _distributions(np.array([*good[:2], bad_row, good[2]]))
-        for bad in (np.ones((1, 1, 1)), np.empty(0), np.empty((3, 0))):
+                _distribution(bad)
+        assert _distribution(np.array([0.25, 0.75])) == (0.25, 0.75)
+        # a vector is flat: a 2-d array, a column among them, or nested lists are rejected, as are a scalar and
+        # entries that are no numbers
+        for bad in (np.ones((1, 1, 1)), np.array([[0.5], [0.5]]), np.array([[1.0]]), [[0.5], [0.5]],
+                    [np.array([0.5]), 0.5], np.array(1.0), 1.0, ["up", "down"]):
             with pytest.raises(DomainError):
-                _distributions(bad)
-        # transient_grid checks pi0 by the same rules and returns a read-only points x states array
-        with pytest.raises(DomainError):
-            transient_grid(build_two_state(1.0, 1.0), [0.5, 0.6], [1.0])
-        dists = transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], [0.0, 1.0])
-        assert type(dists) is np.ndarray and dists.shape == (2, 2) and not dists.flags.writeable
+                _distribution(bad)
+        # transient_grid checks pi0 by the same rules and returns a tuple of row tuples of floats
+        for bad in ([0.5, 0.6], np.array([[0.5], [0.5]]), [[0.5], [0.5]]):
+            with pytest.raises(DomainError):
+                transient_grid(build_two_state(1.0, 1.0), bad, [1.0])
+        dists = transient_grid(build_two_state(1.0, 1.0), np.array([1, 0]), [0.0, 1.0])
+        assert type(dists) is tuple and all(type(row) is tuple for row in dists) and len(dists) == 2
+        assert dists[0] == (1.0, 0.0) and all(type(p) is float for row in dists for p in row)
 
 
 @given(rates_pairs)
