@@ -222,9 +222,7 @@ def _markov_transient(ctx: _Context) -> AnalysisReport:
         times = _step_grid(settings["t"], settings.get("dt", math.inf))
     else:
         raise ValidationError("markov transient needs --grid or an analyses entry with 't'")
-    pi0 = [0.0] * chain.n
-    pi0[ctx.start] = 1.0
-    dists = markov.transient_grid(chain, pi0, times)
+    dists = markov.transient_grid(chain, ctx.start, times)
     availability = [math.fsum(compress(row, chain.operational)) for row in dists]
     series = [Series("availability", times, availability)]
     series += [Series(f"pi[{label}]", times, list(column)) for label, column in zip(chain.labels, zip(*dists))]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import accumulate, compress
-from operator import mul, neg
+from operator import index, mul, neg
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -322,8 +322,9 @@ def _window(mu: float) -> tuple[int, int]:
     """
     if not math.isfinite(mu):
         raise ConvergenceError(f"uniformization cannot bound the tail at rate*t = {mu:.3g}")
-    # P(X <= mu - y) <= exp(-y^2 / (2 mu)) = 1 - UNIFORMIZATION_TAIL: R is at least this floor.
-    _check_terms(math.floor(mu - math.sqrt(-2.0 * mu * math.log1p(-UNIFORMIZATION_TAIL))), mu)
+    # P(X <= mu - y) <= exp(-y^2 / (2 mu)) = 1 - UNIFORMIZATION_TAIL: R is at least this floor.  Doubling
+    # the log, not mu, is exact and keeps a finite mu near the largest double finite.
+    _check_terms(math.floor(mu - math.sqrt(mu * (-2.0 * math.log1p(-UNIFORMIZATION_TAIL)))), mu)
     a = -2.0 * math.log(UNIFORMIZATION_TAIL)  # each window edge bounds a tail of exp(-a) = tolerance**2
     left = max(0, math.floor(mu - math.sqrt(2.0 * mu * a)))
     return left, math.ceil(mu + a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * mu))
@@ -357,28 +358,6 @@ def _poisson_weights(mu: float, left: int, right: int) -> list[float]:
     _check_terms(left + cut, mu)
     del w[cut + 1:]
     return w
-
-
-def _distribution(p) -> tuple[float, ...]:
-    """``p``, a flat sequence of numbers, as a tuple of floats, after checking that it is one distribution.
-
-    It has at least one entry, every entry >= 0, and its ``math.fsum``
-    within 1e-12 of 1; a NaN fails one of the two.
-    """
-    try:
-        p = list(p)
-        if any(getattr(x, "ndim", 0) for x in p):  # float() takes an array of one entry
-            raise TypeError("an entry is an array")
-        p = tuple(map(float, p))
-    except (TypeError, ValueError) as exc:  # such as a row of a 2-d array
-        raise DomainError(f"probability vector must be a flat sequence of numbers: {exc}") from exc
-    if not p:
-        raise DomainError("probability vector must be nonempty")
-    if not min(p) >= 0:
-        raise DomainError("probability vector entries must be >= 0")
-    if not abs(_row_sum(p) - 1.0) <= ROW_SUM_TOL:
-        raise DomainError("probability vector must sum to 1 within 1e-12")
-    return p
 
 
 def _layout(n: int, nnz: int, windows: list[tuple[int, int]]) -> str:
@@ -483,16 +462,19 @@ def _grid_csr(chain: Ctmc, v0, rate: float, points: list) -> list[list[float]]:
     return sums.tolist()
 
 
-def transient(chain: Ctmc, pi0, t: float) -> tuple[float, ...]:
-    """Distribution pi0 @ expm(Q t) by uniformization: row 0 of :func:`transient_grid` at ``[t]``."""
-    return transient_grid(chain, pi0, [t])[0]
+def transient(chain: Ctmc, start: int, t: float) -> tuple[float, ...]:
+    """Distribution at t of the chain started in state ``start``, row ``start`` of expm(Q t), by
+    uniformization: row 0 of :func:`transient_grid` at ``[t]``."""
+    return transient_grid(chain, start, [t])[0]
 
 
-def transient_grid(chain: Ctmc, pi0, times) -> tuple[tuple[float, ...], ...]:
-    """Distributions pi0 @ expm(Q t), one row per t in ``times``, by one uniformization pass.
+def transient_grid(chain: Ctmc, start: int, times) -> tuple[tuple[float, ...], ...]:
+    """Distributions at each t in ``times`` of the chain started in state ``start``, one row per
+    t, by one uniformization pass.
 
-    Each distribution is the Poisson(rate*t)-weighted sum of v_k = pi0 @ P**k
-    with P = I + Q/rate.  The weights are Fox-Glynn weights
+    ``start`` is checked by :func:`check_start`.  Each distribution is the
+    Poisson(rate*t)-weighted sum of v_k = v0 @ P**k, with v0 the point mass
+    on ``start`` and P = I + Q/rate.  The weights are Fox-Glynn weights
     (:func:`_poisson_weights`): a point's sum stops at the least R with
     P(X > R) <= ``UNIFORMIZATION_TAIL``, terms below its left window edge
     (at most ``UNIFORMIZATION_TAIL**2`` of mass) are skipped, and the sum
@@ -508,21 +490,19 @@ def transient_grid(chain: Ctmc, pi0, times) -> tuple[tuple[float, ...], ...]:
     Both add the same terms in the same order, so every row is the same to
     the last bit as when it is computed alone, in either layout, and does
     not depend on the BLAS library.  Every window, and every error but the
-    check of the result, comes before the first product.  ``pi0`` is
-    checked by :func:`_distribution`.  Every term of a sum is >= 0, so a
-    sum whose ``math.fsum`` is finite and positive is, divided by it, a
-    distribution; any other sum raises ConvergenceError.  The result is a
-    tuple of row tuples, one per point.
+    check of the result, comes before the first product.  Every term of a
+    sum is >= 0, so a sum whose ``math.fsum`` is finite and positive is,
+    divided by it, a distribution; any other sum raises ConvergenceError.
+    The result is a tuple of row tuples, one per point.
     """
     times = [float(t) for t in times]
     bad = next((t for t in times if not t >= 0), None)
     if bad is not None:
         raise DomainError(f"time must be >= 0, got {bad}")
-    v0 = _distribution(pi0)
-    if len(v0) != chain.n:
-        raise DomainError(f"probability vector has {len(v0)} entries, chain has {chain.n} states")
+    check_start(chain, start)
+    v0 = tuple(float(i == start) for i in range(chain.n))
     rate = max(chain.exit_rates)
-    timed = [i for i, t in enumerate(times) if t != 0 and rate != 0]  # the rest are pi0
+    timed = [i for i, t in enumerate(times) if t != 0 and rate != 0]  # the rest are v0
     mus = [rate * times[i] for i in timed]
     rows = [v0] * len(times)
     if mus:
@@ -537,9 +517,9 @@ def transient_grid(chain: Ctmc, pi0, times) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-def availability_at(chain: Ctmc, pi0, t: float) -> float:
-    """Point availability: operational mass of the transient distribution, an fsum."""
-    return math.fsum(compress(transient(chain, pi0, t), chain.operational))
+def availability_at(chain: Ctmc, start: int, t: float) -> float:
+    """Point availability from state ``start``: operational mass of the transient distribution, an fsum."""
+    return math.fsum(compress(transient(chain, start, t), chain.operational))
 
 
 def absorbing_variant(chain: Ctmc) -> Ctmc:
@@ -548,15 +528,15 @@ def absorbing_variant(chain: Ctmc) -> Ctmc:
     return Ctmc(chain.labels, op, ((i, j, rate) for i in range(chain.n) if op[i] for j, rate in chain.exits(i)))
 
 
-def reliability_at(chain: Ctmc, pi0, t: float) -> float:
-    """Probability of remaining in the operational set through time t.
+def reliability_at(chain: Ctmc, start: int, t: float) -> float:
+    """Probability of remaining in the operational set through time t, from state ``start``.
 
     Computed as the operational mass of the transient distribution on the
     absorbing variant, so repairs cannot rescue a failed trajectory.
     """
     if all(chain.operational):
         raise StructureError("reliability analysis needs at least one non-operational state")
-    return availability_at(absorbing_variant(chain), pi0, t)
+    return availability_at(absorbing_variant(chain), start, t)
 
 
 def availability_two_state(lam: float, mu: float) -> float:
@@ -653,7 +633,11 @@ def _expected_hitting_time(chain: Ctmc, start: int, target_mask, kind: str) -> f
 
 
 def check_start(chain: Ctmc, start: int, operational: bool = False) -> None:
-    """Raise unless ``start`` is a state of ``chain`` and, if ``operational`` is set, an operational one."""
+    """Raise unless ``start`` is an integer state of ``chain``, and an operational one if ``operational`` is set."""
+    try:
+        index(start)
+    except TypeError:
+        raise DomainError(f"start state must be an integer, got {start!r}") from None
     if not 0 <= start < chain.n:
         raise DomainError(f"start state {start} out of range 0..{chain.n - 1}")
     if operational and not chain.operational[start]:

@@ -151,10 +151,8 @@ def simulate_trajectory(
             return Trajectory(events=tuple(events), absorbed_at=None)
         t = t + hold
         lo, hi = offsets[state], offsets[state + 1]
-        acc = 0.0
-        for nxt, r in zip(chain.targets[lo:hi], chain.rates[lo:hi]):
-            acc += r / rate
-            if u <= acc:
+        for nxt, acc in zip(chain.targets[lo:hi], accumulate(chain.rates[lo:hi])):
+            if u <= acc / rate:  # the cumulative probabilities of _ChainKernel, to the bit
                 break
         state = nxt
         events.append((t, state))

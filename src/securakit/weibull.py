@@ -80,11 +80,11 @@ def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
     at beta = 1, zero at beta > 1, and divergent at beta < 1 (raises
     :class:`SingularityError`).  Where t/alpha is not a normal double (it
     underflows to zero or a subnormal, or overflows), log(t/alpha) is formed
-    as log t - log alpha.  A time at inf takes the limit ``at_inf``, where a
-    law would form inf - inf or 0 * inf.  exp saturates to inf or 0 for
-    huge t by design, and the hazard and the density re-form each product
-    that turns invalid (:func:`_scaled_exp`); a value that stays inf reaches
-    the caller's finiteness check.
+    as log t - log alpha (:func:`_log_ratio`).  A time at inf takes the
+    limit ``at_inf``, where a law would form inf - inf or 0 * inf.  exp
+    saturates to inf or 0 for huge t by design, and the hazard and the
+    density re-form each product that turns invalid (:func:`_scaled_exp`);
+    a value that stays inf reaches the caller's finiteness check.
     """
     if isinstance(t, (list, tuple)) or getattr(t, "ndim", 0):
         import numpy as np
@@ -101,10 +101,15 @@ def _evaluate(t, m: WeibullModel, law, at_zero: float | str, at_inf: float):
         at_zero = 1.0 / m.alpha if m.beta == 1 else 0.0
     if t == 0 or t == math.inf:
         return at_zero if t == 0 else at_inf
-    ratio = t / m.alpha
+    return law(_log_ratio(t, m.alpha))
+
+
+def _log_ratio(t: float, scale: float) -> float:
+    """log(t/scale) of positive finite t and scale; log t - log scale where t/scale is not a normal double."""
+    ratio = t / scale
     if sys.float_info.min <= ratio < math.inf:
-        return law(math.log(ratio))
-    return law(math.log(t) - math.log(m.alpha))  # t/alpha kept few bits, or none
+        return math.log(ratio)
+    return math.log(t) - math.log(scale)  # t/scale kept few bits, or none
 
 
 def _scaled_exp(m: WeibullModel, a: float) -> float:
@@ -220,7 +225,7 @@ def _fit_rank_regression(data: FailureSample) -> WeibullModel:
 
 def _fit_mle(data: FailureSample) -> WeibullModel:
     scale = max(data.times)
-    logw = [math.log(t / scale) for t in data.times]  # numerical hygiene: w**beta <= 1, score is scale-invariant
+    logw = [_log_ratio(t, scale) for t in data.times]  # numerical hygiene: w**beta <= 1, score is scale-invariant
     log_fail = [v for v, c in zip(logw, data.censored) if not c]
     r = len(log_fail)
     if r < 1:

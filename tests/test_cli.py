@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from exact_chains import exact_hitting_times, ladder
@@ -415,12 +415,10 @@ class TestTransientSeries:
 
     def assert_series_match_points(self, out, doc):
         chain, start = model_io.build_chain(model_io.parse_model(json.dumps(doc)))
-        pi0 = [0.0] * chain.n
-        pi0[start] = 1.0
         series = {s["name"]: s for s in json.loads(out)["series"]}
         times = series["availability"]["t"]
         for i, t in enumerate(times):
-            pi = markov.transient(chain, pi0, t)
+            pi = markov.transient(chain, start, t)
             assert series["availability"]["values"][i] == math.fsum(p for p, up in zip(pi, chain.operational) if up)
             for j, label in enumerate(chain.labels):
                 assert series[f"pi[{label}]"]["values"][i] == pi[j]
@@ -513,6 +511,13 @@ class TestNonFiniteGrid:
         assert code == 2 and not out
         assert err == "error: numerical: uniformization needs 5e+306 terms (rate*t = 5e+306); split the horizon\n"
 
+    def test_rate_t_near_the_largest_double_is_one_short_line(self, capsys, write_doc):
+        # 2 * rate*t passes the largest double; the term-count floor doubles the log instead
+        doc = {"kind": "markov", "parameters": {"lambda": 1e308, "mu": 1.0}}
+        code, out, err = run(capsys, ["markov", "transient", "--file", write_doc(doc), "--grid", "0:1:2"])
+        assert code == 2 and not out
+        assert err == "error: numerical: uniformization needs 1e+308 terms (rate*t = 1e+308); split the horizon\n"
+
 
 def overflow_chain(pairs):
     """States up, a, b; ``pairs`` lists the (from, to) of each transition of rate 1.5e308, and a, b repair to up."""
@@ -579,6 +584,123 @@ class TestWeibullMeanLifeRange:
         path = write_doc({"kind": "weibull", "parameters": {"data": {"times": times}}})
         code, out, err = run(capsys, ["weibull", "fit", "--file", path])
         assert (code, out, err) == (2, "", "error: numerical: mean_life is not finite: inf\n")
+
+    @pytest.mark.parametrize("method", ["mle", "rank_regression"])
+    def test_fit_over_times_400_decades_apart_exits_2(self, capsys, write_doc, method):
+        # 1e-200/1e200 underflows to 0: the MLE takes log t - log scale there, as the laws do
+        path = write_doc({"kind": "weibull", "parameters": {"data": {"times": [1e-200, 1.0, 1e200]}}})
+        code, out, err = run(capsys, ["weibull", "fit", "--method", method, "--file", path])
+        assert (code, out, err) == (2, "", "error: numerical: mean_life is not finite: inf\n")
+
+
+def decades(top):
+    """10**e for e in [-300, top], the two ends drawn as often as the rest, since the faults sit there."""
+    exponent = st.one_of(st.sampled_from([-300.0, top]), st.floats(min_value=-300.0, max_value=top))
+    return exponent.map(lambda e: 10.0 ** e)
+
+
+SPREAD = decades(300.0)
+
+
+@st.composite
+def drawn_chains(draw):
+    """Chain parameters: the two-state shortcut, or 2-4 states with rates across 600 decades."""
+    if draw(st.booleans()):
+        return {"lambda": draw(SPREAD), "mu": draw(SPREAD)}
+    n = draw(st.integers(min_value=2, max_value=4))
+    operational = [True] + draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    state = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(state, state).filter(lambda p: p[0] != p[1]), min_size=1, max_size=2 * n))
+    params = {"states": [{"label": f"s{i}", "operational": op} for i, op in enumerate(operational)],
+              "transitions": [{"from": i, "to": j, "rate": draw(SPREAD)} for i, j in pairs]}
+    if draw(st.booleans()):
+        params["start"] = draw(state)
+    return params
+
+
+def largest_exit_rate(params):
+    """The uniformization rate of the chain of ``params``, or inf where an exit rate overflows."""
+    if "lambda" in params:
+        return max(params["lambda"], params["mu"])
+    exits = {}
+    for tr in params["transitions"]:
+        exits.setdefault(tr["from"], []).append(tr["rate"])
+    try:
+        return max(math.fsum(rates) for rates in exits.values())
+    except OverflowError:
+        return math.inf
+
+
+@st.composite
+def drawn_commands(draw):
+    """A command line without its ``--file``, and its document: None for ``weibull eval``, which takes flags."""
+    command = draw(st.sampled_from(["weibull eval", "weibull fit", "markov solve", "markov metrics",
+                                    "markov transient", "sec msdr", "sec routofn"]))
+    argv = command.split()
+    if command == "weibull eval":
+        t = draw(st.one_of(st.just(0.0), SPREAD))
+        return argv + [f"--{key}={value!r}" for key, value in (("alpha", draw(SPREAD)), ("beta", draw(SPREAD)),
+                                                               ("t", t))], None
+    if command == "weibull fit":
+        times = draw(st.lists(SPREAD, min_size=1, max_size=8))
+        data = {"times": times}
+        if draw(st.booleans()):
+            data["censored"] = draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
+        argv += ["--method", draw(st.sampled_from(model_io.FIT_METHODS))]
+        return argv, {"kind": "weibull", "parameters": {"data": data}}
+    if command == "sec msdr":
+        params = {key: draw(SPREAD) for key in ("lambda_ms", "lambda_dr", "mu_ms", "mu_dr")}
+        params["single_repair_crew"] = draw(st.booleans())
+        if draw(st.booleans()):
+            params["attack"] = {"rate": draw(st.one_of(st.just(0.0), SPREAD)),
+                                "applies_to": draw(st.sampled_from(["ms", "dr", "both"]))}
+        return argv, {"kind": "msdr", "parameters": params, "analyses": [{"op": "msdr"}]}
+    if command == "sec routofn":
+        subsystem = st.one_of(
+            st.floats(min_value=0.0, max_value=1.0).map(lambda p: {"type": "probability", "p": p}),
+            st.builds(lambda lam, mu: {"type": "two_state", "lambda": lam, "mu": mu}, SPREAD, SPREAD),
+            drawn_chains().filter(lambda params: "states" in params).map(lambda params: {"type": "chain", **params}))
+        subsystems = draw(st.lists(subsystem, min_size=1, max_size=3))
+        r = draw(st.integers(min_value=1, max_value=len(subsystems)))
+        return argv, {"kind": "r_out_of_n", "parameters": {"r": r, "subsystems": subsystems},
+                      "analyses": [{"op": "routofn"}]}
+    params = draw(drawn_chains())
+    doc = {"kind": "markov", "parameters": params}
+    if command == "markov transient":
+        rate_t = draw(decades(308.25))  # up to the largest double
+        t = rate_t / largest_exit_rate(params) if draw(st.integers(min_value=0, max_value=9)) else 0.0
+        # a sum of 10**4 up to the term cap's 5 million products is legitimate work, too slow to run here
+        assume(math.isfinite(t) and not 1e4 < rate_t <= markov._MAX_UNIFORMIZATION_TERMS)
+        if draw(st.booleans()):
+            argv += ["--grid", f"0:{t!r}:{draw(st.integers(min_value=1, max_value=4))}"]
+        else:
+            doc["analyses"] = [{"op": "transient", "t": t}]
+    return argv, doc
+
+
+class TestNoTraceback:
+    """Accepted or not, a drawn input ends in exit 0, 1 or 2 with only ``error:`` and ``warning:`` lines.
+
+    The Monte Carlo commands are left out (a stiff chain walks for a time no
+    bound holds yet), and so is ``sec routofn`` with a threshold entry, which
+    walks; a transient's uniformization sums of 10**4 terms and more that
+    stay under the term cap are left out by ``assume`` as legitimate work.
+    """
+
+    @given(case=drawn_commands())
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    def test_drawn_documents(self, capsys, tmp_path, case):
+        argv, doc = case
+        runs = [argv]
+        if doc is not None:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(doc))
+            runs = [[*argv, "--file", str(path)], ["validate", str(path)]]
+        for argv in runs:
+            code, _, err = run(capsys, argv)
+            assert code in (0, 1, 2), (argv, err)
+            assert all(line.startswith(("error: ", "warning: ")) for line in err.splitlines()), (argv, err)
 
 
 class TestMonteCarloMttfRange:

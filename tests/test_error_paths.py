@@ -48,9 +48,9 @@ def test_generator_of_the_wrong_shape():
         Ctmc(("up", "down"), (True, False), triplets(np.zeros((3, 3))))
 
 
-def test_start_vector_of_the_wrong_length():
-    with pytest.raises(DomainError, match="^probability vector has 3 entries, chain has 2 states$"):
-        transient_grid(build_two_state(0.1, 1.0), [1.0, 0.0, 0.0], [1.0])
+def test_transient_start_out_of_range():
+    with pytest.raises(DomainError, match=r"^start state 2 out of range 0\.\.1$"):
+        transient_grid(build_two_state(0.1, 1.0), 2, [1.0])
 
 
 def test_uniformization_term_cap_after_the_window():

@@ -33,7 +33,6 @@ from securakit.markov import (
     steady_state,
     transient,
     transient_grid,
-    _distribution,
     _poisson_weights,
     _vet_hitting_states,
     vet_absorption,
@@ -206,50 +205,47 @@ class TestSteadyState:
 class TestTransient:
     def test_identity_at_time_zero(self):
         chain = build_two_state(0.01, 0.1)
-        out = transient(chain, [0.25, 0.75], 0.0)
-        np.testing.assert_array_equal(out, [0.25, 0.75])
+        assert [transient(chain, start, 0.0) for start in (0, 1)] == [(1.0, 0.0), (0.0, 1.0)]
 
     def test_two_state_closed_form_grid(self):
         lam, mu = 0.01, 0.1
         chain = build_two_state(lam, mu)
         for t in np.linspace(0.0, 200.0, 20):
             expected = mu / (lam + mu) + lam / (lam + mu) * math.exp(-(lam + mu) * t)
-            assert availability_at(chain, [1.0, 0.0], t) == pytest.approx(expected, abs=1e-10)
+            assert availability_at(chain, 0, t) == pytest.approx(expected, abs=1e-10)
 
     def test_hand_value_at_ten(self):
         chain = build_two_state(0.01, 0.1)
-        assert availability_at(chain, [1.0, 0.0], 10.0) == pytest.approx(0.93935, abs=5e-6)
+        assert availability_at(chain, 0, 10.0) == pytest.approx(0.93935, abs=5e-6)
 
     def test_converges_to_steady_state(self):
         lam, mu = 0.01, 0.1
         chain = build_two_state(lam, mu)
         t = 100.0 / (lam + mu)
-        out = transient(chain, [1.0, 0.0], t)
+        out = transient(chain, 0, t)
         np.testing.assert_allclose(out, steady_state(chain), rtol=0, atol=1e-8)
 
     def test_matches_matrix_exponential(self):
         rng = CounterRng(seed=8)
         for _ in range(10):
             chain = random_chain(rng)
-            pi0 = np.zeros(chain.n)
-            pi0[0] = 1.0
             t = 5.0 * rng.uniform()
-            expected = pi0 @ expm(chain.generator * t)
-            np.testing.assert_allclose(transient(chain, pi0, t), expected, rtol=0, atol=1e-10)
+            expected = expm(chain.generator * t)[0]
+            np.testing.assert_allclose(transient(chain, 0, t), expected, rtol=0, atol=1e-10)
 
     def test_conservation(self):
         rng = CounterRng(seed=9)
         chain = random_chain(rng)
         for t in (0.1, 1.0, 10.0, 100.0):
-            assert abs(math.fsum(transient(chain, [1, 0, 0, 0], t)) - 1.0) < 1e-10
+            assert abs(math.fsum(transient(chain, 0, t)) - 1.0) < 1e-10
 
     def test_zero_generator_is_static(self):
         chain = Ctmc(["a", "b"], [True, True], triplets(np.zeros((2, 2))))
-        np.testing.assert_array_equal(transient(chain, [0.3, 0.7], 50.0), [0.3, 0.7])
+        assert [transient(chain, start, 50.0) for start in (0, 1)] == [(1.0, 0.0), (0.0, 1.0)]
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
-            transient(build_two_state(0.1, 0.1), [1, 0], -1.0)
+            transient(build_two_state(0.1, 0.1), 0, -1.0)
 
 
 def weights_array(mu):
@@ -294,7 +290,7 @@ class TestPoissonWeights:
     def test_huge_rate_t_fails_fast(self):
         begin = time.perf_counter()
         with pytest.raises(ConvergenceError, match="split the horizon"):
-            transient(build_two_state(1.0, 1.0), [1.0, 0.0], 1e9)
+            transient(build_two_state(1.0, 1.0), 0, 1e9)
         assert time.perf_counter() - begin < 1.0
 
     def test_non_finite_rate_t_is_convergence_error(self):
@@ -302,12 +298,12 @@ class TestPoissonWeights:
             with pytest.raises(ConvergenceError, match="cannot bound the tail"):
                 markov._window(mu)
         with pytest.raises(ConvergenceError, match="cannot bound the tail"):
-            transient(build_two_state(1.0, 1.0), [1.0, 0.0], math.inf)
+            transient(build_two_state(1.0, 1.0), 0, math.inf)
 
     def test_rate_t_below_smallest_float_is_identity_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = transient(build_two_state(1.0, 1.0), [1.0, 0.0], 5e-324)
+            out = transient(build_two_state(1.0, 1.0), 0, 5e-324)
         np.testing.assert_array_equal(out, [1.0, 0.0])
 
 
@@ -328,20 +324,19 @@ def stiff_chains(draw):
 @settings(max_examples=40, deadline=None)
 def test_transient_matches_expm_on_stiff_chains(case):
     chain, start, t = case
-    pi0 = np.zeros(chain.n)
-    pi0[start] = 1.0
-    expected = pi0 @ expm(chain.generator * t)
-    np.testing.assert_allclose(transient(chain, pi0, t), expected, rtol=0, atol=1e-10)
+    expected = expm(chain.generator * t)[start]
+    np.testing.assert_allclose(transient(chain, start, t), expected, rtol=0, atol=1e-10)
 
 
-def transient_oracle(chain, pi0, t, dense=False):
-    """One uniformization run from t = 0 for a single point: the per-point reference.
+def transient_oracle(chain, start, t, dense=False):
+    """One uniformization run from state ``start`` at t = 0 for a single point: the per-point reference.
 
     Its products v @ P are numpy's over the CSR rates, or, if ``dense``, ``v @ (I + Q/rate)``.
     """
     if not t >= 0:
         raise DomainError(f"time must be >= 0, got {t}")
-    v0 = np.array(_distribution(pi0))
+    v0 = np.zeros(chain.n)
+    v0[start] = 1.0
     rate = float(np.max(-np.diag(chain.generator)))
     if t == 0 or rate == 0:
         return v0
@@ -398,21 +393,20 @@ def transient_grids(draw):
     rate = max(chain.exit_rates)
     if rate > 0:
         times.append(720.0 / rate)
-    pi0 = np.zeros(n)
-    pi0[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    start = draw(st.integers(min_value=0, max_value=n - 1))
     times = draw(st.permutations(times))
     assert grid_layout(chain, times) == "csr" or not sparse
-    return chain, pi0, times
+    return chain, start, times
 
 
 @given(transient_grids())
 @settings(max_examples=40, deadline=None)
 def test_transient_grid_equals_per_point_runs(case):
-    chain, pi0, times = case
-    dists = transient_grid(chain, pi0, times)
+    chain, start, times = case
+    dists = transient_grid(chain, start, times)
     assert len(dists) == len(times) and {len(row) for row in dists} == {chain.n}
     for t, row in zip(times, dists):
-        assert row == tuple(transient_oracle(chain, pi0, t).tolist())
+        assert row == tuple(transient_oracle(chain, start, t).tolist())
 
 
 @st.composite
@@ -423,23 +417,21 @@ def stiff_transients(draw):
     rate = max(chain.exit_rates)
     rate_t = st.floats(min_value=0.0, max_value=300.0)
     times = draw(st.lists(rate_t.map(lambda mu: mu / rate), min_size=1, max_size=4))
-    pi0 = np.zeros(chain.n)
-    pi0[draw(st.integers(min_value=0, max_value=chain.n - 1))] = 1.0
-    return chain, pi0, times
+    return chain, draw(st.integers(min_value=0, max_value=chain.n - 1)), times
 
 
 @given(stiff_transients())
 @settings(max_examples=60, deadline=None)
 def test_python_and_csr_layouts_have_the_same_bits_and_match_expm(case):
-    chain, pi0, times = case
+    chain, start, times = case
     rows = {}
     for layout in ("python", "csr"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(markov, "_layout", lambda n, nnz, windows: layout)
-            rows[layout] = transient_grid(chain, pi0, times)
+            rows[layout] = transient_grid(chain, start, times)
     assert rows["python"] == rows["csr"]
     for t, row in zip(times, rows["python"]):
-        np.testing.assert_allclose(row, pi0 @ expm(chain.generator * t), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, expm(chain.generator * t)[start], rtol=0, atol=1e-12)
 
 
 class TestTransientGrid:
@@ -449,11 +441,10 @@ class TestTransientGrid:
 
     def test_matches_matrix_exponential(self):
         chain = random_chain(CounterRng(seed=21), n_states=5)
-        pi0 = np.array([0.2, 0.3, 0.0, 0.5, 0.0])
         times = [3.0, 0.0, 0.5, 12.0, 3.0]
-        for t, row in zip(times, transient_grid(chain, pi0, times)):
-            expected = pi0 @ expm(chain.generator * t)
-            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-10)
+        for start in range(chain.n):
+            for t, row in zip(times, transient_grid(chain, start, times)):
+                np.testing.assert_allclose(row, expm(chain.generator * t)[start], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("chain, times, layout", [
         (build_two_state(0.01, 0.1), np.linspace(0.0, 50.0, 11), "python"),  # the cli_cold transient
@@ -475,20 +466,23 @@ class TestTransientGrid:
     ], ids=["birth-death-400", "absorbing-birth-death-300", "random-sparse-300"])
     def test_csr_product_matches_expm_and_the_dense_product(self, monkeypatch, chain, times):
         assert grid_layout(chain, times) == "csr"
-        pi0 = np.zeros(chain.n)
-        pi0[0] = 1.0
-        dists = transient_grid(chain, pi0, times)
+        dists = transient_grid(chain, 0, times)
         for t, row in zip(times, dists):
-            np.testing.assert_allclose(row, pi0 @ expm(chain.generator * t), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(row, expm(chain.generator * t)[0], rtol=0, atol=1e-10)
             # both sum nonnegative terms, so only rounding parts them from the dense v @ (I + Q/rate): up to
             # about 1,300 products (rate*t) the largest relative difference measured was 10 units of 2**-52
-            np.testing.assert_allclose(row, transient_oracle(chain, pi0, t, dense=True), rtol=16 * 2.0 ** -52, atol=0)
+            np.testing.assert_allclose(row, transient_oracle(chain, 0, t, dense=True), rtol=16 * 2.0 ** -52, atol=0)
         # the pure-Python product adds the same terms in the same order
         monkeypatch.setattr(markov, "_layout", lambda n, nnz, windows: "python")
-        assert transient_grid(chain, pi0, times) == dists
+        assert transient_grid(chain, 0, times) == dists
 
     def test_empty_grid(self):
-        assert transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], []) == ()
+        assert transient_grid(build_two_state(1.0, 1.0), 0, []) == ()
+
+    def test_rows_are_tuples_of_floats(self):
+        dists = transient_grid(build_two_state(1.0, 1.0), np.int64(1), [0.0, 1.0])
+        assert type(dists) is tuple and all(type(row) is tuple for row in dists) and len(dists) == 2
+        assert dists[0] == (0.0, 1.0) and all(type(p) is float for row in dists for p in row)
 
     def test_long_grid(self):
         # 10**4 points once cost a Python loop over every live point at every power: 2 s here
@@ -496,7 +490,7 @@ class TestTransientGrid:
         elapsed = []
         for _ in range(2):
             start = time.perf_counter()
-            dists = transient_grid(chain, [1.0, 0.0], grid)
+            dists = transient_grid(chain, 0, grid)
             elapsed.append(time.perf_counter() - start)
         assert len(dists) == grid.size and {len(row) for row in dists} == {2}
         assert min(elapsed) < 1.0
@@ -504,13 +498,13 @@ class TestTransientGrid:
     def test_huge_last_point_fails_fast(self):
         begin = time.perf_counter()
         with pytest.raises(ConvergenceError, match="split the horizon"):
-            transient_grid(build_two_state(1.0, 1.0), [1.0, 0.0], [0.0, 10.0, 1e3, 1e9])
+            transient_grid(build_two_state(1.0, 1.0), 0, [0.0, 10.0, 1e3, 1e9])
         assert time.perf_counter() - begin < 1.0
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_negative_or_nan_time_rejected(self, bad):
         with pytest.raises(DomainError, match="time must be >= 0"):
-            transient_grid(build_two_state(0.1, 0.1), [1.0, 0.0], [1.0, bad, 2.0])
+            transient_grid(build_two_state(0.1, 0.1), 0, [1.0, bad, 2.0])
 
 
 class TestReliabilityVsAvailability:
@@ -518,7 +512,7 @@ class TestReliabilityVsAvailability:
         lam, mu = 0.01, 0.1
         chain = build_two_state(lam, mu)
         for t in (0.0, 5.0, 50.0, 300.0):
-            assert reliability_at(chain, [1.0, 0.0], t) == pytest.approx(
+            assert reliability_at(chain, 0, t) == pytest.approx(
                 math.exp(-lam * t), abs=1e-10
             )
 
@@ -526,23 +520,19 @@ class TestReliabilityVsAvailability:
         rng = CounterRng(seed=10)
         for _ in range(10):
             chain = random_chain(rng)
-            pi0 = np.zeros(chain.n)
-            pi0[0] = 1.0
             for t in (0.5, 2.0, 10.0):
-                assert reliability_at(chain, pi0, t) <= availability_at(chain, pi0, t) + 1e-12
+                assert reliability_at(chain, 0, t) <= availability_at(chain, 0, t) + 1e-12
 
     def test_reliability_monotone_nonincreasing(self):
         rng = CounterRng(seed=11)
         chain = random_chain(rng)
-        pi0 = np.zeros(chain.n)
-        pi0[0] = 1.0
-        values = [reliability_at(chain, pi0, t) for t in np.linspace(0, 20, 15)]
+        values = [reliability_at(chain, 0, t) for t in np.linspace(0, 20, 15)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_all_operational_chain_has_no_reliability_analysis(self):
         chain = Ctmc(["a", "b"], [True, True], triplets([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(StructureError):
-            reliability_at(chain, [1, 0], 1.0)
+            reliability_at(chain, 0, 1.0)
         assert availability_steady(chain) == 1.0
 
     def test_absorbing_variant_zeroes_failed_rows(self):
@@ -769,28 +759,6 @@ def test_elimination_keeps_every_entry_to_a_small_relative_error(chain):
     assert max(relative_error(p, e) for p, e in zip(pi, exact_steady_state(chain))) <= 1e-13
     for start, tau in exact_hitting_times(chain, {chain.n - 1}).items():
         assert relative_error(mttf_absorbing(chain, start), tau) <= 1e-13
-
-
-class TestVectors:
-    def test_probability_vector_validation(self):
-        for bad in ([0.5, 0.6], [-0.1, 1.1], [math.nan, 1.0], [1.0, math.nan], [math.inf], [1e308, 1e308], [],
-                    np.empty(0)):
-            with pytest.raises(DomainError):
-                _distribution(bad)
-        assert _distribution(np.array([0.25, 0.75])) == (0.25, 0.75)
-        # a vector is flat: a 2-d array, a column among them, or nested lists are rejected, as are a scalar and
-        # entries that are no numbers
-        for bad in (np.ones((1, 1, 1)), np.array([[0.5], [0.5]]), np.array([[1.0]]), [[0.5], [0.5]],
-                    [np.array([0.5]), 0.5], np.array(1.0), 1.0, ["up", "down"]):
-            with pytest.raises(DomainError):
-                _distribution(bad)
-        # transient_grid checks pi0 by the same rules and returns a tuple of row tuples of floats
-        for bad in ([0.5, 0.6], np.array([[0.5], [0.5]]), [[0.5], [0.5]]):
-            with pytest.raises(DomainError):
-                transient_grid(build_two_state(1.0, 1.0), bad, [1.0])
-        dists = transient_grid(build_two_state(1.0, 1.0), np.array([1, 0]), [0.0, 1.0])
-        assert type(dists) is tuple and all(type(row) is tuple for row in dists) and len(dists) == 2
-        assert dists[0] == (1.0, 0.0) and all(type(p) is float for row in dists for p in row)
 
 
 @given(rates_pairs)

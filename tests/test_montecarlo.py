@@ -20,9 +20,12 @@ from securakit.errors import ConvergenceError, DomainError, SchemaError, Structu
 from securakit.markov import (
     Ctmc,
     absorbing_variant,
+    availability_at,
     build_two_state,
     mttf_absorbing,
     mttr,
+    reliability_at,
+    transient,
     vet_absorption,
 )
 from securakit.montecarlo import (
@@ -46,14 +49,6 @@ def non_repairable(lam):
     rates = np.zeros((2, 2))
     rates[0, 1] = lam
     return Ctmc(["up", "down"], [True, False], triplets(rates))
-
-
-def markov_reliability(chain, t):
-    from securakit.markov import reliability_at
-
-    pi0 = np.zeros(chain.n)
-    pi0[0] = 1.0
-    return reliability_at(chain, pi0, t)
 
 
 def series_chain(lam_a=0.1, lam_b=0.2):
@@ -169,6 +164,21 @@ class TestSimulateTrajectory:
                 assert chain.generator[state, nxt] > 0
                 state = nxt
 
+    def test_state_choice_has_the_bits_of_the_walker_kernel(self):
+        # at this draw a running sum of r/rate picks state 2, and a running sum of r divided by rate, the
+        # walker kernel's cumulative probability, picks state 3: the two sums part by one ulp
+        chain = Ctmc(["s", "a", "b", "c"], [True, False, False, False],
+                     [(0, 1, 1.3522987986828883), (0, 2, 8.475863032002954), (0, 3, 7.640108443576374)])
+        u = 0.562629366066466
+
+        class Draws:
+            def uniform_pair(self):
+                return 0.5, u
+
+        path = simulate_trajectory(chain, 0, math.inf, Draws())
+        chosen = montecarlo._ChainKernel([chain]).choose(np.array([0]), np.array([u]))
+        assert path.events[0][1] == chosen[0] == 3
+
     def test_trajectory_invariants_enforced(self):
         with pytest.raises(DomainError):
             Trajectory(events=((2.0, 1), (1.0, 0)))
@@ -220,7 +230,7 @@ class TestEstimateReliability:
         horizon = 50.0
         cfg = MonteCarloConfig(n_trials=50_000, horizon=horizon, seed=19)
         est = estimate_reliability(chain, 0, cfg)
-        analytic = markov_reliability(chain, horizon)
+        analytic = reliability_at(chain, 0, horizon)
         assert abs(est.value - analytic) < 3 * est.std_error
 
     def test_curve_is_monotone_and_consistent(self):
@@ -323,10 +333,17 @@ class TestAbsorptionPreconditions:
         "mttf_absorbing": (lambda chain, start, cfg: mttf_absorbing(chain, start), True),
         "mttr": (lambda chain, start, cfg: mttr(chain, start), False),
         "chain_subsystem": (lambda chain, start, cfg: ChainSubsystem(chain, start), False),
+        "transient": (lambda chain, start, cfg: transient(chain, start, cfg.horizon), False),
+        "availability_at": (lambda chain, start, cfg: availability_at(chain, start, cfg.horizon), False),
+        "reliability_at": (lambda chain, start, cfg: reliability_at(chain, start, cfg.horizon), False),
     }
 
     @pytest.mark.parametrize("name, start, message", [
         *((name, 9, "start state 9 out of range 0..3") for name in START_CHECKS),
+        # a start vector, or a float, is no state
+        *((name, [1.0, 0.0, 0.0, 0.0], "start state must be an integer, got [1.0, 0.0, 0.0, 0.0]")
+          for name in START_CHECKS),
+        *((name, 0.0, "start state must be an integer, got 0.0") for name in ("transient", "mttr")),
         *((name, 3, "start state 3 must be operational") for name, (_, op) in START_CHECKS.items() if op),
     ])
     def test_start_state_messages(self, name, start, message):
