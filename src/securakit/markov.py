@@ -132,10 +132,10 @@ def build_two_state(lam: float, mu: float) -> Ctmc:
 
 
 def _check_two_state_rates(lam: float, mu: float) -> None:
-    if not lam > 0:
-        raise DomainError(f"failure rate must be > 0, got {lam}")
-    if not mu > 0:
-        raise DomainError(f"repair rate must be > 0, got {mu}")
+    if not 0 < lam < math.inf:
+        raise DomainError(f"failure rate must be finite and > 0, got {lam}")
+    if not 0 < mu < math.inf:
+        raise DomainError(f"repair rate must be finite and > 0, got {mu}")
 
 
 def _graph(chain: Ctmc, cut=None) -> tuple[list, list]:
@@ -540,8 +540,15 @@ def reliability_at(chain: Ctmc, start: int, t: float) -> float:
 
 
 def availability_two_state(lam: float, mu: float) -> float:
-    """Steady availability mu/(lam + mu) of the two-state model."""
+    """Steady availability mu/(lam + mu) of the two-state model.
+
+    Where lam + mu overflows, both rates are halved first; halving such
+    rates is exact and leaves the quotient as it was, and every pair whose
+    sum is finite is not touched.
+    """
     _check_two_state_rates(lam, mu)
+    if lam + mu == math.inf:
+        lam, mu = lam / 2, mu / 2
     return mu / (lam + mu)
 
 
@@ -632,16 +639,20 @@ def _expected_hitting_time(chain: Ctmc, start: int, target_mask, kind: str) -> f
     return tau[at[start]]
 
 
-def check_start(chain: Ctmc, start: int, operational: bool = False) -> None:
-    """Raise unless ``start`` is an integer state of ``chain``, and an operational one if ``operational`` is set."""
+def check_start(chain: Ctmc, start: int, operational: bool = False, what: str = "start state") -> None:
+    """Raise unless ``start`` is an integer state of ``chain``, and an operational one if ``operational`` is set.
+
+    ``what`` names the state in the message, so any state an analysis takes
+    can be checked by this one rule.
+    """
     try:
         index(start)
     except TypeError:
-        raise DomainError(f"start state must be an integer, got {start!r}") from None
+        raise DomainError(f"{what} must be an integer, got {start!r}") from None
     if not 0 <= start < chain.n:
-        raise DomainError(f"start state {start} out of range 0..{chain.n - 1}")
+        raise DomainError(f"{what} {start} out of range 0..{chain.n - 1}")
     if operational and not chain.operational[start]:
-        raise DomainError(f"start state {start} must be operational")
+        raise DomainError(f"{what} {start} must be operational")
 
 
 def vet_absorption(chain: Ctmc, start: int) -> None:

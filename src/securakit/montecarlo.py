@@ -76,22 +76,6 @@ class MonteCarloConfig:
         self.threshold, self.max_events = threshold, max_events
 
 
-class Trajectory:
-    """One sampled path: (time, state) transitions plus how it ended.
-
-    ``absorbed_at`` is the entry time into a state with no outgoing rates;
-    ``None`` means the path survived to the horizon.
-    """
-
-    def __init__(self, events: tuple[tuple[float, int], ...], absorbed_at: float | None = None):
-        times = [e[0] for e in events]
-        if any(t < 0 for t in times):
-            raise DomainError("event times must be >= 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise DomainError("event times must be strictly increasing")
-        self.events, self.absorbed_at = tuple((float(t), int(s)) for t, s in events), absorbed_at
-
-
 class Estimate:
     """Point estimate with its standard error: floats, or arrays over a curve."""
 
@@ -125,14 +109,18 @@ def _mean_estimate(samples: np.ndarray) -> Estimate:
 
 def simulate_trajectory(
     chain: Ctmc, start: int, horizon: float, rng: CounterRng, max_events: int = 10 ** 9
-) -> Trajectory:
-    """Sample one chain path from ``start``, truncated at ``horizon``.
+) -> tuple[tuple[tuple[float, int], ...], float | None]:
+    """Sample one chain path from ``start``, truncated at ``horizon``: ``(events, absorbed_at)``.
 
-    One block per jump: each jump reads the next pair of the stream, the
+    ``events`` holds the (time, state) of each jump in path order, and
+    ``absorbed_at`` is the time of the jump into a state with no exits, or
+    None if the path survived to the horizon or starts in such a state.
+    Event times never decrease, but two may be equal: a hold too short to
+    move the clock leaves it where it was, as it does in the walker.  One
+    block per jump: each jump reads the next pair of the stream, the
     holding time from its first double and the competing-exponentials
     state choice from its second, so the choice draw does not depend on
-    whether the jump lands inside the horizon.  A start state with no
-    exits yields an event-free surviving trajectory.
+    whether the jump lands inside the horizon.
     """
     markov.check_start(chain, start)
     if not horizon >= 0:
@@ -144,11 +132,11 @@ def simulate_trajectory(
     while True:
         rate = exit_rates[state]
         if rate <= 0:
-            return Trajectory(events=tuple(events), absorbed_at=(events[-1][0] if events else None))
+            return tuple(events), (events[-1][0] if events else None)
         u_hold, u = rng.uniform_pair()
         hold = float(-np.log(u_hold) / rate)
         if t + hold > horizon:
-            return Trajectory(events=tuple(events), absorbed_at=None)
+            return tuple(events), None
         t = t + hold
         lo, hi = offsets[state], offsets[state + 1]
         for nxt, acc in zip(chain.targets[lo:hi], accumulate(chain.rates[lo:hi])):
@@ -467,8 +455,7 @@ def estimate_occupancy(
         raise DomainError("burn_in must satisfy 0 <= burn_in < horizon")
     mask = np.zeros(chain.n, dtype=bool)
     for s in target_states:
-        if not 0 <= s < chain.n:
-            raise DomainError(f"target state {s} out of range 0..{chain.n - 1}")
+        markov.check_start(chain, s, what="target state")
         mask[s] = True
     kernel = _ChainKernel([chain])
     window = cfg.horizon - burn_in

@@ -15,27 +15,22 @@ Draw ``index`` is made of words (x0, x1) of block ``index``; a pair draw
 adds the double made of (x2, x3) of the same block.  The Monte Carlo walker
 reads stream 2, jump w -> block w: hold (x0, x1), choice (x2, x3).
 
-The core evaluates in bulk over numpy arrays; :class:`CounterRng` wraps a
-single (seed, trial, substream) cell as a sequential stream whose scalar
-draws run the same cipher on Python integers.
+One round function, :func:`_philox4x32`, serves scalar and bulk draws: the
+bulk draws run it over numpy uint64 arrays, and :class:`CounterRng`, which
+wraps a single (seed, trial, substream) cell as a sequential stream, runs
+it on Python ints for its scalar draws, with the same words.
 """
 
 from __future__ import annotations
 
 import math
+from operator import index
 
 import numpy as np
 
 from .errors import DomainError
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint64(0x9E3779B9)
-_W1 = np.uint64(0xBB67AE85)
-_U32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_S11 = np.uint64(11)
-_ONE = np.uint64(1)
+_U32 = 0xFFFFFFFF
 _TWO_NEG_53 = 2.0 ** -53
 _CHUNK = 1 << 14  # lanes per cipher pass (see _blocks)
 
@@ -46,31 +41,33 @@ COUNTER_BOUND = 2 ** 64
 
 
 def _philox4x32(c0, c1, c2, c3, k0, k1):
-    """One Philox-4x32-10 block per lane; returns the four words as uint64.
+    """One Philox-4x32-10 block per lane; returns the four words.
 
-    The counter words ``c0..c3`` and key words ``k0, k1`` are unsigned
-    integers below 2**32: scalars, or arrays that all have one shape.  A
-    scalar key makes the key schedule scalar adds.  Lanes are held as
-    uint64 words below 2**32, so each 32x32 -> 64-bit product needs no
-    widening, and every update works in place on a fresh product.
+    The counter words ``c0..c3`` and key words ``k0, k1`` are integers
+    below 2**32: Python ints, or uint64 arrays that all have one shape.
+    The rounds use only ``*``, ``>>``, ``^``, ``&`` and ``+`` against
+    Python int constants, which give the same words on Python ints as on
+    uint64 lanes: a 32x32 -> 64-bit product needs no widening in either.
+    So this one function serves the scalar draws of :class:`CounterRng`,
+    on Python ints, and the bulk draws of :func:`_blocks`, on arrays,
+    where every update works in place on a fresh product.  A word is
+    never a numpy integer scalar: numpy < 2 promotes a uint64 scalar
+    combined with a Python int to float64.
     """
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
-    k0 = np.asarray(k0, dtype=np.uint64)
-    k1 = np.asarray(k1, dtype=np.uint64)
     for _ in range(10):
-        p0 = c0 * _M0
-        p1 = c2 * _M1
-        c0 = p1 >> _S32
+        p0 = c0 * 0xD2511F53
+        p1 = c2 * 0xCD9E8D57
+        c0 = p1 >> 32
         c0 ^= c1
         c0 ^= k0
-        c2 = p0 >> _S32
+        c2 = p0 >> 32
         c2 ^= c3
         c2 ^= k1
         p1 &= _U32
         p0 &= _U32
         c1, c3 = p1, p0
-        k0 = (k0 + _W0) & _U32
-        k1 = (k1 + _W1) & _U32
+        k0 = (k0 + 0x9E3779B9) & _U32
+        k1 = (k1 + 0xBB67AE85) & _U32
     return c0, c1, c2, c3
 
 
@@ -96,15 +93,21 @@ def _lanes(values, bound: int, what: str) -> np.ndarray:
     return v.astype(np.uint64, copy=False)
 
 
-def _check_cell(seed: int, trials, substreams) -> tuple[np.ndarray, np.ndarray]:
-    """``trials`` and ``substreams`` as uint64, once the cell bounds are checked.
+def _check_cell(seed: int, trials, substreams) -> tuple[int, np.ndarray, np.ndarray]:
+    """``seed`` as a Python int, and ``trials`` and ``substreams`` as uint64, once the cell bounds are checked.
 
     ``trials`` and ``substreams`` are scalars or arrays; any entry outside
-    [0, 2**32), like a seed outside [0, 2**64), raises ``DomainError``.
+    [0, 2**32), like a seed that is not an integer in [0, 2**64), raises
+    ``DomainError``.  The cipher takes the seed as a Python int, never as a
+    numpy integer (see :func:`_philox4x32`).
     """
+    try:
+        seed = index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < SEED_BOUND:
         raise DomainError(f"seed must be in [0, 2**64), got {seed}")
-    return (_lanes(trials, TRIAL_BOUND, "trial index"),
+    return (seed, _lanes(trials, TRIAL_BOUND, "trial index"),
             _lanes(substreams, SUBSTREAM_BOUND, "substream id"))
 
 
@@ -130,26 +133,25 @@ def _blocks(seed: int, trials, substreams, counters, words: int) -> tuple[np.nda
     long enough that its hundred or so numpy calls cost far less than
     their arithmetic.
     """
-    trials, substreams = _check_cell(seed, trials, substreams)
+    seed, trials, substreams = _check_cell(seed, trials, substreams)
     counters = _lanes(counters, COUNTER_BOUND, "draw index")
     shape = np.broadcast_shapes(trials.shape, substreams.shape, counters.shape)
-    # lanes laid out flat; a trial, substream or counter of one entry stays a scalar
-    lanes = [x.reshape(()) if x.size == 1 else np.broadcast_to(x, shape).reshape(-1)
+    # lanes laid out flat; a trial, substream or counter of one entry becomes a Python int
+    lanes = [x.item() if x.size == 1 else np.broadcast_to(x, shape).reshape(-1)
              for x in (trials, substreams, counters)]
-    key = (np.uint64(seed & 0xFFFFFFFF), np.uint64(seed >> 32))
     u = np.empty((words, math.prod(shape)))
     for start in range(0, u.shape[1], _CHUNK):
         part = slice(start, start + _CHUNK)
-        trial, substream, counter = (x if x.ndim == 0 else x[part] for x in lanes)
-        x = _philox4x32(counter & _U32, counter >> _S32, trial, substream, *key)
+        trial, substream, counter = (x if isinstance(x, int) else x[part] for x in lanes)
+        x = _philox4x32(counter & _U32, counter >> 32, trial, substream, seed & _U32, seed >> 32)
         for k in range(words):
             # 53-bit mantissa shifted into (0, 1]: u = (bits >> 11 + 1) * 2**-53,
             # so u = 1 is reachable and u = 0 is not (safe under log transforms).
             hi = x[2 * k]
-            hi <<= _S32
+            hi <<= 32
             hi |= x[2 * k + 1]
-            hi >>= _S11
-            hi += _ONE
+            hi >>= 11
+            hi += 1
             np.multiply(hi, _TWO_NEG_53, out=u[k, part])
     return tuple(row.reshape(shape) for row in u)
 
@@ -174,32 +176,10 @@ def uniform_pairs(seed: int, trials, substreams, counters) -> tuple[np.ndarray, 
     return _blocks(seed, trials, substreams, counters, 2)
 
 
-_MASK32 = 0xFFFFFFFF
-
-
 def _uniform_pair_scalar(seed: int, trial: int, substream: int, counter: int) -> tuple[float, float]:
-    """One block via pure-integer Philox; bit-identical to the array path.
-
-    The block cipher is integer-exact, so evaluating it with Python ints
-    yields the same 32-bit words as the numpy lanes, and the conversion to
-    a double is an exact power-of-two scaling in both paths.
-    """
-    c0 = counter & _MASK32
-    c1 = (counter >> 32) & _MASK32
-    c2, c3 = trial, substream
-    k0 = seed & _MASK32
-    k1 = (seed >> 32) & _MASK32
-    for _ in range(10):
-        p0 = c0 * 0xD2511F53
-        p1 = c2 * 0xCD9E8D57
-        c0 = (p1 >> 32) ^ c1 ^ k0
-        c2 = (p0 >> 32) ^ c3 ^ k1
-        c1 = p1 & _MASK32
-        c3 = p0 & _MASK32
-        k0 = (k0 + 0x9E3779B9) & _MASK32
-        k1 = (k1 + 0xBB67AE85) & _MASK32
-    return (((((c0 << 32) | c1) >> 11) + 1) * _TWO_NEG_53,
-            ((((c2 << 32) | c3) >> 11) + 1) * _TWO_NEG_53)
+    """Both doubles of one block, from the cipher run on Python ints; the bits of :func:`uniform_pairs`."""
+    x0, x1, x2, x3 = _philox4x32(counter & _U32, counter >> 32, trial, substream, seed & _U32, seed >> 32)
+    return ((((x0 << 32) | x1) >> 11) + 1) * _TWO_NEG_53, ((((x2 << 32) | x3) >> 11) + 1) * _TWO_NEG_53
 
 
 class CounterRng:
@@ -216,10 +196,9 @@ class CounterRng:
     __slots__ = ("seed", "trial", "substream", "_index")
 
     def __init__(self, seed: int, trial: int = 0, substream: int = 0):
-        _check_cell(seed, trial, substream)
-        self.seed = seed
-        self.trial = trial
-        self.substream = substream
+        self.seed, trial, substream = _check_cell(seed, trial, substream)
+        # Python ints, as the scalar cipher needs them
+        self.trial, self.substream = trial.item(), substream.item()
         self._index = 0
 
     def uniform(self) -> float:
@@ -234,6 +213,10 @@ class CounterRng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` uniform doubles in (0, 1] as one array."""
+        try:
+            n = index(n)
+        except TypeError:
+            raise DomainError(f"draw count must be an integer, got {n!r}") from None
         if n < 0:
             raise DomainError(f"draw count must be >= 0, got {n}")
         counters = np.arange(self._index, self._index + n, dtype=np.uint64)

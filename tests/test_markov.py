@@ -1,6 +1,7 @@
 """Chain engine tests: construction, steady state, transients, hitting times."""
 
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -560,6 +561,39 @@ class TestAvailability:
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(DomainError):
             availability_two_state(0.0, 1.0)
+
+    @pytest.mark.parametrize("lam, mu, message", [
+        (math.inf, math.inf, "failure rate must be finite and > 0, got inf"),
+        (math.inf, 1.0, "failure rate must be finite and > 0, got inf"),
+        (1.0, math.inf, "repair rate must be finite and > 0, got inf"),
+        (math.nan, 1.0, "failure rate must be finite and > 0, got nan"),
+        (1.0, math.nan, "repair rate must be finite and > 0, got nan"),
+    ])
+    def test_rejects_rates_that_are_not_finite(self, lam, mu, message):
+        for analysis in (availability_two_state, build_two_state):
+            with pytest.raises(DomainError) as info:
+                analysis(lam, mu)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("lam, mu, exact", [
+        (1e308, 1e308, 0.5),
+        (sys.float_info.max, sys.float_info.max, 0.5),
+        (1.5e308, 1e308, 0.4),
+        (1.2e308, 9e307, 3 / 7),
+    ])
+    def test_rates_whose_sum_overflows(self, lam, mu, exact):
+        # scaling both rates by a power of two scales the sum exactly and leaves the quotient
+        got = availability_two_state(lam, mu)
+        assert got == availability_two_state(lam * 2.0 ** -600, mu * 2.0 ** -600)
+        assert got == pytest.approx(exact, rel=1e-15)
+
+    @given(st.floats(min_value=5e-324, max_value=sys.float_info.max),
+           st.floats(min_value=5e-324, max_value=sys.float_info.max))
+    def test_rates_whose_sum_is_finite_keep_the_plain_quotient(self, lam, mu):
+        got = availability_two_state(lam, mu)
+        assert 0 <= got <= 1
+        if lam + mu < math.inf:
+            assert got == mu / (lam + mu)
 
 
 class TestHittingTimes:

@@ -31,7 +31,7 @@ from securakit.markov import (
 from securakit.montecarlo import (
     Estimate,
     MonteCarloConfig,
-    Trajectory,
+    _absorption_times,
     _binomial_estimate,
     _mean_estimate,
     estimate_mttf,
@@ -84,8 +84,8 @@ def threshold_oracle(system, cfg):
                 flags = sub.chain.operational
                 current = bool(flags[sub.start])
                 up += current
-                path = simulate_trajectory(sub.chain, sub.start, cfg.horizon, stream, cfg.max_events)
-                for when, state in path.events:
+                events, _ = simulate_trajectory(sub.chain, sub.start, cfg.horizon, stream, cfg.max_events)
+                for when, state in events:
                     now = bool(flags[state])
                     if now != current:
                         flips.append((when, j, 1 if now else -1))
@@ -119,7 +119,7 @@ class TestSimulateTrajectory:
         chain = build_two_state(lam, mu)
         n = 100_000
         empty = sum(
-            not simulate_trajectory(chain, 0, h, CounterRng(seed=5, trial=i)).events
+            not simulate_trajectory(chain, 0, h, CounterRng(seed=5, trial=i))[0]
             for i in range(n)
         )
         p = math.exp(-lam * h)
@@ -128,9 +128,7 @@ class TestSimulateTrajectory:
 
     def test_all_absorbing_chain_survives_without_events(self):
         chain = Ctmc(["a", "b"], [True, False], triplets(np.zeros((2, 2))))
-        path = simulate_trajectory(chain, 0, 100.0, CounterRng(seed=1))
-        assert path.events == ()
-        assert path.absorbed_at is None
+        assert simulate_trajectory(chain, 0, 100.0, CounterRng(seed=1)) == ((), None)
 
     def test_competing_risks_proportions(self):
         rates = np.zeros((3, 3))
@@ -140,27 +138,27 @@ class TestSimulateTrajectory:
         n = 100_000
         hits_a = 0
         for i in range(n):
-            path = simulate_trajectory(chain, 0, 1e9, CounterRng(seed=6, trial=i))
-            hits_a += path.events[0][1] == 1
+            events, _ = simulate_trajectory(chain, 0, 1e9, CounterRng(seed=6, trial=i))
+            hits_a += events[0][1] == 1
         se = math.sqrt(0.3 * 0.7 / n)
         assert abs(hits_a / n - 0.3) < 3 * se
 
     def test_absorption_is_recorded(self):
         chain = non_repairable(0.5)
-        path = simulate_trajectory(chain, 0, 1e9, CounterRng(seed=7))
-        assert path.events[-1][1] == 1
-        assert path.absorbed_at == path.events[-1][0]
+        events, absorbed_at = simulate_trajectory(chain, 0, 1e9, CounterRng(seed=7))
+        assert events[-1][1] == 1
+        assert absorbed_at == events[-1][0]
 
     def test_trajectory_legality(self):
         lam, mu = 0.4, 0.9
         chain = build_two_state(lam, mu)
         for trial in range(50):
-            path = simulate_trajectory(chain, 0, 50.0, CounterRng(seed=8, trial=trial))
-            times = [e[0] for e in path.events]
+            events, _ = simulate_trajectory(chain, 0, 50.0, CounterRng(seed=8, trial=trial))
+            times = [e[0] for e in events]
             assert all(b > a for a, b in zip(times, times[1:]))
             assert all(0 <= t <= 50.0 for t in times)
             state = 0
-            for _, nxt in path.events:
+            for _, nxt in events:
                 assert chain.generator[state, nxt] > 0
                 state = nxt
 
@@ -175,15 +173,22 @@ class TestSimulateTrajectory:
             def uniform_pair(self):
                 return 0.5, u
 
-        path = simulate_trajectory(chain, 0, math.inf, Draws())
+        events, _ = simulate_trajectory(chain, 0, math.inf, Draws())
         chosen = montecarlo._ChainKernel([chain]).choose(np.array([0]), np.array([u]))
-        assert path.events[0][1] == chosen[0] == 3
+        assert events[0][1] == chosen[0] == 3
 
-    def test_trajectory_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            Trajectory(events=((2.0, 1), (1.0, 0)))
-        with pytest.raises(DomainError):
-            Trajectory(events=((-1.0, 1),))
+    def test_stiff_chain_absorption_times_equal_the_walker(self):
+        # b and c swap at 1e13 per unit time: each hold there is too short to move a clock past
+        # about 1e-3, so a path records jumps at one time, as the walker does
+        chain = Ctmc(["a", "b", "c", "d"], [True, True, True, False],
+                     [(0, 1, 1e-3), (1, 2, 1e13), (2, 0, 1e13), (0, 3, 1e-2)])
+        cfg = MonteCarloConfig(n_trials=200, horizon=0.0, seed=7)
+        absorbing = absorbing_variant(chain)
+        reference = [simulate_trajectory(absorbing, 0, math.inf, CounterRng(cfg.seed, trial), cfg.max_events)
+                     for trial in range(cfg.n_trials)]
+        assert any(b[0] == a[0] for events, _ in reference for a, b in zip(events, events[1:]))
+        absorbed = np.array([absorbed_at for _, absorbed_at in reference])
+        assert np.array_equal(absorbed, _absorption_times(chain, 0, cfg, None, 1))
 
 
 class TestEstimateReliability:
@@ -388,6 +393,16 @@ class TestOccupancy:
         with pytest.raises(DomainError) as info:
             estimate_occupancy(chain, 0, cfg, target_states=(0, target), burn_in=1.0)
         assert str(info.value) == f"target state {target} out of range 0..1"
+
+    @pytest.mark.parametrize("target", [1.5, 1.0, "1", None])
+    def test_target_must_be_an_integer(self, target):
+        chain = build_two_state(0.05, 0.2)
+        cfg = MonteCarloConfig(n_trials=10, horizon=10.0, seed=0)
+        with pytest.raises(DomainError) as info:
+            estimate_occupancy(chain, 0, cfg, target_states=(0, target), burn_in=1.0)
+        assert str(info.value) == f"target state must be an integer, got {target!r}"
+        # an integer of any type is a state
+        assert estimate_occupancy(chain, 0, cfg, (np.int64(1),), 1.0) == estimate_occupancy(chain, 0, cfg, (1,), 1.0)
 
     def test_exact_when_no_trial_changes_membership(self):
         # a -> b moves every trial between two targets, so each fraction is the whole window
@@ -671,10 +686,10 @@ class TestConfigAndEstimate:
 # --- walker oracles: every estimator rebuilt trial by trial from simulate_trajectory
 
 
-def _first_failure(chain, path):
-    """Entry time of the path's first non-operational state, or inf."""
+def _first_failure(chain, events):
+    """Entry time of the first non-operational state among a path's events, or inf."""
     flags = chain.operational
-    return next((when for when, state in path.events if not flags[state]), math.inf)
+    return next((when for when, state in events if not flags[state]), math.inf)
 
 
 def reliability_curve_oracle(chain, start, cfg, times):
@@ -682,7 +697,7 @@ def reliability_curve_oracle(chain, start, cfg, times):
     horizon = max(np.max(times), cfg.horizon)
     fail = np.array([
         _first_failure(chain, simulate_trajectory(
-            chain, start, horizon, CounterRng(cfg.seed, trial), cfg.max_events))
+            chain, start, horizon, CounterRng(cfg.seed, trial), cfg.max_events)[0])
         for trial in range(cfg.n_trials)
     ])
     return _binomial_estimate(np.greater.outer(fail, times).sum(axis=0), cfg.n_trials)
@@ -692,7 +707,7 @@ def mttf_oracle(chain, start, cfg):
     absorbing = absorbing_variant(chain)
     ttf = [
         simulate_trajectory(absorbing, start, math.inf, CounterRng(cfg.seed, trial),
-                            cfg.max_events).absorbed_at
+                            cfg.max_events)[1]
         for trial in range(cfg.n_trials)
     ]
     return _mean_estimate(np.array(ttf))
@@ -712,10 +727,10 @@ def occupancy_oracle(chain, start, cfg, target_states, burn_in):
     window = cfg.horizon - burn_in
     fractions = []
     for trial in range(cfg.n_trials):
-        path = simulate_trajectory(chain, start, cfg.horizon, CounterRng(cfg.seed, trial),
-                                   cfg.max_events)
+        events, _ = simulate_trajectory(chain, start, cfg.horizon, CounterRng(cfg.seed, trial),
+                                        cfg.max_events)
         flips, spans, state, since = 0.0, 0.0, start, 0.0
-        for when, nxt in (*path.events, (cfg.horizon, None)):
+        for when, nxt in (*events, (cfg.horizon, None)):
             if state in target_states:
                 spans += clip(when) - clip(since)
             if nxt is not None and (nxt in target_states) != (state in target_states):
@@ -1071,7 +1086,7 @@ class TestPartition:
         absorbing = absorbing_variant(chain)
 
         def jumps(seed, trial):
-            return len(simulate_trajectory(absorbing, 0, math.inf, CounterRng(seed, trial)).events)
+            return len(simulate_trajectory(absorbing, 0, math.inf, CounterRng(seed, trial))[0])
 
         # a seed whose trial 0, the parent's slice, fails within the cap while a child's trial does not
         seed = next(s for s in range(100) if jumps(s, 0) < max(jumps(s, 1), jumps(s, 2)))

@@ -33,18 +33,23 @@ KNOWN_ANSWERS = [
 # Published known-answer vectors for the Philox-4x32-10 block function.
 @pytest.mark.parametrize("counter,key,expected", KNOWN_ANSWERS)
 def test_philox_known_answer(counter, key, expected):
-    args = [np.array([w], dtype=np.uint32) for w in counter + key]
+    # the same words on uint64 lanes and on Python ints
+    args = [np.array([w], dtype=np.uint64) for w in counter + key]
     got = tuple(int(word[0]) for word in _philox4x32(*args))
     assert got == expected
+    words = _philox4x32(*counter, *key)
+    assert all(type(word) is int for word in words)
+    assert words == expected
 
 
 @pytest.mark.parametrize("counter,key,expected", KNOWN_ANSWERS)
 def test_philox_known_answer_with_scalar_key(counter, key, expected):
-    lanes = [np.array([w, w], dtype=np.uint32) for w in counter]
-    got = _philox4x32(*lanes, *(np.uint64(k) for k in key))
+    lanes = [np.array([w, w], dtype=np.uint64) for w in counter]
+    got = _philox4x32(*lanes, *key)
     assert [[int(x) for x in word] for word in got] == [[e, e] for e in expected]
-    scalar = _philox4x32(*(np.uint64(w) for w in counter), *key)
-    assert tuple(int(word) for word in scalar) == expected
+    # counter words mixed, as _blocks passes them: a lane of one entry is a Python int
+    mixed = _philox4x32(*lanes[:2], *counter[2:], *key)
+    assert [word.tolist() for word in mixed] == [[e, e] for e in expected]
 
 
 def test_pair_known_answer():
@@ -88,6 +93,17 @@ def test_mixed_scalar_bulk_consumption_is_one_stream():
     assert r.uniform() == _uniform_pair_scalar(9, 3, 0, 9)[0]
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_draw_count_must_be_an_integer(n):
+    r = CounterRng(seed=4)
+    with pytest.raises(DomainError) as info:
+        r.uniforms(n)
+    assert str(info.value) == f"draw count must be an integer, got {n!r}"
+    # the stream did not move, and an integer of any type is a count
+    assert r.uniform() == CounterRng(seed=4).uniform()
+    assert np.array_equal(r.uniforms(np.int64(3)), CounterRng(seed=4).uniforms(4)[1:])
+
+
 def test_uniform_block_batching_invariance():
     counters = np.arange(50, dtype=np.uint64)
     whole = uniform_block(7, 11, 0, counters)
@@ -118,6 +134,29 @@ def test_cell_bounds_rejected():
                                  (np.arange(3), np.array([1, 2 ** 32, 2], dtype=np.uint64))):
             with pytest.raises(DomainError):
                 draw(0, trial, substream, 0)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+def test_numpy_integer_cells_draw_the_python_int_cells(kind):
+    # a numpy integer word in the cipher's rounds would overflow int64, or be promoted to float64
+    # by numpy < 2, so each cell is taken as Python ints
+    seed, trial, substream = 2 ** 40 + 5, 4_000_000_000, 7
+    expected = CounterRng(seed, trial, substream)
+    got = CounterRng(kind(seed), kind(trial), np.uint32(substream))
+    assert (got.seed, got.trial, got.substream) == (seed, trial, substream)
+    assert all(type(word) is int for word in (got.seed, got.trial, got.substream))
+    assert [got.uniform_pair() for _ in range(3)] == [expected.uniform_pair() for _ in range(3)]
+    assert np.array_equal(got.uniforms(5), expected.uniforms(5))
+    for draw in (uniform_block, uniform_pairs):
+        assert np.array_equal(draw(kind(seed), kind(trial), substream, kind(9)), draw(seed, trial, substream, 9))
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_seed_must_be_an_integer(seed):
+    for make in (CounterRng, lambda s: uniform_block(s, 0, 0, 0)):
+        with pytest.raises(DomainError) as info:
+            make(seed)
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"
 
 
 @pytest.mark.parametrize("draw", [uniform_block, uniform_pairs])

@@ -288,6 +288,11 @@ class TestFit:
             assert est.alpha == pytest.approx(true.alpha, rel=0.05)
             assert est.beta == pytest.approx(true.beta, rel=0.05)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_sample_size_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match=rf"^draw count must be an integer, got {n}$"):
+            sample_lifetimes(WeibullModel(alpha=100.0, beta=2.0), n, CounterRng(seed=1))
+
     def test_degenerate_data_rejected(self):
         data = FailureSample((1.0,) * 8)
         for method in ("rank_regression", "mle"):
